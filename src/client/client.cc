@@ -125,7 +125,7 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
       break;
     }
     if (!first_send) {
-      metrics_->RecordRpcRetry();
+      metrics_->Count(runner::Counter::rpc_retries);
     }
     first_send = false;
     co_await network_->Send(msg);
@@ -146,7 +146,7 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
       // the attempt's RPCs; exhausting it aborts the attempt like an
       // ordinary give-up (the driver restarts the spec after a backoff).
       if (retry_tokens_ == 0) {
-        metrics_->RecordRetryBudgetExhausted();
+        metrics_->Count(runner::Counter::retry_budget_exhaustions);
         gave_up = true;
         break;
       }
@@ -171,7 +171,7 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
   // oracle reconciles each of these against the committed set at the end
   // of the run.
   if (msg.type == net::MsgType::kCommitRequest && !first_send) {
-    metrics_->RecordUnknownOutcome();
+    metrics_->Count(runner::Counter::unknown_outcomes);
     if (check::Checker* checker = metrics_->checker()) {
       checker->OnUnknownOutcome(msg.xact);
     }
@@ -214,7 +214,7 @@ void Client::ArmRpcTimeout(std::uint64_t request_id, std::uint64_t epoch,
         slot->waiter == nullptr) {
       return;  // stale timer from a previous transmission
     }
-    metrics_->RecordRpcTimeout();
+    metrics_->Count(runner::Counter::rpc_timeouts);
     WakeSlot(slot);
   });
 }
@@ -258,7 +258,7 @@ void Client::Crash() {
   }
   crashed_ = true;
   crash_dirty_ = true;
-  metrics_->RecordClientCrash();
+  metrics_->Count(runner::Counter::client_crashes);
   if (current_xact_ != 0 && !abort_flag_) {
     abort_flag_ = true;
     last_abort_kind_ = runner::AbortKind::kCrash;
@@ -348,7 +348,7 @@ sim::Process Client::Driver() {
     int attempts = 0;
     while (true) {
       ++attempts;
-      metrics_->RecordAttemptStart();
+      metrics_->Count(runner::Counter::attempts_started);
       if (crash_dirty_) {
         co_await FinishCrashRecovery();
       }
@@ -400,12 +400,12 @@ sim::Process Client::Dispatcher() {
         // Duplicate of a reply we already consumed, or a reply that raced
         // a timeout give-up. Only possible on a faulty network.
         CCSIM_CHECK_MSG(resilient_, "reply with no pending request");
-        metrics_->RecordDuplicateSuppressed();
+        metrics_->Count(runner::Counter::duplicates_suppressed);
         continue;
       }
       RpcSlot* slot = it->second;
       if (slot->reply.has_value()) {
-        metrics_->RecordDuplicateSuppressed();
+        metrics_->Count(runner::Counter::duplicates_suppressed);
         continue;
       }
       slot->reply = std::move(msg);
@@ -413,7 +413,7 @@ sim::Process Client::Dispatcher() {
       continue;
     }
     if (resilient_ && msg.seq != 0 && !NoteSeenSeq(msg.seq)) {
-      metrics_->RecordDuplicateSuppressed();
+      metrics_->Count(runner::Counter::duplicates_suppressed);
       continue;
     }
     if (in_user_delay_) {

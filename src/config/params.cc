@@ -243,24 +243,10 @@ Status ExperimentConfig::Validate() const {
   if (fault.retry_jitter < 0.0 || fault.retry_jitter > 1.0) {
     return Status::InvalidArgument("retry_jitter must be in [0,1]");
   }
-  if ((fault.drop_probability > 0.0 || fault.duplicate_probability > 0.0 ||
-       !fault.crashes.empty() || !fault.partitions.empty()) &&
-      !fault.recovery_enabled) {
-    // Without retries and duplicate suppression a lost or repeated message
-    // wedges a client forever; only pure delay spikes are survivable. A
-    // partitioned client likewise needs timeouts to escape its cut link.
+  if (fault.NeedsRecovery() && !fault.recovery_enabled) {
     return Status::InvalidArgument(
-        "message loss/duplication/crashes/partitions require "
-        "fault.recovery_enabled");
-  }
-  if ((fault.server_queue_limit > 0 || fault.retry_budget > 0 ||
-       fault.retry_jitter > 0.0) &&
-      !fault.recovery_enabled) {
-    // Shedding replies with aborts and damping retransmissions both only
-    // make sense when the retry machinery exists to absorb them.
-    return Status::InvalidArgument(
-        "queue limits / retry budgets / jitter require "
-        "fault.recovery_enabled");
+        "message loss/duplication/crashes/partitions and queue limits / "
+        "retry budgets / jitter require fault.recovery_enabled");
   }
   if (fault.recovery_enabled) {
     if (fault.rpc_timeout_ms <= 0.0 ||

@@ -180,8 +180,6 @@ struct ControlParams {
   std::uint64_t target_commits = 3000;
   /// ... or after this much simulated measurement time, whichever first.
   double max_measure_seconds = 600.0;
-  /// Record per-commit history for the serializability validator (tests).
-  bool record_history = false;
 };
 
 /// Fault injection and failure recovery (robustness extension; not a paper
@@ -267,6 +265,19 @@ struct FaultParams {
   /// [1 - j/2, 1 + j/2]) so backed-off clients do not retransmit in
   /// lockstep. 0 = deterministic timeouts.
   double retry_jitter = 0.0;
+
+  /// True when the plan needs the recovery layer. Without retries and
+  /// duplicate suppression a lost or repeated message wedges a client
+  /// forever (only pure delay spikes are survivable), a crashed or
+  /// partitioned peer needs timeouts to be escaped, and shedding replies,
+  /// retry budgets and jitter act only through the retry machinery.
+  /// Validate() demands recovery_enabled when this holds; the tools turn
+  /// recovery on from it after parsing their flags.
+  bool NeedsRecovery() const {
+    return drop_probability > 0.0 || duplicate_probability > 0.0 ||
+           !crashes.empty() || !partitions.empty() ||
+           server_queue_limit > 0 || retry_budget > 0 || retry_jitter > 0.0;
+  }
 
   bool AnyFaults() const {
     return drop_probability > 0.0 || duplicate_probability > 0.0 ||

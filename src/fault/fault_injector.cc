@@ -79,21 +79,13 @@ bool FaultInjector::LinkCut(int src, int dst) const {
 }
 
 bool FaultInjector::DrawTornWrite() {
-  if (plan_.storage.torn_write <= 0.0 ||
-      !rng_.Bernoulli(plan_.storage.torn_write)) {
-    return false;
-  }
-  ++torn_writes_injected_;
-  return true;
+  return plan_.storage.torn_write > 0.0 &&
+         rng_.Bernoulli(plan_.storage.torn_write);
 }
 
 bool FaultInjector::DrawBitFlip() {
-  if (plan_.storage.bit_flip <= 0.0 ||
-      !rng_.Bernoulli(plan_.storage.bit_flip)) {
-    return false;
-  }
-  ++bit_flips_injected_;
-  return true;
+  return plan_.storage.bit_flip > 0.0 &&
+         rng_.Bernoulli(plan_.storage.bit_flip);
 }
 
 FaultPlan MakePlan(const config::FaultParams& params) {

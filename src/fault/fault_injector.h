@@ -68,8 +68,6 @@ class FaultInjector {
   std::uint64_t delay_spikes() const { return delay_spikes_; }
   std::uint64_t down_drops() const { return down_drops_; }
   std::uint64_t partition_drops() const { return partition_drops_; }
-  std::uint64_t torn_writes_injected() const { return torn_writes_injected_; }
-  std::uint64_t bit_flips_injected() const { return bit_flips_injected_; }
 
   void ResetStats() {
     messages_dropped_ = 0;
@@ -77,8 +75,6 @@ class FaultInjector {
     delay_spikes_ = 0;
     down_drops_ = 0;
     partition_drops_ = 0;
-    torn_writes_injected_ = 0;
-    bit_flips_injected_ = 0;
   }
 
  private:
@@ -95,8 +91,6 @@ class FaultInjector {
   std::uint64_t delay_spikes_ = 0;
   std::uint64_t down_drops_ = 0;
   std::uint64_t partition_drops_ = 0;
-  std::uint64_t torn_writes_injected_ = 0;
-  std::uint64_t bit_flips_injected_ = 0;
 };
 
 /// Translates the experiment-level fault knobs into an injection plan.

@@ -35,7 +35,7 @@ sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
         // let the server force-release this lock behind our back. Stop
         // trusting it and re-validate with the server like an ordinary
         // cached copy.
-        c_.metrics().RecordLeaseExpiry();
+        c_.metrics().Count(runner::Counter::lease_expirations);
         entry->retained = false;
         entry->retained_x = false;
         entry->lease_until = 0;
@@ -63,39 +63,8 @@ sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
   }
 
   if (!check.empty() || !fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.pages = check;
-    request.versions = check_versions;
-    request.fetch_pages = fetch;
-    request.evicted_pages = TakeEvictNotices();
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+    if (!co_await ReadThroughServer(check, check_versions, fetch)) {
       co_return false;
-    }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
-      client::CachedPage* entry = c_.cache().Find(page);
-      if (entry != nullptr) {
-        entry->version = reply.data_versions[i];
-      } else {
-        client::CachedPage info;
-        info.version = reply.data_versions[i];
-        co_await c_.InstallPage(page, info);
-      }
-    }
-    for (db::PageId page : check) {
-      const bool refreshed =
-          std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-          reply.data_pages.end();
-      if (refreshed) {
-        c_.cache().RecordMiss();
-      } else {
-        c_.cache().RecordHit();
-      }
     }
     for (db::PageId page : step.read_pages) {
       client::CachedPage* entry = c_.cache().Find(page);
@@ -107,39 +76,6 @@ sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
     }
   }
   co_await c_.ChargePageProcessing(static_cast<int>(step.read_pages.size()));
-  co_return !c_.abort_flag();
-}
-
-sim::Task<bool> CallbackClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
-  for (db::PageId page : step.write_pages) {
-    client::CachedPage* entry = c_.cache().Find(page);
-    CCSIM_CHECK(entry != nullptr);
-    if (entry->lock != client::PageLock::kExclusive) {
-      upgrade.push_back(page);
-    }
-  }
-  if (!upgrade.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kUpgradeRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = upgrade;
-    request.evicted_pages = TakeEvictNotices();
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
-      co_return false;
-    }
-    for (db::PageId page : upgrade) {
-      c_.cache().Find(page)->lock = client::PageLock::kExclusive;
-    }
-  }
-  for (db::PageId page : step.write_pages) {
-    c_.cache().Find(page)->dirty = true;
-    c_.NoteUpdated(page);
-  }
-  co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
   co_return !c_.abort_flag();
 }
 
@@ -163,13 +99,7 @@ sim::Task<bool> CallbackClient::Commit(const workload::TransactionSpec& spec) {
     c_.NoteAbort(c_.current_xact(), reply.pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
-    if (entry != nullptr) {
-      entry->version = reply.versions[i];
-      entry->dirty = false;
-    }
-  }
+  ApplyCommitReply(reply);
   // The server converted this transaction's locks into retained locks,
   // except the pages it released to queued waiters.
   const std::int64_t lease_until =
@@ -353,7 +283,7 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
           return;
         }
         if (outstanding_callbacks_.count({page, client}) != 0) {
-          s_.metrics().RecordLeaseExpiry();
+          s_.metrics().Count(runner::Counter::lease_expirations);
           const db::PageId one[] = {page};
           HandleRetainedRelease(client, one, /*drop_directory=*/true);
         }
@@ -428,29 +358,11 @@ sim::Task<void> CallbackServer::HandleRead(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kReadReply;
-      reply.aborted = true;
-      co_await s_.Reply(msg, std::move(reply));
+      co_await s_.ReplyAborted(msg, net::MsgType::kReadReply);
       co_return;
     }
   }
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
-  std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
-                                  msg.fetch_pages.end());
-  for (std::size_t i = 0; i < msg.pages.size(); ++i) {
-    const db::PageId page = msg.pages[i];
-    if (s_.versions().Get(page) == msg.versions[i]) {
-      state->read_versions[page] = msg.versions[i];
-      s_.directory().Note(state->client, page);
-    } else {
-      to_read.push_back(page);
-    }
-  }
-  co_await s_.ReadPagesToClient(*state, std::move(to_read), &reply,
-                                /*record_reads=*/true);
-  co_await s_.Reply(msg, std::move(reply));
+  co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
 }
 
 sim::Task<void> CallbackServer::HandleUpgrade(net::Message msg) {
@@ -471,10 +383,7 @@ sim::Task<void> CallbackServer::HandleUpgrade(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kUpgradeReply;
-      reply.aborted = true;
-      co_await s_.Reply(msg, std::move(reply));
+      co_await s_.ReplyAborted(msg, net::MsgType::kUpgradeReply);
       co_return;
     }
   }
@@ -490,10 +399,7 @@ sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
     // Only reachable with fault injection: the transaction was aborted
     // (GC, crash) while this commit was queued or in flight.
     CCSIM_CHECK(s_.resilient());
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply);
     co_return;
   }
   // Reads served from retained locks enter the oracle read set; their
@@ -508,14 +414,7 @@ sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a lease force-release let a rival update a page this
     // transaction read locally, or a dirty eviction never arrived.
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
-    if (!state->aborted && !state->done) {
-      co_await s_.AbortPipeline(*state);
-    } else {
-      s_.PurgeUncommitted(state->uid);
-    }
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.RejectCommit(*state, msg);
     co_return;
   }
   co_await s_.FinalizeCommit(*state, &reply);

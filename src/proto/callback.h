@@ -35,16 +35,16 @@ class CallbackClient : public ClientProtocol {
 
  protected:
   sim::Task<bool> ReadObject(const workload::Step& step) override;
-  sim::Task<bool> UpdateObject(const workload::Step& step) override;
   sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
 
- private:
   /// Drains the piggyback queue of retained-lock eviction notices.
-  std::vector<db::PageId> TakeEvictNotices() {
+  std::vector<db::PageId> TakeEvictNotices() override {
     std::vector<db::PageId> out;
     out.swap(pending_evict_notices_);
     return out;
   }
+
+ private:
 
   bool retain_write_locks_;
   bool explicit_evict_notices_;

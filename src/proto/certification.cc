@@ -31,38 +31,10 @@ sim::Task<bool> CertificationClient::ReadObject(const workload::Step& step) {
   }
 
   if (!check.empty() || !fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.pages = check;
-    request.versions = check_versions;
-    request.fetch_pages = fetch;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      // Only possible when the attempt is already dead server-side.
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+    // An abort is only possible when the attempt is already dead
+    // server-side.
+    if (!co_await ReadThroughServer(check, check_versions, fetch)) {
       co_return false;
-    }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
-      client::CachedPage* entry = c_.cache().Find(page);
-      if (entry != nullptr) {
-        entry->version = reply.data_versions[i];
-      } else {
-        client::CachedPage info;
-        info.version = reply.data_versions[i];
-        co_await c_.InstallPage(page, info);
-      }
-    }
-    for (db::PageId page : check) {
-      const bool refreshed =
-          std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-          reply.data_pages.end();
-      if (refreshed) {
-        c_.cache().RecordMiss();
-      } else {
-        c_.cache().RecordHit();
-      }
     }
     for (db::PageId page : step.read_pages) {
       client::CachedPage* entry = c_.cache().Find(page);
@@ -105,13 +77,7 @@ sim::Task<bool> CertificationClient::Commit(
     c_.set_last_abort_kind(runner::AbortKind::kCertification);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
-    if (entry != nullptr) {
-      entry->version = reply.versions[i];
-      entry->dirty = false;
-    }
-  }
+  ApplyCommitReply(reply);
   co_return true;
 }
 
@@ -158,22 +124,8 @@ sim::Process CertificationServer::Handle(net::Message msg) {
 sim::Task<void> CertificationServer::HandleRead(net::Message msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
-  std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
-                                  msg.fetch_pages.end());
-  for (std::size_t i = 0; i < msg.pages.size(); ++i) {
-    const db::PageId page = msg.pages[i];
-    if (s_.versions().Get(page) == msg.versions[i]) {
-      s_.directory().Note(state->client, page);
-    } else {
-      to_read.push_back(page);
-    }
-  }
   // Certification records its read set at commit time, not here.
-  co_await s_.ReadPagesToClient(*state, std::move(to_read), &reply,
-                                /*record_reads=*/false);
-  co_await s_.Reply(msg, std::move(reply));
+  co_await s_.AnswerRead(*state, msg, /*record_reads=*/false);
 }
 
 sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
@@ -183,10 +135,7 @@ sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
     // Only reachable with fault injection: the transaction was aborted
     // (GC, crash) while this commit was queued or in flight.
     CCSIM_CHECK(s_.resilient());
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply);
     co_return;
   }
   // Backward validation: all read versions must still be current.
@@ -203,11 +152,8 @@ sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
   if (!stale.empty()) {
     state->stale_pages = stale;
     co_await s_.AbortPipeline(*state);
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    reply.pages = std::move(stale);
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply,
+                             std::move(stale));
     co_return;
   }
   // Certified. Validation + version installation happen synchronously so
@@ -231,10 +177,7 @@ sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
     // Recovery mode: a dirty eviction never arrived (updated-set gap), so
     // committing would lose that update. (Reads were just re-validated
     // above, so only the coverage check can fail here.)
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
-    co_await s_.AbortPipeline(*state);
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.RejectCommit(*state, msg);
     co_return;
   }
   s_.BumpVersionsAndRecord(*state, &reply);

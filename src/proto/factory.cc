@@ -7,6 +7,29 @@
 #include "util/macros.h"
 
 namespace ccsim::proto {
+namespace {
+
+/// Per-client RNG stream bases, distinct per component so that changing
+/// one knob does not perturb unrelated variate sequences across runs.
+constexpr std::uint64_t kClientObjectStreamBase = 0x1000;
+constexpr std::uint64_t kClientDelayStreamBase = 0x20000;
+constexpr std::uint64_t kClientJitterStreamBase = 0x30000;
+
+}  // namespace
+
+std::unique_ptr<client::Client> MakeClient(
+    sim::Simulator* sim, int id, const config::ExperimentConfig& config,
+    const db::DatabaseLayout* layout, net::Network* network,
+    runner::Metrics* metrics, std::uint64_t seed) {
+  const std::uint64_t stream = static_cast<std::uint64_t>(id);
+  auto c = std::make_unique<client::Client>(
+      sim, id, config, layout, network, metrics,
+      sim::Pcg32(seed, kClientObjectStreamBase + stream),
+      sim::Pcg32(seed, kClientDelayStreamBase + stream),
+      sim::Pcg32(seed, kClientJitterStreamBase + stream));
+  c->set_protocol(MakeClientProtocol(config.algorithm, c.get()));
+  return c;
+}
 
 std::unique_ptr<ClientProtocol> MakeClientProtocol(
     const config::AlgorithmParams& params, client::Client* client) {

@@ -25,7 +25,7 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
         c_.simulator().Now() > entry->lease_until) {
       // Recovery mode: a propagated copy past its lease is no longer worth
       // an optimistic gamble; fetch it synchronously like a miss.
-      c_.metrics().RecordLeaseExpiry();
+      c_.metrics().Count(runner::Counter::lease_expirations);
       c_.cache().RecordMiss();
       entry->lease_until = 0;
       fetch.push_back(page);
@@ -143,13 +143,7 @@ sim::Task<bool> NoWaitClient::Commit(const workload::TransactionSpec& spec) {
     c_.NoteAbort(c_.current_xact(), reply.pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
-    if (entry != nullptr) {
-      entry->version = reply.versions[i];
-      entry->dirty = false;
-    }
-  }
+  ApplyCommitReply(reply);
   co_return true;
 }
 
@@ -247,18 +241,11 @@ sim::Task<void> NoWaitServer::HandleRead(net::Message msg) {
     }
   }
   if (state->aborted) {
-    net::Message reply;
-    reply.type = net::MsgType::kReadReply;
-    reply.aborted = true;
-    reply.pages = state->stale_pages;
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.ReplyAborted(msg, net::MsgType::kReadReply,
+                             state->stale_pages);
     co_return;
   }
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
-  co_await s_.ReadPagesToClient(*state, msg.fetch_pages, &reply,
-                                /*record_reads=*/true);
-  co_await s_.Reply(msg, std::move(reply));
+  co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
 }
 
 sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
@@ -273,11 +260,8 @@ sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
   if (state->aborted) {
     // The asynchronous notice is (or will be) on its way; answer the commit
     // too so the client does not hang on the RPC.
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    reply.pages = state->stale_pages;
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply,
+                             state->stale_pages);
     co_return;
   }
   co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
@@ -294,14 +278,7 @@ sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a lost lock request left a read unvalidated and it
     // went stale, or a dirty eviction never arrived.
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
-    if (!state->aborted && !state->done) {
-      co_await s_.AbortPipeline(*state);
-    } else {
-      s_.PurgeUncommitted(state->uid);
-    }
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.RejectCommit(*state, msg);
     co_return;
   }
   co_await s_.FinalizeCommit(*state, &reply);

@@ -1,6 +1,9 @@
 #include "proto/protocol.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "util/macros.h"
 
 namespace ccsim::proto {
 
@@ -29,6 +32,91 @@ sim::Task<bool> ClientProtocol::RunAttempt(
     co_return false;
   }
   co_return co_await Commit(spec);
+}
+
+sim::Task<bool> ClientProtocol::UpdateObject(const workload::Step& step) {
+  std::vector<db::PageId> upgrade;
+  for (db::PageId page : step.write_pages) {
+    client::CachedPage* entry = c_.cache().Find(page);
+    CCSIM_CHECK(entry != nullptr);  // the preceding read pinned it
+    if (entry->lock != client::PageLock::kExclusive) {
+      upgrade.push_back(page);
+    }
+  }
+  if (!upgrade.empty()) {
+    net::Message request;
+    request.type = net::MsgType::kUpgradeRequest;
+    request.xact = c_.current_xact();
+    request.mode = lock::LockMode::kExclusive;
+    request.pages = upgrade;
+    request.evicted_pages = TakeEvictNotices();
+    net::Message reply = co_await c_.Rpc(std::move(request));
+    if (reply.aborted) {
+      c_.NoteAbort(c_.current_xact(), reply.pages);
+      co_return false;
+    }
+    for (db::PageId page : upgrade) {
+      c_.cache().Find(page)->lock = client::PageLock::kExclusive;
+    }
+  }
+  for (db::PageId page : step.write_pages) {
+    c_.cache().Find(page)->dirty = true;
+    c_.NoteUpdated(page);
+  }
+  co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
+  co_return !c_.abort_flag();
+}
+
+sim::Task<bool> ClientProtocol::ReadThroughServer(
+    const std::vector<db::PageId>& check,
+    const std::vector<std::uint64_t>& versions,
+    const std::vector<db::PageId>& fetch) {
+  net::Message request;
+  request.type = net::MsgType::kReadRequest;
+  request.xact = c_.current_xact();
+  request.mode = lock::LockMode::kShared;
+  request.pages = check;
+  request.versions = versions;
+  request.fetch_pages = fetch;
+  request.evicted_pages = TakeEvictNotices();
+  net::Message reply = co_await c_.Rpc(std::move(request));
+  if (reply.aborted) {
+    c_.NoteAbort(c_.current_xact(), reply.pages);
+    co_return false;
+  }
+  for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
+    const db::PageId page = reply.data_pages[i];
+    client::CachedPage* entry = c_.cache().Find(page);
+    if (entry != nullptr) {
+      entry->version = reply.data_versions[i];  // stale copy refreshed
+    } else {
+      client::CachedPage info;
+      info.version = reply.data_versions[i];
+      co_await c_.InstallPage(page, info);
+    }
+  }
+  // Checked pages that came back with data were stale: count as misses.
+  for (db::PageId page : check) {
+    const bool refreshed =
+        std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
+        reply.data_pages.end();
+    if (refreshed) {
+      c_.cache().RecordMiss();
+    } else {
+      c_.cache().RecordHit();
+    }
+  }
+  co_return true;
+}
+
+void ClientProtocol::ApplyCommitReply(const net::Message& reply) {
+  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
+    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
+    if (entry != nullptr) {
+      entry->version = reply.versions[i];
+      entry->dirty = false;
+    }
+  }
 }
 
 sim::Task<void> ClientProtocol::OnAttemptEnd(bool committed) {

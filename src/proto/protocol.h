@@ -55,8 +55,27 @@ class ClientProtocol {
 
  protected:
   virtual sim::Task<bool> ReadObject(const workload::Step& step) = 0;
-  virtual sim::Task<bool> UpdateObject(const workload::Step& step) = 0;
+  /// The default is the locking update of 2PL and callback locking: one
+  /// round trip upgrades every written page not yet held exclusively,
+  /// then the pages are updated in place.
+  virtual sim::Task<bool> UpdateObject(const workload::Step& step);
   virtual sim::Task<bool> Commit(const workload::TransactionSpec& spec) = 0;
+
+  /// Eviction notices to piggyback on the next request (callback
+  /// locking's retained locks); none by default.
+  virtual std::vector<db::PageId> TakeEvictNotices() { return {}; }
+
+  /// A read's server round trip: asks the server to validate the cached
+  /// pages `check` (at `versions`) and to fetch `fetch`, installs every
+  /// page the reply ships, and counts each checked page a hit unless the
+  /// reply refreshed it. False when the server aborted the attempt.
+  sim::Task<bool> ReadThroughServer(const std::vector<db::PageId>& check,
+                                    const std::vector<std::uint64_t>& versions,
+                                    const std::vector<db::PageId>& fetch);
+
+  /// Stamps the versions a commit reply installed on the cached pages and
+  /// marks them clean.
+  void ApplyCommitReply(const net::Message& reply);
 
   client::Client& c_;
 };

@@ -31,39 +31,8 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
   }
 
   if (!check.empty() || !fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.pages = check;
-    request.versions = check_versions;
-    request.fetch_pages = fetch;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+    if (!co_await ReadThroughServer(check, check_versions, fetch)) {
       co_return false;
-    }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
-      client::CachedPage* entry = c_.cache().Find(page);
-      if (entry != nullptr) {
-        entry->version = reply.data_versions[i];  // stale copy refreshed
-      } else {
-        client::CachedPage info;
-        info.version = reply.data_versions[i];
-        co_await c_.InstallPage(page, info);
-      }
-    }
-    // Checked pages that came back with data were stale: count as misses.
-    for (db::PageId page : check) {
-      const bool refreshed =
-          std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-          reply.data_pages.end();
-      if (refreshed) {
-        c_.cache().RecordMiss();
-      } else {
-        c_.cache().RecordHit();
-      }
     }
     for (db::PageId page : step.read_pages) {
       client::CachedPage* entry = c_.cache().Find(page);
@@ -78,40 +47,6 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
   co_return !c_.abort_flag();
 }
 
-sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
-  for (db::PageId page : step.write_pages) {
-    client::CachedPage* entry = c_.cache().Find(page);
-    CCSIM_CHECK(entry != nullptr);  // the preceding read pinned it
-    if (entry->lock != client::PageLock::kExclusive) {
-      upgrade.push_back(page);
-    }
-  }
-  if (!upgrade.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kUpgradeRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = upgrade;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
-      co_return false;
-    }
-    for (db::PageId page : upgrade) {
-      client::CachedPage* entry = c_.cache().Find(page);
-      CCSIM_CHECK(entry != nullptr);
-      entry->lock = client::PageLock::kExclusive;
-    }
-  }
-  for (db::PageId page : step.write_pages) {
-    c_.cache().Find(page)->dirty = true;
-    c_.NoteUpdated(page);
-  }
-  co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
-  co_return !c_.abort_flag();
-}
-
 sim::Task<bool> TwoPhaseClient::Commit(const workload::TransactionSpec& spec) {
   (void)spec;
   net::Message request;
@@ -123,13 +58,7 @@ sim::Task<bool> TwoPhaseClient::Commit(const workload::TransactionSpec& spec) {
     c_.NoteAbort(c_.current_xact(), reply.pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
-    if (entry != nullptr) {
-      entry->version = reply.versions[i];
-      entry->dirty = false;
-    }
-  }
+  ApplyCommitReply(reply);
   co_return true;
 }
 
@@ -165,31 +94,13 @@ sim::Task<void> TwoPhaseServer::HandleRead(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kReadReply;
-      reply.aborted = true;
-      co_await s_.Reply(msg, std::move(reply));
+      co_await s_.ReplyAborted(msg, net::MsgType::kReadReply);
       co_return;
     }
   }
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
   // With the locks held, validate the cached versions; stale copies are
   // re-read and shipped fresh.
-  std::vector<db::PageId> to_read(msg.fetch_pages.begin(),
-                                  msg.fetch_pages.end());
-  for (std::size_t i = 0; i < msg.pages.size(); ++i) {
-    const db::PageId page = msg.pages[i];
-    if (s_.versions().Get(page) == msg.versions[i]) {
-      state->read_versions[page] = msg.versions[i];
-      s_.directory().Note(state->client, page);
-    } else {
-      to_read.push_back(page);
-    }
-  }
-  co_await s_.ReadPagesToClient(*state, std::move(to_read), &reply,
-                                /*record_reads=*/true);
-  co_await s_.Reply(msg, std::move(reply));
+  co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
 }
 
 sim::Task<void> TwoPhaseServer::HandleUpgrade(net::Message msg) {
@@ -202,10 +113,7 @@ sim::Task<void> TwoPhaseServer::HandleUpgrade(net::Message msg) {
       if (!state->aborted) {
         co_await s_.AbortPipeline(*state);
       }
-      net::Message reply;
-      reply.type = net::MsgType::kUpgradeReply;
-      reply.aborted = true;
-      co_await s_.Reply(msg, std::move(reply));
+      co_await s_.ReplyAborted(msg, net::MsgType::kUpgradeReply);
       co_return;
     }
   }
@@ -221,10 +129,7 @@ sim::Task<void> TwoPhaseServer::HandleCommit(net::Message msg) {
     // Only reachable with fault injection: the transaction was aborted
     // (GC, crash) while this commit was queued or in flight.
     CCSIM_CHECK(s_.resilient());
-    net::Message reply;
-    reply.type = net::MsgType::kCommitReply;
-    reply.aborted = true;
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply);
     co_return;
   }
   co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
@@ -232,14 +137,7 @@ sim::Task<void> TwoPhaseServer::HandleCommit(net::Message msg) {
   net::Message reply;
   reply.type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
-    reply.aborted = true;
-    reply.pages = std::move(state->stale_pages);
-    if (!state->aborted && !state->done) {
-      co_await s_.AbortPipeline(*state);
-    } else {
-      s_.PurgeUncommitted(state->uid);
-    }
-    co_await s_.Reply(msg, std::move(reply));
+    co_await s_.RejectCommit(*state, msg);
     co_return;
   }
   co_await s_.FinalizeCommit(*state, &reply);

@@ -28,7 +28,6 @@ class TwoPhaseClient : public ClientProtocol {
 
  protected:
   sim::Task<bool> ReadObject(const workload::Step& step) override;
-  sim::Task<bool> UpdateObject(const workload::Step& step) override;
   sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
 
  private:

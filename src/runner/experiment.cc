@@ -15,25 +15,14 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "storage/disk.h"
+#include "substrate/node.h"
 #include "util/macros.h"
 
 namespace ccsim::runner {
 namespace {
 
-/// RNG stream ids. Distinct per component so that changing one knob does
-/// not perturb unrelated variate sequences across compared runs.
-constexpr std::uint64_t kNetworkStream = 0x7e7;
-constexpr std::uint64_t kClientObjectStreamBase = 0x1000;
-constexpr std::uint64_t kClientDelayStreamBase = 0x20000;
-constexpr std::uint64_t kClientJitterStreamBase = 0x30000;
+/// RNG stream of the fault injector's draws.
 constexpr std::uint64_t kFaultStream = 0xFA17;
-
-/// Server crash-restart: the node stays unreachable until log replay ends.
-sim::Process RecoverServer(server::Server* server,
-                           fault::FaultInjector* injector) {
-  co_await server->Recover();
-  injector->SetDown(net::kServerNode, false);
-}
 
 double MeanUtilization(const std::vector<storage::Disk*>& disks,
                        sim::Ticks now) {
@@ -49,6 +38,29 @@ double MeanUtilization(const std::vector<storage::Disk*>& disks,
 
 }  // namespace
 
+void AddNodeCounters(const NodeSources& node, RunResult* into) {
+#define CCSIM_FIELD(name, type, csv, format, scope, merge, source, read) \
+  CCSIM_IF_SOURCED(source, if (node.source != nullptr) {               \
+    CCSIM_MERGE(merge, into->name, static_cast<type>(node.source->read)) \
+  })
+#include "runner/counters.def"
+}
+
+void FinishCounters(RunResult* result) {
+  result->throughput_tps =
+      result->measured_seconds > 0
+          ? static_cast<double>(result->commits) / result->measured_seconds
+          : 0.0;
+  result->recovery_seconds =
+      sim::TicksToSeconds(static_cast<sim::Ticks>(result->recovery_ticks));
+}
+
+double HitRatio(std::uint64_t hits, std::uint64_t misses) {
+  return hits + misses == 0 ? 0.0
+                            : static_cast<double>(hits) /
+                                  static_cast<double>(hits + misses);
+}
+
 Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   CCSIM_RETURN_NOT_OK(config.Validate());
 
@@ -56,25 +68,16 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   const std::uint64_t seed = config.control.seed;
   db::DatabaseLayout layout(config.database, config.system.num_data_disks);
   Metrics metrics(&sim);
-  metrics.set_record_history(config.control.record_history);
   net::Network network(&sim, sim::MillisToTicks(config.system.net_delay_ms),
-                       sim::Pcg32(seed, kNetworkStream));
+                       sim::Pcg32(seed, proto::kNetworkStream));
   server::Server server(&sim, config, &layout, &network, &metrics, seed);
   server.set_protocol(proto::MakeServerProtocol(config.algorithm, &server));
 
   std::vector<std::unique_ptr<client::Client>> clients;
   clients.reserve(static_cast<std::size_t>(config.system.num_clients));
   for (int i = 0; i < config.system.num_clients; ++i) {
-    auto c = std::make_unique<client::Client>(
-        &sim, i, config, &layout, &network, &metrics,
-        sim::Pcg32(seed, kClientObjectStreamBase +
-                             static_cast<std::uint64_t>(i)),
-        sim::Pcg32(seed,
-                   kClientDelayStreamBase + static_cast<std::uint64_t>(i)),
-        sim::Pcg32(seed,
-                   kClientJitterStreamBase + static_cast<std::uint64_t>(i)));
-    c->set_protocol(proto::MakeClientProtocol(config.algorithm, c.get()));
-    clients.push_back(std::move(c));
+    clients.push_back(proto::MakeClient(&sim, i, config, &layout, &network,
+                                        &metrics, seed));
   }
 
   // Consistency checker: one per run (never shared, so parallel sweeps
@@ -87,16 +90,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   // barrier) before any counter below is read.
   std::unique_ptr<check::Checker> checker;
   if (config.checker.enabled) {
-    check::Checker::Options options;
-    options.pipelined = config.checker.pipelined;
-    options.audit_epoch_commits = config.checker.audit_epoch_commits;
-    options.queue_capacity = config.checker.queue_capacity;
-    options.oracle.context =
-        config::AlgorithmLabel(config.algorithm.algorithm,
-                               config.algorithm.caching) +
-        ", seed " + std::to_string(seed);
-    checker =
-        std::make_unique<check::Checker>(&server.versions(), options);
+    checker = substrate::MakeChecker(config, &server, "");
     server::Server* srv = &server;
     auto* client_list = &clients;
     const bool fault_free = !config.fault.recovery_enabled;
@@ -142,32 +136,30 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   // a build without the fault subsystem).
   std::unique_ptr<fault::FaultInjector> injector;
   if (config.fault.AnyFaults()) {
+    const fault::FaultPlan plan = fault::MakePlan(config.fault);
     injector = std::make_unique<fault::FaultInjector>(
-        fault::MakePlan(config.fault), sim::Pcg32(seed, kFaultStream));
-    network.set_fault_injector(injector.get());
-    for (const config::FaultParams::CrashEvent& crash :
-         config.fault.crashes) {
-      const sim::Ticks at = sim::SecondsToTicks(crash.at_s);
-      const sim::Ticks up_at = at + sim::SecondsToTicks(crash.downtime_s);
+        plan, sim::Pcg32(seed, kFaultStream));
+    fault::FaultInjector* inj = injector.get();
+    network.set_fault_injector(inj);
+    for (const fault::CrashWindow& crash : plan.crashes) {
+      const sim::Ticks up_at = crash.at + crash.downtime;
       if (crash.node == net::kServerNode) {
         server::Server* srv = &server;
-        fault::FaultInjector* inj = injector.get();
         sim::Simulator* simp = &sim;
-        sim.ScheduleAt(at, [srv, inj] {
+        sim.ScheduleAt(crash.at, [srv, inj] {
           inj->SetDown(net::kServerNode, true);
           srv->Crash();
         });
         sim.ScheduleAt(up_at, [srv, inj, simp] {
-          simp->Spawn(RecoverServer(srv, inj));
+          simp->Spawn(substrate::RecoverServer(srv, inj));
         });
       } else {
         CCSIM_CHECK(crash.node >= 0 &&
                     crash.node < config.system.num_clients);
         client::Client* victim = clients[static_cast<std::size_t>(
             crash.node)].get();
-        fault::FaultInjector* inj = injector.get();
         const int node = crash.node;
-        sim.ScheduleAt(at, [victim, inj, node] {
+        sim.ScheduleAt(crash.at, [victim, inj, node] {
           inj->SetDown(node, true);
           victim->Crash();
         });
@@ -177,28 +169,10 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
         });
       }
     }
-    for (const config::FaultParams::PartitionEvent& part :
-         config.fault.partitions) {
-      CCSIM_CHECK(part.node >= 0 && part.node < config.system.num_clients);
-      fault::FaultInjector* inj = injector.get();
-      const int node = part.node;
-      fault::PartitionWindow::Direction dir =
-          fault::PartitionWindow::Direction::kBoth;
-      if (part.direction == 1) {
-        dir = fault::PartitionWindow::Direction::kToServer;
-      } else if (part.direction == 2) {
-        dir = fault::PartitionWindow::Direction::kFromServer;
-      }
-      const sim::Ticks at = sim::SecondsToTicks(part.at_s);
-      const sim::Ticks heal_at = at + sim::SecondsToTicks(part.duration_s);
-      sim.ScheduleAt(at, [inj, node, dir] {
-        inj->SetPartitioned(node, dir, true);
-      });
-      sim.ScheduleAt(heal_at, [inj, node, dir] {
-        inj->SetPartitioned(node, dir, false);
-      });
-    }
-    server.log().set_fault_injector(injector.get());
+    // Hard partitions cut a TCP connection; the DES has none to cut.
+    substrate::PlantPartitions(plan, 0, config.system.num_clients, &sim, inj,
+                               [](int) {});
+    server.log().set_fault_injector(inj);
   }
 
   server.Start();
@@ -210,7 +184,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   const auto wall_begin = std::chrono::steady_clock::now();
   sim.Run(sim::SecondsToTicks(config.control.warmup_seconds));
   const sim::Ticks window_start = sim.Now();
-  metrics.ResetWindow(window_start);
+  metrics.ResetWindow();
   server.cpu().ResetStats(window_start);
   network.ResetStats(window_start);
   for (storage::Disk* disk : server.data_disks()) {
@@ -238,8 +212,21 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
                                     wall_begin)
           .count();
 
+  if (checker != nullptr) {
+    // Drain barrier + verifier join: every queued record is applied (and
+    // any violation surfaced) before Finalize reconciles or a counter is
+    // read, which is what makes the pipelined counters byte-identical to
+    // the synchronous mode's.
+    checker->Finish();
+    checker->oracle().Finalize(metrics.unknown_outcomes());
+  }
+
   RunResult result;
+  AddNodeCounters({&metrics, &server, &network, injector.get(),
+                   checker.get()},
+                  &result);
   result.stalled = stalled;
+  result.oracle_enabled = checker != nullptr;
   result.measured_seconds = sim::TicksToSeconds(now - window_start);
   result.wall_seconds = wall_seconds;
   result.events_processed = sim.events_processed();
@@ -247,22 +234,11 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
       wall_seconds > 0
           ? static_cast<double>(sim.events_processed()) / wall_seconds
           : 0.0;
-  result.commits = metrics.commits();
-  result.aborts = metrics.aborts();
-  result.deadlock_aborts = metrics.deadlock_aborts();
-  result.stale_aborts = metrics.stale_aborts();
-  result.cert_aborts = metrics.cert_aborts();
-  result.deadlocks_detected = server.locks().deadlocks_detected();
   result.mean_response_s = metrics.response_s().mean();
   result.response_ci_s = metrics.response_batches().HalfWidth90();
   result.response_p50_s = metrics.response_histogram().Quantile(0.50);
   result.response_p90_s = metrics.response_histogram().Quantile(0.90);
   result.response_p99_s = metrics.response_histogram().Quantile(0.99);
-  result.attempts_started = metrics.attempts_started();
-  result.throughput_tps =
-      result.measured_seconds > 0
-          ? static_cast<double>(result.commits) / result.measured_seconds
-          : 0.0;
   result.mean_attempts_per_commit = metrics.attempts_per_commit().mean();
   result.server_cpu_util = server.cpu().Utilization(now);
   double client_util_sum = 0.0;
@@ -278,51 +254,12 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   result.network_util = network.medium().Utilization(now);
   result.data_disk_util = MeanUtilization(server.data_disks(), now);
   result.log_disk_util = MeanUtilization(server.log_disks(), now);
-  result.messages = network.messages_sent();
-  result.packets = network.packets_sent();
-  result.client_hit_ratio =
-      (cache_hits + cache_misses) == 0
-          ? 0.0
-          : static_cast<double>(cache_hits) /
-                static_cast<double>(cache_hits + cache_misses);
+  result.client_hit_ratio = HitRatio(cache_hits, cache_misses);
   result.server_buffer_hit_ratio = server.pool().HitRatio();
-  result.buffer_writebacks = server.pool().writebacks();
-  result.log_forced_commits = server.log().commits_logged();
-  result.undo_page_ios = server.log().undo_page_ios();
   for (const sim::Tally& tally : metrics.per_type_response_s()) {
     result.per_type_response.emplace_back(tally.mean(), tally.count());
   }
-  result.history = metrics.history();
-  if (injector != nullptr) {
-    result.messages_dropped = injector->messages_dropped();
-    result.messages_duplicated = injector->messages_duplicated();
-    result.delay_spikes = injector->delay_spikes();
-    result.down_drops = injector->down_drops();
-    result.partition_drops = injector->partition_drops();
-  }
-  result.shed_requests = metrics.shed_requests();
-  result.retry_budget_exhaustions = metrics.retry_budget_exhaustions();
-  result.ready_queue_high_water = server.ready_queue_high_water();
-  result.log_torn_writes = server.log().torn_writes_detected();
-  result.log_bit_flips = server.log().bit_flips_detected();
-  result.log_rewrites = server.log().log_rewrites();
-  result.log_records_truncated = server.log().records_truncated();
-  result.rpc_retries = metrics.rpc_retries();
-  result.rpc_timeouts = metrics.rpc_timeouts();
-  result.timeout_aborts = metrics.timeout_aborts();
-  result.crash_aborts = metrics.crash_aborts();
-  result.lease_expirations = metrics.lease_expirations();
-  result.duplicates_suppressed = metrics.duplicates_suppressed();
-  result.gc_xacts = metrics.gc_xacts();
-  result.client_crashes = metrics.client_crashes();
-  result.server_crashes = metrics.server_crashes();
-  result.recovery_seconds = sim::TicksToSeconds(metrics.recovery_ticks());
-  result.transactions_lost = metrics.transactions_lost();
-  result.unknown_outcomes = metrics.unknown_outcomes();
-  result.final_lock_waiters = server.locks().waiter_count();
-  result.final_locks_held = server.locks().held_count();
-  result.final_active_xacts = server.active_transactions();
-  result.final_ready_queue = server.ready_queue_length();
+  FinishCounters(&result);
   if (config.fault.recovery_enabled) {
     // Liveness watchdog: under recovery mode every RPC wait is bounded by
     // the retransmission schedule (timeouts double to the cap; exhaustion
@@ -339,26 +276,6 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
         ++result.stuck_clients;
       }
     }
-  }
-  if (checker != nullptr) {
-    // Drain barrier + verifier join: every queued record is applied (and
-    // any violation surfaced) before Finalize reconciles or a counter is
-    // read, which is what makes the pipelined counters byte-identical to
-    // the synchronous mode's.
-    checker->Finish();
-    check::Oracle& oracle = checker->oracle();
-    oracle.Finalize(metrics.unknown_outcomes());
-    result.oracle_enabled = true;
-    result.oracle_commits = oracle.commits_observed();
-    result.oracle_edges = oracle.edges();
-    result.oracle_scc_checks = oracle.scc_checks();
-    result.oracle_max_frontier = oracle.max_frontier();
-    result.oracle_audits = checker->audits();
-    result.oracle_client_audits = checker->client_audits();
-    result.oracle_trusted_reads = oracle.trusted_reads();
-    result.oracle_stale_commit_reads = oracle.stale_commit_reads();
-    result.oracle_unknown_committed = oracle.unknown_resolved_committed();
-    result.oracle_unknown_aborted = oracle.unknown_resolved_aborted();
   }
 
   sim.Shutdown();

@@ -6,148 +6,57 @@
 #include <vector>
 
 #include "config/params.h"
+#include "runner/counters.h"
 #include "runner/metrics.h"
 #include "util/status.h"
 
 namespace ccsim::runner {
 
 /// Measurement-window results of one simulation run, in the units the paper
-/// reports (seconds; committed transactions per second).
+/// reports (seconds; committed transactions per second). Every scalar field
+/// except the two wall-clock ones is a row of the counter table
+/// (runner/counters.def), which documents it.
 struct RunResult {
-  double measured_seconds = 0.0;
+#define CCSIM_FIELD(name, type, csv, format, scope, merge, source, read) \
+  type name{};
+#include "runner/counters.def"
+
   /// Wall-clock time the run actually took (warmup + measurement). On the
   /// DES substrate this is how fast the simulator chewed through the
   /// calendar; on the real substrate it tracks measured_seconds by
   /// construction. Never part of the deterministic output surface.
   double wall_seconds = 0.0;
-  /// Calendar events processed across the whole run, and the wall-clock
-  /// event rate derived from it (0 when wall_seconds is unmeasured).
-  std::uint64_t events_processed = 0;
+  /// Wall-clock event rate (events_processed / wall_seconds; 0 when
+  /// wall_seconds is unmeasured).
   double events_per_second = 0.0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t deadlock_aborts = 0;
-  std::uint64_t stale_aborts = 0;
-  std::uint64_t cert_aborts = 0;
-  std::uint64_t deadlocks_detected = 0;
-
-  double mean_response_s = 0.0;
-  /// ~90% confidence half-width on the mean response time (batch means).
-  double response_ci_s = 0.0;
-  /// Response-time percentiles from the log-scaled histogram (~12%
-  /// bucket resolution).
-  double response_p50_s = 0.0;
-  double response_p90_s = 0.0;
-  double response_p99_s = 0.0;
-  double throughput_tps = 0.0;
-  double mean_attempts_per_commit = 0.0;
-  /// Transaction attempts started in the measurement window. Conservation:
-  /// |attempts_started - (commits + aborts)| is bounded by the attempts in
-  /// flight at the window edges, at most the client count on each side.
-  std::uint64_t attempts_started = 0;
-
-  double server_cpu_util = 0.0;
-  double client_cpu_util = 0.0;  // averaged over clients
-  double network_util = 0.0;
-  double data_disk_util = 0.0;   // averaged over data disks
-  double log_disk_util = 0.0;    // averaged over log disks
-
-  std::uint64_t messages = 0;
-  std::uint64_t packets = 0;
-  double client_hit_ratio = 0.0;
-  double server_buffer_hit_ratio = 0.0;
-  std::uint64_t buffer_writebacks = 0;
-  std::uint64_t log_forced_commits = 0;
-  std::uint64_t undo_page_ios = 0;
 
   /// Per-type (mean response seconds, commits) for mixed workloads, in
   /// ExperimentConfig::mix order. Single-type runs have one entry.
   std::vector<std::pair<double, std::uint64_t>> per_type_response;
-
-  /// Commit history (only when control.record_history was set).
-  std::vector<Metrics::CommitRecord> history;
-
-  // Fault injection / recovery (all zero on a fault-free run).
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t messages_duplicated = 0;
-  std::uint64_t delay_spikes = 0;
-  /// Messages discarded because their source or destination was crashed.
-  std::uint64_t down_drops = 0;
-  std::uint64_t rpc_retries = 0;
-  std::uint64_t rpc_timeouts = 0;
-  std::uint64_t timeout_aborts = 0;
-  std::uint64_t crash_aborts = 0;
-  std::uint64_t lease_expirations = 0;
-  std::uint64_t duplicates_suppressed = 0;
-  /// Server-side transactions aborted by GC (idle reaper, crashed-client
-  /// cleanup, or a client that moved on to a newer attempt).
-  std::uint64_t gc_xacts = 0;
-  std::uint64_t client_crashes = 0;
-  std::uint64_t server_crashes = 0;
-  /// Total simulated time spent in server crash recovery (log replay).
-  double recovery_seconds = 0.0;
-  /// Transaction specs abandoned without ever committing. The recovery
-  /// contract is that this stays zero: every spec is retried to commit.
-  std::uint64_t transactions_lost = 0;
-  /// Commit requests whose outcome the client never learned (it may have
-  /// committed server-side; the spec was re-run to be safe).
-  std::uint64_t unknown_outcomes = 0;
-  /// Messages discarded at a severed (partitioned) link.
-  std::uint64_t partition_drops = 0;
-  /// Requests shed at admission by the bounded server ready queue.
-  std::uint64_t shed_requests = 0;
-  /// Attempts abandoned because the client retry budget ran out.
-  std::uint64_t retry_budget_exhaustions = 0;
-  /// Largest server ready-queue depth reached during the run.
-  std::uint64_t ready_queue_high_water = 0;
-  // Storage faults (log write-verify; all zero on perfect storage).
-  std::uint64_t log_torn_writes = 0;
-  std::uint64_t log_bit_flips = 0;
-  /// Re-appends forced by a failed write-verify.
-  std::uint64_t log_rewrites = 0;
-  /// Crash-torn tail records truncated (and re-forced) at restart recovery.
-  std::uint64_t log_records_truncated = 0;
-
-  // Consistency-oracle counters (checker.enabled runs; all zero/false
-  // otherwise). Commits here span the whole run including warmup — the
-  // oracle never resets, a serializable prefix is a property of the full
-  // history.
-  bool oracle_enabled = false;
-  std::uint64_t oracle_commits = 0;
-  /// Serialization-graph edges inserted (WR + WW + RW, deduplicated).
-  std::uint64_t oracle_edges = 0;
-  /// Edge insertions that needed a Pearce–Kelly cycle-check search.
-  std::uint64_t oracle_scc_checks = 0;
-  /// Largest affected region any single search visited.
-  std::uint64_t oracle_max_frontier = 0;
-  /// Commit-time structural audits (directory, buffer pool, client caches).
-  std::uint64_t oracle_audits = 0;
-  /// Attempt-boundary client-cache audits.
-  std::uint64_t oracle_client_audits = 0;
-  /// Cache reads served without server contact, each lease/lock-checked.
-  std::uint64_t oracle_trusted_reads = 0;
-  /// Commits carrying a read of an already-overwritten version (only a
-  /// broken protocol produces these; the graph decides if they cycle).
-  std::uint64_t oracle_stale_commit_reads = 0;
-  /// Unknown-outcome reconciliation: every unknown commit resolved to
-  /// exactly one side; the two counters sum to unknown_outcomes.
-  std::uint64_t oracle_unknown_committed = 0;
-  std::uint64_t oracle_unknown_aborted = 0;
-
-  // End-of-run diagnostics (stall debugging / liveness checks).
-  /// True if the event calendar drained before the measurement horizon and
-  /// before the commit target: the whole system stopped making progress.
-  /// Always a protocol-implementation bug; asserted against in tests.
-  bool stalled = false;
-  std::size_t final_lock_waiters = 0;
-  std::size_t final_locks_held = 0;
-  int final_active_xacts = 0;
-  std::size_t final_ready_queue = 0;
-  /// Liveness watchdog: clients that ended the run with an RPC outstanding
-  /// far longer than a full retransmission schedule can take — a stuck
-  /// coroutine. Zero on every healthy run, faulted or not.
-  int stuck_clients = 0;
 };
+
+/// Calls `fn(const FieldInfo&, value)` for every counter-table field of
+/// `result`, in table order (CSV columns first).
+template <typename Fn>
+void ForEachField(const RunResult& result, Fn&& fn) {
+#define CCSIM_FIELD(name, type, csv, format, scope, merge, source, read) \
+  fn(FieldInfo{#name, csv, format, #source}, result.name);
+#include "runner/counters.def"
+}
+
+/// Folds one node's counters into `into`: every table row read from a
+/// source the node has is summed (or maxed) into its field. One call on a
+/// zeroed result harvests the DES; the real substrate calls it once per
+/// node. Calc rows are left to the caller.
+void AddNodeCounters(const NodeSources& node, RunResult* into);
+
+/// Fills the Calc rows that are pure functions of other fields
+/// (throughput_tps from commits and measured_seconds, recovery_seconds
+/// from recovery_ticks).
+void FinishCounters(RunResult* result);
+
+/// hits / (hits + misses); 0 when both are zero.
+double HitRatio(std::uint64_t hits, std::uint64_t misses);
 
 /// Builds the full simulated system for `config`, runs warmup plus the
 /// measurement window (until `target_commits` or `max_measure_seconds`,

@@ -4,10 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "db/database.h"
+#include "runner/counters.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/time.h"
@@ -18,7 +17,8 @@ class Checker;
 
 namespace ccsim::runner {
 
-/// Why a transaction attempt was aborted.
+/// Why a transaction attempt was aborted (Metrics::RecordAbort maps each
+/// kind, in this order, to its counter).
 enum class AbortKind {
   /// Deadlock victim (lock-based algorithms).
   kDeadlock,
@@ -98,7 +98,9 @@ class LatencyHistogram {
 /// Run-wide measurement collector. Transaction response times and counters
 /// accumulate in a measurement window that restarts at the end of warmup;
 /// a separate lifetime response-time mean (never reset) drives the
-/// ACL-style restart delay.
+/// ACL-style restart delay. The scalar counters are the counter table's
+/// `metrics` rows (runner/counters.def): Count() records one, a getter
+/// named like the row reads it, and ResetWindow() zeroes the Window rows.
 class Metrics {
  public:
   explicit Metrics(sim::Simulator* simulator) : simulator_(simulator) {}
@@ -110,14 +112,16 @@ class Metrics {
     stop_after_commits_ = target;
   }
 
-  /// One transaction attempt began. Attempts conserve: every started
-  /// attempt ends in exactly one RecordCommit or RecordAbort, so over the
-  /// measurement window |started - (commits + aborts)| is bounded by the
-  /// attempts in flight at the window edges — at most the client count on
-  /// each side. This is the substrate-parity invariant checked across sim
-  /// and real runs.
-  void RecordAttemptStart() { ++attempts_started_; }
-  std::uint64_t attempts_started() const { return attempts_started_; }
+  /// Adds `n` to one of the table's Metrics counters.
+  void Count(Counter counter, std::uint64_t n = 1) {
+    counts_[static_cast<std::size_t>(counter)] += n;
+  }
+
+#define CCSIM_FIELD(name, type, csv, format, scope, merge, source, read) \
+  CCSIM_IF_METRICS(source, std::uint64_t name() const {                 \
+    return counts_[static_cast<std::size_t>(Counter::name)];           \
+  })
+#include "runner/counters.def"
 
   void RecordCommit(sim::Ticks response, int attempts,
                     std::size_t type_index = 0) {
@@ -130,75 +134,19 @@ class Metrics {
       per_type_response_s_.resize(type_index + 1);
     }
     per_type_response_s_[type_index].Add(seconds);
-    ++commits_;
+    Count(Counter::commits);
     attempts_per_commit_.Add(static_cast<double>(attempts));
-    if (stop_after_commits_ != 0 && commits_ >= stop_after_commits_) {
+    if (stop_after_commits_ != 0 && commits() >= stop_after_commits_) {
       simulator_->RequestStop();
     }
   }
 
   void RecordAbort(AbortKind kind) {
-    ++aborts_;
-    switch (kind) {
-      case AbortKind::kDeadlock:
-        ++deadlock_aborts_;
-        break;
-      case AbortKind::kStaleRead:
-        ++stale_aborts_;
-        break;
-      case AbortKind::kCertification:
-        ++cert_aborts_;
-        break;
-      case AbortKind::kTimeout:
-        ++timeout_aborts_;
-        break;
-      case AbortKind::kCrash:
-        ++crash_aborts_;
-        break;
-    }
-  }
-
-  // --- robustness counters (fault injection / recovery). Lifetime values,
-  // not window-reset: fault accounting spans the whole run. ---
-  void RecordRpcTimeout() { ++rpc_timeouts_; }
-  void RecordRpcRetry() { ++rpc_retries_; }
-  void RecordLeaseExpiry() { ++lease_expirations_; }
-  void RecordDuplicateSuppressed() { ++duplicates_suppressed_; }
-  void RecordGcXact() { ++gc_xacts_; }
-  void RecordClientCrash() { ++client_crashes_; }
-  void RecordServerCrash() { ++server_crashes_; }
-  void RecordRecovery(sim::Ticks duration) { recovery_ticks_ += duration; }
-  /// A transaction spec abandoned without a commit. The driver retries every
-  /// spec until it commits, so this must stay zero; it exists as the
-  /// externally-checked contract of the recovery layer.
-  void RecordLostTransaction() { ++transactions_lost_; }
-  /// Commit requests whose outcome the client never learned (retransmissions
-  /// exhausted or crash with a commit in flight). The spec is re-run, so the
-  /// transaction is not lost, but it may have executed twice.
-  void RecordUnknownOutcome() { ++unknown_outcomes_; }
-  /// A request the server shed at admission because the bounded ready queue
-  /// was full (overload backpressure).
-  void RecordShedRequest() { ++shed_requests_; }
-  /// An RPC attempt abandoned because the client's retry budget ran out.
-  void RecordRetryBudgetExhausted() { ++retry_budget_exhaustions_; }
-
-  std::uint64_t timeout_aborts() const { return timeout_aborts_; }
-  std::uint64_t crash_aborts() const { return crash_aborts_; }
-  std::uint64_t rpc_timeouts() const { return rpc_timeouts_; }
-  std::uint64_t rpc_retries() const { return rpc_retries_; }
-  std::uint64_t lease_expirations() const { return lease_expirations_; }
-  std::uint64_t duplicates_suppressed() const {
-    return duplicates_suppressed_;
-  }
-  std::uint64_t gc_xacts() const { return gc_xacts_; }
-  std::uint64_t client_crashes() const { return client_crashes_; }
-  std::uint64_t server_crashes() const { return server_crashes_; }
-  sim::Ticks recovery_ticks() const { return recovery_ticks_; }
-  std::uint64_t transactions_lost() const { return transactions_lost_; }
-  std::uint64_t unknown_outcomes() const { return unknown_outcomes_; }
-  std::uint64_t shed_requests() const { return shed_requests_; }
-  std::uint64_t retry_budget_exhaustions() const {
-    return retry_budget_exhaustions_;
+    static constexpr Counter kKindCounter[] = {
+        Counter::deadlock_aborts, Counter::stale_aborts,
+        Counter::cert_aborts, Counter::timeout_aborts, Counter::crash_aborts};
+    Count(Counter::aborts);
+    Count(kKindCounter[static_cast<std::size_t>(kind)]);
   }
 
   /// Mean response time over the whole run (ticks), used as the mean of the
@@ -211,16 +159,16 @@ class Metrics {
   }
 
   /// End-of-warmup reset of the measurement window.
-  void ResetWindow(sim::Ticks now) {
+  void ResetWindow() {
     response_s_.Reset();
     response_batches_.Reset();
     response_hist_.Reset();
     per_type_response_s_.clear();
     attempts_per_commit_.Reset();
-    commits_ = aborts_ = deadlock_aborts_ = stale_aborts_ = cert_aborts_ = 0;
-    timeout_aborts_ = crash_aborts_ = 0;
-    attempts_started_ = 0;
-    window_start_ = now;
+#define CCSIM_FIELD(name, type, csv, format, scope, merge, source, read) \
+  CCSIM_IF_METRICS(source, CCSIM_IF_WINDOW(scope,                       \
+      counts_[static_cast<std::size_t>(Counter::name)] = 0;))
+#include "runner/counters.def"
   }
 
   const sim::Tally& response_s() const { return response_s_; }
@@ -232,25 +180,6 @@ class Metrics {
   const sim::BatchMeans& response_batches() const { return response_batches_; }
   const LatencyHistogram& response_histogram() const { return response_hist_; }
   const sim::Tally& attempts_per_commit() const { return attempts_per_commit_; }
-  std::uint64_t commits() const { return commits_; }
-  std::uint64_t aborts() const { return aborts_; }
-  std::uint64_t deadlock_aborts() const { return deadlock_aborts_; }
-  std::uint64_t stale_aborts() const { return stale_aborts_; }
-  std::uint64_t cert_aborts() const { return cert_aborts_; }
-  sim::Ticks window_start() const { return window_start_; }
-
-  /// Optional commit history for the serializability validator (tests).
-  struct CommitRecord {
-    int client = 0;
-    std::uint64_t xact = 0;
-    sim::Ticks at = 0;
-    /// (page, version read) for every page in the read set.
-    std::vector<std::pair<db::PageId, std::uint64_t>> reads;
-    /// (page, new version installed) for every updated page.
-    std::vector<std::pair<db::PageId, std::uint64_t>> writes;
-  };
-  void set_record_history(bool on) { record_history_ = on; }
-  bool record_history() const { return record_history_; }
 
   /// The run's consistency checker front-end (checker.enabled runs only;
   /// null otherwise). Metrics is the one object every component already
@@ -259,10 +188,6 @@ class Metrics {
   /// treat null as "checking off".
   void set_checker(check::Checker* checker) { checker_ = checker; }
   check::Checker* checker() const { return checker_; }
-  void AddHistory(CommitRecord record) {
-    history_.push_back(std::move(record));
-  }
-  const std::vector<CommitRecord>& history() const { return history_; }
 
  private:
   sim::Simulator* simulator_;
@@ -273,29 +198,8 @@ class Metrics {
   sim::BatchMeans response_batches_{/*batch_size=*/50};
   LatencyHistogram response_hist_;
   sim::Tally attempts_per_commit_;
-  std::uint64_t attempts_started_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
-  std::uint64_t deadlock_aborts_ = 0;
-  std::uint64_t stale_aborts_ = 0;
-  std::uint64_t cert_aborts_ = 0;
-  std::uint64_t timeout_aborts_ = 0;
-  std::uint64_t crash_aborts_ = 0;
-  std::uint64_t rpc_timeouts_ = 0;
-  std::uint64_t rpc_retries_ = 0;
-  std::uint64_t lease_expirations_ = 0;
-  std::uint64_t duplicates_suppressed_ = 0;
-  std::uint64_t gc_xacts_ = 0;
-  std::uint64_t client_crashes_ = 0;
-  std::uint64_t server_crashes_ = 0;
-  sim::Ticks recovery_ticks_ = 0;
-  std::uint64_t transactions_lost_ = 0;
-  std::uint64_t unknown_outcomes_ = 0;
-  std::uint64_t shed_requests_ = 0;
-  std::uint64_t retry_budget_exhaustions_ = 0;
-  sim::Ticks window_start_ = 0;
-  bool record_history_ = false;
-  std::vector<CommitRecord> history_;
+  std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)>
+      counts_{};
   check::Checker* checker_ = nullptr;
 };
 

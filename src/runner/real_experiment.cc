@@ -1,5 +1,6 @@
 #include "runner/real_experiment.h"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <memory>
@@ -29,50 +30,9 @@ namespace {
 /// RealtimeSubstrate::Stop, not by running out of wall clock).
 constexpr sim::Ticks kForever = std::numeric_limits<sim::Ticks>::max() / 4;
 
-int DefaultShards(int num_clients) {
-  int shards = (num_clients + 7) / 8;
-  if (shards < 2) {
-    shards = 2;
-  }
-  if (shards > num_clients) {
-    shards = num_clients;
-  }
-  return shards;
-}
-
-/// Server recovery after a scheduled crash window: replay the log, then
-/// bring the node back up so the inbound filter admits traffic again.
-sim::Process RecoverRealServer(server::Server* server,
-                               fault::FaultInjector* injector) {
-  co_await server->Recover();
-  injector->SetDown(net::kServerNode, false);
-}
-
-/// True when the plan carries fault families the wire adapter handles
-/// (message faults, crash windows, partitions). Storage faults are
-/// attached to the log inside ServerNode and need no adapter.
-bool WireFaultsActive(const fault::FaultPlan& plan) {
-  if (plan.link.Any() || !plan.crashes.empty() || !plan.partitions.empty()) {
-    return true;
-  }
-  for (const auto& [link, faults] : plan.per_link) {
-    if (faults.Any()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 Status ValidateRealConfig(const config::ExperimentConfig& config) {
-  if (config.control.record_history) {
-    return Status::InvalidArgument(
-        "--record-history is simulated-substrate-only (the real "
-        "substrate's clients are sharded across threads/processes, so "
-        "there is no global commit order to record) — rerun with "
-        "--substrate=sim or drop --record-history");
-  }
   for (const config::FaultParams::CrashEvent& crash : config.fault.crashes) {
     if (crash.node != net::kServerNode) {
       return Status::InvalidArgument(
@@ -96,74 +56,17 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
   if (options.raw_speed) {
     config = substrate::RawSpeedConfig(config);
   }
-  const std::uint64_t seed = config.control.seed;
-  const int num_clients = config.system.num_clients;
-  int shards = options.shards > 0 ? options.shards : DefaultShards(num_clients);
-  if (shards > num_clients) {
-    shards = num_clients;
-  }
-  const fault::FaultPlan plan = fault::MakePlan(config.fault);
-  const bool wire_faults = WireFaultsActive(plan);
 
   // --- server node -------------------------------------------------------
-  substrate::ServerNode server_node(config, seed);
-  const substrate::Hello hello = substrate::MakeHello(config);
+  substrate::ServerNode server_node(config, config.control.seed);
   std::string error;
   auto server_transport = substrate::TcpServerTransport::Listen(
-      options.port, hello, &server_node.substrate(), &error);
+      options.port, substrate::MakeHello(config), &server_node.substrate(),
+      &error);
   if (server_transport == nullptr) {
     return Status::Internal("real substrate: " + error);
   }
-  // Outbound frames batch per connection; the loop flushes them at each
-  // calendar-step boundary. With a fault plan active, a WireFaultAdapter
-  // is interposed at the Transport seam (null hook otherwise: fault-free
-  // runs keep the bare transport and the bare inbox sink).
-  substrate::TcpServerTransport* st = server_transport.get();
-  std::unique_ptr<substrate::WireFaultAdapter> server_adapter;
-  if (wire_faults) {
-    server_adapter = std::make_unique<substrate::WireFaultAdapter>(
-        plan, seed, &server_node.substrate(), st);
-    substrate::WireFaultAdapter* ad = server_adapter.get();
-    server_node.network().set_transport(ad);
-    server_node.substrate().set_flush_hook([ad] { return ad->Flush(); });
-    server_node.InstallInboundFilter(
-        [ad](const net::Message& msg) { return ad->AllowInbound(msg); });
-    // Plant the fault windows on the server's calendar before its loop
-    // thread exists: plan ticks are relative to the loop epoch (1 tick =
-    // 1 µs of wall clock once Run() starts).
-    sim::Simulator& ssim = server_node.substrate().sim();
-    server::Server* srv = &server_node.server();
-    fault::FaultInjector* inj = &ad->injector();
-    for (const fault::CrashWindow& crash : plan.crashes) {
-      ssim.ScheduleAt(crash.at, [inj, st, srv] {
-        inj->SetDown(net::kServerNode, true);
-        // A real crash takes the TCP endpoints with it: sever every
-        // connection so clients see RSTs and ride their reconnect path.
-        st->SeverAll();
-        srv->Crash();
-      });
-      sim::Simulator* simp = &ssim;
-      ssim.ScheduleAt(crash.at + crash.downtime, [simp, srv, inj] {
-        simp->Spawn(RecoverRealServer(srv, inj));
-      });
-    }
-    for (const fault::PartitionWindow& part : plan.partitions) {
-      const int node = part.node;
-      const fault::PartitionWindow::Direction dir = part.direction;
-      ssim.ScheduleAt(part.at, [inj, st, node, dir, hard = part.hard] {
-        inj->SetPartitioned(node, dir, true);
-        if (hard) {
-          st->SeverClient(node);
-        }
-      });
-      ssim.ScheduleAt(part.at + part.duration, [inj, node, dir] {
-        inj->SetPartitioned(node, dir, false);
-      });
-    }
-  } else {
-    server_node.network().set_transport(st);
-    server_node.substrate().set_flush_hook([st] { return st->Flush(); });
-  }
+  server_node.AttachTransport(server_transport.get());
   server_node.Start();
   std::uint64_t server_events = 0;
   std::thread server_thread([&server_node, &server_events] {
@@ -177,94 +80,22 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
   };
 
   // --- client shards -----------------------------------------------------
-  std::vector<std::unique_ptr<substrate::ClientShard>> shard_nodes;
-  std::vector<std::unique_ptr<substrate::TcpClientTransport>> transports;
-  std::vector<std::unique_ptr<substrate::WireFaultAdapter>> shard_adapters;
-  for (int s = 0; s < shards; ++s) {
-    const int lo = num_clients * s / shards;
-    const int hi = num_clients * (s + 1) / shards;
-    auto shard =
-        std::make_unique<substrate::ClientShard>(config, seed, lo, hi);
-    substrate::Hello shard_hello = hello;
-    shard_hello.client_lo = lo;
-    shard_hello.client_hi = hi;
-    auto transport = substrate::TcpClientTransport::Connect(
-        "127.0.0.1", server_transport->port(), shard_hello,
-        &shard->substrate(), &error);
-    if (transport == nullptr) {
-      transports.clear();  // close established connections first
-      stop_server();
-      return Status::Internal("real substrate: " + error);
-    }
-    substrate::TcpClientTransport* ct = transport.get();
-    if (wire_faults) {
-      // Server crash windows kill this shard's connection; the reader
-      // must redial so the clients' RPC retries can land post-recovery.
-      ct->EnableReconnect();
-      auto adapter = std::make_unique<substrate::WireFaultAdapter>(
-          plan, seed + 1 + static_cast<std::uint64_t>(s),
-          &shard->substrate(), ct);
-      substrate::WireFaultAdapter* ad = adapter.get();
-      shard->network().set_transport(ad);
-      shard->substrate().set_flush_hook([ad] { return ad->Flush(); });
-      shard->InstallInboundFilter(
-          [ad](const net::Message& msg) { return ad->AllowInbound(msg); });
-      // Partition windows for clients this shard owns, mirrored on the
-      // shard's own calendar (ticks relative to its loop epoch, which
-      // starts a connection-setup interval after the server's — windows
-      // land within scheduling noise of each other).
-      sim::Simulator& csim = shard->substrate().sim();
-      fault::FaultInjector* inj = &ad->injector();
-      for (const fault::PartitionWindow& part : plan.partitions) {
-        if (part.node < lo || part.node >= hi) {
-          continue;
-        }
-        const int node = part.node;
-        const fault::PartitionWindow::Direction dir = part.direction;
-        csim.ScheduleAt(part.at, [inj, ct, node, dir, hard = part.hard] {
-          inj->SetPartitioned(node, dir, true);
-          if (hard) {
-            ct->AbortConnection();
-          }
-        });
-        csim.ScheduleAt(part.at + part.duration, [inj, node, dir] {
-          inj->SetPartitioned(node, dir, false);
-        });
-      }
-      shard_adapters.push_back(std::move(adapter));
-    } else {
-      shard->network().set_transport(ct);
-      shard->substrate().set_flush_hook([ct] { return ct->Flush(); });
-    }
-    shard->Start();
-    shard_nodes.push_back(std::move(shard));
-    transports.push_back(std::move(transport));
+  ShardSet load;
+  if (const Status status =
+          ConnectShards(config, "127.0.0.1", server_transport->port(), 0,
+                        config.system.num_clients, options.shards, &load);
+      !status.ok()) {
+    load.transports.clear();  // close established connections first
+    stop_server();
+    return Status::Internal("real substrate: " + status.message());
   }
 
   // --- run ---------------------------------------------------------------
-  const sim::Ticks warmup = sim::SecondsToTicks(options.warmup_seconds);
-  const sim::Ticks duration = sim::SecondsToTicks(options.duration_seconds);
+  // Shard transports close before the server stops: client readers first
+  // (no more replies into shard substrates), then the server.
   const auto wall_begin = std::chrono::steady_clock::now();
-  std::vector<std::uint64_t> shard_events(
-      static_cast<std::size_t>(shards), 0);
-  std::vector<std::thread> shard_threads;
-  shard_threads.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    substrate::ClientShard* shard = shard_nodes[static_cast<std::size_t>(s)]
-                                        .get();
-    std::uint64_t* events = &shard_events[static_cast<std::size_t>(s)];
-    shard_threads.emplace_back([shard, events, warmup, duration] {
-      *events = shard->RunLoop(warmup, duration);
-    });
-  }
-  for (std::thread& t : shard_threads) {
-    t.join();
-  }
-  // Tear down inbound delivery before stopping the loops: client readers
-  // first (no more replies into shard substrates), then the server.
-  for (auto& transport : transports) {
-    transport->Close();
-  }
+  const std::uint64_t shard_events =
+      RunShards(&load, options.warmup_seconds, options.duration_seconds);
   stop_server();
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -272,36 +103,85 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
           .count();
   server_node.FinalizeChecker();
 
-  // --- harvest -----------------------------------------------------------
-  RunResult result;
-  result.measured_seconds = options.duration_seconds;
+  RunResult result = HarvestRealRun(&server_node, load,
+                                    options.duration_seconds);
   result.wall_seconds = wall_seconds;
-  result.events_processed = server_events;
+  result.events_processed = server_events + shard_events;
+  result.events_per_second =
+      wall_seconds > 0
+          ? static_cast<double>(result.events_processed) / wall_seconds
+          : 0.0;
+  return result;
+}
+
+Status ConnectShards(const config::ExperimentConfig& config,
+                     const std::string& host, int port, int lo, int hi,
+                     int count, ShardSet* out) {
+  const int driven = hi - lo;
+  if (count <= 0) {
+    count = std::max(2, (driven + 7) / 8);
+  }
+  count = std::min(count, driven);
+  const substrate::Hello hello = substrate::MakeHello(config);
+  for (int s = 0; s < count; ++s) {
+    auto shard = std::make_unique<substrate::ClientShard>(
+        config, config.control.seed, lo + driven * s / count,
+        lo + driven * (s + 1) / count);
+    substrate::Hello shard_hello = hello;
+    shard_hello.client_lo = shard->client_lo();
+    shard_hello.client_hi = shard->client_hi();
+    std::string error;
+    auto transport = substrate::TcpClientTransport::Connect(
+        host, port, shard_hello, &shard->substrate(), &error);
+    if (transport == nullptr) {
+      return Status::Internal(error);
+    }
+    shard->AttachTransport(transport.get(), s);
+    shard->Start();
+    out->shards.push_back(std::move(shard));
+    out->transports.push_back(std::move(transport));
+  }
+  return Status::OK();
+}
+
+std::uint64_t RunShards(ShardSet* set, double warmup_seconds,
+                        double duration_seconds) {
+  const sim::Ticks warmup = sim::SecondsToTicks(warmup_seconds);
+  const sim::Ticks duration = sim::SecondsToTicks(duration_seconds);
+  std::vector<std::uint64_t> events(set->shards.size(), 0);
+  std::vector<std::thread> loops;
+  for (std::size_t s = 0; s < set->shards.size(); ++s) {
+    substrate::ClientShard* shard = set->shards[s].get();
+    std::uint64_t* out = &events[s];
+    loops.emplace_back([shard, out, warmup, duration] {
+      *out = shard->RunLoop(warmup, duration);
+    });
+  }
+  for (std::thread& t : loops) {
+    t.join();
+  }
+  for (auto& transport : set->transports) {
+    transport->Close();
+  }
+  std::uint64_t total = 0;
+  for (std::uint64_t e : events) {
+    total += e;
+  }
+  return total;
+}
+
+RunResult HarvestRealRun(substrate::ServerNode* server, const ShardSet& load,
+                         double duration_seconds) {
+  RunResult result;
   LatencyHistogram histogram;
   double response_weighted = 0.0;
+  double attempts_weighted = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  double attempts_weighted = 0.0;
   std::vector<std::pair<double, std::uint64_t>> per_type;
-  for (int s = 0; s < shards; ++s) {
-    substrate::ClientShard& shard = *shard_nodes[static_cast<std::size_t>(s)];
-    const Metrics& m = shard.metrics();
-    result.events_processed += shard_events[static_cast<std::size_t>(s)];
-    result.commits += m.commits();
-    result.aborts += m.aborts();
-    result.deadlock_aborts += m.deadlock_aborts();
-    result.stale_aborts += m.stale_aborts();
-    result.cert_aborts += m.cert_aborts();
-    result.attempts_started += m.attempts_started();
-    result.transactions_lost += m.transactions_lost();
-    result.rpc_retries += m.rpc_retries();
-    result.rpc_timeouts += m.rpc_timeouts();
-    result.timeout_aborts += m.timeout_aborts();
-    result.crash_aborts += m.crash_aborts();
-    result.lease_expirations += m.lease_expirations();
-    result.duplicates_suppressed += m.duplicates_suppressed();
-    result.retry_budget_exhaustions += m.retry_budget_exhaustions();
-    result.unknown_outcomes += m.unknown_outcomes();
+  for (const auto& shard : load.shards) {
+    AddNodeCounters(shard->counter_sources(), &result);
+    const Metrics& m = shard->metrics();
     histogram.Merge(m.response_histogram());
     response_weighted +=
         m.response_s().mean() * static_cast<double>(m.response_s().count());
@@ -316,13 +196,19 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
                            static_cast<double>(types[i].count());
       per_type[i].second += types[i].count();
     }
-    for (const auto& c : shard.clients()) {
+    for (const auto& c : shard->clients()) {
       cache_hits += c->cache().hits();
       cache_misses += c->cache().misses();
     }
-    result.messages += shard.network().messages_sent();
-    result.packets += shard.network().packets_sent();
   }
+  if (server != nullptr) {
+    // Every event is recorded on exactly one node, so summing the server's
+    // counters with the shards' double-counts nothing.
+    AddNodeCounters(server->counter_sources(), &result);
+    result.oracle_enabled = server->checker() != nullptr;
+    result.server_buffer_hit_ratio = server->server().pool().HitRatio();
+  }
+  result.measured_seconds = duration_seconds;
   if (result.commits > 0) {
     result.mean_response_s =
         response_weighted / static_cast<double>(result.commits);
@@ -336,75 +222,8 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
   result.response_p50_s = histogram.Quantile(0.50);
   result.response_p90_s = histogram.Quantile(0.90);
   result.response_p99_s = histogram.Quantile(0.99);
-  result.throughput_tps =
-      static_cast<double>(result.commits) / options.duration_seconds;
-  result.events_per_second =
-      wall_seconds > 0
-          ? static_cast<double>(result.events_processed) / wall_seconds
-          : 0.0;
-  result.client_hit_ratio =
-      (cache_hits + cache_misses) == 0
-          ? 0.0
-          : static_cast<double>(cache_hits) /
-                static_cast<double>(cache_hits + cache_misses);
-
-  server::Server& server = server_node.server();
-  result.deadlocks_detected = server.locks().deadlocks_detected();
-  result.server_buffer_hit_ratio = server.pool().HitRatio();
-  result.buffer_writebacks = server.pool().writebacks();
-  result.log_forced_commits = server.log().commits_logged();
-  result.undo_page_ios = server.log().undo_page_ios();
-  result.messages += server_node.network().messages_sent();
-  result.packets += server_node.network().packets_sent();
-  result.shed_requests = server_node.metrics().shed_requests();
-  result.ready_queue_high_water = server.ready_queue_high_water();
-  result.gc_xacts = server_node.metrics().gc_xacts();
-  // Fault-family counters. Server-side metrics and each shard's metrics
-  // are distinct objects; every event is recorded on exactly one node, so
-  // summing both sides double-counts nothing.
-  const Metrics& sm = server_node.metrics();
-  result.rpc_retries += sm.rpc_retries();
-  result.rpc_timeouts += sm.rpc_timeouts();
-  result.timeout_aborts += sm.timeout_aborts();
-  result.crash_aborts += sm.crash_aborts();
-  result.lease_expirations += sm.lease_expirations();
-  result.duplicates_suppressed += sm.duplicates_suppressed();
-  result.retry_budget_exhaustions += sm.retry_budget_exhaustions();
-  result.server_crashes = sm.server_crashes();
-  result.recovery_seconds = sim::TicksToSeconds(sm.recovery_ticks());
-  auto add_injector = [&result](const fault::FaultInjector& inj) {
-    result.messages_dropped += inj.messages_dropped();
-    result.messages_duplicated += inj.messages_duplicated();
-    result.delay_spikes += inj.delay_spikes();
-    result.down_drops += inj.down_drops();
-    result.partition_drops += inj.partition_drops();
-  };
-  if (server_adapter != nullptr) {
-    add_injector(server_adapter->injector());
-  }
-  for (const auto& adapter : shard_adapters) {
-    add_injector(adapter->injector());
-  }
-  result.log_torn_writes = server.log().torn_writes_detected();
-  result.log_bit_flips = server.log().bit_flips_detected();
-  result.log_rewrites = server.log().log_rewrites();
-  result.log_records_truncated = server.log().records_truncated();
-  result.final_lock_waiters = server.locks().waiter_count();
-  result.final_locks_held = server.locks().held_count();
-  result.final_active_xacts = server.active_transactions();
-  result.final_ready_queue = server.ready_queue_length();
-  if (server_node.checker() != nullptr) {
-    check::Oracle& oracle = server_node.checker()->oracle();
-    result.oracle_enabled = true;
-    result.oracle_commits = oracle.commits_observed();
-    result.oracle_edges = oracle.edges();
-    result.oracle_scc_checks = oracle.scc_checks();
-    result.oracle_max_frontier = oracle.max_frontier();
-    result.oracle_audits = server_node.checker()->audits();
-    result.oracle_client_audits = server_node.checker()->client_audits();
-    result.oracle_trusted_reads = oracle.trusted_reads();
-    result.oracle_stale_commit_reads = oracle.stale_commit_reads();
-  }
+  result.client_hit_ratio = HitRatio(cache_hits, cache_misses);
+  FinishCounters(&result);
   return result;
 }
 

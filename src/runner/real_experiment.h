@@ -1,8 +1,14 @@
 #ifndef CCSIM_RUNNER_REAL_EXPERIMENT_H_
 #define CCSIM_RUNNER_REAL_EXPERIMENT_H_
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "config/params.h"
 #include "runner/experiment.h"
+#include "substrate/node.h"
 #include "util/status.h"
 
 namespace ccsim::runner {
@@ -28,8 +34,7 @@ struct RealRunOptions {
 };
 
 /// Rejects configurations that only make sense on the DES substrate,
-/// naming the offending flag: commit-history recording (no global commit
-/// order across shards) and client-node crash windows (shards have no
+/// naming the offending flag: client-node crash windows (shards have no
 /// crash/restart hook). Everything else — message drop/dup/delay-spike,
 /// partitions (soft and hard), server crash+restart, storage faults —
 /// runs on the wire via the WireFaultAdapter.
@@ -42,6 +47,36 @@ Status ValidateRealConfig(const config::ExperimentConfig& config);
 /// percentiles aggregated across shards.
 Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
                                     const RealRunOptions& options);
+
+/// A load generator: client shards, each on its own TCP connection to the
+/// page server. Shared by RunRealExperiment and ccload.
+struct ShardSet {
+  std::vector<std::unique_ptr<substrate::ClientShard>> shards;
+  std::vector<std::unique_ptr<substrate::TcpClientTransport>> transports;
+};
+
+/// Splits clients [lo, hi) of `config` into `count` shards (0 = one per 8
+/// clients, at least 2; never more than the clients), connects each to
+/// the server at `host`:`port`, wires its faults and starts its clients.
+/// Shards connected before a failure stay in `out`.
+Status ConnectShards(const config::ExperimentConfig& config,
+                     const std::string& host, int port, int lo, int hi,
+                     int count, ShardSet* out);
+
+/// Runs every shard's loop on its own thread — `warmup_seconds`, a stats
+/// window reset, then `duration_seconds` — and closes the transports once
+/// all loops are done. Returns the calendar events the loops processed.
+std::uint64_t RunShards(ShardSet* set, double warmup_seconds,
+                        double duration_seconds);
+
+/// The real substrate's harvest, shared by RunRealExperiment and ccload:
+/// folds the counters of the server node (null when it runs in another
+/// process) and of every client shard into one result, and derives the
+/// response, attempt and hit-ratio figures from the shards' statistics
+/// over a `duration_seconds` window. Wall-clock and event fields are left
+/// to the caller; call after every loop has stopped.
+RunResult HarvestRealRun(substrate::ServerNode* server, const ShardSet& load,
+                         double duration_seconds);
 
 }  // namespace ccsim::runner
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdlib>
+#include <cstring>
+#include <type_traits>
 
 #include "runner/experiment.h"
 
@@ -72,22 +74,85 @@ BenchScale ReadBenchScale() {
   return scale;
 }
 
-std::string OracleSummary(const RunResult& result) {
-  if (!result.oracle_enabled) {
-    return "";
+namespace {
+
+/// `value` printed with `format`, the conversion its table row names.
+template <typename T>
+std::string FormatField(const char* format, T value) {
+  char buf[64];
+  if constexpr (std::is_floating_point_v<T>) {
+    std::snprintf(buf, sizeof(buf), format, value);
+  } else if constexpr (std::is_same_v<T, bool> || std::is_signed_v<T>) {
+    std::snprintf(buf, sizeof(buf), format, static_cast<int>(value));
+  } else {
+    std::snprintf(buf, sizeof(buf), format,
+                  static_cast<unsigned long long>(value));
   }
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRIu64 " commits, %" PRIu64 " edges, %" PRIu64
-                " scc checks (max frontier %" PRIu64 "), %" PRIu64
-                " audits, %" PRIu64 " trusted reads, unknown %" PRIu64
-                "/%" PRIu64 " committed/aborted",
-                result.oracle_commits, result.oracle_edges,
-                result.oracle_scc_checks, result.oracle_max_frontier,
-                result.oracle_audits, result.oracle_trusted_reads,
-                result.oracle_unknown_committed,
-                result.oracle_unknown_aborted);
   return buf;
+}
+
+}  // namespace
+
+std::string CsvHeader() {
+  std::string out;
+  ForEachField(RunResult{}, [&out](const FieldInfo& field, auto) {
+    if (field.csv[0] != '\0') {
+      out += out.empty() ? "" : ",";
+      out += field.csv;
+    }
+  });
+  return out;
+}
+
+std::string CsvValues(const RunResult& result) {
+  std::string out;
+  bool first = true;
+  ForEachField(result, [&](const FieldInfo& field, auto value) {
+    if (field.csv[0] != '\0') {
+      out += first ? "" : ",";
+      out += FormatField(field.format, value);
+      first = false;
+    }
+  });
+  return out;
+}
+
+std::string CounterSummary(const RunResult& result,
+                           const std::string& prefix) {
+  constexpr std::size_t kWidth = 79;  // plus the wrapped line's comma
+  std::string out;
+  for (const char* source :
+       {"metrics", "server", "network", "injector", "checker"}) {
+    bool any = false;
+    ForEachField(result, [&](const FieldInfo& field, auto value) {
+      any = any || (std::strcmp(field.source, source) == 0 &&
+                    value != decltype(value){});
+    });
+    if (!any) {
+      continue;
+    }
+    char label[32];
+    std::snprintf(label, sizeof(label), "%-19s: ", source);
+    std::string line = prefix + label;
+    const std::size_t empty_size = line.size();
+    ForEachField(result, [&](const FieldInfo& field, auto value) {
+      if (std::strcmp(field.source, source) != 0) {
+        return;
+      }
+      const std::string item =
+          std::string(field.name) + " " + FormatField(field.format, value);
+      if (line.size() > empty_size &&
+          line.size() + 2 + item.size() > kWidth) {
+        out += line + ",\n";
+        line = prefix + std::string(19, ' ') + ": ";
+      } else if (line.size() > empty_size) {
+        line += ", ";
+      }
+      line += item;
+    });
+    out += line + "\n";
+  }
+  return out;
 }
 
 }  // namespace ccsim::runner

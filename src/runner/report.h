@@ -47,9 +47,19 @@ BenchScale ReadBenchScale();
 
 struct RunResult;
 
-/// One-line summary of a run's consistency-oracle counters ("3211 commits,
-/// 10042 edges, ..."); empty string when the run had no oracle attached.
-std::string OracleSummary(const RunResult& result);
+/// The counter table's CSV column headers, comma-separated, in table order.
+std::string CsvHeader();
+
+/// `result`'s CSV columns in CsvHeader() order, each in its row's format.
+std::string CsvValues(const RunResult& result);
+
+/// The run's counters as "name value" pairs, one line per source
+/// (metrics, server, network, injector, checker), wrapped at 80 columns.
+/// Each line starts with `prefix` and the padded source name. A source is
+/// listed, with all its counters, when any of them is nonzero; Calc rows
+/// are left out, so a default RunResult summarizes to the empty string.
+std::string CounterSummary(const RunResult& result,
+                           const std::string& prefix = "");
 
 }  // namespace ccsim::runner
 

@@ -106,6 +106,50 @@ sim::Task<void> Server::Send(net::Message msg) {
   co_await network_->Send(std::move(msg));
 }
 
+sim::Task<void> Server::ReplyAborted(const net::Message& request,
+                                     net::MsgType type,
+                                     std::vector<db::PageId> pages) {
+  net::Message reply;
+  reply.type = type;
+  reply.aborted = true;
+  reply.pages = std::move(pages);
+  return Reply(request, std::move(reply));
+}
+
+sim::Task<void> Server::AnswerRead(XactState& state,
+                                   const net::Message& request,
+                                   bool record_reads) {
+  net::Message reply;
+  reply.type = net::MsgType::kReadReply;
+  std::vector<db::PageId> to_read(request.fetch_pages.begin(),
+                                  request.fetch_pages.end());
+  for (std::size_t i = 0; i < request.pages.size(); ++i) {
+    const db::PageId page = request.pages[i];
+    if (versions_.Get(page) != request.versions[i]) {
+      to_read.push_back(page);
+      continue;
+    }
+    if (record_reads) {
+      state.read_versions[page] = request.versions[i];
+    }
+    directory_.Note(state.client, page);
+  }
+  co_await ReadPagesToClient(state, std::move(to_read), &reply, record_reads);
+  co_await Reply(request, std::move(reply));
+}
+
+sim::Task<void> Server::RejectCommit(XactState& state,
+                                     const net::Message& request) {
+  std::vector<db::PageId> stale = std::move(state.stale_pages);
+  if (!state.aborted && !state.done) {
+    co_await AbortPipeline(state);
+  } else {
+    PurgeUncommitted(state.uid);
+  }
+  co_await ReplyAborted(request, net::MsgType::kCommitReply,
+                        std::move(stale));
+}
+
 sim::Task<void> Server::Reply(const net::Message& request,
                               net::Message reply) {
   reply.src = net::kServerNode;
@@ -227,12 +271,12 @@ bool Server::FilterDelivery(const net::Message& msg) {
   ClientChannel& channel = channels_[msg.src];
   if (IsSynchronous(msg.type)) {
     if (channel.in_progress.count(msg.request_id) > 0) {
-      metrics_->RecordDuplicateSuppressed();
+      metrics_->Count(runner::Counter::duplicates_suppressed);
       return false;  // retransmit of a request still being handled
     }
     for (const auto& [request_id, reply] : channel.replies) {
       if (request_id == msg.request_id) {
-        metrics_->RecordDuplicateSuppressed();
+        metrics_->Count(runner::Counter::duplicates_suppressed);
         simulator_->Spawn(ResendReply(reply));
         return false;  // retransmit of an answered request: same reply
       }
@@ -243,7 +287,7 @@ bool Server::FilterDelivery(const net::Message& msg) {
   if (msg.seq != 0) {
     constexpr std::size_t kSeenSeqWindow = 4096;
     if (!channel.seen_seq.insert(msg.seq).second) {
-      metrics_->RecordDuplicateSuppressed();
+      metrics_->Count(runner::Counter::duplicates_suppressed);
       return false;  // duplicated asynchronous message
     }
     channel.seen_order.push_back(msg.seq);
@@ -286,7 +330,7 @@ sim::Process Server::Dispatch() {
           // gets an immediate aborted reply (the client backs off and
           // retries the spec); anything else is dropped and resolves
           // through the client's timeout path.
-          metrics_->RecordShedRequest();
+          metrics_->Count(runner::Counter::shed_requests);
           if (IsSynchronous(msg.type)) {
             simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
           }
@@ -394,9 +438,7 @@ void Server::BumpVersionsAndRecord(XactState& state, net::Message* reply) {
                       page);
     }
   }
-  const bool record_history = metrics_->record_history();
-  const bool observe = record_history || checker != nullptr;
-  if (observe) {
+  if (checker != nullptr) {
     // Reusable scratch, not per-commit vectors: the checker copies the
     // sets into its epoch arena (or applies them inline), so nothing here
     // needs to outlive this call.
@@ -409,29 +451,17 @@ void Server::BumpVersionsAndRecord(XactState& state, net::Message* reply) {
     const std::uint64_t new_version = versions_.Bump(page);
     reply->pages.push_back(page);
     reply->versions.push_back(new_version);
-    if (observe) {
+    if (checker != nullptr) {
       commit_writes_scratch_.emplace_back(page, new_version);
     }
   }
-  if (observe) {
-    const std::int64_t at = simulator_->Now();
-    if (checker != nullptr) {
-      // The version bumps above and this LSN stamping are one atomic step
-      // (no awaits), so per-page LSNs are monotone iff commits install
-      // versions in chain order.
-      log_->AppendCommitRecord(commit_writes_scratch_);
-      checker->OnCommit(state.client, state.uid, at, commit_reads_scratch_,
-                        commit_writes_scratch_);
-    }
-    if (record_history) {
-      runner::Metrics::CommitRecord record;
-      record.client = state.client;
-      record.xact = state.uid;
-      record.at = at;
-      record.reads = commit_reads_scratch_;
-      record.writes = commit_writes_scratch_;
-      metrics_->AddHistory(std::move(record));
-    }
+  if (checker != nullptr) {
+    // The version bumps above and this LSN stamping are one atomic step
+    // (no awaits), so per-page LSNs are monotone iff commits install
+    // versions in chain order.
+    log_->AppendCommitRecord(commit_writes_scratch_);
+    checker->OnCommit(state.client, state.uid, simulator_->Now(),
+                      commit_reads_scratch_, commit_writes_scratch_);
   }
 }
 
@@ -510,7 +540,7 @@ sim::Process Server::GcAbortXact(std::uint64_t uid) {
       state->committing) {
     co_return;  // already finished, finishing, or past the commit point
   }
-  metrics_->RecordGcXact();
+  metrics_->Count(runner::Counter::gc_xacts);
   const int client = state->client;
   co_await AbortPipeline(*state);
   net::Message notice;
@@ -521,7 +551,7 @@ sim::Process Server::GcAbortXact(std::uint64_t uid) {
 }
 
 void Server::GcCrashedClient(int client) {
-  metrics_->RecordGcXact();
+  metrics_->Count(runner::Counter::gc_xacts);
   directory_.DropClient(client);
   locks_.ReleaseAll(lock::RetainedOwner(client));
   protocol_->OnClientReset(client);
@@ -567,7 +597,7 @@ void Server::Crash() {
   }
   down_ = true;
   crash_began_ = simulator_->Now();
-  metrics_->RecordServerCrash();
+  metrics_->Count(runner::Counter::server_crashes);
   // Every active transaction dies with the server's volatile state. The
   // client-side abort arrives implicitly: its RPCs time out. Advancing
   // last_finished_ makes any straggler/retransmit of these attempts stale.
@@ -602,7 +632,9 @@ sim::Task<void> Server::Recover() {
   co_await log_->ReplayRecovery(redo_pages_at_crash_);
   redo_pages_at_crash_ = 0;
   down_ = false;
-  metrics_->RecordRecovery(simulator_->Now() - crash_began_);
+  metrics_->Count(runner::Counter::recovery_ticks,
+                  static_cast<std::uint64_t>(simulator_->Now() -
+                                             crash_began_));
   if (check::Checker* checker = metrics_->checker()) {
     checker->AuditPostRecovery(active_.size(), locks_.held_count(),
                                pool_->UncommittedFrameCount());

@@ -104,6 +104,12 @@ class Server {
   /// Builds and sends the reply to a synchronous request.
   sim::Task<void> Reply(const net::Message& request, net::Message reply);
 
+  /// Answers `request` with an aborted reply of `type` listing `pages`,
+  /// the stale pages the client must drop.
+  sim::Task<void> ReplyAborted(const net::Message& request,
+                               net::MsgType type,
+                               std::vector<db::PageId> pages = {});
+
   /// Looks up a transaction's state (nullptr if unknown).
   XactState* FindXact(std::uint64_t uid);
 
@@ -119,6 +125,13 @@ class Server {
   /// instead).
   sim::Task<void> ReadPagesToClient(XactState& state, net::PageList pages,
                                     net::Message* reply, bool record_reads);
+
+  /// Answers a read `request` whose locks (if any) are held: cached copies
+  /// (`request.pages` at `request.versions`) still current are confirmed,
+  /// stale ones and `request.fetch_pages` are read and shipped. With
+  /// `record_reads` every page read enters the transaction's read set.
+  sim::Task<void> AnswerRead(XactState& state, const net::Message& request,
+                             bool record_reads);
 
   /// Applies client page images: ServerProcPage per page (when `charge_cpu`)
   /// + buffer install under `pool_owner` (the transaction uid for in-place
@@ -184,6 +197,11 @@ class Server {
   /// pipeline. For zombie handlers whose transaction was already aborted
   /// (by GC or a crash) but that installed pages before noticing.
   void PurgeUncommitted(std::uint64_t uid) { pool_->AbortTransaction(uid); }
+
+  /// Refuses a commit that failed ValidateCommitForRecovery: aborts the
+  /// transaction if it is still live (else purges its uncommitted data)
+  /// and answers `request` with an aborted reply listing the stale pages.
+  sim::Task<void> RejectCommit(XactState& state, const net::Message& request);
 
   /// Bernoulli draw with the database ClusterFactor (sequential-read
   /// modeling).
@@ -268,7 +286,7 @@ class Server {
   std::deque<net::Message> ready_;
   std::size_t ready_high_water_ = 0;
 
-  /// Reusable commit-point scratch for the checker / history feed (cleared
+  /// Reusable commit-point scratch for the checker feed (cleared
   /// per commit; capacity persists so the steady state allocates nothing).
   std::vector<std::pair<db::PageId, std::uint64_t>> commit_reads_scratch_;
   std::vector<std::pair<db::PageId, std::uint64_t>> commit_writes_scratch_;

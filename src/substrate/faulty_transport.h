@@ -60,7 +60,6 @@ class WireFaultAdapter : public net::Transport {
   bool AllowInbound(const net::Message& msg);
 
   fault::FaultInjector& injector() { return injector_; }
-  const fault::FaultInjector& injector() const { return injector_; }
 
  private:
   struct Delayed {

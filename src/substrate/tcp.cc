@@ -218,6 +218,9 @@ FrameBuffer::FlushResult Connection::Flush() {
     buffer_.Clear();
     return FrameBuffer::FlushResult::kError;
   }
+  if (!writable_.load(std::memory_order_acquire)) {
+    return FrameBuffer::FlushResult::kAgain;  // handshake reply not sent
+  }
   const FrameBuffer::FlushResult result = buffer_.Flush(fd_.get());
   if (result == FrameBuffer::FlushResult::kError) {
     dead_.store(true, std::memory_order_relaxed);
@@ -486,7 +489,8 @@ void TcpServerTransport::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(ScopedFd(fd));
+    auto conn = std::make_shared<Connection>(ScopedFd(fd),
+                                             /*writable=*/false);
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_) {
       conn->Shutdown();
@@ -520,14 +524,6 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
     return;
   }
   conn->set_peer(client_hello);
-  // Complete the handshake before publishing routes: once the route is
-  // visible the loop thread may write to this connection, and nothing may
-  // precede the Hello reply on the wire.
-  std::vector<std::uint8_t> frame;
-  EncodeHello(hello_, &frame);
-  if (!conn->SendRaw(frame)) {
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int id = client_hello.client_lo; id < client_hello.client_hi;
@@ -546,11 +542,21 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
       routes_[id] = conn;
     }
   }
-  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<InboundChannel> channel = substrate_->OpenChannel();
-  BatchedReadLoop(conn.get(), channel.get(), hello_.page_payload_bytes,
-                  &frames_received_, "ccserve");
-  channel->Close();
+  // Routes go live before the Hello reply, so a client whose Connect has
+  // returned is already routable. Frames queued meanwhile wait: Flush()
+  // holds them until OpenForWrites(), so nothing precedes the reply on the
+  // wire, and the blocking send runs without mu_.
+  std::vector<std::uint8_t> frame;
+  EncodeHello(hello_, &frame);
+  const bool replied = conn->SendRaw(frame);
+  conn->OpenForWrites();
+  if (replied) {
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    std::shared_ptr<InboundChannel> channel = substrate_->OpenChannel();
+    BatchedReadLoop(conn.get(), channel.get(), hello_.page_payload_bytes,
+                    &frames_received_, "ccserve");
+    channel->Close();
+  }
   conn->Shutdown();
   std::lock_guard<std::mutex> lock(mu_);
   for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {

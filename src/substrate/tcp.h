@@ -62,7 +62,10 @@ class Connection {
   /// peer has stalled for so long it is treated as departed.
   static constexpr std::size_t kMaxBufferedBytes = 64u * 1024u * 1024u;
 
-  explicit Connection(ScopedFd fd) : fd_(std::move(fd)) {}
+  /// `writable` false holds every Flush() until OpenForWrites(): a server
+  /// connection is routable before its handshake reply is sent.
+  explicit Connection(ScopedFd fd, bool writable = true)
+      : fd_(std::move(fd)), writable_(writable) {}
 
   /// Encodes one Message frame into the outbound batch. Returns false
   /// once the peer is gone (dead or hopelessly backlogged); the message
@@ -71,8 +74,12 @@ class Connection {
                     std::uint32_t page_payload_bytes);
 
   /// Pushes the batch to the kernel without blocking. kAgain leaves the
-  /// remainder queued for the next flush; kError marks the peer dead.
+  /// remainder queued for the next flush (or all of it, before
+  /// OpenForWrites); kError marks the peer dead.
   FrameBuffer::FlushResult Flush();
+
+  /// Lets Flush() write, once the handshake reply is on the wire.
+  void OpenForWrites() { writable_.store(true, std::memory_order_release); }
 
   bool has_pending() const { return buffer_.has_pending(); }
 
@@ -109,6 +116,7 @@ class Connection {
   Hello peer_{};
   FrameBuffer buffer_;
   std::atomic<bool> dead_{false};
+  std::atomic<bool> writable_;
 };
 
 /// Client side of the wire: one connection from a load-generator shard to

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "config/flags.h"
 #include "config/params.h"
 
 namespace ccsim::config {
@@ -235,6 +239,71 @@ TEST(ConfigTest, IntraModeOnlyForTwoPhaseAndCertification) {
   }
   cfg.algorithm.algorithm = Algorithm::kCertification;
   EXPECT_TRUE(cfg.Validate().ok());
+}
+
+// The tools turn recovery on from FaultParams::NeedsRecovery, so it must
+// name exactly the knobs Validate() refuses to run without recovery.
+TEST(ConfigTest, NeedsRecoveryAgreesWithValidate) {
+  const std::vector<std::function<void(FaultParams&)>> knobs = {
+      [](FaultParams& f) { f.drop_probability = 0.05; },
+      [](FaultParams& f) { f.duplicate_probability = 0.02; },
+      [](FaultParams& f) { f.delay_spike_probability = 0.05; },
+      [](FaultParams& f) { f.crashes.push_back({-1, 10.0, 1.0}); },
+      [](FaultParams& f) { f.crashes.push_back({3, 10.0, 1.0}); },
+      [](FaultParams& f) { f.partitions.push_back({1, 10.0, 5.0, 0}); },
+      [](FaultParams& f) { f.torn_write_probability = 0.1; },
+      [](FaultParams& f) { f.bit_flip_probability = 0.05; },
+      [](FaultParams& f) { f.server_queue_limit = 16; },
+      [](FaultParams& f) { f.retry_budget = 8; },
+      [](FaultParams& f) { f.retry_jitter = 0.25; },
+  };
+  int needing = 0;
+  for (std::size_t i = 0; i < knobs.size(); ++i) {
+    ExperimentConfig cfg = BaseConfig();
+    knobs[i](cfg.fault);
+    const bool needs = cfg.fault.NeedsRecovery();
+    needing += needs ? 1 : 0;
+    EXPECT_EQ(cfg.Validate().ok(), !needs) << "knob " << i;
+    cfg.fault.recovery_enabled = true;
+    EXPECT_TRUE(cfg.Validate().ok()) << "knob " << i;
+  }
+  EXPECT_EQ(needing, 8);  // all but spikes, torn writes and bit flips
+  EXPECT_FALSE(BaseConfig().fault.NeedsRecovery());
+}
+
+TEST(ConfigTest, AlgorithmNamesSelectTheirProtocol) {
+  AlgorithmParams params;
+  ASSERT_TRUE(SelectAlgorithm("cert-intra", &params).ok());
+  EXPECT_EQ(params.algorithm, Algorithm::kCertification);
+  EXPECT_EQ(params.caching, CachingMode::kIntraTransaction);
+  ASSERT_TRUE(SelectAlgorithm("no-wait-notify", &params).ok());
+  EXPECT_EQ(params.algorithm, Algorithm::kNoWaitNotify);
+  EXPECT_EQ(params.caching, CachingMode::kInterTransaction);
+  EXPECT_FALSE(SelectAlgorithm("3pl", &params).ok());
+}
+
+TEST(ConfigTest, FaultFlagsParse) {
+  FaultParams fault;
+  Status status;
+  ASSERT_TRUE(ParseFaultFlag("--partition=2:1.5:0.5:in:hard", &fault,
+                             &status));
+  ASSERT_TRUE(status.ok());
+  ASSERT_EQ(fault.partitions.size(), 1u);
+  EXPECT_EQ(fault.partitions[0].node, 2);
+  EXPECT_DOUBLE_EQ(fault.partitions[0].at_s, 1.5);
+  EXPECT_DOUBLE_EQ(fault.partitions[0].duration_s, 0.5);
+  EXPECT_EQ(fault.partitions[0].direction, 1);
+  EXPECT_TRUE(fault.partitions[0].hard);
+  ASSERT_TRUE(ParseFaultFlag("--spike=0.05:20", &fault, &status));
+  ASSERT_TRUE(status.ok());
+  EXPECT_DOUBLE_EQ(fault.delay_spike_probability, 0.05);
+  EXPECT_DOUBLE_EQ(fault.delay_spike_ms, 20.0);
+  for (const char* bad : {"--partition=2:1.5", "--partition=2:1:1:sideways",
+                          "--spike=0.05"}) {
+    ASSERT_TRUE(ParseFaultFlag(bad, &fault, &status)) << bad;
+    EXPECT_FALSE(status.ok()) << bad;
+  }
+  EXPECT_FALSE(ParseFaultFlag("--drop=0.1", &fault, &status));
 }
 
 }  // namespace

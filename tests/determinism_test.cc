@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,60 +51,30 @@ config::ExperimentConfig SmallConfig(config::Algorithm algorithm,
   return cfg;
 }
 
-void Append(std::string& out, const char* name, double v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s=%a\n", name, v);
-  out += buf;
-}
-
-void Append(std::string& out, const char* name, std::uint64_t v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s=%llu\n", name,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// Byte-exact serialization of every scalar metric in a RunResult.
+// Byte-exact serialization of every counter-table field of a RunResult
+// (doubles as hex floats) plus the per-type responses. The table holds no
+// wall-clock field, so everything serialized here must repeat exactly.
 std::string Serialize(const runner::RunResult& r) {
   std::string out;
-  Append(out, "measured_seconds", r.measured_seconds);
-  Append(out, "commits", r.commits);
-  Append(out, "aborts", r.aborts);
-  Append(out, "deadlock_aborts", r.deadlock_aborts);
-  Append(out, "stale_aborts", r.stale_aborts);
-  Append(out, "cert_aborts", r.cert_aborts);
-  Append(out, "deadlocks_detected", r.deadlocks_detected);
-  Append(out, "mean_response_s", r.mean_response_s);
-  Append(out, "response_ci_s", r.response_ci_s);
-  Append(out, "throughput_tps", r.throughput_tps);
-  Append(out, "mean_attempts_per_commit", r.mean_attempts_per_commit);
-  Append(out, "server_cpu_util", r.server_cpu_util);
-  Append(out, "client_cpu_util", r.client_cpu_util);
-  Append(out, "network_util", r.network_util);
-  Append(out, "data_disk_util", r.data_disk_util);
-  Append(out, "log_disk_util", r.log_disk_util);
-  Append(out, "messages", r.messages);
-  Append(out, "packets", r.packets);
-  Append(out, "client_hit_ratio", r.client_hit_ratio);
-  Append(out, "server_buffer_hit_ratio", r.server_buffer_hit_ratio);
-  Append(out, "buffer_writebacks", r.buffer_writebacks);
-  Append(out, "log_forced_commits", r.log_forced_commits);
-  Append(out, "undo_page_ios", r.undo_page_ios);
-  Append(out, "partition_drops", r.partition_drops);
-  Append(out, "shed_requests", r.shed_requests);
-  Append(out, "retry_budget_exhaustions", r.retry_budget_exhaustions);
-  Append(out, "ready_queue_high_water",
-         static_cast<std::uint64_t>(r.ready_queue_high_water));
-  Append(out, "log_records_truncated", r.log_records_truncated);
-  Append(out, "stuck_clients", static_cast<std::uint64_t>(r.stuck_clients));
+  runner::ForEachField(r, [&out](const runner::FieldInfo& field, auto v) {
+    char buf[128];
+    if constexpr (std::is_floating_point_v<decltype(v)>) {
+      std::snprintf(buf, sizeof(buf), "%s=%a\n", field.name, v);
+    } else {
+      std::snprintf(buf, sizeof(buf), "%s=%llu\n", field.name,
+                    static_cast<unsigned long long>(v));
+    }
+    out += buf;
+  });
   for (std::size_t i = 0; i < r.per_type_response.size(); ++i) {
-    char name[48];
-    std::snprintf(name, sizeof(name), "type%zu_response", i);
-    Append(out, name, r.per_type_response[i].first);
-    std::snprintf(name, sizeof(name), "type%zu_commits", i);
-    Append(out, name, r.per_type_response[i].second);
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "type%zu_response=%a\ntype%zu_commits=%llu\n", i,
+                  r.per_type_response[i].first, i,
+                  static_cast<unsigned long long>(
+                      r.per_type_response[i].second));
+    out += buf;
   }
-  Append(out, "stalled", static_cast<std::uint64_t>(r.stalled ? 1 : 0));
   return out;
 }
 

@@ -3,11 +3,10 @@
 // server crashes — with a fixed seed, and assert the recovery layer keeps
 // the system live and serializable. The commit-time serializability oracle
 // (a CCSIM_CHECK inside the server) makes any protocol bug fatal, and the
-// independent version-chain replay below re-checks the committed history.
+// consistency oracle checks every committed version chain.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <tuple>
 
@@ -37,7 +36,7 @@ ExperimentConfig ChaosBaseConfig(Algorithm algorithm, CachingMode mode) {
   cfg.control.warmup_seconds = 5;
   cfg.control.target_commits = 300;
   cfg.control.max_measure_seconds = 300;
-  cfg.control.record_history = true;
+  cfg.checker.enabled = true;
   return cfg;
 }
 
@@ -50,23 +49,14 @@ void AddLossyNetwork(ExperimentConfig& cfg) {
   cfg.fault.recovery_enabled = true;
 }
 
-/// Independent replay of the commit history: along each page's version
-/// chain, versions must increase by exactly one per writer. Holds even with
-/// faults injected — recovery must never let a lost message skip or repeat
-/// a version.
+/// The oracle saw every commit of the run and, since it CHECK-fails on a
+/// version chain that is not dense, every writer installed exactly the
+/// next version of each page it wrote. Holds even with faults injected —
+/// recovery must never let a lost message skip or repeat a version.
 void ExpectDenseVersionChains(const RunResult& r) {
-  std::map<db::PageId, std::uint64_t> last_version;
-  std::uint64_t writes = 0;
-  for (const auto& record : r.history) {
-    for (const auto& [page, version] : record.writes) {
-      auto [it, inserted] = last_version.emplace(page, 1);
-      EXPECT_EQ(version, it->second + 1)
-          << "page " << page << " version chain broken";
-      it->second = version;
-      ++writes;
-    }
-  }
-  EXPECT_GT(writes, 0u);
+  EXPECT_TRUE(r.oracle_enabled);
+  EXPECT_GE(r.oracle_commits, r.commits);
+  EXPECT_GT(r.oracle_edges, 0u);  // every workload here writes
 }
 
 class ChaosSweep

@@ -362,12 +362,13 @@ TEST(OracleRunTest, SummaryLineReportsCounters) {
   const ExperimentConfig cfg = OracleBaseConfig(
       Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction);
   const RunResult r = RunExperiment(cfg).ValueOrDie();
-  const std::string summary = runner::OracleSummary(r);
-  EXPECT_NE(summary.find("commits"), std::string::npos);
-  EXPECT_NE(summary.find("edges"), std::string::npos);
-  EXPECT_NE(summary.find("scc checks"), std::string::npos);
+  const std::string summary = runner::CounterSummary(r);
+  EXPECT_NE(summary.find("checker"), std::string::npos);
+  EXPECT_NE(summary.find("oracle_commits"), std::string::npos);
+  EXPECT_NE(summary.find("oracle_edges"), std::string::npos);
+  EXPECT_NE(summary.find("oracle_scc_checks"), std::string::npos);
   RunResult no_oracle;
-  EXPECT_TRUE(runner::OracleSummary(no_oracle).empty());
+  EXPECT_TRUE(runner::CounterSummary(no_oracle).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -374,17 +374,6 @@ TEST(RealConfigValidationTest, RejectsClientCrashWindowsNamingTheFlag) {
       << status.ToString();
 }
 
-TEST(RealConfigValidationTest, RejectsHistoryRecordingNamingTheFlag) {
-  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
-                                      CachingMode::kInterTransaction);
-  cfg.control.record_history = true;
-  const Status status = runner::ValidateRealConfig(cfg);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("--record-history"), std::string::npos)
-      << status.ToString();
-}
-
 TEST(RealConfigValidationTest, AcceptsCleanConfig) {
   const ExperimentConfig cfg = ParityConfig(
       Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction);

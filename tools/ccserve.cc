@@ -19,42 +19,20 @@
 #include <string>
 #include <thread>
 
+#include "config/flags.h"
 #include "config/params.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "net/message.h"
+#include "runner/experiment.h"
+#include "runner/report.h"
 #include "server/server.h"
-#include "sim/process.h"
 #include "sim/time.h"
-#include "substrate/faulty_transport.h"
 #include "substrate/node.h"
 #include "substrate/tcp.h"
 
 namespace {
 
-using ccsim::config::Algorithm;
-using ccsim::config::CachingMode;
 using ccsim::config::ExperimentConfig;
-
-struct AlgorithmChoice {
-  const char* name;
-  Algorithm algorithm;
-  CachingMode caching;
-};
-
-const AlgorithmChoice kAlgorithms[] = {
-    {"2pl", Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction},
-    {"2pl-intra", Algorithm::kTwoPhaseLocking,
-     CachingMode::kIntraTransaction},
-    {"cert", Algorithm::kCertification, CachingMode::kInterTransaction},
-    {"cert-intra", Algorithm::kCertification,
-     CachingMode::kIntraTransaction},
-    {"callback", Algorithm::kCallbackLocking,
-     CachingMode::kInterTransaction},
-    {"no-wait", Algorithm::kNoWaitLocking, CachingMode::kInterTransaction},
-    {"no-wait-notify", Algorithm::kNoWaitNotify,
-     CachingMode::kInterTransaction},
-};
+using ccsim::config::ParseValue;
 
 void PrintUsage() {
   std::printf(
@@ -83,31 +61,17 @@ void PrintUsage() {
       "                        kills the carrying TCP connection\n"
       "  --torn-write=P --bit-flip=P\n"
       "                        per-log-force storage-fault probabilities\n"
-      "  --recovery            enable the recovery layer without faults\n"
-      "                        (any fault flag enables it implicitly;\n"
-      "                        ccload must be started with matching fault\n"
-      "                        flags so both sides run recovery mode)\n"
+      "  --recovery            enable the recovery layer without faults;\n"
+      "                        --drop, --dup, --crash and --partition\n"
+      "                        imply it, --spike and the storage faults do\n"
+      "                        not. ccload must run recovery mode too:\n"
+      "                        pass it --recovery when this server has\n"
+      "                        --crash\n"
       "  --help                this text\n");
-}
-
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *out = arg + len + 1;
-  return true;
 }
 
 volatile std::sig_atomic_t g_signal = 0;
 void OnSignal(int sig) { g_signal = sig; }
-
-/// Post-crash recovery: replay the log, then readmit inbound traffic.
-ccsim::sim::Process RecoverServer(ccsim::server::Server* server,
-                                  ccsim::fault::FaultInjector* injector) {
-  co_await server->Recover();
-  injector->SetDown(ccsim::net::kServerNode, false);
-}
 
 }  // namespace
 
@@ -120,52 +84,43 @@ int main(int argc, char** argv) {
   int port = 0;
   double duration_s = 0.0;  // 0 = until signal
 
+  const ccsim::config::NumberFlag number_flags[] = {
+      {"--clients", &cfg.system.num_clients},
+      {"--port", &port},
+      {"--buffer-pages", &cfg.system.server_buffer_pages},
+      {"--mpl", &cfg.system.mpl},
+      {"--seed", &cfg.control.seed},
+      {"--duration", &duration_s},
+      {"--drop", &cfg.fault.drop_probability},
+      {"--dup", &cfg.fault.duplicate_probability},
+      {"--torn-write", &cfg.fault.torn_write_probability},
+      {"--bit-flip", &cfg.fault.bit_flip_probability},
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
+    ccsim::Status status;
     if (std::strcmp(arg, "--help") == 0) {
       PrintUsage();
       return 0;
     }
     if (std::strcmp(arg, "--check") == 0) {
       cfg.checker.enabled = true;
+    } else if (ccsim::config::ParseNumberFlag(arg, number_flags)) {
+      continue;
     } else if (ParseValue(arg, "--algorithm", &value)) {
       algorithm_name = value;
-    } else if (ParseValue(arg, "--clients", &value)) {
-      cfg.system.num_clients = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--port", &value)) {
-      port = std::atoi(value.c_str());
     } else if (ParseValue(arg, "--bind", &value)) {
       bind_host = value;
     } else if (ParseValue(arg, "--port-file", &value)) {
       port_file = value;
-    } else if (ParseValue(arg, "--buffer-pages", &value)) {
-      cfg.system.server_buffer_pages = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--mpl", &value)) {
-      cfg.system.mpl = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--seed", &value)) {
-      cfg.control.seed = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    } else if (ParseValue(arg, "--duration", &value)) {
-      duration_s = std::atof(value.c_str());
     } else if (std::strcmp(arg, "--recovery") == 0) {
       cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--drop", &value)) {
-      cfg.fault.drop_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--dup", &value)) {
-      cfg.fault.duplicate_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--spike", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--spike wants P:MS\n");
+    } else if (ccsim::config::ParseFaultFlag(arg, &cfg.fault, &status)) {
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s\n", status.message().c_str());
         return 2;
       }
-      cfg.fault.delay_spike_probability =
-          std::atof(value.substr(0, colon).c_str());
-      cfg.fault.delay_spike_ms = std::atof(value.substr(colon + 1).c_str());
-      cfg.fault.recovery_enabled = true;
     } else if (ParseValue(arg, "--crash", &value)) {
       const std::size_t colon = value.find(':');
       if (colon == std::string::npos) {
@@ -177,68 +132,19 @@ int main(int argc, char** argv) {
       crash.at_s = std::atof(value.substr(0, colon).c_str());
       crash.downtime_s = std::atof(value.substr(colon + 1).c_str());
       cfg.fault.crashes.push_back(crash);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--partition", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--partition wants NODE:AT:DUR[:DIR][:hard]\n");
-        return 2;
-      }
-      const std::size_t c3 = value.find(':', c2 + 1);
-      ccsim::config::FaultParams::PartitionEvent part;
-      part.node = std::atoi(value.substr(0, c1).c_str());
-      part.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      part.duration_s = std::atof(value.substr(c2 + 1, c3 - c2 - 1).c_str());
-      for (std::size_t pos = c3; pos != std::string::npos;) {
-        const std::size_t next = value.find(':', pos + 1);
-        const std::string token = value.substr(
-            pos + 1,
-            next == std::string::npos ? std::string::npos : next - pos - 1);
-        if (token == "both") {
-          part.direction = 0;
-        } else if (token == "in") {
-          part.direction = 1;
-        } else if (token == "out") {
-          part.direction = 2;
-        } else if (token == "hard") {
-          part.hard = true;
-        } else {
-          std::fprintf(stderr,
-                       "--partition DIR wants both|in|out (optionally "
-                       "followed by :hard)\n");
-          return 2;
-        }
-        pos = next;
-      }
-      cfg.fault.partitions.push_back(part);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--torn-write", &value)) {
-      cfg.fault.torn_write_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--bit-flip", &value)) {
-      cfg.fault.bit_flip_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
       return 2;
     }
   }
 
-  bool found = false;
-  for (const AlgorithmChoice& choice : kAlgorithms) {
-    if (algorithm_name == choice.name) {
-      cfg.algorithm.algorithm = choice.algorithm;
-      cfg.algorithm.caching = choice.caching;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm_name.c_str());
+  if (const ccsim::Status st =
+          ccsim::config::SelectAlgorithm(algorithm_name, &cfg.algorithm);
+      !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
     return 2;
   }
+  cfg.fault.recovery_enabled |= cfg.fault.NeedsRecovery();
   cfg = ccsim::substrate::RawSpeedConfig(cfg);
   if (const ccsim::Status status = cfg.Validate(); !status.ok()) {
     std::fprintf(stderr, "invalid configuration: %s\n",
@@ -255,52 +161,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "listen failed: %s\n", error.c_str());
     return 1;
   }
-  ccsim::substrate::TcpServerTransport* t = transport.get();
-  const ccsim::fault::FaultPlan plan = ccsim::fault::MakePlan(cfg.fault);
-  const bool wire_faults =
-      plan.link.Any() || !plan.crashes.empty() || !plan.partitions.empty();
-  std::unique_ptr<ccsim::substrate::WireFaultAdapter> adapter;
-  if (wire_faults) {
-    adapter = std::make_unique<ccsim::substrate::WireFaultAdapter>(
-        plan, cfg.control.seed, &node.substrate(), t);
-    ccsim::substrate::WireFaultAdapter* ad = adapter.get();
-    node.network().set_transport(ad);
-    node.substrate().set_flush_hook([ad] { return ad->Flush(); });
-    node.InstallInboundFilter(
-        [ad](const ccsim::net::Message& msg) { return ad->AllowInbound(msg); });
-    // Plant the fault windows before the loop thread exists: plan ticks
-    // are wall µs relative to the loop epoch (Run() start).
-    ccsim::sim::Simulator& sim = node.substrate().sim();
-    ccsim::server::Server* srv = &node.server();
-    ccsim::fault::FaultInjector* inj = &ad->injector();
-    for (const ccsim::fault::CrashWindow& crash : plan.crashes) {
-      sim.ScheduleAt(crash.at, [inj, t, srv] {
-        inj->SetDown(ccsim::net::kServerNode, true);
-        t->SeverAll();  // a real crash takes the TCP endpoints with it
-        srv->Crash();
-      });
-      ccsim::sim::Simulator* simp = &sim;
-      sim.ScheduleAt(crash.at + crash.downtime, [simp, srv, inj] {
-        simp->Spawn(RecoverServer(srv, inj));
-      });
-    }
-    for (const ccsim::fault::PartitionWindow& part : plan.partitions) {
-      const int pnode = part.node;
-      const ccsim::fault::PartitionWindow::Direction dir = part.direction;
-      sim.ScheduleAt(part.at, [inj, t, pnode, dir, hard = part.hard] {
-        inj->SetPartitioned(pnode, dir, true);
-        if (hard) {
-          t->SeverClient(pnode);
-        }
-      });
-      sim.ScheduleAt(part.at + part.duration, [inj, pnode, dir] {
-        inj->SetPartitioned(pnode, dir, false);
-      });
-    }
-  } else {
-    node.network().set_transport(t);
-    node.substrate().set_flush_hook([t] { return t->Flush(); });
-  }
+  node.AttachTransport(transport.get());
   node.Start();
 
   if (!port_file.empty()) {
@@ -357,44 +218,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(transport->frames_received()),
       static_cast<unsigned long long>(transport->connections_accepted()),
       static_cast<unsigned long long>(transport->unroutable_drops()));
-  std::printf(
-      "ccserve: commits logged %llu, buffer hit %.2f, writebacks %llu, "
-      "deadlocks %llu, shed %llu\n",
-      static_cast<unsigned long long>(node.server().log().commits_logged()),
-      node.server().pool().HitRatio(),
-      static_cast<unsigned long long>(node.server().pool().writebacks()),
-      static_cast<unsigned long long>(
-          node.server().locks().deadlocks_detected()),
-      static_cast<unsigned long long>(node.metrics().shed_requests()));
-  if (adapter != nullptr) {
-    const ccsim::fault::FaultInjector& inj = adapter->injector();
-    std::printf(
-        "ccserve: wire faults — dropped %llu, duplicated %llu, spikes %llu, "
-        "down-drops %llu, partition-drops %llu\n",
-        static_cast<unsigned long long>(inj.messages_dropped()),
-        static_cast<unsigned long long>(inj.messages_duplicated()),
-        static_cast<unsigned long long>(inj.delay_spikes()),
-        static_cast<unsigned long long>(inj.down_drops()),
-        static_cast<unsigned long long>(inj.partition_drops()));
-    std::printf(
-        "ccserve: crashes %llu (recovery %.3f s), torn writes %llu, "
-        "bit flips %llu, log rewrites %llu, records truncated %llu\n",
-        static_cast<unsigned long long>(node.metrics().server_crashes()),
-        ccsim::sim::TicksToSeconds(node.metrics().recovery_ticks()),
-        static_cast<unsigned long long>(
-            node.server().log().torn_writes_detected()),
-        static_cast<unsigned long long>(
-            node.server().log().bit_flips_detected()),
-        static_cast<unsigned long long>(node.server().log().log_rewrites()),
-        static_cast<unsigned long long>(
-            node.server().log().records_truncated()));
-  }
-  if (node.checker() != nullptr) {
-    std::printf("ccserve: oracle clean — %llu commits checked, %llu edges\n",
-                static_cast<unsigned long long>(
-                    node.checker()->oracle().commits_observed()),
-                static_cast<unsigned long long>(
-                    node.checker()->oracle().edges()));
-  }
+  ccsim::runner::RunResult counters;
+  ccsim::runner::AddNodeCounters(node.counter_sources(), &counters);
+  std::printf("ccserve: buffer hit %.2f\n", node.server().pool().HitRatio());
+  std::printf("%s", ccsim::runner::CounterSummary(counters, "ccserve: ")
+                        .c_str());
   return 0;
 }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "config/flags.h"
 #include "config/params.h"
 #include "runner/experiment.h"
 #include "runner/real_experiment.h"
@@ -24,30 +25,9 @@
 
 namespace {
 
-using ccsim::config::Algorithm;
-using ccsim::config::CachingMode;
 using ccsim::config::ExperimentConfig;
+using ccsim::config::ParseValue;
 using ccsim::runner::RunResult;
-
-struct AlgorithmChoice {
-  const char* name;
-  Algorithm algorithm;
-  CachingMode caching;
-};
-
-const AlgorithmChoice kAlgorithms[] = {
-    {"2pl", Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction},
-    {"2pl-intra", Algorithm::kTwoPhaseLocking,
-     CachingMode::kIntraTransaction},
-    {"cert", Algorithm::kCertification, CachingMode::kInterTransaction},
-    {"cert-intra", Algorithm::kCertification,
-     CachingMode::kIntraTransaction},
-    {"callback", Algorithm::kCallbackLocking,
-     CachingMode::kInterTransaction},
-    {"no-wait", Algorithm::kNoWaitLocking, CachingMode::kInterTransaction},
-    {"no-wait-notify", Algorithm::kNoWaitNotify,
-     CachingMode::kInterTransaction},
-};
 
 void PrintUsage() {
   std::printf(
@@ -66,7 +46,7 @@ void PrintUsage() {
       "  --data-disks=N --log-disks=N\n"
       "  --cache-pages=N --buffer-pages=N --mpl=N\n"
       "  --seed=N --warmup=S --commits=N --max-seconds=S\n"
-      "  --drop=P                message drop probability (enables recovery)\n"
+      "  --drop=P                message drop probability\n"
       "  --dup=P                 message duplication probability\n"
       "  --spike=P:MS            delay-spike probability and size\n"
       "  --crash=NODE:AT:DOWN    crash NODE (-1 = server) at AT s for DOWN s\n"
@@ -77,7 +57,7 @@ void PrintUsage() {
       "                          in = client->server only). 'hard' also\n"
       "                          kills the TCP connection at window start\n"
       "                          (real substrate; no-op on sim).\n"
-      "                          Repeatable; enables recovery\n"
+      "                          Repeatable\n"
       "  --torn-write=P          per-log-force torn-write probability\n"
       "  --bit-flip=P            per-log-force bit-flip probability\n"
       "  --queue-limit=N         bound the server ready queue (shed beyond)\n"
@@ -90,7 +70,10 @@ void PrintUsage() {
       "                          plan on any violation. With\n"
       "                          --substrate=real the cocktails run on the\n"
       "                          wire (sequentially; use a smaller N)\n"
-      "  --recovery              enable the recovery layer without faults\n"
+      "  --recovery              enable the recovery layer without faults;\n"
+      "                          --drop, --dup, --crash, --partition,\n"
+      "                          --queue-limit, --retry-budget and\n"
+      "                          --retry-jitter imply it\n"
       "  --check                 enable the consistency oracle (serializa-\n"
       "                          bility + coherence audits; aborts with a\n"
       "                          cycle dump on a violation)\n"
@@ -98,8 +81,7 @@ void PrintUsage() {
       "  --substrate=NAME        sim (default: deterministic discrete-event\n"
       "                          simulation) | real (threads + TCP loopback,\n"
       "                          wall-clock paced; fault plans run on the\n"
-      "                          wire — only sim-only flags such as\n"
-      "                          --record-history and client crashes are\n"
+      "                          wire — only client crashes are\n"
       "                          rejected)\n"
       "  --duration=S            real-substrate measurement window in wall\n"
       "                          seconds (default 5)\n"
@@ -114,71 +96,17 @@ void PrintUsage() {
       "  --help                  this text\n");
 }
 
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *out = arg + len + 1;
-  return true;
-}
-
 void PrintCsvHeader() {
-  std::printf(
-      "algorithm,clients,locality,prob_write,resp_s,resp_ci_s,tput,"
-      "commits,aborts,deadlocks,stale,cert,srv_cpu,net,disk,client_cpu,"
-      "cache_hit,buffer_hit,messages,packets,stalled,"
-      "dropped,duplicated,spikes,down_drops,retries,timeouts,"
-      "timeout_aborts,crash_aborts,lease_exp,dup_suppressed,gc_xacts,"
-      "client_crashes,server_crashes,recovery_s,lost,unknown,"
-      "partition_drops,shed,budget_exhausted,queue_hwm,"
-      "torn_writes,bit_flips,log_rewrites,log_truncated,stuck\n");
+  std::printf("algorithm,clients,locality,prob_write,%s\n",
+              ccsim::runner::CsvHeader().c_str());
 }
 
 void PrintCsvRow(const std::string& algorithm_name,
                  const ExperimentConfig& cfg, const RunResult& r) {
-  std::printf(
-      "%s,%d,%.3f,%.3f,%.6f,%.6f,%.4f,%llu,%llu,%llu,%llu,%llu,%.4f,"
-      "%.4f,%.4f,%.4f,%.4f,%.4f,%llu,%llu,%d,"
-      "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-      "%.4f,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%d\n",
-      algorithm_name.c_str(), cfg.system.num_clients,
-      cfg.transaction.inter_xact_loc, cfg.transaction.prob_write,
-      r.mean_response_s, r.response_ci_s, r.throughput_tps,
-      static_cast<unsigned long long>(r.commits),
-      static_cast<unsigned long long>(r.aborts),
-      static_cast<unsigned long long>(r.deadlock_aborts),
-      static_cast<unsigned long long>(r.stale_aborts),
-      static_cast<unsigned long long>(r.cert_aborts), r.server_cpu_util,
-      r.network_util, r.data_disk_util, r.client_cpu_util,
-      r.client_hit_ratio, r.server_buffer_hit_ratio,
-      static_cast<unsigned long long>(r.messages),
-      static_cast<unsigned long long>(r.packets),
-      static_cast<int>(r.stalled),
-      static_cast<unsigned long long>(r.messages_dropped),
-      static_cast<unsigned long long>(r.messages_duplicated),
-      static_cast<unsigned long long>(r.delay_spikes),
-      static_cast<unsigned long long>(r.down_drops),
-      static_cast<unsigned long long>(r.rpc_retries),
-      static_cast<unsigned long long>(r.rpc_timeouts),
-      static_cast<unsigned long long>(r.timeout_aborts),
-      static_cast<unsigned long long>(r.crash_aborts),
-      static_cast<unsigned long long>(r.lease_expirations),
-      static_cast<unsigned long long>(r.duplicates_suppressed),
-      static_cast<unsigned long long>(r.gc_xacts),
-      static_cast<unsigned long long>(r.client_crashes),
-      static_cast<unsigned long long>(r.server_crashes), r.recovery_seconds,
-      static_cast<unsigned long long>(r.transactions_lost),
-      static_cast<unsigned long long>(r.unknown_outcomes),
-      static_cast<unsigned long long>(r.partition_drops),
-      static_cast<unsigned long long>(r.shed_requests),
-      static_cast<unsigned long long>(r.retry_budget_exhaustions),
-      static_cast<unsigned long long>(r.ready_queue_high_water),
-      static_cast<unsigned long long>(r.log_torn_writes),
-      static_cast<unsigned long long>(r.log_bit_flips),
-      static_cast<unsigned long long>(r.log_rewrites),
-      static_cast<unsigned long long>(r.log_records_truncated),
-      r.stuck_clients);
+  std::printf("%s,%d,%.3f,%.3f,%s\n", algorithm_name.c_str(),
+              cfg.system.num_clients, cfg.transaction.inter_xact_loc,
+              cfg.transaction.prob_write,
+              ccsim::runner::CsvValues(r).c_str());
 }
 
 // --- chaos soak -----------------------------------------------------------
@@ -188,11 +116,46 @@ const char* const kSoakAlgorithms[] = {"2pl", "cert", "callback", "no-wait",
                                        "no-wait-notify"};
 constexpr int kSoakAlgorithmCount = 5;
 
+/// One-line description of a chaos cocktail's fault plan, for the soak logs.
+std::string DescribeChaos(const ccsim::config::FaultParams& f) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "drop=%.3f dup=%.3f spike=%.3f:%.0fms",
+                f.drop_probability, f.duplicate_probability,
+                f.delay_spike_probability, f.delay_spike_ms);
+  std::string plan = buf;
+  for (const ccsim::config::FaultParams::CrashEvent& crash : f.crashes) {
+    std::snprintf(buf, sizeof(buf), " crash=%d:%.1f:%.1f", crash.node,
+                  crash.at_s, crash.downtime_s);
+    plan += buf;
+  }
+  static const char* const kDirNames[] = {"both", "in", "out"};
+  for (const ccsim::config::FaultParams::PartitionEvent& part :
+       f.partitions) {
+    std::snprintf(buf, sizeof(buf), " partition=%d:%.1f:%.1f:%s%s",
+                  part.node, part.at_s, part.duration_s,
+                  kDirNames[part.direction], part.hard ? ":hard" : "");
+    plan += buf;
+  }
+  const std::pair<const char*, double> optional[] = {
+      {" torn=%.3f", f.torn_write_probability},
+      {" flip=%.3f", f.bit_flip_probability},
+      {" qlimit=%.0f", f.server_queue_limit},
+      {" budget=%.0f", f.retry_budget},
+      {" jitter=%.2f", f.retry_jitter}};
+  for (const auto& [format, value] : optional) {
+    if (value > 0) {
+      std::snprintf(buf, sizeof(buf), format, value);
+      plan += buf;
+    }
+  }
+  return plan;
+}
+
 /// Deterministically derives a compound-fault cocktail from `seed`: lossy
 /// links, crash windows, a partition, storage faults, and overload knobs,
 /// each present with some probability. The same seed always yields the
 /// same plan, so a failure reproduces from the seed alone.
-ExperimentConfig MakeChaosConfig(std::uint64_t seed, std::string* plan) {
+ExperimentConfig MakeChaosConfig(std::uint64_t seed) {
   ccsim::sim::Pcg32 rng(seed, /*stream=*/0xC0C7);
   ExperimentConfig cfg = ccsim::config::BaseConfig();
   cfg.system.num_clients = 8;
@@ -207,20 +170,12 @@ ExperimentConfig MakeChaosConfig(std::uint64_t seed, std::string* plan) {
   f.duplicate_probability = rng.UniformReal(0.0, 0.04);
   f.delay_spike_probability = rng.UniformReal(0.0, 0.08);
   f.delay_spike_ms = rng.UniformReal(5.0, 40.0);
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "drop=%.3f dup=%.3f spike=%.3f:%.0fms",
-                f.drop_probability, f.duplicate_probability,
-                f.delay_spike_probability, f.delay_spike_ms);
-  *plan = buf;
   if (rng.Bernoulli(0.5)) {
     ccsim::config::FaultParams::CrashEvent crash;
     crash.node = -1;  // the server
     crash.at_s = rng.UniformReal(10.0, 40.0);
     crash.downtime_s = rng.UniformReal(0.5, 3.0);
     f.crashes.push_back(crash);
-    std::snprintf(buf, sizeof(buf), " crash=-1:%.1f:%.1f", crash.at_s,
-                  crash.downtime_s);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.6)) {
     ccsim::config::FaultParams::CrashEvent crash;
@@ -229,9 +184,6 @@ ExperimentConfig MakeChaosConfig(std::uint64_t seed, std::string* plan) {
     crash.at_s = rng.UniformReal(10.0, 40.0);
     crash.downtime_s = rng.UniformReal(0.5, 3.0);
     f.crashes.push_back(crash);
-    std::snprintf(buf, sizeof(buf), " crash=%d:%.1f:%.1f", crash.node,
-                  crash.at_s, crash.downtime_s);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.7)) {
     ccsim::config::FaultParams::PartitionEvent part;
@@ -241,35 +193,21 @@ ExperimentConfig MakeChaosConfig(std::uint64_t seed, std::string* plan) {
     part.duration_s = rng.UniformReal(1.0, 10.0);
     part.direction = static_cast<int>(rng.UniformInt(0, 2));
     f.partitions.push_back(part);
-    static const char* const kDirNames[] = {"both", "in", "out"};
-    std::snprintf(buf, sizeof(buf), " partition=%d:%.1f:%.1f:%s", part.node,
-                  part.at_s, part.duration_s, kDirNames[part.direction]);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.5)) {
     f.torn_write_probability = rng.UniformReal(0.02, 0.3);
-    std::snprintf(buf, sizeof(buf), " torn=%.3f", f.torn_write_probability);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.5)) {
     f.bit_flip_probability = rng.UniformReal(0.02, 0.2);
-    std::snprintf(buf, sizeof(buf), " flip=%.3f", f.bit_flip_probability);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.5)) {
     f.server_queue_limit = static_cast<int>(rng.UniformInt(8, 32));
-    std::snprintf(buf, sizeof(buf), " qlimit=%d", f.server_queue_limit);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.5)) {
     f.retry_budget = static_cast<int>(rng.UniformInt(8, 40));
-    std::snprintf(buf, sizeof(buf), " budget=%d", f.retry_budget);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.5)) {
     f.retry_jitter = rng.UniformReal(0.1, 0.5);
-    std::snprintf(buf, sizeof(buf), " jitter=%.2f", f.retry_jitter);
-    *plan += buf;
   }
   return cfg;
 }
@@ -284,20 +222,14 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
   configs.reserve(static_cast<std::size_t>(n) * kSoakAlgorithmCount);
   for (int i = 0; i < n; ++i) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    ExperimentConfig cfg =
-        MakeChaosConfig(seed, &plans[static_cast<std::size_t>(i)]);
+    ExperimentConfig cfg = MakeChaosConfig(seed);
+    plans[static_cast<std::size_t>(i)] = DescribeChaos(cfg.fault);
     std::printf("chaos seed %llu: %s\n",
                 static_cast<unsigned long long>(seed),
                 plans[static_cast<std::size_t>(i)].c_str());
     for (const char* name : kSoakAlgorithms) {
-      for (const AlgorithmChoice& choice : kAlgorithms) {
-        if (std::strcmp(name, choice.name) == 0) {
-          cfg.algorithm.algorithm = choice.algorithm;
-          cfg.algorithm.caching = choice.caching;
-          configs.push_back(cfg);
-          break;
-        }
-      }
+      (void)ccsim::config::SelectAlgorithm(name, &cfg.algorithm);
+      configs.push_back(cfg);
     }
   }
   std::fflush(stdout);
@@ -308,7 +240,6 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
     std::uint64_t commits = 0, lost = 0, unknown = 0, part_drops = 0;
     std::uint64_t shed = 0, truncated = 0;
-    int stuck = 0;
     std::string verdict;
     for (int a = 0; a < kSoakAlgorithmCount; ++a) {
       const std::size_t idx =
@@ -326,7 +257,6 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
       part_drops += r.partition_drops;
       shed += r.shed_requests;
       truncated += r.log_records_truncated;
-      stuck += r.stuck_clients;
       if (r.stalled) {
         verdict += std::string(" ") + kSoakAlgorithms[a] + ": STALLED";
       }
@@ -353,7 +283,6 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
       std::printf("  plan : %s\n", plans[static_cast<std::size_t>(i)].c_str());
       std::printf("  repro: ccsim_run --chaos-soak=1 --seed=%llu\n",
                   static_cast<unsigned long long>(seed));
-      (void)stuck;
     }
   }
   if (failures == 0) {
@@ -368,7 +297,7 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
 /// Derives a wire-level fault cocktail that fits a short wall-clock run:
 /// lossy links, usually one server crash+restart, usually one partition
 /// window (sometimes hard). Windows land inside warmup(1s)+duration(3s).
-ExperimentConfig MakeRealChaosConfig(std::uint64_t seed, std::string* plan) {
+ExperimentConfig MakeRealChaosConfig(std::uint64_t seed) {
   ccsim::sim::Pcg32 rng(seed, /*stream=*/0xC0C8);
   ExperimentConfig cfg = ccsim::config::BaseConfig();
   cfg.system.num_clients = 8;
@@ -382,20 +311,12 @@ ExperimentConfig MakeRealChaosConfig(std::uint64_t seed, std::string* plan) {
   f.duplicate_probability = rng.UniformReal(0.0, 0.02);
   f.delay_spike_probability = rng.UniformReal(0.0, 0.05);
   f.delay_spike_ms = rng.UniformReal(2.0, 10.0);
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "drop=%.3f dup=%.3f spike=%.3f:%.0fms",
-                f.drop_probability, f.duplicate_probability,
-                f.delay_spike_probability, f.delay_spike_ms);
-  *plan = buf;
   if (rng.Bernoulli(0.7)) {
     ccsim::config::FaultParams::CrashEvent crash;
     crash.node = -1;  // the server
     crash.at_s = rng.UniformReal(1.5, 2.2);
     crash.downtime_s = rng.UniformReal(0.2, 0.4);
     f.crashes.push_back(crash);
-    std::snprintf(buf, sizeof(buf), " crash=-1:%.1f:%.1f", crash.at_s,
-                  crash.downtime_s);
-    *plan += buf;
   }
   if (rng.Bernoulli(0.7)) {
     ccsim::config::FaultParams::PartitionEvent part;
@@ -406,16 +327,9 @@ ExperimentConfig MakeRealChaosConfig(std::uint64_t seed, std::string* plan) {
     part.direction = static_cast<int>(rng.UniformInt(0, 2));
     part.hard = rng.Bernoulli(0.5);
     f.partitions.push_back(part);
-    static const char* const kDirNames[] = {"both", "in", "out"};
-    std::snprintf(buf, sizeof(buf), " partition=%d:%.1f:%.1f:%s%s",
-                  part.node, part.at_s, part.duration_s,
-                  kDirNames[part.direction], part.hard ? ":hard" : "");
-    *plan += buf;
   }
   if (rng.Bernoulli(0.4)) {
     f.torn_write_probability = rng.UniformReal(0.02, 0.2);
-    std::snprintf(buf, sizeof(buf), " torn=%.3f", f.torn_write_probability);
-    *plan += buf;
   }
   return cfg;
 }
@@ -429,19 +343,13 @@ int RunRealChaosSoak(int n, std::uint64_t base_seed) {
   int failures = 0;
   for (int i = 0; i < n; ++i) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    std::string plan;
-    ExperimentConfig cfg = MakeRealChaosConfig(seed, &plan);
+    ExperimentConfig cfg = MakeRealChaosConfig(seed);
+    const std::string plan = DescribeChaos(cfg.fault);
     std::printf("real chaos seed %llu: %s\n",
                 static_cast<unsigned long long>(seed), plan.c_str());
     std::fflush(stdout);
     for (const char* name : kSoakAlgorithms) {
-      for (const AlgorithmChoice& choice : kAlgorithms) {
-        if (std::strcmp(name, choice.name) == 0) {
-          cfg.algorithm.algorithm = choice.algorithm;
-          cfg.algorithm.caching = choice.caching;
-          break;
-        }
-      }
+      (void)ccsim::config::SelectAlgorithm(name, &cfg.algorithm);
       ccsim::runner::RealRunOptions opts;
       opts.warmup_seconds = 1.0;
       opts.duration_seconds = 3.0;
@@ -503,29 +411,60 @@ int main(int argc, char** argv) {
   bool warmup_flag = false;
   ccsim::runner::RealRunOptions real_options;
 
+  const ccsim::config::NumberFlag number_flags[] = {
+      {"--clients", &cfg.system.num_clients},
+      {"--locality", &cfg.transaction.inter_xact_loc},
+      {"--prob-write", &cfg.transaction.prob_write},
+      {"--cluster-factor", &cfg.database.cluster_factor},
+      {"--update-delay", &cfg.transaction.update_delay_s},
+      {"--internal-delay", &cfg.transaction.internal_delay_s},
+      {"--external-delay", &cfg.transaction.external_delay_s},
+      {"--server-mips", &cfg.system.server_mips},
+      {"--client-mips", &cfg.system.client_mips},
+      {"--net-delay-ms", &cfg.system.net_delay_ms},
+      {"--msg-cost", &cfg.system.msg_cost_instr},
+      {"--data-disks", &cfg.system.num_data_disks},
+      {"--log-disks", &cfg.system.num_log_disks},
+      {"--cache-pages", &cfg.system.client_cache_pages},
+      {"--buffer-pages", &cfg.system.server_buffer_pages},
+      {"--mpl", &cfg.system.mpl},
+      {"--seed", &cfg.control.seed},
+      {"--duration", &real_options.duration_seconds},
+      {"--shards", &real_options.shards},
+      {"--commits", &cfg.control.target_commits},
+      {"--max-seconds", &cfg.control.max_measure_seconds},
+      {"--drop", &cfg.fault.drop_probability},
+      {"--dup", &cfg.fault.duplicate_probability},
+      {"--torn-write", &cfg.fault.torn_write_probability},
+      {"--bit-flip", &cfg.fault.bit_flip_probability},
+      {"--queue-limit", &cfg.fault.server_queue_limit},
+      {"--retry-budget", &cfg.fault.retry_budget},
+      {"--retry-jitter", &cfg.fault.retry_jitter},
+      {"--rpc-timeout-ms", &cfg.fault.rpc_timeout_ms},
+      {"--lease-ms", &cfg.fault.lease_ms},
+      {"--idle-timeout-ms", &cfg.fault.xact_idle_timeout_ms},
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
+    ccsim::Status status;
     if (std::strcmp(arg, "--help") == 0) {
       PrintUsage();
       return 0;
     }
     if (std::strcmp(arg, "--list") == 0) {
-      for (const AlgorithmChoice& choice : kAlgorithms) {
+      for (const ccsim::config::AlgorithmChoice& choice :
+           ccsim::config::kAlgorithmChoices) {
         std::printf("%s\n", choice.name);
       }
       return 0;
     }
     if (std::strcmp(arg, "--csv") == 0) {
       csv = true;
+    } else if (ccsim::config::ParseNumberFlag(arg, number_flags)) {
+      continue;
     } else if (ParseValue(arg, "--algorithm", &value)) {
       algorithm_name = value;
-    } else if (ParseValue(arg, "--clients", &value)) {
-      cfg.system.num_clients = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--locality", &value)) {
-      cfg.transaction.inter_xact_loc = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--prob-write", &value)) {
-      cfg.transaction.prob_write = std::atof(value.c_str());
     } else if (ParseValue(arg, "--xact-size", &value)) {
       const std::size_t colon = value.find(':');
       if (colon == std::string::npos) {
@@ -537,35 +476,6 @@ int main(int argc, char** argv) {
           std::atoi(value.substr(colon + 1).c_str());
     } else if (ParseValue(arg, "--object-size", &value)) {
       cfg.database.object_size = {std::atoi(value.c_str())};
-    } else if (ParseValue(arg, "--cluster-factor", &value)) {
-      cfg.database.cluster_factor = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--update-delay", &value)) {
-      cfg.transaction.update_delay_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--internal-delay", &value)) {
-      cfg.transaction.internal_delay_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--external-delay", &value)) {
-      cfg.transaction.external_delay_s = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--server-mips", &value)) {
-      cfg.system.server_mips = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--client-mips", &value)) {
-      cfg.system.client_mips = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--net-delay-ms", &value)) {
-      cfg.system.net_delay_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--msg-cost", &value)) {
-      cfg.system.msg_cost_instr = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--data-disks", &value)) {
-      cfg.system.num_data_disks = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--log-disks", &value)) {
-      cfg.system.num_log_disks = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--cache-pages", &value)) {
-      cfg.system.client_cache_pages = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--buffer-pages", &value)) {
-      cfg.system.server_buffer_pages = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--mpl", &value)) {
-      cfg.system.mpl = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--seed", &value)) {
-      cfg.control.seed = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
     } else if (ParseValue(arg, "--warmup", &value)) {
       cfg.control.warmup_seconds = std::atof(value.c_str());
       warmup_flag = true;
@@ -575,30 +485,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--substrate wants sim or real\n");
         return 2;
       }
-    } else if (ParseValue(arg, "--duration", &value)) {
-      real_options.duration_seconds = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--shards", &value)) {
-      real_options.shards = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--commits", &value)) {
-      cfg.control.target_commits = static_cast<std::uint64_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-    } else if (ParseValue(arg, "--max-seconds", &value)) {
-      cfg.control.max_measure_seconds = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--drop", &value)) {
-      cfg.fault.drop_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--dup", &value)) {
-      cfg.fault.duplicate_probability = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--spike", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--spike wants P:MS\n");
+    } else if (ccsim::config::ParseFaultFlag(arg, &cfg.fault, &status)) {
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s\n", status.message().c_str());
         return 2;
       }
-      cfg.fault.delay_spike_probability =
-          std::atof(value.substr(0, colon).c_str());
-      cfg.fault.delay_spike_ms = std::atof(value.substr(colon + 1).c_str());
     } else if (ParseValue(arg, "--crash", &value)) {
       const std::size_t c1 = value.find(':');
       const std::size_t c2 =
@@ -612,56 +503,6 @@ int main(int argc, char** argv) {
       crash.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
       crash.downtime_s = std::atof(value.substr(c2 + 1).c_str());
       cfg.fault.crashes.push_back(crash);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--partition", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--partition wants NODE:AT:DUR[:DIR][:hard]\n");
-        return 2;
-      }
-      const std::size_t c3 = value.find(':', c2 + 1);
-      ccsim::config::FaultParams::PartitionEvent part;
-      part.node = std::atoi(value.substr(0, c1).c_str());
-      part.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      part.duration_s = std::atof(value.substr(c2 + 1, c3 - c2 - 1).c_str());
-      for (std::size_t pos = c3; pos != std::string::npos;) {
-        const std::size_t next = value.find(':', pos + 1);
-        const std::string token = value.substr(
-            pos + 1,
-            next == std::string::npos ? std::string::npos : next - pos - 1);
-        if (token == "both") {
-          part.direction = 0;
-        } else if (token == "in") {
-          part.direction = 1;
-        } else if (token == "out") {
-          part.direction = 2;
-        } else if (token == "hard") {
-          part.hard = true;
-        } else {
-          std::fprintf(stderr,
-                       "--partition DIR wants both|in|out (optionally "
-                       "followed by :hard)\n");
-          return 2;
-        }
-        pos = next;
-      }
-      cfg.fault.partitions.push_back(part);
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--torn-write", &value)) {
-      cfg.fault.torn_write_probability = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--bit-flip", &value)) {
-      cfg.fault.bit_flip_probability = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--queue-limit", &value)) {
-      cfg.fault.server_queue_limit = std::atoi(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--retry-budget", &value)) {
-      cfg.fault.retry_budget = std::atoi(value.c_str());
-      cfg.fault.recovery_enabled = true;
-    } else if (ParseValue(arg, "--retry-jitter", &value)) {
-      cfg.fault.retry_jitter = std::atof(value.c_str());
-      cfg.fault.recovery_enabled = true;
     } else if (ParseValue(arg, "--chaos-soak", &value)) {
       chaos_soak = std::atoi(value.c_str());
       if (chaos_soak < 1) {
@@ -672,12 +513,6 @@ int main(int argc, char** argv) {
       cfg.fault.recovery_enabled = true;
     } else if (std::strcmp(arg, "--check") == 0) {
       cfg.checker.enabled = true;
-    } else if (ParseValue(arg, "--rpc-timeout-ms", &value)) {
-      cfg.fault.rpc_timeout_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--lease-ms", &value)) {
-      cfg.fault.lease_ms = std::atof(value.c_str());
-    } else if (ParseValue(arg, "--idle-timeout-ms", &value)) {
-      cfg.fault.xact_idle_timeout_ms = std::atof(value.c_str());
     } else if (ParseValue(arg, "--jobs", &value)) {
       jobs = std::atoi(value.c_str());
       if (jobs < 1) {
@@ -708,20 +543,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool found = false;
-  for (const AlgorithmChoice& choice : kAlgorithms) {
-    if (algorithm_name == choice.name) {
-      cfg.algorithm.algorithm = choice.algorithm;
-      cfg.algorithm.caching = choice.caching;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
+  if (!ccsim::config::SelectAlgorithm(algorithm_name, &cfg.algorithm).ok()) {
     std::fprintf(stderr, "unknown algorithm '%s' (see --list)\n",
                  algorithm_name.c_str());
     return 2;
   }
+  cfg.fault.recovery_enabled |= cfg.fault.NeedsRecovery();
 
   const bool real_substrate = substrate_name == "real";
   if (real_substrate) {
@@ -810,13 +637,6 @@ int main(int argc, char** argv) {
   std::printf("percentiles        : p50 %.4f s, p90 %.4f s, p99 %.4f s\n",
               r.response_p50_s, r.response_p90_s, r.response_p99_s);
   std::printf("throughput         : %.2f commits/s\n", r.throughput_tps);
-  std::printf("commits / aborts   : %llu / %llu (deadlock %llu, stale "
-              "%llu, cert %llu)\n",
-              static_cast<unsigned long long>(r.commits),
-              static_cast<unsigned long long>(r.aborts),
-              static_cast<unsigned long long>(r.deadlock_aborts),
-              static_cast<unsigned long long>(r.stale_aborts),
-              static_cast<unsigned long long>(r.cert_aborts));
   if (real_substrate) {
     const std::uint64_t finished = r.commits + r.aborts;
     std::printf("conservation       : %llu attempts started, %llu in flight "
@@ -834,53 +654,6 @@ int main(int argc, char** argv) {
               r.client_cpu_util);
   std::printf("hit ratios         : client cache %.2f, server buffer %.2f\n",
               r.client_hit_ratio, r.server_buffer_hit_ratio);
-  std::printf("messages (packets) : %llu (%llu)\n",
-              static_cast<unsigned long long>(r.messages),
-              static_cast<unsigned long long>(r.packets));
-  if (cfg.fault.recovery_enabled) {
-    std::printf("faults             : dropped %llu, duplicated %llu, "
-                "spikes %llu, down-drops %llu\n",
-                static_cast<unsigned long long>(r.messages_dropped),
-                static_cast<unsigned long long>(r.messages_duplicated),
-                static_cast<unsigned long long>(r.delay_spikes),
-                static_cast<unsigned long long>(r.down_drops));
-    std::printf("recovery           : retries %llu, timeouts %llu "
-                "(aborts %llu), crash aborts %llu, lease exp %llu\n",
-                static_cast<unsigned long long>(r.rpc_retries),
-                static_cast<unsigned long long>(r.rpc_timeouts),
-                static_cast<unsigned long long>(r.timeout_aborts),
-                static_cast<unsigned long long>(r.crash_aborts),
-                static_cast<unsigned long long>(r.lease_expirations));
-    std::printf("                   : dup-suppressed %llu, gc %llu, "
-                "crashes %llu+%llu, recovery %.3f s, lost %llu, "
-                "unknown %llu\n",
-                static_cast<unsigned long long>(r.duplicates_suppressed),
-                static_cast<unsigned long long>(r.gc_xacts),
-                static_cast<unsigned long long>(r.client_crashes),
-                static_cast<unsigned long long>(r.server_crashes),
-                r.recovery_seconds,
-                static_cast<unsigned long long>(r.transactions_lost),
-                static_cast<unsigned long long>(r.unknown_outcomes));
-    std::printf("degradation        : part-drops %llu, shed %llu, "
-                "budget-exhausted %llu, queue-hwm %llu, stuck %d\n",
-                static_cast<unsigned long long>(r.partition_drops),
-                static_cast<unsigned long long>(r.shed_requests),
-                static_cast<unsigned long long>(r.retry_budget_exhaustions),
-                static_cast<unsigned long long>(r.ready_queue_high_water),
-                r.stuck_clients);
-  }
-  if (cfg.fault.torn_write_probability > 0 ||
-      cfg.fault.bit_flip_probability > 0 || r.log_records_truncated > 0) {
-    std::printf("storage faults     : torn %llu, bit-flips %llu, rewrites "
-                "%llu, truncated %llu\n",
-                static_cast<unsigned long long>(r.log_torn_writes),
-                static_cast<unsigned long long>(r.log_bit_flips),
-                static_cast<unsigned long long>(r.log_rewrites),
-                static_cast<unsigned long long>(r.log_records_truncated));
-  }
-  if (r.oracle_enabled) {
-    std::printf("oracle             : %s\n",
-                ccsim::runner::OracleSummary(r).c_str());
-  }
+  std::printf("%s", ccsim::runner::CounterSummary(r).c_str());
   return exit_code;
 }

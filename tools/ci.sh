@@ -3,6 +3,8 @@
 # in order:
 #   1. the full tier-1 suite (every registered test),
 #   2. the chaos suite      (ctest -L chaos  — fault-injection survival),
+#      then the substrate and chaos suites repeated until-fail:20, so a
+#      test that fails on any one run fails CI,
 #   3. the oracle suite     (ctest -L oracle — serializability oracle +
 #                            invariant auditor, incl. the broken-protocol
 #                            negative control),
@@ -72,6 +74,10 @@ ctest --output-on-failure -j"$jobs"
 
 step "chaos suite (ctest -L chaos)"
 ctest -L chaos --output-on-failure -j"$jobs"
+
+step "flake gate (substrate + chaos suites, 20 repeats)"
+ctest --repeat until-fail:20 -L 'substrate|chaos' --output-on-failure \
+    -j"$jobs"
 
 step "oracle suite (ctest -L oracle)"
 ctest -L oracle --output-on-failure -j"$jobs"
