@@ -50,6 +50,12 @@ struct MmcCase {
   double rho;  // offered utilization per server
 };
 
+// Static storage, so the padding between the members is zero: gtest prints
+// the raw bytes of each case into the discovered test name, and cases built
+// as temporaries would carry whatever was on the stack.
+constexpr MmcCase kLoadLevels[] = {{1, 0.3}, {1, 0.5}, {1, 0.7}, {1, 0.8},
+                                   {2, 0.5}, {2, 0.7}, {4, 0.7}};
+
 class MmcQueueTest : public ::testing::TestWithParam<MmcCase> {};
 
 TEST_P(MmcQueueTest, SojournMatchesTheory) {
@@ -99,9 +105,7 @@ TEST_P(MmcQueueTest, SojournMatchesTheory) {
 
 INSTANTIATE_TEST_SUITE_P(
     LoadLevels, MmcQueueTest,
-    ::testing::Values(MmcCase{1, 0.3}, MmcCase{1, 0.5}, MmcCase{1, 0.7},
-                      MmcCase{1, 0.8}, MmcCase{2, 0.5}, MmcCase{2, 0.7},
-                      MmcCase{4, 0.7}),
+    ::testing::ValuesIn(kLoadLevels),
     [](const ::testing::TestParamInfo<MmcCase>& info) {
       char name[32];
       std::snprintf(name, sizeof(name), "c%d_rho%d", info.param.servers,
