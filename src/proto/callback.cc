@@ -1,9 +1,6 @@
 #include "proto/callback.h"
 
-#include <algorithm>
 #include <utility>
-
-#include <cstdlib>
 
 #include "check/checker.h"
 #include "util/macros.h"
@@ -12,94 +9,51 @@ namespace ccsim::proto {
 
 // --- client ---
 
-sim::Task<bool> CallbackClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> check;
-  std::vector<std::uint64_t> check_versions;
-  std::vector<db::PageId> fetch;
-  for (db::PageId page : step.read_pages) {
-    client::CachedPage* entry = c_.cache().Touch(page);
-    if (entry == nullptr) {
-      c_.cache().RecordMiss();
-      fetch.push_back(page);
-      continue;
-    }
-    if (entry->lock != client::PageLock::kNone) {
-      c_.cache().RecordHit();
-      c_.cache().Pin(page);
-      continue;
-    }
-    if (entry->retained) {
-      if (entry->lease_until != 0 &&
-          c_.simulator().Now() > entry->lease_until) {
-        // Recovery mode: the lease ran out, so a lost callback may have
-        // let the server force-release this lock behind our back. Stop
-        // trusting it and re-validate with the server like an ordinary
-        // cached copy.
-        c_.metrics().Count(runner::Counter::lease_expirations);
-        entry->retained = false;
-        entry->retained_x = false;
-        entry->lease_until = 0;
-      } else {
-        // The whole point of callback locking: a retained lock guarantees
-        // validity, so the read needs no server contact at all.
-        if (check::Checker* checker = c_.metrics().checker()) {
-          checker->OnTrustedLocalRead(c_.id(), page, entry->version,
-                                      /*retained_lock=*/true,
-                                      entry->lease_until,
-                                      c_.simulator().Now(),
-                                      /*fault_free=*/!c_.resilient());
-        }
-        entry->lock = (retain_write_locks_ && entry->retained_x)
-                          ? client::PageLock::kExclusive
-                          : client::PageLock::kShared;
-        c_.cache().RecordHit();
-        c_.cache().Pin(page);
-        continue;
-      }
-    }
-    check.push_back(page);
-    check_versions.push_back(entry->version);
-    c_.cache().Pin(page);
+bool CallbackClient::ReadLocally(db::PageId page,
+                                 client::CachedPage& entry) {
+  if (!entry.retained) {
+    return false;
   }
-
-  if (!check.empty() || !fetch.empty()) {
-    if (!co_await ReadThroughServer(check, check_versions, fetch)) {
-      co_return false;
-    }
-    for (db::PageId page : step.read_pages) {
-      client::CachedPage* entry = c_.cache().Find(page);
-      CCSIM_CHECK(entry != nullptr);
-      if (entry->lock == client::PageLock::kNone) {
-        entry->lock = client::PageLock::kShared;
-      }
-      c_.cache().Pin(page);
-    }
+  if (entry.lease_until != 0 && c_.simulator().Now() > entry.lease_until) {
+    // Recovery mode: the lease ran out, so a lost callback may have let the
+    // server force-release this lock behind our back. Stop trusting it and
+    // re-validate with the server like an ordinary cached copy.
+    c_.metrics().Count(runner::Counter::lease_expirations);
+    entry.retained = false;
+    entry.retained_x = false;
+    entry.lease_until = 0;
+    return false;
   }
-  co_await c_.ChargePageProcessing(static_cast<int>(step.read_pages.size()));
-  co_return !c_.abort_flag();
+  // The whole point of callback locking: a retained lock guarantees
+  // validity, so the read needs no server contact at all.
+  if (check::Checker* checker = c_.metrics().checker()) {
+    checker->OnTrustedLocalRead(c_.id(), page, entry.version,
+                                /*retained_lock=*/true, entry.lease_until,
+                                c_.simulator().Now(),
+                                /*fault_free=*/!c_.resilient());
+  }
+  entry.lock = (retain_write_locks_ && entry.retained_x)
+                   ? client::PageLock::kExclusive
+                   : client::PageLock::kShared;
+  c_.cache().RecordHit();
+  c_.cache().Pin(page);
+  return true;
 }
 
-sim::Task<bool> CallbackClient::Commit(const workload::TransactionSpec& spec) {
-  (void)spec;
-  net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
-  request.evicted_pages = TakeEvictNotices();
+sim::Task<bool> CallbackClient::Commit() {
   // Reads served purely from retained locks never contacted the server;
   // report them so the commit-time serializability oracle covers them.
+  net::Message request;
   c_.cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {
     if (entry.lock != client::PageLock::kNone && c_.cache().IsPinned(page)) {
       request.read_set.push_back(page);
       request.read_versions.push_back(entry.version);
     }
   });
-  net::Message reply = co_await c_.Rpc(std::move(request));
+  const net::Message reply = co_await CommitThroughServer(std::move(request));
   if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
     co_return false;
   }
-  ApplyCommitReply(reply);
   // The server converted this transaction's locks into retained locks,
   // except the pages it released to queued waiters.
   const std::int64_t lease_until =
@@ -127,9 +81,6 @@ sim::Task<bool> CallbackClient::Commit(const workload::TransactionSpec& spec) {
 
 sim::Task<void> CallbackClient::OnAttemptEnd(bool committed) {
   if (!committed) {
-    for (db::PageId page : c_.cache().DirtyPages()) {
-      c_.cache().Erase(page);
-    }
     // The server released every lock the aborted transaction held,
     // including absorbed retained locks: those pages are no longer
     // protected.
@@ -141,26 +92,21 @@ sim::Task<void> CallbackClient::OnAttemptEnd(bool committed) {
       }
     });
   }
-  for (db::PageId page : c_.TakePendingStale()) {
-    c_.cache().Erase(page);
-  }
   // Deferred callbacks: the transaction is over, relinquish now.
-  if (!deferred_callbacks_.empty()) {
-    net::Message release;
-    release.type = net::MsgType::kCallbackRelease;
-    release.xact = 0;
-    for (db::PageId page : deferred_callbacks_) {
-      release.pages.push_back(page);
-      client::CachedPage* entry = c_.cache().Find(page);
-      if (entry != nullptr) {
-        entry->retained = false;
-      }
+  net::Message release;
+  release.type = net::MsgType::kCallbackRelease;
+  release.xact = 0;
+  for (db::PageId page : deferred_callbacks_) {
+    release.pages.push_back(page);
+    client::CachedPage* entry = c_.cache().Find(page);
+    if (entry != nullptr) {
+      entry->retained = false;
     }
-    deferred_callbacks_.clear();
-    c_.cache().EndTransaction();
+  }
+  deferred_callbacks_.clear();
+  co_await TwoPhaseClient::OnAttemptEnd(committed);
+  if (!release.pages.empty()) {
     co_await c_.SendAsync(std::move(release));
-  } else {
-    c_.cache().EndTransaction();
   }
 }
 
@@ -198,9 +144,6 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
     if (in_use) {
       // Used by the current transaction: release at transaction end
       // (paper §2.3).
-      if (std::getenv("CCSIM_TRACE")) {
-        std::fprintf(stderr, "[cb] DEFER page=%d client=%d\n", page, c_.id());
-      }
       deferred_callbacks_.insert(page);
       continue;
     }
@@ -219,7 +162,7 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
 
 CallbackServer::CallbackServer(server::Server* server,
                                bool retain_write_locks)
-    : ServerProtocol(server), retain_write_locks_(retain_write_locks) {
+    : TwoPhaseServer(server), retain_write_locks_(retain_write_locks) {
   if (s_.resilient()) {
     lease_ticks_ = sim::MillisToTicks(s_.config().fault.lease_ms);
   }
@@ -232,11 +175,22 @@ CallbackServer::CallbackServer(server::Server* server,
   });
 }
 
-void CallbackServer::AbsorbRetained(const server::XactState& state,
-                                    db::PageId page) {
+void CallbackServer::BeforeAcquire(const server::XactState& state,
+                                   db::PageId page, lock::LockMode mode) {
+  // If the requesting client's own retained owner holds the page, move the
+  // lock to the transaction so it does not conflict with itself.
   const lock::OwnerId retained = lock::RetainedOwner(state.client);
   if (s_.locks().Holds(retained, page, lock::LockMode::kShared)) {
     s_.locks().TransferLock(retained, state.uid, page);
+  }
+  // Ask other clients retaining the page to give their locks back while we
+  // wait; a shared request conflicts only with retained exclusive locks.
+  // The callback sender is spawned so it runs *after* the Acquire that
+  // follows has put us in the wait queue: any commit that would re-retain
+  // the lock then sees a waiter and releases instead (no retained holder
+  // can appear behind the sender's back).
+  if (mode == lock::LockMode::kExclusive || retain_write_locks_) {
+    s_.simulator().Spawn(RequestCallbacks(state.client, page, mode));
   }
 }
 
@@ -257,15 +211,7 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
       continue;  // own retained lock is absorbed, not called back
     }
     if (!outstanding_callbacks_.insert({page, client}).second) {
-      if (std::getenv("CCSIM_TRACE")) {
-        std::fprintf(stderr, "[cb] SKIP dup callback page=%d client=%d\n",
-                     page, client);
-      }
       continue;  // already asked
-    }
-    if (std::getenv("CCSIM_TRACE")) {
-      std::fprintf(stderr, "[cb] SEND callback page=%d client=%d\n", page,
-                   client);
     }
     net::Message callback;
     callback.type = net::MsgType::kCallbackRequest;
@@ -296,9 +242,6 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
 void CallbackServer::HandleRetainedRelease(
     int client, std::span<const db::PageId> pages, bool drop_directory) {
   for (db::PageId page : pages) {
-    if (std::getenv("CCSIM_TRACE")) {
-      std::fprintf(stderr, "[cb] RELEASE page=%d client=%d\n", page, client);
-    }
     s_.locks().Release(lock::RetainedOwner(client), page);
     outstanding_callbacks_.erase({page, client});
     if (drop_directory) {
@@ -307,137 +250,40 @@ void CallbackServer::HandleRetainedRelease(
   }
 }
 
-sim::Process CallbackServer::Handle(net::Message msg) {
+void CallbackServer::OnMessage(const net::Message& msg) {
   if (!msg.evicted_pages.empty() && msg.src != net::kServerNode) {
     HandleRetainedRelease(msg.src, msg.evicted_pages,
                           /*drop_directory=*/true);
   }
-  switch (msg.type) {
-    case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
-      break;
-    case net::MsgType::kUpgradeRequest:
-      co_await HandleUpgrade(std::move(msg));
-      break;
-    case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
-      break;
-    case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(std::move(msg));
-      break;
-    case net::MsgType::kEvictNotice:
-      // A clean page with a retained lock left a client cache.
-      HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/true);
-      break;
-    case net::MsgType::kCallbackRelease:
-      // The client still caches the page; only the lock goes away.
-      HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/false);
-      break;
-    default:
-      break;
+  if (msg.type == net::MsgType::kEvictNotice) {
+    // A clean page with a retained lock left a client cache.
+    HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/true);
+  } else if (msg.type == net::MsgType::kCallbackRelease) {
+    // The client still caches the page; only the lock goes away.
+    HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/false);
   }
 }
 
-sim::Task<void> CallbackServer::HandleRead(net::Message msg) {
-  server::XactState* state = s_.FindXact(msg.xact);
-  CCSIM_CHECK(state != nullptr);
-  std::vector<db::PageId> all_pages(msg.pages.begin(), msg.pages.end());
-  all_pages.insert(all_pages.end(), msg.fetch_pages.begin(),
-                   msg.fetch_pages.end());
-  for (db::PageId page : all_pages) {
-    AbsorbRetained(*state, page);
-    if (retain_write_locks_) {
-      // Retained exclusive locks can block shared requests too. The sender
-      // runs after our Acquire below has enqueued.
-      s_.simulator().Spawn(
-          RequestCallbacks(state->client, page, lock::LockMode::kShared));
-    }
-    const lock::LockOutcome outcome =
-        co_await s_.locks().Acquire(state->uid, page, lock::LockMode::kShared);
-    if (outcome != lock::LockOutcome::kGranted) {
-      if (!state->aborted) {
-        co_await s_.AbortPipeline(*state);
-      }
-      co_await s_.ReplyAborted(msg, net::MsgType::kReadReply);
-      co_return;
-    }
-  }
-  co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
-}
-
-sim::Task<void> CallbackServer::HandleUpgrade(net::Message msg) {
-  server::XactState* state = s_.FindXact(msg.xact);
-  CCSIM_CHECK(state != nullptr);
-  for (db::PageId page : msg.pages) {
-    AbsorbRetained(*state, page);
-    // Ask other clients retaining the page to give their locks back while
-    // we wait for the exclusive grant. The callback sender is spawned so it
-    // runs *after* the Acquire below has put us in the wait queue: any
-    // commit that would re-retain the lock then sees a waiter and releases
-    // instead (no retained holder can appear behind the sender's back).
-    s_.simulator().Spawn(
-        RequestCallbacks(state->client, page, lock::LockMode::kExclusive));
-    const lock::LockOutcome outcome = co_await s_.locks().Acquire(
-        state->uid, page, lock::LockMode::kExclusive);
-    if (outcome != lock::LockOutcome::kGranted) {
-      if (!state->aborted) {
-        co_await s_.AbortPipeline(*state);
-      }
-      co_await s_.ReplyAborted(msg, net::MsgType::kUpgradeReply);
-      co_return;
-    }
-  }
-  net::Message reply;
-  reply.type = net::MsgType::kUpgradeReply;
-  co_await s_.Reply(msg, std::move(reply));
-}
-
-sim::Task<void> CallbackServer::HandleCommit(net::Message msg) {
-  server::XactState* state = s_.FindXact(msg.xact);
-  CCSIM_CHECK(state != nullptr);
-  if (state->aborted || state->done) {
-    // Only reachable with fault injection: the transaction was aborted
-    // (GC, crash) while this commit was queued or in flight.
-    CCSIM_CHECK(s_.resilient());
-    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply);
-    co_return;
-  }
-  // Reads served from retained locks enter the oracle read set; their
-  // retained locks protected them the whole time.
-  for (std::size_t i = 0; i < msg.read_set.size(); ++i) {
-    state->read_versions[msg.read_set[i]] = msg.read_versions[i];
-  }
-  co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
-                                   /*charge_cpu=*/true);
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
-  if (!s_.ValidateCommitForRecovery(*state, msg)) {
-    // Recovery mode: a lease force-release let a rival update a page this
-    // transaction read locally, or a dirty eviction never arrived.
-    co_await s_.RejectCommit(*state, msg);
-    co_return;
-  }
-  co_await s_.FinalizeCommit(*state, &reply);
-  // Lock disposition: the transaction's locks become retained locks of the
-  // client. Only read locks are retained (write locks are downgraded)
-  // unless the retain-write-locks ablation is on. Pages another
-  // transaction is already queued on are released outright — retaining
-  // them would stall the waiter forever, since its callback round already
-  // happened.
-  const lock::OwnerId retained = lock::RetainedOwner(state->client);
-  for (db::PageId page : s_.locks().PagesHeldBy(state->uid)) {
+void CallbackServer::DisposeLocks(const server::XactState& state,
+                                  net::Message* reply) {
+  // The transaction's locks become retained locks of the client. Only read
+  // locks are retained (write locks are downgraded) unless the
+  // retain-write-locks ablation is on. Pages another transaction is
+  // already queued on are released outright — retaining them would stall
+  // the waiter forever, since its callback round already happened.
+  const lock::OwnerId retained = lock::RetainedOwner(state.client);
+  for (db::PageId page : s_.locks().PagesHeldBy(state.uid)) {
     if (s_.locks().HasWaiters(page)) {
-      s_.locks().Release(state->uid, page);
-      reply.released_pages.push_back(page);
+      s_.locks().Release(state.uid, page);
+      reply->released_pages.push_back(page);
       continue;
     }
     if (!retain_write_locks_ &&
-        s_.locks().Holds(state->uid, page, lock::LockMode::kExclusive)) {
-      s_.locks().Downgrade(state->uid, page);
+        s_.locks().Holds(state.uid, page, lock::LockMode::kExclusive)) {
+      s_.locks().Downgrade(state.uid, page);
     }
-    s_.locks().TransferLock(state->uid, retained, page);
+    s_.locks().TransferLock(state.uid, retained, page);
   }
-  co_await s_.Reply(msg, std::move(reply));
 }
 
 void CallbackServer::OnCrash() {
@@ -458,15 +304,6 @@ void CallbackServer::OnClientReset(int client) {
       ++it;
     }
   }
-}
-
-sim::Task<void> CallbackServer::HandleDirtyEvict(net::Message msg) {
-  server::XactState* state = s_.FindXact(msg.xact);
-  if (state == nullptr || state->aborted || state->done) {
-    co_return;
-  }
-  co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
-                                   /*charge_cpu=*/true);
 }
 
 }  // namespace ccsim::proto

@@ -5,8 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "config/params.h"
-#include "proto/protocol.h"
+#include "proto/two_phase.h"
 
 namespace ccsim::proto {
 
@@ -21,11 +20,15 @@ namespace ccsim::proto {
 /// Per the paper only read locks are retained (write locks are downgraded
 /// to retained read locks at commit); `retain_write_locks` is the ablation
 /// that retains write locks too.
-class CallbackClient : public ClientProtocol {
+///
+/// Callback locking is 2PL whose locks outlive the transaction, so both
+/// halves subclass the 2PL ones and add only the retained-lock hooks.
+class CallbackClient : public TwoPhaseClient {
  public:
   CallbackClient(client::Client* client, bool retain_write_locks,
                  bool explicit_evict_notices)
-      : ClientProtocol(client), retain_write_locks_(retain_write_locks),
+      : TwoPhaseClient(client, config::CachingMode::kInterTransaction),
+        retain_write_locks_(retain_write_locks),
         explicit_evict_notices_(explicit_evict_notices) {}
 
   sim::Task<void> OnAttemptEnd(bool committed) override;
@@ -34,8 +37,9 @@ class CallbackClient : public ClientProtocol {
       client::ClientCache::EvictedList& victims) override;
 
  protected:
-  sim::Task<bool> ReadObject(const workload::Step& step) override;
-  sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
+  /// A retained lock whose lease holds serves the read locally.
+  bool ReadLocally(db::PageId page, client::CachedPage& entry) override;
+  sim::Task<bool> Commit() override;
 
   /// Drains the piggyback queue of retained-lock eviction notices.
   std::vector<db::PageId> TakeEvictNotices() override {
@@ -45,7 +49,6 @@ class CallbackClient : public ClientProtocol {
   }
 
  private:
-
   bool retain_write_locks_;
   bool explicit_evict_notices_;
   /// Called-back pages in use by the current transaction; released (with a
@@ -55,30 +58,35 @@ class CallbackClient : public ClientProtocol {
   std::vector<db::PageId> pending_evict_notices_;
 };
 
-/// Server half of callback locking: retained lock owners per client, lock
-/// absorption (retained -> transaction on first transactional touch),
-/// callback requests to conflicting retainers, and commit-time downgrade of
-/// transaction locks into retained locks.
-class CallbackServer : public ServerProtocol {
+/// Server half of callback locking: 2PL plus retained lock owners per
+/// client, lock absorption (retained -> transaction on first transactional
+/// touch), callback requests to conflicting retainers, and commit-time
+/// downgrade of transaction locks into retained locks.
+class CallbackServer : public TwoPhaseServer {
  public:
   CallbackServer(server::Server* server, bool retain_write_locks);
 
-
-  sim::Process Handle(net::Message msg) override;
   void OnCrash() override;
   void OnClientReset(int client) override;
 
+ protected:
+  /// Releases the retained locks a client gave up: eviction notices
+  /// (dedicated or piggybacked) and callback releases.
+  void OnMessage(const net::Message& msg) override;
+
+  /// Absorbs the requester's own retained lock and calls back the
+  /// conflicting retained locks of other clients.
+  void BeforeAcquire(const server::XactState& state, db::PageId page,
+                     lock::LockMode mode) override;
+
+  /// Turns the committed transaction's locks into retained locks of its
+  /// client, except those another transaction waits for.
+  void DisposeLocks(const server::XactState& state,
+                    net::Message* reply) override;
+
  private:
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleUpgrade(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
-  sim::Task<void> HandleDirtyEvict(net::Message msg);
   void HandleRetainedRelease(int client, std::span<const db::PageId> pages,
                              bool drop_directory);
-
-  /// If the requesting client's own retained owner holds the page, move the
-  /// lock to the transaction so it does not conflict with itself.
-  void AbsorbRetained(const server::XactState& state, db::PageId page);
 
   /// Spawned after the requesting transaction has *enqueued* its lock wait:
   /// sends callback requests to every other client retaining the page with

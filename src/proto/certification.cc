@@ -60,50 +60,40 @@ sim::Task<bool> CertificationClient::UpdateObject(const workload::Step& step) {
   co_return !c_.abort_flag();
 }
 
-sim::Task<bool> CertificationClient::Commit(
-    const workload::TransactionSpec& spec) {
-  (void)spec;
+sim::Task<bool> CertificationClient::Commit() {
   net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
   for (const auto& [page, version] : read_set_) {
     request.read_set.push_back(page);
     request.read_versions.push_back(version);
   }
-  net::Message reply = co_await c_.Rpc(std::move(request));
+  const net::Message reply = co_await CommitThroughServer(std::move(request));
   if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
     c_.set_last_abort_kind(runner::AbortKind::kCertification);
     co_return false;
   }
-  ApplyCommitReply(reply);
   co_return true;
 }
 
 sim::Task<void> CertificationClient::OnAttemptEnd(bool committed) {
   if (!committed) {
     // Deferred updates lived in a private buffer; the cached pages still
-    // hold their committed images and stay valid at their versions.
+    // hold their committed images and stay valid at their versions, so
+    // they are kept (clean) rather than dropped.
     for (db::PageId page : c_.cache().DirtyPages()) {
       c_.cache().Find(page)->dirty = false;
     }
   }
-  for (db::PageId page : c_.TakePendingStale()) {
-    c_.cache().Erase(page);
-  }
-  c_.cache().EndTransaction();
   read_set_.clear();
-  co_return;
+  co_await ClientProtocol::OnAttemptEnd(committed);
 }
 
 sim::Process CertificationServer::Handle(net::Message msg) {
   switch (msg.type) {
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      co_await HandleRead(msg);
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(msg);
       break;
     case net::MsgType::kDirtyEvict: {
       // An updated page left the client cache early: stage it in the
@@ -121,21 +111,17 @@ sim::Process CertificationServer::Handle(net::Message msg) {
   }
 }
 
-sim::Task<void> CertificationServer::HandleRead(net::Message msg) {
+sim::Task<void> CertificationServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   // Certification records its read set at commit time, not here.
   co_await s_.AnswerRead(*state, msg, /*record_reads=*/false);
 }
 
-sim::Task<void> CertificationServer::HandleCommit(net::Message msg) {
+sim::Task<void> CertificationServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
-  if (state->aborted || state->done) {
-    // Only reachable with fault injection: the transaction was aborted
-    // (GC, crash) while this commit was queued or in flight.
-    CCSIM_CHECK(s_.resilient());
-    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply);
+  if (co_await s_.RefuseDeadCommit(*state, msg)) {
     co_return;
   }
   // Backward validation: all read versions must still be current.

@@ -32,7 +32,7 @@ class CertificationClient : public ClientProtocol {
  protected:
   sim::Task<bool> ReadObject(const workload::Step& step) override;
   sim::Task<bool> UpdateObject(const workload::Step& step) override;
-  sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
+  sim::Task<bool> Commit() override;
 
  private:
   bool intra_;
@@ -54,8 +54,8 @@ class CertificationServer : public ServerProtocol {
   sim::Process Handle(net::Message msg) override;
 
  private:
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleCommit(const net::Message& msg);
 
   const bool skip_validation_;
 };

@@ -123,12 +123,8 @@ sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
   co_return !c_.abort_flag();
 }
 
-sim::Task<bool> NoWaitClient::Commit(const workload::TransactionSpec& spec) {
-  (void)spec;
+sim::Task<bool> NoWaitClient::Commit() {
   net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
   if (c_.resilient()) {
     // A fire-and-forget lock request may have been dropped, leaving a read
     // neither locked nor validated; the commit-time backward validation
@@ -138,13 +134,8 @@ sim::Task<bool> NoWaitClient::Commit(const workload::TransactionSpec& spec) {
       request.read_versions.push_back(version);
     }
   }
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
-    co_return false;
-  }
-  ApplyCommitReply(reply);
-  co_return true;
+  const net::Message reply = co_await CommitThroughServer(std::move(request));
+  co_return !reply.aborted;
 }
 
 sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
@@ -157,16 +148,16 @@ sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
 sim::Process NoWaitServer::Handle(net::Message msg) {
   switch (msg.type) {
     case net::MsgType::kNoWaitLock:
-      co_await HandleNoWaitLock(std::move(msg));
+      co_await HandleNoWaitLock(msg);
       break;
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      co_await HandleRead(msg);
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(msg);
       break;
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(std::move(msg));
+      co_await HandleDirtyEvict(msg);
       break;
     default:
       break;
@@ -187,7 +178,7 @@ sim::Task<void> NoWaitServer::AbortWithNotice(server::XactState& state) {
   co_await s_.Send(std::move(notice));
 }
 
-sim::Task<void> NoWaitServer::HandleNoWaitLock(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleNoWaitLock(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   ++state->pending_async;
@@ -223,7 +214,7 @@ sim::Task<void> NoWaitServer::HandleNoWaitLock(net::Message msg) {
   }
 }
 
-sim::Task<void> NoWaitServer::HandleRead(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   for (db::PageId page : msg.fetch_pages) {
@@ -248,7 +239,7 @@ sim::Task<void> NoWaitServer::HandleRead(net::Message msg) {
   co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
 }
 
-sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   // The client may commit only after every outstanding request has been
@@ -289,7 +280,7 @@ sim::Task<void> NoWaitServer::HandleCommit(net::Message msg) {
   }
 }
 
-sim::Task<void> NoWaitServer::HandleDirtyEvict(net::Message msg) {
+sim::Task<void> NoWaitServer::HandleDirtyEvict(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   if (state == nullptr || state->aborted || state->done) {
     co_return;

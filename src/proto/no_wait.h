@@ -24,7 +24,7 @@ class NoWaitClient : public ClientProtocol {
  protected:
   sim::Task<bool> ReadObject(const workload::Step& step) override;
   sim::Task<bool> UpdateObject(const workload::Step& step) override;
-  sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
+  sim::Task<bool> Commit() override;
 
  private:
   /// Recovery mode: version of every page at the moment this attempt first
@@ -48,10 +48,10 @@ class NoWaitServer : public ServerProtocol {
   sim::Process Handle(net::Message msg) override;
 
  private:
-  sim::Task<void> HandleNoWaitLock(net::Message msg);
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
-  sim::Task<void> HandleDirtyEvict(net::Message msg);
+  sim::Task<void> HandleNoWaitLock(const net::Message& msg);
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleCommit(const net::Message& msg);
+  sim::Task<void> HandleDirtyEvict(const net::Message& msg);
 
   /// Aborts the transaction server-side and sends the asynchronous abort
   /// notice (with the stale pages collected so far). No-op when already

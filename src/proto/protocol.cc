@@ -31,40 +31,7 @@ sim::Task<bool> ClientProtocol::RunAttempt(
   if (c_.abort_flag()) {
     co_return false;
   }
-  co_return co_await Commit(spec);
-}
-
-sim::Task<bool> ClientProtocol::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
-  for (db::PageId page : step.write_pages) {
-    client::CachedPage* entry = c_.cache().Find(page);
-    CCSIM_CHECK(entry != nullptr);  // the preceding read pinned it
-    if (entry->lock != client::PageLock::kExclusive) {
-      upgrade.push_back(page);
-    }
-  }
-  if (!upgrade.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kUpgradeRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = upgrade;
-    request.evicted_pages = TakeEvictNotices();
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
-      co_return false;
-    }
-    for (db::PageId page : upgrade) {
-      c_.cache().Find(page)->lock = client::PageLock::kExclusive;
-    }
-  }
-  for (db::PageId page : step.write_pages) {
-    c_.cache().Find(page)->dirty = true;
-    c_.NoteUpdated(page);
-  }
-  co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
-  co_return !c_.abort_flag();
+  co_return co_await Commit();
 }
 
 sim::Task<bool> ClientProtocol::ReadThroughServer(
@@ -109,7 +76,25 @@ sim::Task<bool> ClientProtocol::ReadThroughServer(
   co_return true;
 }
 
-void ClientProtocol::ApplyCommitReply(const net::Message& reply) {
+sim::Task<bool> ClientProtocol::Commit() {
+  // A named request, not `{}`: GCC 12 destroys a temporary argument of a
+  // co_awaited coroutine call before the callee is done with it.
+  net::Message request;
+  const net::Message reply = co_await CommitThroughServer(std::move(request));
+  co_return !reply.aborted;
+}
+
+sim::Task<net::Message> ClientProtocol::CommitThroughServer(
+    net::Message request) {
+  request.type = net::MsgType::kCommitRequest;
+  request.xact = c_.current_xact();
+  request.data_pages = c_.cache().DirtyPages();
+  request.evicted_pages = TakeEvictNotices();
+  net::Message reply = co_await c_.Rpc(std::move(request));
+  if (reply.aborted) {
+    c_.NoteAbort(c_.current_xact(), reply.pages);
+    co_return reply;
+  }
   for (std::size_t i = 0; i < reply.pages.size(); ++i) {
     client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
     if (entry != nullptr) {
@@ -117,6 +102,7 @@ void ClientProtocol::ApplyCommitReply(const net::Message& reply) {
       entry->dirty = false;
     }
   }
+  co_return reply;
 }
 
 sim::Task<void> ClientProtocol::OnAttemptEnd(bool committed) {

@@ -42,9 +42,8 @@ class ClientProtocol {
   /// Handles an asynchronous (non-reply) server message. The default
   /// understands kAbortNotice and kUpdatePropagation; algorithm-specific
   /// messages are handled in overrides.
-  /// Both handlers take lvalue references: every call site owns the
-  /// argument and co_awaits the handler to completion, so the reference
-  /// outlives the coroutine and the old by-value copies were pure waste.
+  /// Both handlers take references: every call site owns the argument and
+  /// co_awaits the handler to completion.
   virtual sim::Task<void> HandleAsync(net::Message& msg);
 
   /// Eviction side effects for pages pushed out of the client cache: dirty
@@ -55,11 +54,10 @@ class ClientProtocol {
 
  protected:
   virtual sim::Task<bool> ReadObject(const workload::Step& step) = 0;
-  /// The default is the locking update of 2PL and callback locking: one
-  /// round trip upgrades every written page not yet held exclusively,
-  /// then the pages are updated in place.
-  virtual sim::Task<bool> UpdateObject(const workload::Step& step);
-  virtual sim::Task<bool> Commit(const workload::TransactionSpec& spec) = 0;
+  virtual sim::Task<bool> UpdateObject(const workload::Step& step) = 0;
+  /// The default sends a bare commit request; protocols that ship more
+  /// with it override and call CommitThroughServer themselves.
+  virtual sim::Task<bool> Commit();
 
   /// Eviction notices to piggyback on the next request (callback
   /// locking's retained locks); none by default.
@@ -73,9 +71,12 @@ class ClientProtocol {
                                     const std::vector<std::uint64_t>& versions,
                                     const std::vector<db::PageId>& fetch);
 
-  /// Stamps the versions a commit reply installed on the cached pages and
-  /// marks them clean.
-  void ApplyCommitReply(const net::Message& reply);
+  /// The commit round trip of every protocol. `request` carries the
+  /// protocol's own fields (read sets); this adds the type, the attempt,
+  /// the dirty pages and any eviction notices. An aborted reply is noted;
+  /// a successful one stamps its installed versions on the cached pages
+  /// and marks them clean. Returns the reply.
+  sim::Task<net::Message> CommitThroughServer(net::Message request);
 
   client::Client& c_;
 };
@@ -92,7 +93,8 @@ class ServerProtocol {
 
   /// Handles one dispatched message; spawned as its own process so handlers
   /// for different messages interleave (and block independently on locks,
-  /// disks, and the CPU).
+  /// disks, and the CPU). The process owns `msg`; the sub-handlers it
+  /// co_awaits borrow it by reference.
   virtual sim::Process Handle(net::Message msg) = 0;
 
   /// Recovery mode: the server crashed; algorithm-private volatile state

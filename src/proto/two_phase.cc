@@ -1,6 +1,5 @@
 #include "proto/two_phase.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/macros.h"
@@ -25,6 +24,9 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
       c_.cache().Pin(page);
       continue;
     }
+    if (ReadLocally(page, *entry)) {
+      continue;
+    }
     check.push_back(page);
     check_versions.push_back(entry->version);
     c_.cache().Pin(page);
@@ -47,105 +49,124 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
   co_return !c_.abort_flag();
 }
 
-sim::Task<bool> TwoPhaseClient::Commit(const workload::TransactionSpec& spec) {
-  (void)spec;
-  net::Message request;
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
-    co_return false;
+sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
+  std::vector<db::PageId> upgrade;
+  for (db::PageId page : step.write_pages) {
+    client::CachedPage* entry = c_.cache().Find(page);
+    CCSIM_CHECK(entry != nullptr);  // the preceding read pinned it
+    if (entry->lock != client::PageLock::kExclusive) {
+      upgrade.push_back(page);
+    }
   }
-  ApplyCommitReply(reply);
-  co_return true;
+  if (!upgrade.empty()) {
+    net::Message request;
+    request.type = net::MsgType::kUpgradeRequest;
+    request.xact = c_.current_xact();
+    request.mode = lock::LockMode::kExclusive;
+    request.pages = upgrade;
+    request.evicted_pages = TakeEvictNotices();
+    net::Message reply = co_await c_.Rpc(std::move(request));
+    if (reply.aborted) {
+      c_.NoteAbort(c_.current_xact(), reply.pages);
+      co_return false;
+    }
+    for (db::PageId page : upgrade) {
+      c_.cache().Find(page)->lock = client::PageLock::kExclusive;
+    }
+  }
+  for (db::PageId page : step.write_pages) {
+    c_.cache().Find(page)->dirty = true;
+    c_.NoteUpdated(page);
+  }
+  co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
+  co_return !c_.abort_flag();
 }
 
 sim::Process TwoPhaseServer::Handle(net::Message msg) {
+  OnMessage(msg);
   switch (msg.type) {
     case net::MsgType::kReadRequest:
-      co_await HandleRead(std::move(msg));
+      if (server::XactState* state = co_await LockOrAbort(
+              msg, lock::LockMode::kShared, net::MsgType::kReadReply)) {
+        // With the locks held, validate the cached versions; stale copies
+        // are re-read and shipped fresh.
+        co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
+      }
       break;
     case net::MsgType::kUpgradeRequest:
-      co_await HandleUpgrade(std::move(msg));
+      if (co_await LockOrAbort(msg, lock::LockMode::kExclusive,
+                               net::MsgType::kUpgradeReply) != nullptr) {
+        net::Message reply;
+        reply.type = net::MsgType::kUpgradeReply;
+        co_await s_.Reply(msg, std::move(reply));
+      }
       break;
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(std::move(msg));
+      co_await HandleCommit(msg);
       break;
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(std::move(msg));
+      co_await HandleDirtyEvict(msg);
       break;
     default:
-      break;  // no other message types under 2PL
+      break;  // other message types are OnMessage's
   }
 }
 
-sim::Task<void> TwoPhaseServer::HandleRead(net::Message msg) {
-  server::XactState* state = s_.FindXact(msg.xact);
+sim::Task<server::XactState*> TwoPhaseServer::LockOrAbort(
+    const net::Message& request, lock::LockMode mode,
+    net::MsgType reply_type) {
+  server::XactState* state = s_.FindXact(request.xact);
   CCSIM_CHECK(state != nullptr);
-  std::vector<db::PageId> all_pages(msg.pages.begin(), msg.pages.end());
-  all_pages.insert(all_pages.end(), msg.fetch_pages.begin(),
-                   msg.fetch_pages.end());
-  for (db::PageId page : all_pages) {
-    const lock::LockOutcome outcome =
-        co_await s_.locks().Acquire(state->uid, page, msg.mode);
-    if (outcome != lock::LockOutcome::kGranted) {
-      if (!state->aborted) {
-        co_await s_.AbortPipeline(*state);
+  const net::PageList* const lists[] = {&request.pages, &request.fetch_pages};
+  for (const net::PageList* pages : lists) {
+    for (db::PageId page : *pages) {
+      BeforeAcquire(*state, page, mode);
+      const lock::LockOutcome outcome =
+          co_await s_.locks().Acquire(state->uid, page, mode);
+      if (outcome != lock::LockOutcome::kGranted) {
+        if (!state->aborted) {
+          co_await s_.AbortPipeline(*state);
+        }
+        co_await s_.ReplyAborted(request, reply_type);
+        co_return nullptr;
       }
-      co_await s_.ReplyAborted(msg, net::MsgType::kReadReply);
-      co_return;
     }
   }
-  // With the locks held, validate the cached versions; stale copies are
-  // re-read and shipped fresh.
-  co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
+  co_return state;
 }
 
-sim::Task<void> TwoPhaseServer::HandleUpgrade(net::Message msg) {
+sim::Task<void> TwoPhaseServer::HandleCommit(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
-  for (db::PageId page : msg.pages) {
-    const lock::LockOutcome outcome = co_await s_.locks().Acquire(
-        state->uid, page, lock::LockMode::kExclusive);
-    if (outcome != lock::LockOutcome::kGranted) {
-      if (!state->aborted) {
-        co_await s_.AbortPipeline(*state);
-      }
-      co_await s_.ReplyAborted(msg, net::MsgType::kUpgradeReply);
-      co_return;
-    }
-  }
-  net::Message reply;
-  reply.type = net::MsgType::kUpgradeReply;
-  co_await s_.Reply(msg, std::move(reply));
-}
-
-sim::Task<void> TwoPhaseServer::HandleCommit(net::Message msg) {
-  server::XactState* state = s_.FindXact(msg.xact);
-  CCSIM_CHECK(state != nullptr);
-  if (state->aborted || state->done) {
-    // Only reachable with fault injection: the transaction was aborted
-    // (GC, crash) while this commit was queued or in flight.
-    CCSIM_CHECK(s_.resilient());
-    co_await s_.ReplyAborted(msg, net::MsgType::kCommitReply);
+  if (co_await s_.RefuseDeadCommit(*state, msg)) {
     co_return;
+  }
+  // Reads the client served under retained locks (callback locking) never
+  // reached the server; they join the oracle read set here.
+  for (std::size_t i = 0; i < msg.read_set.size(); ++i) {
+    state->read_versions[msg.read_set[i]] = msg.read_versions[i];
   }
   co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
                                    /*charge_cpu=*/true);
   net::Message reply;
   reply.type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
+    // Recovery mode: a dirty eviction never arrived, or (callback locking)
+    // a lease force-release let a rival update a page read locally.
     co_await s_.RejectCommit(*state, msg);
     co_return;
   }
   co_await s_.FinalizeCommit(*state, &reply);
-  s_.locks().ReleaseAll(state->uid);
+  DisposeLocks(*state, &reply);
   co_await s_.Reply(msg, std::move(reply));
 }
 
-sim::Task<void> TwoPhaseServer::HandleDirtyEvict(net::Message msg) {
+void TwoPhaseServer::DisposeLocks(const server::XactState& state,
+                                  net::Message* /*reply*/) {
+  s_.locks().ReleaseAll(state.uid);
+}
+
+sim::Task<void> TwoPhaseServer::HandleDirtyEvict(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   if (state == nullptr || state->aborted || state->done) {
     co_return;  // attempt already finished; the data is moot

@@ -28,7 +28,17 @@ class TwoPhaseClient : public ClientProtocol {
 
  protected:
   sim::Task<bool> ReadObject(const workload::Step& step) override;
-  sim::Task<bool> Commit(const workload::TransactionSpec& spec) override;
+  /// One round trip upgrades every written page not yet held exclusively,
+  /// then the pages are updated in place.
+  sim::Task<bool> UpdateObject(const workload::Step& step) override;
+
+  /// Serves a read of a cached page this transaction has not locked
+  /// without contacting the server; true when it did (and counted the hit
+  /// and pinned the page). 2PL always checks with the server.
+  virtual bool ReadLocally(db::PageId /*page*/,
+                           client::CachedPage& /*entry*/) {
+    return false;
+  }
 
  private:
   bool intra_;
@@ -42,11 +52,30 @@ class TwoPhaseServer : public ServerProtocol {
 
   sim::Process Handle(net::Message msg) override;
 
+ protected:
+  /// Bookkeeping every message gets before dispatch; none under 2PL.
+  virtual void OnMessage(const net::Message& /*msg*/) {}
+
+  /// Runs just before a read or upgrade requests its lock on `page`.
+  virtual void BeforeAcquire(const server::XactState& /*state*/,
+                             db::PageId /*page*/, lock::LockMode /*mode*/) {}
+
+  /// Lock disposition after a commit's versions are installed and its log
+  /// record forced; 2PL releases every lock.
+  virtual void DisposeLocks(const server::XactState& state,
+                            net::Message* reply);
+
  private:
-  sim::Task<void> HandleRead(net::Message msg);
-  sim::Task<void> HandleUpgrade(net::Message msg);
-  sim::Task<void> HandleCommit(net::Message msg);
-  sim::Task<void> HandleDirtyEvict(net::Message msg);
+  /// Locks the pages of a read or upgrade `request` in `mode`, in order,
+  /// and returns the attempt's state. On a refusal the attempt is aborted
+  /// (unless it already was), the request is answered with an aborted
+  /// `reply_type`, and the result is nullptr.
+  sim::Task<server::XactState*> LockOrAbort(const net::Message& request,
+                                            lock::LockMode mode,
+                                            net::MsgType reply_type);
+
+  sim::Task<void> HandleCommit(const net::Message& msg);
+  sim::Task<void> HandleDirtyEvict(const net::Message& msg);
 };
 
 }  // namespace ccsim::proto

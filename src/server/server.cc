@@ -138,6 +138,16 @@ sim::Task<void> Server::AnswerRead(XactState& state,
   co_await Reply(request, std::move(reply));
 }
 
+sim::Task<bool> Server::RefuseDeadCommit(const XactState& state,
+                                         const net::Message& request) {
+  if (!state.aborted && !state.done) {
+    co_return false;
+  }
+  CCSIM_CHECK(resilient_);
+  co_await ReplyAborted(request, net::MsgType::kCommitReply);
+  co_return true;
+}
+
 sim::Task<void> Server::RejectCommit(XactState& state,
                                      const net::Message& request) {
   std::vector<db::PageId> stale = std::move(state.stale_pages);

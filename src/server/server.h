@@ -198,6 +198,13 @@ class Server {
   /// (by GC or a crash) but that installed pages before noticing.
   void PurgeUncommitted(std::uint64_t uid) { pool_->AbortTransaction(uid); }
 
+  /// Answers with an aborted reply a commit whose attempt was aborted (GC,
+  /// crash) or finished while the commit was queued or in flight, which
+  /// only fault injection makes possible. False, answering nothing, when
+  /// the attempt is live.
+  sim::Task<bool> RefuseDeadCommit(const XactState& state,
+                                   const net::Message& request);
+
   /// Refuses a commit that failed ValidateCommitForRecovery: aborts the
   /// transaction if it is still live (else purges its uncommitted data)
   /// and answers `request` with an aborted reply listing the stale pages.

@@ -114,8 +114,8 @@ echo "== real substrate (2pl, 16 clients, 1 shard, TCP loopback, 3 s) ==" >&2
 "$ccsim_run" --substrate=real --algorithm=2pl --clients=16 --shards=1 \
   --duration=3 --update-delay=0 --internal-delay=0 --external-delay=0 --csv \
   >"$tmp/real.csv"
-real_tput=$(awk -F, 'NR==2{print $7}' "$tmp/real.csv")
-real_commits=$(awk -F, 'NR==2{print $8}' "$tmp/real.csv")
+real_tput=$("$repo_root/tools/csv_column.sh" "$tmp/real.csv" tput)
+real_commits=$("$repo_root/tools/csv_column.sh" "$tmp/real.csv" commits)
 
 old_baseline="$repo_root/BENCH_kernel.json"
 if [[ -f "$old_baseline" && "${CCSIM_BENCH_NO_GUARD:-0}" != "1" ]]; then

@@ -164,7 +164,8 @@ else
       --clients="$probe_clients" --shards="$probe_shards" \
       --duration="$probe_secs" --update-delay=0 --internal-delay=0 \
       --external-delay=0 --csv >"$build_dir/ci_real_probe.csv"
-  probe_tput=$(awk -F, 'NR==2{print $7}' "$build_dir/ci_real_probe.csv")
+  probe_tput=$("$repo_root/tools/csv_column.sh" \
+      "$build_dir/ci_real_probe.csv" tput)
   python3 - "$baseline_tput" "$probe_tput" "$tput_tolerance" <<'PYEOF'
 import sys
 baseline, probe, tolerance = map(float, sys.argv[1:4])
