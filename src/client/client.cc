@@ -95,25 +95,27 @@ void Client::NoteAbort(std::uint64_t xact, std::span<const db::PageId> stale) {
   pending_stale_.insert(pending_stale_.end(), stale.begin(), stale.end());
 }
 
-sim::Task<net::Message> Client::Rpc(net::Message msg) {
-  last_rpc_type_ = msg.type;
+sim::Task<net::MessagePtr> Client::Rpc(net::MessagePtr msg) {
+  last_rpc_type_ = msg->type;
   last_rpc_at_ = simulator_->Now();
-  msg.src = id_;
-  msg.dst = net::kServerNode;
-  msg.request_id = next_request_id_++;
+  msg->src = id_;
+  msg->dst = net::kServerNode;
+  msg->request_id = next_request_id_++;
   if (resilient_) {
-    msg.seq = next_seq_++;
-    msg.incarnation = incarnation_;
-    if (msg.type == net::MsgType::kCommitRequest) {
+    msg->seq = next_seq_++;
+    msg->incarnation = incarnation_;
+    if (msg->type == net::MsgType::kCommitRequest) {
       // Ship the full updated-set: the server refuses to commit unless it
       // holds an image of every updated page, so a lost dirty eviction
       // surfaces as an abort rather than a lost update.
-      msg.updated_set.assign(updated_this_xact_.begin(),
-                             updated_this_xact_.end());
-      std::sort(msg.updated_set.begin(), msg.updated_set.end());
+      msg->updated_set.assign(updated_this_xact_.begin(),
+                              updated_this_xact_.end());
+      std::sort(msg->updated_set.begin(), msg->updated_set.end());
     }
   }
-  const std::uint64_t request_id = msg.request_id;
+  const std::uint64_t request_id = msg->request_id;
+  const net::MsgType type = msg->type;
+  const std::uint64_t xact = msg->xact;
   RpcSlot slot;
   pending_.emplace(request_id, &slot);
   sim::Ticks timeout = resilient_ ? rpc_timeout_ticks_ : 0;
@@ -128,12 +130,16 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
       metrics_->Count(runner::Counter::rpc_retries);
     }
     first_send = false;
-    co_await network_->Send(msg);
+    // Only recovery mode retransmits, so only it keeps the request and
+    // sends a copy; otherwise the request itself goes out.
+    net::MessagePtr transmission =
+        resilient_ ? std::make_unique<net::Message>(*msg) : std::move(msg);
+    co_await network_->Send(std::move(transmission));
     // A reply to an earlier transmission (or a crash) may have landed while
     // the send held the CPU; ReplyWaiter's await_ready covers that.
     ++slot.wait_epoch;
     co_await ReplyWaiter{this, &slot, request_id, JitteredTimeout(timeout)};
-    if (slot.reply.has_value() || slot.failed || crashed_) {
+    if (slot.reply != nullptr || slot.failed || crashed_) {
       break;
     }
     // Timer expired with nothing heard: back off and retransmit.
@@ -156,8 +162,8 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
     timeout = std::min(timeout * 2, rpc_timeout_cap_ticks_);
   }
   pending_.erase(request_id);
-  if (slot.reply.has_value()) {
-    co_return std::move(*slot.reply);
+  if (slot.reply != nullptr) {
+    co_return std::move(slot.reply);
   }
   // The reply will never come (crash) or we stopped waiting for it
   // (retransmissions exhausted). Abort the attempt locally and hand the
@@ -170,24 +176,24 @@ sim::Task<net::Message> Client::Rpc(net::Message msg) {
   // used to under-report against metrics.h's documented contract; the
   // oracle reconciles each of these against the committed set at the end
   // of the run.
-  if (msg.type == net::MsgType::kCommitRequest && !first_send) {
+  if (type == net::MsgType::kCommitRequest && !first_send) {
     metrics_->Count(runner::Counter::unknown_outcomes);
     if (check::Checker* checker = metrics_->checker()) {
-      checker->OnUnknownOutcome(msg.xact);
+      checker->OnUnknownOutcome(xact);
     }
   }
-  if (current_xact_ != 0 && msg.xact == current_xact_ && !abort_flag_) {
+  if (current_xact_ != 0 && xact == current_xact_ && !abort_flag_) {
     abort_flag_ = true;
     last_abort_kind_ =
         gave_up ? runner::AbortKind::kTimeout : runner::AbortKind::kCrash;
   }
-  net::Message synth;
-  synth.type = ReplyTypeFor(msg.type);
-  synth.src = net::kServerNode;
-  synth.dst = id_;
-  synth.xact = msg.xact;
-  synth.request_id = request_id;
-  synth.aborted = true;
+  auto synth = std::make_unique<net::Message>();
+  synth->type = ReplyTypeFor(type);
+  synth->src = net::kServerNode;
+  synth->dst = id_;
+  synth->xact = xact;
+  synth->request_id = request_id;
+  synth->aborted = true;
   co_return synth;
 }
 
@@ -238,16 +244,16 @@ bool Client::NoteSeenSeq(std::uint64_t seq) {
   return true;
 }
 
-sim::Task<void> Client::SendAsync(net::Message msg) {
+sim::Task<void> Client::SendAsync(net::MessagePtr msg) {
   if (crashed_) {
     co_return;  // a dead workstation sends nothing
   }
-  msg.src = id_;
-  msg.dst = net::kServerNode;
-  msg.request_id = 0;
+  msg->src = id_;
+  msg->dst = net::kServerNode;
+  msg->request_id = 0;
   if (resilient_) {
-    msg.seq = next_seq_++;
-    msg.incarnation = incarnation_;
+    msg->seq = next_seq_++;
+    msg->incarnation = incarnation_;
   }
   co_await network_->Send(std::move(msg));
 }
@@ -333,9 +339,9 @@ sim::Task<void> Client::UserDelay(sim::Ticks delay, bool defer_async) {
 
 sim::Task<void> Client::DrainDeferred() {
   while (!deferred_.empty()) {
-    net::Message msg = std::move(deferred_.front());
+    const net::MessagePtr msg = std::move(deferred_.front());
     deferred_.pop_front();
-    co_await protocol_->HandleAsync(msg);
+    co_await protocol_->HandleAsync(*msg);
   }
 }
 
@@ -390,12 +396,12 @@ sim::Process Client::Driver() {
 
 sim::Process Client::Dispatcher() {
   while (true) {
-    net::Message msg = co_await inbox_.Receive();
+    net::MessagePtr msg = co_await inbox_.Receive();
     if (crashed_) {
       continue;  // lost with the process
     }
-    if (msg.request_id != 0) {
-      auto it = pending_.find(msg.request_id);
+    if (msg->request_id != 0) {
+      auto it = pending_.find(msg->request_id);
       if (it == pending_.end()) {
         // Duplicate of a reply we already consumed, or a reply that raced
         // a timeout give-up. Only possible on a faulty network.
@@ -404,7 +410,7 @@ sim::Process Client::Dispatcher() {
         continue;
       }
       RpcSlot* slot = it->second;
-      if (slot->reply.has_value()) {
+      if (slot->reply != nullptr) {
         metrics_->Count(runner::Counter::duplicates_suppressed);
         continue;
       }
@@ -412,7 +418,7 @@ sim::Process Client::Dispatcher() {
       WakeSlot(slot);
       continue;
     }
-    if (resilient_ && msg.seq != 0 && !NoteSeenSeq(msg.seq)) {
+    if (resilient_ && msg->seq != 0 && !NoteSeenSeq(msg->seq)) {
       metrics_->Count(runner::Counter::duplicates_suppressed);
       continue;
     }
@@ -420,7 +426,7 @@ sim::Process Client::Dispatcher() {
       deferred_.push_back(std::move(msg));
       continue;
     }
-    co_await protocol_->HandleAsync(msg);
+    co_await protocol_->HandleAsync(*msg);
   }
 }
 

@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -67,7 +66,7 @@ class Client {
   const config::ExperimentConfig& config() const { return config_; }
   runner::Metrics& metrics() { return *metrics_; }
   workload::WorkloadGenerator& generator() { return generator_; }
-  sim::Mailbox<net::Message>& inbox() { return inbox_; }
+  sim::Mailbox<net::MessagePtr>& inbox() { return inbox_; }
 
   /// Uid of the current transaction attempt (0 between transactions).
   std::uint64_t current_xact() const { return current_xact_; }
@@ -95,10 +94,10 @@ class Client {
   /// is bounded: on timeout the request is retransmitted with exponential
   /// backoff, and when retries are exhausted (or this client crashes) a
   /// synthetic aborted reply is returned and the attempt is marked aborted.
-  sim::Task<net::Message> Rpc(net::Message msg);
+  sim::Task<net::MessagePtr> Rpc(net::MessagePtr msg);
 
   /// Fire-and-forget send (charges send-side CPU).
-  sim::Task<void> SendAsync(net::Message msg);
+  sim::Task<void> SendAsync(net::MessagePtr msg);
 
   /// Charges ClientProcPage for `pages` pages on the client CPU.
   sim::Task<void> ChargePageProcessing(int pages);
@@ -154,7 +153,7 @@ class Client {
   /// re-arms it (bumping `wait_epoch`) before every bounded wait, and a
   /// timer from a previous epoch that fires late is ignored.
   struct RpcSlot {
-    std::optional<net::Message> reply;
+    net::MessagePtr reply;
     /// The workstation crashed while this RPC was outstanding.
     bool failed = false;
     /// A resume for the current epoch has already been scheduled.
@@ -170,7 +169,7 @@ class Client {
     std::uint64_t request_id;
     sim::Ticks timeout;
     bool await_ready() const noexcept {
-      return slot->reply.has_value() || slot->failed;
+      return slot->reply != nullptr || slot->failed;
     }
     void await_suspend(std::coroutine_handle<> handle) {
       slot->waiter = handle;
@@ -213,7 +212,7 @@ class Client {
   sim::Resource cpu_;
   ClientCache cache_;
   workload::WorkloadGenerator generator_;
-  sim::Mailbox<net::Message> inbox_;
+  sim::Mailbox<net::MessagePtr> inbox_;
   std::unique_ptr<proto::ClientProtocol> protocol_;
 
   sim::Ticks client_proc_page_ticks_ = 0;
@@ -229,7 +228,7 @@ class Client {
   std::unordered_map<std::uint64_t, RpcSlot*> pending_;
 
   bool in_user_delay_ = false;
-  std::deque<net::Message> deferred_;
+  std::deque<net::MessagePtr> deferred_;
 
   // --- recovery-mode state (inert when resilient_ is false) ---
   bool resilient_ = false;

@@ -22,19 +22,12 @@ ClientCache::EvictedList ClientCache::Insert(db::PageId page,
 }
 
 void ClientCache::EndTransaction() {
-  lru_.UnpinAll();
-  // Clear per-transaction state in place.
-  std::vector<db::PageId> keys;
-  keys.reserve(lru_.size());
-  lru_.ForEach([&](const LruTable<db::PageId, CachedPage>::Entry& e) {
-    keys.push_back(e.key);
+  lru_.ForEach([](LruTable<db::PageId, CachedPage>::Entry& e) {
+    e.pin_count = 0;
+    e.value.checked_this_xact = false;
+    e.value.requested_this_xact = false;
+    e.value.lock = PageLock::kNone;
   });
-  for (db::PageId page : keys) {
-    CachedPage* info = lru_.Find(page);
-    info->checked_this_xact = false;
-    info->requested_this_xact = false;
-    info->lock = PageLock::kNone;
-  }
 }
 
 void ClientCache::AuditEndOfAttempt() const {
@@ -59,7 +52,7 @@ void ClientCache::AuditEndOfAttempt() const {
 }
 
 ClientCache::PageIdList ClientCache::DirtyPages() const {
-  std::vector<db::PageId> dirty;
+  PageIdList dirty;
   lru_.ForEach([&](const LruTable<db::PageId, CachedPage>::Entry& e) {
     if (e.value.dirty) {
       dirty.push_back(e.key);

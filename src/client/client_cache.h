@@ -103,10 +103,18 @@ class ClientCache {
   /// or flagged for the finished transaction. Fatal on violation.
   void AuditEndOfAttempt() const;
 
-  /// Visits every cached page (MRU to LRU): fn(PageId, const CachedPage&).
+  /// Visits every cached page (MRU to LRU): fn(PageId, const CachedPage&),
+  /// or fn(PageId, CachedPage&) on a mutable cache. The visitor must not
+  /// insert or erase pages.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     lru_.ForEach([&](const LruTable<db::PageId, CachedPage>::Entry& e) {
+      fn(e.key, e.value);
+    });
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    lru_.ForEach([&](LruTable<db::PageId, CachedPage>::Entry& e) {
       fn(e.key, e.value);
     });
   }

@@ -2,6 +2,7 @@
 #define CCSIM_NET_MESSAGE_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "db/database.h"
 #include "lock/lock_manager.h"
@@ -113,6 +114,17 @@ struct Message {
   // retained locks that left the client cache since the last message.
   PageList evicted_pages;
 };
+
+/// A message always fits one bin of glibc's per-thread allocation cache
+/// (tcache, up to 1032 bytes), so building one per send stays cheap.
+static_assert(sizeof(Message) <= 1024, "net::Message outgrew a tcache bin");
+
+/// The owning handle a message travels in. A message is built once on the
+/// heap by its sender and the handle is moved through the network, the
+/// destination mailbox, the dispatcher and the handler, so no coroutine
+/// frame on the way holds (or moves) the ~900-byte struct itself.
+/// Sub-handlers borrow it as `const Message&`.
+using MessagePtr = std::unique_ptr<Message>;
 
 /// Number of network packets a message occupies.
 inline int PacketsFor(const Message& msg) {

@@ -2,7 +2,7 @@
 #define CCSIM_NET_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "fault/fault_injector.h"
 #include "net/message.h"
@@ -45,7 +45,7 @@ class Transport {
 class Network {
  public:
   struct Endpoint {
-    sim::Mailbox<Message>* inbox = nullptr;
+    sim::Mailbox<MessagePtr>* inbox = nullptr;
     sim::Resource* cpu = nullptr;
     /// MsgCost in ticks at this endpoint's CPU speed, per packet.
     sim::Ticks msg_cost = 0;
@@ -60,8 +60,14 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   void RegisterEndpoint(int node, Endpoint endpoint) {
-    const bool inserted = endpoints_.emplace(node, endpoint).second;
-    CCSIM_CHECK_MSG(inserted, "endpoint %d registered twice", node);
+    CCSIM_CHECK(node >= kServerNode && endpoint.inbox != nullptr);
+    const auto slot = static_cast<std::size_t>(node + 1);
+    if (slot >= endpoints_.size()) {
+      endpoints_.resize(slot + 1);
+    }
+    CCSIM_CHECK_MSG(endpoints_[slot].inbox == nullptr,
+                    "endpoint %d registered twice", node);
+    endpoints_[slot] = endpoint;
   }
 
   /// Attaches a real transport (nullptr = simulated medium, the default).
@@ -80,8 +86,9 @@ class Network {
   fault::FaultInjector* fault_injector() { return injector_; }
 
   /// Sends a message: the caller pays the send-side CPU cost, then transfer
-  /// and delivery proceed asynchronously.
-  sim::Task<void> Send(Message msg);
+  /// and delivery proceed asynchronously. The handle travels on into the
+  /// destination inbox; only a duplicating fault copies the message.
+  sim::Task<void> Send(MessagePtr msg);
 
   sim::Resource& medium() { return medium_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
@@ -96,7 +103,16 @@ class Network {
   }
 
  private:
-  sim::Process TransferAndDeliver(Message msg, int packets);
+  sim::Process TransferAndDeliver(MessagePtr msg, int packets);
+
+  /// The endpoint registered for `node`, or nullptr. Callers copy it
+  /// before awaiting: a registration may grow the table meanwhile.
+  const Endpoint* FindEndpoint(int node) const {
+    const auto slot = static_cast<std::size_t>(node + 1);
+    return slot < endpoints_.size() && endpoints_[slot].inbox != nullptr
+               ? &endpoints_[slot]
+               : nullptr;
+  }
 
   sim::Simulator* simulator_;
   sim::Ticks mean_packet_delay_;
@@ -104,7 +120,9 @@ class Network {
   sim::Resource medium_;
   Transport* transport_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
-  std::unordered_map<int, Endpoint> endpoints_;
+  /// Indexed by node + 1 (the server is node -1); unregistered slots have
+  /// a null inbox.
+  std::vector<Endpoint> endpoints_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
 };

@@ -43,32 +43,31 @@ bool CallbackClient::ReadLocally(db::PageId page,
 sim::Task<bool> CallbackClient::Commit() {
   // Reads served purely from retained locks never contacted the server;
   // report them so the commit-time serializability oracle covers them.
-  net::Message request;
+  auto request = std::make_unique<net::Message>();
   c_.cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {
     if (entry.lock != client::PageLock::kNone && c_.cache().IsPinned(page)) {
-      request.read_set.push_back(page);
-      request.read_versions.push_back(entry.version);
+      request->read_set.push_back(page);
+      request->read_versions.push_back(entry.version);
     }
   });
-  const net::Message reply = co_await CommitThroughServer(std::move(request));
-  if (reply.aborted) {
+  const net::MessagePtr reply =
+      co_await CommitThroughServer(std::move(request));
+  if (reply->aborted) {
     co_return false;
   }
   // The server converted this transaction's locks into retained locks,
   // except the pages it released to queued waiters.
   const std::int64_t lease_until =
       c_.lease_ticks() > 0 ? c_.simulator().Now() + c_.lease_ticks() : 0;
-  c_.cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {
+  c_.cache().ForEach([&](db::PageId /*page*/, client::CachedPage& entry) {
     if (entry.lock != client::PageLock::kNone) {
-      // ForEach is const; mutate via Find.
-      client::CachedPage* mutable_entry = c_.cache().Find(page);
-      mutable_entry->retained = true;
-      mutable_entry->retained_x = retain_write_locks_ &&
-                                  entry.lock == client::PageLock::kExclusive;
-      mutable_entry->lease_until = lease_until;
+      entry.retained = true;
+      entry.retained_x = retain_write_locks_ &&
+                         entry.lock == client::PageLock::kExclusive;
+      entry.lease_until = lease_until;
     }
   });
-  for (db::PageId page : reply.released_pages) {
+  for (db::PageId page : reply->released_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     if (entry != nullptr) {
       entry->retained = false;
@@ -84,20 +83,19 @@ sim::Task<void> CallbackClient::OnAttemptEnd(bool committed) {
     // The server released every lock the aborted transaction held,
     // including absorbed retained locks: those pages are no longer
     // protected.
-    c_.cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {
+    c_.cache().ForEach([](db::PageId /*page*/, client::CachedPage& entry) {
       if (entry.lock != client::PageLock::kNone && entry.retained) {
-        client::CachedPage* mutable_entry = c_.cache().Find(page);
-        mutable_entry->retained = false;
-        mutable_entry->retained_x = false;
+        entry.retained = false;
+        entry.retained_x = false;
       }
     });
   }
   // Deferred callbacks: the transaction is over, relinquish now.
-  net::Message release;
-  release.type = net::MsgType::kCallbackRelease;
-  release.xact = 0;
+  auto release = std::make_unique<net::Message>();
+  release->type = net::MsgType::kCallbackRelease;
+  release->xact = 0;
   for (db::PageId page : deferred_callbacks_) {
-    release.pages.push_back(page);
+    release->pages.push_back(page);
     client::CachedPage* entry = c_.cache().Find(page);
     if (entry != nullptr) {
       entry->retained = false;
@@ -105,7 +103,7 @@ sim::Task<void> CallbackClient::OnAttemptEnd(bool committed) {
   }
   deferred_callbacks_.clear();
   co_await TwoPhaseClient::OnAttemptEnd(committed);
-  if (!release.pages.empty()) {
+  if (!release->pages.empty()) {
     co_await c_.SendAsync(std::move(release));
   }
 }
@@ -134,9 +132,9 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
     co_await ClientProtocol::HandleAsync(msg);
     co_return;
   }
-  net::Message release;
-  release.type = net::MsgType::kCallbackRelease;
-  release.xact = 0;
+  auto release = std::make_unique<net::Message>();
+  release->type = net::MsgType::kCallbackRelease;
+  release->xact = 0;
   for (db::PageId page : msg.pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     const bool in_use = entry != nullptr && c_.cache().IsPinned(page) &&
@@ -151,9 +149,9 @@ sim::Task<void> CallbackClient::HandleAsync(net::Message& msg) {
       entry->retained = false;  // the page itself stays cached, unlocked
       entry->retained_x = false;
     }
-    release.pages.push_back(page);
+    release->pages.push_back(page);
   }
-  if (!release.pages.empty()) {
+  if (!release->pages.empty()) {
     co_await c_.SendAsync(std::move(release));
   }
 }
@@ -213,10 +211,10 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
     if (!outstanding_callbacks_.insert({page, client}).second) {
       continue;  // already asked
     }
-    net::Message callback;
-    callback.type = net::MsgType::kCallbackRequest;
-    callback.dst = client;
-    callback.pages.push_back(page);
+    auto callback = std::make_unique<net::Message>();
+    callback->type = net::MsgType::kCallbackRequest;
+    callback->dst = client;
+    callback->pages.push_back(page);
     if (lease_ticks_ > 0) {
       // Recovery mode: the callback request or its release may be lost, or
       // the retainer may be dead. After 1.5 leases (past the point where

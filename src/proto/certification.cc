@@ -61,13 +61,14 @@ sim::Task<bool> CertificationClient::UpdateObject(const workload::Step& step) {
 }
 
 sim::Task<bool> CertificationClient::Commit() {
-  net::Message request;
+  auto request = std::make_unique<net::Message>();
   for (const auto& [page, version] : read_set_) {
-    request.read_set.push_back(page);
-    request.read_versions.push_back(version);
+    request->read_set.push_back(page);
+    request->read_versions.push_back(version);
   }
-  const net::Message reply = co_await CommitThroughServer(std::move(request));
-  if (reply.aborted) {
+  const net::MessagePtr reply =
+      co_await CommitThroughServer(std::move(request));
+  if (reply->aborted) {
     c_.set_last_abort_kind(runner::AbortKind::kCertification);
     co_return false;
   }
@@ -79,15 +80,15 @@ sim::Task<void> CertificationClient::OnAttemptEnd(bool committed) {
     // Deferred updates lived in a private buffer; the cached pages still
     // hold their committed images and stay valid at their versions, so
     // they are kept (clean) rather than dropped.
-    for (db::PageId page : c_.cache().DirtyPages()) {
-      c_.cache().Find(page)->dirty = false;
-    }
+    c_.cache().ForEach([](db::PageId /*page*/, client::CachedPage& entry) {
+      entry.dirty = false;
+    });
   }
   read_set_.clear();
   co_await ClientProtocol::OnAttemptEnd(committed);
 }
 
-sim::Process CertificationServer::Handle(net::Message msg) {
+sim::Task<void> CertificationServer::Handle(const net::Message& msg) {
   switch (msg.type) {
     case net::MsgType::kReadRequest:
       co_await HandleRead(msg);
@@ -157,8 +158,8 @@ sim::Task<void> CertificationServer::HandleCommit(const net::Message& msg) {
   for (db::PageId page : updates) {
     state->updated.insert(page);
   }
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  auto reply = std::make_unique<net::Message>();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a dirty eviction never arrived (updated-set gap), so
     // committing would lose that update. (Reads were just re-validated
@@ -166,7 +167,7 @@ sim::Task<void> CertificationServer::HandleCommit(const net::Message& msg) {
     co_await s_.RejectCommit(*state, msg);
     co_return;
   }
-  s_.BumpVersionsAndRecord(*state, &reply);
+  s_.BumpVersionsAndRecord(*state, reply.get());
   // Merge the deferred updates into the database (the "update queue" of
   // paper Figure 4); they are committed data now.
   co_await s_.InstallClientUpdates(*state, updates,

@@ -51,7 +51,7 @@ class CertificationServer : public ServerProtocol {
                                bool skip_validation = false)
       : ServerProtocol(server), skip_validation_(skip_validation) {}
 
-  sim::Process Handle(net::Message msg) override;
+  sim::Task<void> Handle(const net::Message& msg) override;
 
  private:
   sim::Task<void> HandleRead(const net::Message& msg);

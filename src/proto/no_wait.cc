@@ -54,43 +54,43 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
     }
   }
   if (!async_pages.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kNoWaitLock;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.pages = std::move(async_pages);
-    request.versions = std::move(async_versions);
+    auto request = std::make_unique<net::Message>();
+    request->type = net::MsgType::kNoWaitLock;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kShared;
+    request->pages = std::move(async_pages);
+    request->versions = std::move(async_versions);
     co_await c_.SendAsync(std::move(request));
   }
   if (!fetch.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kReadRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kShared;
-    request.fetch_pages = fetch;
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+    auto request = std::make_unique<net::Message>();
+    request->type = net::MsgType::kReadRequest;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kShared;
+    request->fetch_pages = fetch;
+    const net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
-    for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-      const db::PageId page = reply.data_pages[i];
+    for (std::size_t i = 0; i < reply->data_pages.size(); ++i) {
+      const db::PageId page = reply->data_pages[i];
       client::CachedPage* entry = c_.cache().Find(page);
       if (entry == nullptr) {
         client::CachedPage info;
-        info.version = reply.data_versions[i];
+        info.version = reply->data_versions[i];
         info.requested_this_xact = true;
         info.lock = client::PageLock::kShared;
         co_await c_.InstallPage(page, info);
       } else {
-        entry->version = reply.data_versions[i];
+        entry->version = reply->data_versions[i];
         entry->requested_this_xact = true;
         entry->lock = client::PageLock::kShared;
         entry->lease_until = 0;
         c_.cache().Pin(page);
       }
       if (c_.resilient()) {
-        read_set_[page] = reply.data_versions[i];
+        read_set_[page] = reply->data_versions[i];
       }
     }
   }
@@ -112,11 +112,11 @@ sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
   }
   if (!upgrade.empty()) {
     // Fire-and-forget upgrade: the server aborts us on deadlock.
-    net::Message request;
-    request.type = net::MsgType::kNoWaitLock;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = std::move(upgrade);
+    auto request = std::make_unique<net::Message>();
+    request->type = net::MsgType::kNoWaitLock;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kExclusive;
+    request->pages = std::move(upgrade);
     co_await c_.SendAsync(std::move(request));
   }
   co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
@@ -124,18 +124,19 @@ sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
 }
 
 sim::Task<bool> NoWaitClient::Commit() {
-  net::Message request;
+  auto request = std::make_unique<net::Message>();
   if (c_.resilient()) {
     // A fire-and-forget lock request may have been dropped, leaving a read
     // neither locked nor validated; the commit-time backward validation
     // over this read set is the safety net.
     for (const auto& [page, version] : read_set_) {
-      request.read_set.push_back(page);
-      request.read_versions.push_back(version);
+      request->read_set.push_back(page);
+      request->read_versions.push_back(version);
     }
   }
-  const net::Message reply = co_await CommitThroughServer(std::move(request));
-  co_return !reply.aborted;
+  const net::MessagePtr reply =
+      co_await CommitThroughServer(std::move(request));
+  co_return !reply->aborted;
 }
 
 sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
@@ -145,7 +146,7 @@ sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
 
 // --- server ---
 
-sim::Process NoWaitServer::Handle(net::Message msg) {
+sim::Task<void> NoWaitServer::Handle(const net::Message& msg) {
   switch (msg.type) {
     case net::MsgType::kNoWaitLock:
       co_await HandleNoWaitLock(msg);
@@ -170,11 +171,11 @@ sim::Task<void> NoWaitServer::AbortWithNotice(server::XactState& state) {
   }
   const std::vector<db::PageId> stale = state.stale_pages;
   co_await s_.AbortPipeline(state);
-  net::Message notice;
-  notice.type = net::MsgType::kAbortNotice;
-  notice.dst = state.client;
-  notice.xact = state.uid;
-  notice.pages = stale;
+  auto notice = std::make_unique<net::Message>();
+  notice->type = net::MsgType::kAbortNotice;
+  notice->dst = state.client;
+  notice->xact = state.uid;
+  notice->pages = stale;
   co_await s_.Send(std::move(notice));
 }
 
@@ -183,7 +184,7 @@ sim::Task<void> NoWaitServer::HandleNoWaitLock(const net::Message& msg) {
   CCSIM_CHECK(state != nullptr);
   ++state->pending_async;
   for (std::size_t i = 0; i < msg.pages.size(); ++i) {
-    if (state->aborted) {
+    if (state->aborted || state->committing) {
       break;
     }
     const db::PageId page = msg.pages[i];
@@ -191,6 +192,16 @@ sim::Task<void> NoWaitServer::HandleNoWaitLock(const net::Message& msg) {
         co_await s_.locks().Acquire(state->uid, page, msg.mode);
     if (outcome == lock::LockOutcome::kAborted) {
       break;  // another handler aborted us; it sent the notice
+    }
+    if (state->committing) {
+      // A faulty wire can deliver a lock request after its commit request.
+      // Past the commit point the request is moot: aborting would finish
+      // the transaction twice, and a lock granted after the commit released
+      // the transaction's locks would outlive it.
+      if (outcome == lock::LockOutcome::kGranted && state->done) {
+        s_.locks().Release(state->uid, page);
+      }
+      break;
     }
     if (outcome == lock::LockOutcome::kDeadlock) {
       co_await AbortWithNotice(*state);
@@ -264,19 +275,23 @@ sim::Task<void> NoWaitServer::HandleCommit(const net::Message& msg) {
     co_await s_.InstallClientUpdates(*state, deferred, state->uid,
                                      /*charge_cpu=*/false);
   }
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  auto reply = std::make_unique<net::Message>();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a lost lock request left a read unvalidated and it
     // went stale, or a dirty eviction never arrived.
     co_await s_.RejectCommit(*state, msg);
     co_return;
   }
-  co_await s_.FinalizeCommit(*state, &reply);
+  co_await s_.FinalizeCommit(*state, reply.get());
   s_.locks().ReleaseAll(state->uid);
-  co_await s_.Reply(msg, reply);
+  // The reply leaves with its handle; notification still needs the
+  // installed versions it lists.
+  const net::MessagePtr installed =
+      notify_ ? std::make_unique<net::Message>(*reply) : nullptr;
+  co_await s_.Reply(msg, std::move(reply));
   if (notify_) {
-    co_await PropagateUpdates(*state, reply);
+    co_await PropagateUpdates(*state, *installed);
   }
 }
 
@@ -306,7 +321,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
     const server::XactState& state, const net::Message& commit_reply) {
   // Group the committed pages by caching client so each client gets one
   // message (paper §2.5: the server sends the updated copies).
-  std::unordered_map<int, net::Message> per_client;
+  std::unordered_map<int, net::MessagePtr> per_client;
   for (std::size_t i = 0; i < commit_reply.pages.size(); ++i) {
     const db::PageId page = commit_reply.pages[i];
     const std::uint64_t version = commit_reply.versions[i];
@@ -323,24 +338,27 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
       targets = s_.directory().ClientsCaching(page, state.client);
     }
     for (int client : targets) {
-      net::Message& msg = per_client[client];
-      msg.type = net::MsgType::kUpdatePropagation;
-      msg.dst = client;
-      msg.invalidate = notify_invalidate_;
+      net::MessagePtr& msg = per_client[client];
+      if (msg == nullptr) {
+        msg = std::make_unique<net::Message>();
+        msg->type = net::MsgType::kUpdatePropagation;
+        msg->dst = client;
+        msg->invalidate = notify_invalidate_;
+      }
       if (notify_invalidate_) {
         // Invalidations carry no page images (control message only).
-        msg.pages.push_back(page);
-        msg.versions.push_back(version);
+        msg->pages.push_back(page);
+        msg->versions.push_back(version);
       } else {
-        msg.data_pages.push_back(page);
-        msg.data_versions.push_back(version);
+        msg->data_pages.push_back(page);
+        msg->data_versions.push_back(version);
       }
     }
   }
   for (auto& [client, msg] : per_client) {
     if (notify_invalidate_) {
       // The client drops these pages; align the directory with that.
-      for (db::PageId page : msg.pages) {
+      for (db::PageId page : msg->pages) {
         s_.directory().Drop(client, page);
       }
     } else if (s_.page_processing_cost() > 0) {
@@ -348,7 +366,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
       // like any other page read (this is the server-CPU contention that
       // makes notification expensive in the paper's §5.1/§5.3 regimes).
       co_await s_.cpu().Use(s_.page_processing_cost() *
-                            static_cast<sim::Ticks>(msg.data_pages.size()));
+                            static_cast<sim::Ticks>(msg->data_pages.size()));
     }
     co_await s_.Send(std::move(msg));
   }

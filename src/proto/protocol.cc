@@ -38,35 +38,35 @@ sim::Task<bool> ClientProtocol::ReadThroughServer(
     const std::vector<db::PageId>& check,
     const std::vector<std::uint64_t>& versions,
     const std::vector<db::PageId>& fetch) {
-  net::Message request;
-  request.type = net::MsgType::kReadRequest;
-  request.xact = c_.current_xact();
-  request.mode = lock::LockMode::kShared;
-  request.pages = check;
-  request.versions = versions;
-  request.fetch_pages = fetch;
-  request.evicted_pages = TakeEvictNotices();
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
+  auto request = std::make_unique<net::Message>();
+  request->type = net::MsgType::kReadRequest;
+  request->xact = c_.current_xact();
+  request->mode = lock::LockMode::kShared;
+  request->pages = check;
+  request->versions = versions;
+  request->fetch_pages = fetch;
+  request->evicted_pages = TakeEvictNotices();
+  const net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+  if (reply->aborted) {
+    c_.NoteAbort(c_.current_xact(), reply->pages);
     co_return false;
   }
-  for (std::size_t i = 0; i < reply.data_pages.size(); ++i) {
-    const db::PageId page = reply.data_pages[i];
+  for (std::size_t i = 0; i < reply->data_pages.size(); ++i) {
+    const db::PageId page = reply->data_pages[i];
     client::CachedPage* entry = c_.cache().Find(page);
     if (entry != nullptr) {
-      entry->version = reply.data_versions[i];  // stale copy refreshed
+      entry->version = reply->data_versions[i];  // stale copy refreshed
     } else {
       client::CachedPage info;
-      info.version = reply.data_versions[i];
+      info.version = reply->data_versions[i];
       co_await c_.InstallPage(page, info);
     }
   }
   // Checked pages that came back with data were stale: count as misses.
   for (db::PageId page : check) {
     const bool refreshed =
-        std::find(reply.data_pages.begin(), reply.data_pages.end(), page) !=
-        reply.data_pages.end();
+        std::find(reply->data_pages.begin(), reply->data_pages.end(),
+                  page) != reply->data_pages.end();
     if (refreshed) {
       c_.cache().RecordMiss();
     } else {
@@ -79,26 +79,27 @@ sim::Task<bool> ClientProtocol::ReadThroughServer(
 sim::Task<bool> ClientProtocol::Commit() {
   // A named request, not `{}`: GCC 12 destroys a temporary argument of a
   // co_awaited coroutine call before the callee is done with it.
-  net::Message request;
-  const net::Message reply = co_await CommitThroughServer(std::move(request));
-  co_return !reply.aborted;
+  auto request = std::make_unique<net::Message>();
+  const net::MessagePtr reply =
+      co_await CommitThroughServer(std::move(request));
+  co_return !reply->aborted;
 }
 
-sim::Task<net::Message> ClientProtocol::CommitThroughServer(
-    net::Message request) {
-  request.type = net::MsgType::kCommitRequest;
-  request.xact = c_.current_xact();
-  request.data_pages = c_.cache().DirtyPages();
-  request.evicted_pages = TakeEvictNotices();
-  net::Message reply = co_await c_.Rpc(std::move(request));
-  if (reply.aborted) {
-    c_.NoteAbort(c_.current_xact(), reply.pages);
+sim::Task<net::MessagePtr> ClientProtocol::CommitThroughServer(
+    net::MessagePtr request) {
+  request->type = net::MsgType::kCommitRequest;
+  request->xact = c_.current_xact();
+  request->data_pages = c_.cache().DirtyPages();
+  request->evicted_pages = TakeEvictNotices();
+  net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+  if (reply->aborted) {
+    c_.NoteAbort(c_.current_xact(), reply->pages);
     co_return reply;
   }
-  for (std::size_t i = 0; i < reply.pages.size(); ++i) {
-    client::CachedPage* entry = c_.cache().Find(reply.pages[i]);
+  for (std::size_t i = 0; i < reply->pages.size(); ++i) {
+    client::CachedPage* entry = c_.cache().Find(reply->pages[i]);
     if (entry != nullptr) {
-      entry->version = reply.versions[i];
+      entry->version = reply->versions[i];
       entry->dirty = false;
     }
   }
@@ -182,19 +183,19 @@ sim::Task<void> ClientProtocol::HandleEvictions(
       // Updated pages leave the cache mid-transaction: ship to the server
       // (paper §2: "updates are sent to the server either when an updated
       // object is swapped out of the client cache or at commit time").
-      net::Message msg;
-      msg.type = net::MsgType::kDirtyEvict;
-      msg.xact = c_.current_xact();
-      msg.data_pages.push_back(victim.page);
-      msg.data_versions.push_back(victim.info.version);
+      auto msg = std::make_unique<net::Message>();
+      msg->type = net::MsgType::kDirtyEvict;
+      msg->xact = c_.current_xact();
+      msg->data_pages.push_back(victim.page);
+      msg->data_versions.push_back(victim.info.version);
       co_await c_.SendAsync(std::move(msg));
     } else if (victim.info.retained) {
       // Callback locking: the server must learn that the retained lock is
       // gone (paper §3.3.3).
-      net::Message msg;
-      msg.type = net::MsgType::kEvictNotice;
-      msg.xact = 0;
-      msg.pages.push_back(victim.page);
+      auto msg = std::make_unique<net::Message>();
+      msg->type = net::MsgType::kEvictNotice;
+      msg->xact = 0;
+      msg->pages.push_back(victim.page);
       co_await c_.SendAsync(std::move(msg));
     }
   }

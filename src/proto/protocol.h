@@ -76,7 +76,7 @@ class ClientProtocol {
   /// the dirty pages and any eviction notices. An aborted reply is noted;
   /// a successful one stamps its installed versions on the cached pages
   /// and marks them clean. Returns the reply.
-  sim::Task<net::Message> CommitThroughServer(net::Message request);
+  sim::Task<net::MessagePtr> CommitThroughServer(net::MessagePtr request);
 
   client::Client& c_;
 };
@@ -91,11 +91,11 @@ class ServerProtocol {
   ServerProtocol(const ServerProtocol&) = delete;
   ServerProtocol& operator=(const ServerProtocol&) = delete;
 
-  /// Handles one dispatched message; spawned as its own process so handlers
-  /// for different messages interleave (and block independently on locks,
-  /// disks, and the CPU). The process owns `msg`; the sub-handlers it
-  /// co_awaits borrow it by reference.
-  virtual sim::Process Handle(net::Message msg) = 0;
+  /// Handles one dispatched message. The server runs each call in a process
+  /// of its own, so handlers for different messages interleave (and block
+  /// independently on locks, disks, and the CPU); that process owns `msg`
+  /// and keeps its transaction's state alive until the handler returns.
+  virtual sim::Task<void> Handle(const net::Message& msg) = 0;
 
   /// Recovery mode: the server crashed; algorithm-private volatile state
   /// (outstanding callbacks, pending invalidations, ...) is gone.

@@ -59,15 +59,15 @@ sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
     }
   }
   if (!upgrade.empty()) {
-    net::Message request;
-    request.type = net::MsgType::kUpgradeRequest;
-    request.xact = c_.current_xact();
-    request.mode = lock::LockMode::kExclusive;
-    request.pages = upgrade;
-    request.evicted_pages = TakeEvictNotices();
-    net::Message reply = co_await c_.Rpc(std::move(request));
-    if (reply.aborted) {
-      c_.NoteAbort(c_.current_xact(), reply.pages);
+    auto request = std::make_unique<net::Message>();
+    request->type = net::MsgType::kUpgradeRequest;
+    request->xact = c_.current_xact();
+    request->mode = lock::LockMode::kExclusive;
+    request->pages = upgrade;
+    request->evicted_pages = TakeEvictNotices();
+    const net::MessagePtr reply = co_await c_.Rpc(std::move(request));
+    if (reply->aborted) {
+      c_.NoteAbort(c_.current_xact(), reply->pages);
       co_return false;
     }
     for (db::PageId page : upgrade) {
@@ -82,7 +82,7 @@ sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
   co_return !c_.abort_flag();
 }
 
-sim::Process TwoPhaseServer::Handle(net::Message msg) {
+sim::Task<void> TwoPhaseServer::Handle(const net::Message& msg) {
   OnMessage(msg);
   switch (msg.type) {
     case net::MsgType::kReadRequest:
@@ -96,8 +96,8 @@ sim::Process TwoPhaseServer::Handle(net::Message msg) {
     case net::MsgType::kUpgradeRequest:
       if (co_await LockOrAbort(msg, lock::LockMode::kExclusive,
                                net::MsgType::kUpgradeReply) != nullptr) {
-        net::Message reply;
-        reply.type = net::MsgType::kUpgradeReply;
+        auto reply = std::make_unique<net::Message>();
+        reply->type = net::MsgType::kUpgradeReply;
         co_await s_.Reply(msg, std::move(reply));
       }
       break;
@@ -148,16 +148,16 @@ sim::Task<void> TwoPhaseServer::HandleCommit(const net::Message& msg) {
   }
   co_await s_.InstallClientUpdates(*state, msg.data_pages, state->uid,
                                    /*charge_cpu=*/true);
-  net::Message reply;
-  reply.type = net::MsgType::kCommitReply;
+  auto reply = std::make_unique<net::Message>();
+  reply->type = net::MsgType::kCommitReply;
   if (!s_.ValidateCommitForRecovery(*state, msg)) {
     // Recovery mode: a dirty eviction never arrived, or (callback locking)
     // a lease force-release let a rival update a page read locally.
     co_await s_.RejectCommit(*state, msg);
     co_return;
   }
-  co_await s_.FinalizeCommit(*state, &reply);
-  DisposeLocks(*state, &reply);
+  co_await s_.FinalizeCommit(*state, reply.get());
+  DisposeLocks(*state, reply.get());
   co_await s_.Reply(msg, std::move(reply));
 }
 

@@ -50,7 +50,7 @@ class TwoPhaseServer : public ServerProtocol {
  public:
   explicit TwoPhaseServer(server::Server* server) : ServerProtocol(server) {}
 
-  sim::Process Handle(net::Message msg) override;
+  sim::Task<void> Handle(const net::Message& msg) override;
 
  protected:
   /// Bookkeeping every message gets before dispatch; none under 2PL.

@@ -96,12 +96,12 @@ void Server::Start() {
   }
 }
 
-sim::Task<void> Server::Send(net::Message msg) {
-  msg.src = net::kServerNode;
-  if (resilient_ && msg.request_id == 0) {
+sim::Task<void> Server::Send(net::MessagePtr msg) {
+  msg->src = net::kServerNode;
+  if (resilient_ && msg->request_id == 0) {
     // Asynchronous server messages carry a sequence number so a duplicated
     // callback/propagation/abort-notice is processed once at the client.
-    msg.seq = next_seq_++;
+    msg->seq = next_seq_++;
   }
   co_await network_->Send(std::move(msg));
 }
@@ -109,20 +109,19 @@ sim::Task<void> Server::Send(net::Message msg) {
 sim::Task<void> Server::ReplyAborted(const net::Message& request,
                                      net::MsgType type,
                                      std::vector<db::PageId> pages) {
-  net::Message reply;
-  reply.type = type;
-  reply.aborted = true;
-  reply.pages = std::move(pages);
+  auto reply = std::make_unique<net::Message>();
+  reply->type = type;
+  reply->aborted = true;
+  reply->pages = std::move(pages);
   return Reply(request, std::move(reply));
 }
 
 sim::Task<void> Server::AnswerRead(XactState& state,
                                    const net::Message& request,
                                    bool record_reads) {
-  net::Message reply;
-  reply.type = net::MsgType::kReadReply;
-  std::vector<db::PageId> to_read(request.fetch_pages.begin(),
-                                  request.fetch_pages.end());
+  auto reply = std::make_unique<net::Message>();
+  reply->type = net::MsgType::kReadReply;
+  net::PageList to_read = request.fetch_pages;
   for (std::size_t i = 0; i < request.pages.size(); ++i) {
     const db::PageId page = request.pages[i];
     if (versions_.Get(page) != request.versions[i]) {
@@ -134,7 +133,8 @@ sim::Task<void> Server::AnswerRead(XactState& state,
     }
     directory_.Note(state.client, page);
   }
-  co_await ReadPagesToClient(state, std::move(to_read), &reply, record_reads);
+  co_await ReadPagesToClient(state, std::move(to_read), reply.get(),
+                             record_reads);
   co_await Reply(request, std::move(reply));
 }
 
@@ -161,11 +161,11 @@ sim::Task<void> Server::RejectCommit(XactState& state,
 }
 
 sim::Task<void> Server::Reply(const net::Message& request,
-                              net::Message reply) {
-  reply.src = net::kServerNode;
-  reply.dst = request.src;
-  reply.xact = request.xact;
-  reply.request_id = request.request_id;
+                              net::MessagePtr reply) {
+  reply->src = net::kServerNode;
+  reply->dst = request.src;
+  reply->xact = request.xact;
+  reply->request_id = request.request_id;
   if (resilient_ && request.request_id != 0 &&
       request.src != net::kServerNode) {
     // At-most-once bookkeeping: the request is no longer in progress, and
@@ -174,7 +174,8 @@ sim::Task<void> Server::Reply(const net::Message& request,
     constexpr std::size_t kReplyCacheSize = 8;
     ClientChannel& channel = channels_[request.src];
     channel.in_progress.erase(request.request_id);
-    channel.replies.emplace_back(request.request_id, reply);
+    channel.replies.emplace_back(request.request_id,
+                                 std::make_unique<net::Message>(*reply));
     if (channel.replies.size() > kReplyCacheSize) {
       channel.replies.pop_front();
     }
@@ -182,7 +183,7 @@ sim::Task<void> Server::Reply(const net::Message& request,
   co_await network_->Send(std::move(reply));
 }
 
-sim::Process Server::ResendReply(net::Message reply) {
+sim::Process Server::ResendReply(net::MessagePtr reply) {
   co_await network_->Send(std::move(reply));
 }
 
@@ -238,23 +239,23 @@ void Server::Admit(const net::Message& msg) {
   xacts_.emplace(msg.xact, std::move(state));
 }
 
-sim::Process Server::ReplyAbortedTo(net::Message request) {
-  net::Message reply;
-  switch (request.type) {
+sim::Process Server::ReplyAbortedTo(net::MessagePtr request) {
+  auto reply = std::make_unique<net::Message>();
+  switch (request->type) {
     case net::MsgType::kReadRequest:
-      reply.type = net::MsgType::kReadReply;
+      reply->type = net::MsgType::kReadReply;
       break;
     case net::MsgType::kUpgradeRequest:
-      reply.type = net::MsgType::kUpgradeReply;
+      reply->type = net::MsgType::kUpgradeReply;
       break;
     case net::MsgType::kCommitRequest:
-      reply.type = net::MsgType::kCommitReply;
+      reply->type = net::MsgType::kCommitReply;
       break;
     default:
       CCSIM_UNREACHABLE();
   }
-  reply.aborted = true;
-  co_await Reply(request, std::move(reply));
+  reply->aborted = true;
+  co_await Reply(*request, std::move(reply));
 }
 
 bool Server::FilterDelivery(const net::Message& msg) {
@@ -287,7 +288,8 @@ bool Server::FilterDelivery(const net::Message& msg) {
     for (const auto& [request_id, reply] : channel.replies) {
       if (request_id == msg.request_id) {
         metrics_->Count(runner::Counter::duplicates_suppressed);
-        simulator_->Spawn(ResendReply(reply));
+        simulator_->Spawn(
+            ResendReply(std::make_unique<net::Message>(*reply)));
         return false;  // retransmit of an answered request: same reply
       }
     }
@@ -311,27 +313,27 @@ bool Server::FilterDelivery(const net::Message& msg) {
 
 sim::Process Server::Dispatch() {
   while (true) {
-    net::Message msg = co_await inbox_.Receive();
-    if (resilient_ && !FilterDelivery(msg)) {
+    net::MessagePtr msg = co_await inbox_.Receive();
+    if (resilient_ && !FilterDelivery(*msg)) {
       continue;
     }
-    if (IsStale(msg)) {
+    if (IsStale(*msg)) {
       // A request from an attempt the server already finished (e.g. the
       // client was aborted asynchronously while this was in flight).
-      if (IsSynchronous(msg.type)) {
+      if (IsSynchronous(msg->type)) {
         simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
       }
       continue;
     }
-    if (resilient_ && msg.xact != 0 && msg.src != net::kServerNode) {
-      const std::uint64_t current = ActiveXactOfClient(msg.src);
-      if (current != 0 && current < msg.xact) {
+    if (resilient_ && msg->xact != 0 && msg->src != net::kServerNode) {
+      const std::uint64_t current = ActiveXactOfClient(msg->src);
+      if (current != 0 && current < msg->xact) {
         // The client moved on to a newer attempt (it gave up on an RPC);
         // whatever the old one holds must not linger.
         simulator_->Spawn(GcAbortXact(current));
       }
     }
-    if (IsTransactional(msg.type) && FindXact(msg.xact) == nullptr) {
+    if (IsTransactional(msg->type) && FindXact(msg->xact) == nullptr) {
       if (static_cast<int>(active_.size()) >= config_.system.mpl) {
         const int limit = config_.fault.server_queue_limit;
         if (limit > 0 && static_cast<int>(ready_.size()) >= limit) {
@@ -341,7 +343,7 @@ sim::Process Server::Dispatch() {
           // retries the spec); anything else is dropped and resolves
           // through the client's timeout path.
           metrics_->Count(runner::Counter::shed_requests);
-          if (IsSynchronous(msg.type)) {
+          if (IsSynchronous(msg->type)) {
             simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
           }
           continue;
@@ -353,35 +355,57 @@ sim::Process Server::Dispatch() {
         }
         continue;
       }
-      Admit(msg);
+      Admit(*msg);
     }
     if (resilient_) {
-      if (XactState* state = FindXact(msg.xact)) {
+      if (XactState* state = FindXact(msg->xact)) {
         state->last_activity = simulator_->Now();
       }
     }
-    simulator_->Spawn(protocol_->Handle(std::move(msg)));
+    SpawnHandler(std::move(msg));
+  }
+}
+
+void Server::SpawnHandler(net::MessagePtr msg) {
+  XactState* state = FindXact(msg->xact);
+  if (state != nullptr) {
+    ++state->handlers;
+  }
+  simulator_->Spawn(RunHandler(std::move(msg), state));
+}
+
+sim::Process Server::RunHandler(net::MessagePtr msg, XactState* state) {
+  co_await protocol_->Handle(*msg);
+  if (state != nullptr) {
+    --state->handlers;
+    Reclaim(*state);
+  }
+}
+
+void Server::Reclaim(const XactState& state) {
+  if (state.done && state.handlers == 0) {
+    xacts_.erase(state.uid);
   }
 }
 
 void Server::PumpReady() {
-  std::deque<net::Message> keep;
+  std::deque<net::MessagePtr> keep;
   while (!ready_.empty()) {
-    net::Message msg = std::move(ready_.front());
+    net::MessagePtr msg = std::move(ready_.front());
     ready_.pop_front();
-    if (IsStale(msg)) {
-      if (IsSynchronous(msg.type)) {
+    if (IsStale(*msg)) {
+      if (IsSynchronous(msg->type)) {
         simulator_->Spawn(ReplyAbortedTo(std::move(msg)));
       }
       continue;
     }
-    if (FindXact(msg.xact) != nullptr) {
-      simulator_->Spawn(protocol_->Handle(std::move(msg)));
+    if (FindXact(msg->xact) != nullptr) {
+      SpawnHandler(std::move(msg));
       continue;
     }
     if (static_cast<int>(active_.size()) < config_.system.mpl) {
-      Admit(msg);
-      simulator_->Spawn(protocol_->Handle(std::move(msg)));
+      Admit(*msg);
+      SpawnHandler(std::move(msg));
       continue;
     }
     keep.push_back(std::move(msg));
@@ -553,10 +577,11 @@ sim::Process Server::GcAbortXact(std::uint64_t uid) {
   metrics_->Count(runner::Counter::gc_xacts);
   const int client = state->client;
   co_await AbortPipeline(*state);
-  net::Message notice;
-  notice.type = net::MsgType::kAbortNotice;
-  notice.dst = client;
-  notice.xact = uid;
+  Reclaim(*state);
+  auto notice = std::make_unique<net::Message>();
+  notice->type = net::MsgType::kAbortNotice;
+  notice->dst = client;
+  notice->xact = uid;
   co_await Send(std::move(notice));
 }
 

@@ -60,6 +60,10 @@ struct XactState {
   /// The commit point was passed (versions about to be / being bumped);
   /// garbage collection must not abort the transaction any more.
   bool committing = false;
+  /// Handler processes spawned for this transaction that have not returned.
+  /// A handler may still touch the state after the transaction is done, so
+  /// the state is reclaimed only once it is done and this is zero.
+  int handlers = 0;
 };
 
 /// The database server (paper §3.3.4): CPU(s), data and log disks, buffer
@@ -94,15 +98,15 @@ class Server {
   db::VersionTable& versions() { return versions_; }
   Directory& directory() { return directory_; }
   runner::Metrics& metrics() { return *metrics_; }
-  sim::Mailbox<net::Message>& inbox() { return inbox_; }
+  sim::Mailbox<net::MessagePtr>& inbox() { return inbox_; }
   std::vector<storage::Disk*> data_disks();
   std::vector<storage::Disk*> log_disks();
 
   /// Sends a message from the server (charges server CPU for the send).
-  sim::Task<void> Send(net::Message msg);
+  sim::Task<void> Send(net::MessagePtr msg);
 
   /// Builds and sends the reply to a synchronous request.
-  sim::Task<void> Reply(const net::Message& request, net::Message reply);
+  sim::Task<void> Reply(const net::Message& request, net::MessagePtr reply);
 
   /// Answers `request` with an aborted reply of `type` listing `pages`,
   /// the stale pages the client must drop.
@@ -217,6 +221,9 @@ class Server {
   }
 
   int active_transactions() const { return static_cast<int>(active_.size()); }
+  /// Transactions whose state the server holds: the live ones, plus
+  /// finished ones a handler still references.
+  std::size_t xact_states() const { return xacts_.size(); }
 
   /// Debug: snapshot of the active transactions.
   std::vector<const XactState*> ActiveXactStates() const {
@@ -241,14 +248,21 @@ class Server {
     /// Synchronous requests currently being handled (retransmits dropped).
     std::unordered_set<std::uint64_t> in_progress;
     /// Recent replies by request id, resent verbatim on a retransmit.
-    std::deque<std::pair<std::uint64_t, net::Message>> replies;
+    std::deque<std::pair<std::uint64_t, net::MessagePtr>> replies;
     /// Sliding window of asynchronous sequence numbers already accepted.
     std::unordered_set<std::uint64_t> seen_seq;
     std::deque<std::uint64_t> seen_order;
   };
 
   sim::Process Dispatch();
-  sim::Process ReplyAbortedTo(net::Message request);
+  /// Runs the protocol's handler for `msg` in a process of its own, holding
+  /// a handler reference on the message's transaction state (if any).
+  void SpawnHandler(net::MessagePtr msg);
+  sim::Process RunHandler(net::MessagePtr msg, XactState* state);
+  /// Drops a finished transaction's state once no handler can touch it.
+  /// Later messages for it are stale (IsStale), so nothing looks it up.
+  void Reclaim(const XactState& state);
+  sim::Process ReplyAbortedTo(net::MessagePtr request);
   void PumpReady();
   bool IsStale(const net::Message& msg) const;
   static bool IsSynchronous(net::MsgType type);
@@ -257,7 +271,7 @@ class Server {
   /// Recovery-mode admission filter: incarnation GC, request dedup/replay,
   /// async dedup. Returns false when the message must be dropped.
   bool FilterDelivery(const net::Message& msg);
-  sim::Process ResendReply(net::Message reply);
+  sim::Process ResendReply(net::MessagePtr reply);
   /// Aborts a live transaction the client has abandoned (newer attempt
   /// seen, idle timeout, or client crash) and notifies the client.
   sim::Process GcAbortXact(std::uint64_t uid);
@@ -281,7 +295,7 @@ class Server {
   lock::LockManager locks_;
   db::VersionTable versions_;
   Directory directory_;
-  sim::Mailbox<net::Message> inbox_;
+  sim::Mailbox<net::MessagePtr> inbox_;
   std::unique_ptr<proto::ServerProtocol> protocol_;
 
   sim::Ticks server_proc_page_ticks_ = 0;
@@ -290,7 +304,7 @@ class Server {
   std::unordered_set<std::uint64_t> active_;
   std::unordered_map<int, std::uint64_t> active_by_client_;
   std::unordered_map<int, std::uint64_t> last_finished_;
-  std::deque<net::Message> ready_;
+  std::deque<net::MessagePtr> ready_;
   std::size_t ready_high_water_ = 0;
 
   /// Reusable commit-point scratch for the checker feed (cleared

@@ -190,9 +190,9 @@ void ServerNode::InstallInboundFilter(
     std::function<bool(const net::Message&)> filter) {
   server::Server* srv = server_.get();
   substrate_.set_message_sink(
-      [srv, filter = std::move(filter)](net::Message msg) {
+      [srv, filter = std::move(filter)](net::Message&& msg) {
         if (!filter || filter(msg)) {
-          srv->inbox().Push(std::move(msg));
+          srv->inbox().Push(std::make_unique<net::Message>(std::move(msg)));
         }
       });
 }
@@ -266,13 +266,13 @@ void ClientShard::InstallInboundFilter(
   const int lo = client_lo_;
   const int hi = client_hi_;
   substrate_.set_message_sink(
-      [clients, lo, hi, filter = std::move(filter)](net::Message msg) {
+      [clients, lo, hi, filter = std::move(filter)](net::Message&& msg) {
         // A stray frame from a confused peer is not ours.
         if (msg.dst < lo || msg.dst >= hi || (filter && !filter(msg))) {
           return;
         }
         (*clients)[static_cast<std::size_t>(msg.dst - lo)]->inbox().Push(
-            std::move(msg));
+            std::make_unique<net::Message>(std::move(msg)));
       });
 }
 

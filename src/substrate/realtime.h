@@ -85,8 +85,9 @@ class RealtimeSubstrate {
   RealtimeSubstrate& operator=(const RealtimeSubstrate&) = delete;
 
   /// Routes injected messages into the model (typically a Mailbox::Push on
-  /// the destination's inbox). Runs on the loop thread.
-  void set_message_sink(std::function<void(net::Message)> sink) {
+  /// the destination's inbox). Runs on the loop thread; the sink may move
+  /// the message out (ring slots are reused).
+  void set_message_sink(std::function<void(net::Message&&)> sink) {
     sink_ = std::move(sink);
   }
 
@@ -160,7 +161,7 @@ class RealtimeSubstrate {
   void Kick();
 
   sim::Simulator* sim_;
-  std::function<void(net::Message)> sink_;
+  std::function<void(net::Message&&)> sink_;
   std::function<bool()> flush_hook_;
   std::chrono::steady_clock::time_point epoch_{};
   sim::Ticks spin_threshold_ = kDefaultSpinThresholdTicks;

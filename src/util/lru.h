@@ -95,13 +95,6 @@ class LruTable {
     --it->second->pin_count;
   }
 
-  /// Drops all pins (used at transaction boundaries).
-  void UnpinAll() {
-    for (Entry& e : list_) {
-      e.pin_count = 0;
-    }
-  }
-
   bool IsPinned(const K& key) const {
     auto it = map_.find(key);
     CCSIM_CHECK(it != map_.end());
@@ -119,10 +112,17 @@ class LruTable {
     return nullptr;
   }
 
-  /// Iterates over all entries in MRU-to-LRU order.
+  /// Iterates over all entries in MRU-to-LRU order. The mutable overload
+  /// may change values and pins, but not keys or membership.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Entry& e : list_) {
+      fn(e);
+    }
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    for (Entry& e : list_) {
       fn(e);
     }
   }

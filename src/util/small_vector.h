@@ -22,9 +22,9 @@ namespace ccsim::util {
 ///
 /// The API is the subset of std::vector the message paths use, plus
 /// conversions from std::vector so protocol code can hand over lists built
-/// with standard containers. Moving a SmallVector copies `size()` elements
-/// (inline storage cannot be stolen); that is still far cheaper than the
-/// heap churn it replaces.
+/// with standard containers. A move takes over a spilled list's heap block
+/// and copies an inline list's elements with one memcpy; either way it
+/// allocates nothing and leaves the source empty.
 template <typename T, std::size_t N>
 class SmallVector {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -41,10 +41,7 @@ class SmallVector {
 
   SmallVector(const SmallVector& other) { assign(other.begin(), other.end()); }
 
-  SmallVector(SmallVector&& other) noexcept {
-    assign(other.begin(), other.end());
-    other.clear_and_release();
-  }
+  SmallVector(SmallVector&& other) noexcept { TakeFrom(other); }
 
   /// Conversions from std::vector: protocol code builds some lists with
   /// standard containers and assigns them into message fields wholesale.
@@ -76,8 +73,8 @@ class SmallVector {
 
   SmallVector& operator=(SmallVector&& other) noexcept {
     if (this != &other) {
-      assign(other.begin(), other.end());
-      other.clear_and_release();
+      clear_and_release();
+      TakeFrom(other);
     }
     return *this;
   }
@@ -192,7 +189,25 @@ class SmallVector {
     capacity_ = next;
   }
 
-  /// Clears and returns any heap block (move-from / destruction).
+  /// Moves `other`'s elements into this empty, inline vector: its heap
+  /// block changes owner, inline elements are copied. `other` is left
+  /// empty and inline.
+  void TakeFrom(SmallVector& other) noexcept {
+    if (other.inline_storage()) {
+      if (other.size_ > 0) {
+        std::memcpy(InlineData(), other.data_, other.size_ * sizeof(T));
+      }
+    } else {
+      data_ = other.data_;
+      capacity_ = other.capacity_;
+      other.data_ = other.InlineData();
+      other.capacity_ = N;
+    }
+    size_ = other.size_;
+    other.size_ = 0;
+  }
+
+  /// Clears and returns any heap block (move-assignment / destruction).
   void clear_and_release() {
     if (data_ != InlineData()) {
       ::operator delete(data_);

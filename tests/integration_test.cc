@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "config/params.h"
+#include "net/message.h"
+#include "net/network.h"
 #include "runner/experiment.h"
+#include "server/server.h"
+#include "substrate/node.h"
 
 namespace ccsim {
 namespace {
@@ -120,6 +126,121 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(Algorithm::kNoWaitNotify,
                         CachingMode::kInterTransaction, 0.5, 0.75)),
     SweepName);
+
+/// Collects what the server sends instead of putting it on a wire.
+class RecordingTransport : public net::Transport {
+ public:
+  void Deliver(const net::Message& msg) override { sent.push_back(msg); }
+  std::vector<net::Message> sent;
+};
+
+/// A server node whose output is recorded, fed by messages pushed straight
+/// into its inbox as if client 0 had sent them.
+class ServerHarness {
+ public:
+  explicit ServerHarness(Algorithm algorithm)
+      : node_(ConfigFor(algorithm), /*seed=*/1) {
+    node_.network().set_transport(&wire_);
+    node_.Start();
+  }
+
+  /// Pushes a message of `type` for `xact` on `pages`; requests that expect
+  /// a reply get a fresh request id.
+  void Push(net::MsgType type, std::uint64_t xact, net::PageList pages) {
+    auto msg = std::make_unique<net::Message>();
+    msg->type = type;
+    msg->src = 0;
+    msg->dst = net::kServerNode;
+    msg->xact = xact;
+    switch (type) {
+      case net::MsgType::kReadRequest:
+        msg->request_id = ++request_id_;
+        msg->fetch_pages = std::move(pages);
+        break;
+      case net::MsgType::kCommitRequest:
+        msg->request_id = ++request_id_;
+        msg->data_pages = std::move(pages);
+        break;
+      default:
+        msg->versions.resize(pages.size());  // version 0: never current
+        msg->pages = std::move(pages);
+        break;
+    }
+    node_.server().inbox().Push(std::move(msg));
+  }
+
+  void RunFor(double seconds) {
+    sim().Run(sim().Now() + sim::SecondsToTicks(seconds));
+  }
+  sim::Simulator& sim() { return node_.substrate().sim(); }
+  server::Server& server() { return node_.server(); }
+  const std::vector<net::Message>& sent() const { return wire_.sent; }
+
+ private:
+  static ExperimentConfig ConfigFor(Algorithm algorithm) {
+    ExperimentConfig cfg = config::BaseConfig();
+    cfg.algorithm.algorithm = algorithm;
+    return cfg;
+  }
+
+  substrate::ServerNode node_;
+  RecordingTransport wire_;
+  std::uint64_t request_id_ = 0;
+};
+
+TEST(IntegrationTest, ServerReclaimsFinishedTransactions) {
+  // A finished transaction's state is dropped once its last handler
+  // returns, so a long-running server does not grow with the number of
+  // transactions it has served; a late request for a reclaimed attempt is
+  // answered as stale instead of re-admitting it.
+  ServerHarness h(Algorithm::kTwoPhaseLocking);
+  constexpr std::uint64_t kTransactions = 20;
+  for (std::uint64_t xact = 1; xact <= kTransactions; ++xact) {
+    const auto page = static_cast<db::PageId>(xact);
+    h.Push(net::MsgType::kReadRequest, xact, {page});
+    h.RunFor(10);
+    h.Push(net::MsgType::kCommitRequest, xact, {});
+    h.RunFor(10);
+  }
+  ASSERT_EQ(h.sent().size(), 2 * kTransactions);
+  for (const net::Message& reply : h.sent()) {
+    EXPECT_FALSE(reply.aborted);
+  }
+  EXPECT_EQ(h.server().xact_states(), 0u);
+  EXPECT_EQ(h.server().active_transactions(), 0);
+
+  h.Push(net::MsgType::kReadRequest, 1, {1});
+  h.RunFor(10);
+  ASSERT_EQ(h.sent().size(), 2 * kTransactions + 1);
+  EXPECT_TRUE(h.sent().back().aborted);
+  EXPECT_EQ(h.server().xact_states(), 0u);
+}
+
+TEST(IntegrationTest, NoWaitLockAfterCommitPointIsMoot) {
+  // A faulty wire can deliver a no-wait lock request after the commit
+  // request of its transaction. Once the commit point has passed, the
+  // request must neither abort the transaction (it would finish twice)
+  // nor leave a lock behind.
+  ServerHarness h(Algorithm::kNoWaitLocking);
+  constexpr std::uint64_t kXact = 1;
+  h.Push(net::MsgType::kReadRequest, kXact, {1});
+  h.RunFor(10);
+  h.Push(net::MsgType::kCommitRequest, kXact, {1});
+  const server::XactState* state = h.server().FindXact(kXact);
+  ASSERT_NE(state, nullptr);
+  while (!state->committing && h.sim().Now() < sim::SecondsToTicks(20)) {
+    h.sim().Run(h.sim().Now() + 1);
+  }
+  ASSERT_TRUE(state->committing);
+  ASSERT_FALSE(state->done);  // the commit record is still being forced
+  h.Push(net::MsgType::kNoWaitLock, kXact, {2});  // a stale cached copy
+  h.RunFor(10);
+  ASSERT_EQ(h.sent().size(), 2u);  // the read and commit replies, no notice
+  EXPECT_EQ(h.sent().back().type, net::MsgType::kCommitReply);
+  EXPECT_FALSE(h.sent().back().aborted);
+  EXPECT_EQ(h.server().locks().held_count(), 0u);
+  EXPECT_EQ(h.server().xact_states(), 0u);
+}
 
 TEST(IntegrationTest, InvalidConfigRejected) {
   ExperimentConfig cfg = config::BaseConfig();

@@ -35,8 +35,8 @@ class NetworkTest : public ::testing::Test {
   Network net_;
   sim::Resource client_cpu_;
   sim::Resource server_cpu_;
-  sim::Mailbox<Message> client_inbox_;
-  sim::Mailbox<Message> server_inbox_;
+  sim::Mailbox<MessagePtr> client_inbox_;
+  sim::Mailbox<MessagePtr> server_inbox_;
 };
 
 TEST_F(NetworkTest, ControlMessageIsOnePacket) {
@@ -56,17 +56,18 @@ TEST_F(NetworkTest, DataPagesCostOnePacketEach) {
 sim::Process SendOne(sim::Simulator& sim, Network& net, Message msg,
                      sim::Ticks& sent_at) {
   (void)sim;
-  co_await net.Send(std::move(msg));
+  MessagePtr handle = std::make_unique<Message>(std::move(msg));
+  co_await net.Send(std::move(handle));
   sent_at = sim.Now();
 }
 
-sim::Process ReceiveOne(sim::Simulator& sim, sim::Mailbox<Message>& inbox,
+sim::Process ReceiveOne(sim::Simulator& sim, sim::Mailbox<MessagePtr>& inbox,
                         std::vector<std::pair<std::uint64_t, sim::Ticks>>&
                             arrivals, int count) {
   (void)sim;
   for (int i = 0; i < count; ++i) {
-    Message msg = co_await inbox.Receive();
-    arrivals.push_back({msg.xact, sim.Now()});
+    const MessagePtr msg = co_await inbox.Receive();
+    arrivals.push_back({msg->xact, sim.Now()});
   }
 }
 
@@ -142,8 +143,8 @@ TEST_F(NetworkTest, ZeroDelayNetworkSkipsMedium) {
   Network net(&sim, /*mean_packet_delay=*/0, sim::Pcg32(1, 1));
   sim::Resource cpu_a(&sim, "a", 1);
   sim::Resource cpu_b(&sim, "b", 1);
-  sim::Mailbox<Message> inbox_a(&sim);
-  sim::Mailbox<Message> inbox_b(&sim);
+  sim::Mailbox<MessagePtr> inbox_a(&sim);
+  sim::Mailbox<MessagePtr> inbox_b(&sim);
   net.RegisterEndpoint(0, Network::Endpoint{&inbox_a, &cpu_a, 0});
   net.RegisterEndpoint(kServerNode, Network::Endpoint{&inbox_b, &cpu_b, 0});
   Message msg;
@@ -195,8 +196,8 @@ TEST_F(NetworkTest, ZeroPlanInjectorIsInert) {
   Network net2(&sim2, sim::MillisToTicks(2), sim::Pcg32(1, 1));
   sim::Resource cpu_a(&sim2, "client.cpu", 1);
   sim::Resource cpu_b(&sim2, "server.cpu", 1);
-  sim::Mailbox<Message> inbox_a(&sim2);
-  sim::Mailbox<Message> inbox_b(&sim2);
+  sim::Mailbox<MessagePtr> inbox_a(&sim2);
+  sim::Mailbox<MessagePtr> inbox_b(&sim2);
   net2.RegisterEndpoint(0, Network::Endpoint{&inbox_a, &cpu_a, 5000});
   net2.RegisterEndpoint(kServerNode,
                         Network::Endpoint{&inbox_b, &cpu_b, 2500});
@@ -341,10 +342,31 @@ TEST(NetworkDeathTest, DoubleEndpointRegistrationAsserts) {
   sim::Simulator sim;
   Network net(&sim, sim::MillisToTicks(2), sim::Pcg32(1, 1));
   sim::Resource cpu(&sim, "cpu", 1);
-  sim::Mailbox<Message> inbox(&sim);
+  sim::Mailbox<MessagePtr> inbox(&sim);
   net.RegisterEndpoint(0, Network::Endpoint{&inbox, &cpu, 0});
   EXPECT_DEATH(net.RegisterEndpoint(0, Network::Endpoint{&inbox, &cpu, 0}),
                "registered twice");
+}
+
+TEST(NetworkDeathTest, UnregisteredSenderAndReceiverAssert) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  Network net(&sim, /*mean_packet_delay=*/0, sim::Pcg32(1, 1));
+  sim::Resource cpu(&sim, "cpu", 1);
+  sim::Mailbox<MessagePtr> inbox(&sim);
+  net.RegisterEndpoint(2, Network::Endpoint{&inbox, &cpu, 0});
+  sim::Ticks sent_at = 0;
+  const auto send = [&](int src, int dst) {
+    Message msg;
+    msg.src = src;
+    msg.dst = dst;
+    sim.Spawn(SendOne(sim, net, std::move(msg), sent_at));
+    sim.Run(100);
+  };
+  // Node 1 sits below a registered node; the server (-1) was never added.
+  EXPECT_DEATH(send(1, 2), "unregistered sender 1");
+  EXPECT_DEATH(send(2, kServerNode), "unregistered receiver -1");
+  EXPECT_DEATH(send(2, 7), "unregistered receiver 7");
 }
 
 }  // namespace

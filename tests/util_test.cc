@@ -1,18 +1,52 @@
-// Tests for Status/Result, the LRU table, and the SPSC ring.
+// Tests for Status/Result, the LRU table, the SPSC ring, and SmallVector.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/lru.h"
+#include "util/small_vector.h"
 #include "util/spsc_ring.h"
 #include "util/status.h"
 
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Counts heap allocations so the SmallVector move tests can assert that a
+// move allocates nothing.
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* ptr = std::malloc(size ? size : 1)) {
+    return ptr;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// Pairs with the malloc-backed operator new above; GCC cannot see that
+// every pointer reaching these came from malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+#pragma GCC diagnostic pop
+
 namespace ccsim {
 namespace {
+
+std::uint64_t AllocationsNow() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 TEST(StatusTest, OkByDefault) {
   Status st;
@@ -97,16 +131,20 @@ TEST(LruTableTest, AllPinnedMeansNoVictim) {
   EXPECT_NE(lru.VictimCandidate(), nullptr);
 }
 
-TEST(LruTableTest, UnpinAllClearsPins) {
+TEST(LruTableTest, MutableForEachClearsPins) {
   LruTable<int, int> lru;
   lru.Insert(1, 0);
   lru.Insert(2, 0);
   lru.Pin(1);
   lru.Pin(2);
   EXPECT_EQ(lru.VictimCandidate(), nullptr);
-  lru.UnpinAll();
+  lru.ForEach([](LruTable<int, int>::Entry& e) {
+    e.pin_count = 0;
+    e.value = e.key * 10;
+  });
   EXPECT_NE(lru.VictimCandidate(), nullptr);
   EXPECT_FALSE(lru.IsPinned(1));
+  EXPECT_EQ(*lru.Find(2), 20);
 }
 
 TEST(LruTableTest, EraseRemoves) {
@@ -135,6 +173,64 @@ TEST(LruTableTest, ClearEmpties) {
   lru.Clear();
   EXPECT_TRUE(lru.empty());
   EXPECT_FALSE(lru.Contains(1));
+}
+
+using IntList = util::SmallVector<int, 12>;
+
+IntList Iota(int count) {
+  IntList list;
+  for (int i = 0; i < count; ++i) {
+    list.push_back(i);
+  }
+  return list;
+}
+
+TEST(SmallVectorTest, MoveStealsSpilledHeapBlock) {
+  IntList source = Iota(64);
+  ASSERT_FALSE(source.inline_storage());
+  const int* block = source.data();
+  const std::uint64_t before = AllocationsNow();
+  IntList moved(std::move(source));
+  EXPECT_EQ(AllocationsNow(), before) << "move allocated";
+  EXPECT_EQ(moved.data(), block);
+  EXPECT_EQ(moved, Iota(64));
+  EXPECT_TRUE(source.empty());           // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(source.inline_storage());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(SmallVectorTest, MoveAssignStealsAndFreesTheTargetsBlock) {
+  IntList source = Iota(64);
+  IntList target = Iota(40);
+  const int* block = source.data();
+  const std::uint64_t before = AllocationsNow();
+  target = std::move(source);
+  EXPECT_EQ(AllocationsNow(), before) << "move assignment allocated";
+  EXPECT_EQ(target.data(), block);
+  EXPECT_EQ(target, Iota(64));
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  source.push_back(7);          // a moved-from list is reusable
+  EXPECT_EQ(source, IntList{7});
+}
+
+TEST(SmallVectorTest, MoveOfInlineListCopiesAndEmptiesSource) {
+  IntList source = Iota(5);
+  ASSERT_TRUE(source.inline_storage());
+  const std::uint64_t before = AllocationsNow();
+  IntList moved(std::move(source));
+  IntList assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(AllocationsNow(), before) << "inline move allocated";
+  EXPECT_TRUE(assigned.inline_storage());
+  EXPECT_EQ(assigned, Iota(5));
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(moved.empty());   // NOLINT(bugprone-use-after-move)
+}
+
+TEST(SmallVectorTest, CopyOfSpilledListOwnsItsOwnBlock) {
+  const IntList source = Iota(64);
+  const IntList copy(source);
+  EXPECT_NE(copy.data(), source.data());
+  EXPECT_EQ(copy, source);
 }
 
 TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {

@@ -24,15 +24,19 @@
 #   8. a perf-smoke gate (ctest -L perf-smoke): the allocation-free
 #      steady-state contracts — the event kernel's Delay/broadcast paths
 #      AND the real-substrate wire path (encode/flush/split/decode) — are
-#      asserted exactly via a counting operator new,
-#   9. a real-substrate throughput floor: the loopback probe (same config
+#      asserted exactly via a counting operator new — and the fault-free
+#      message path's ceiling on allocations over 1 KB per commit,
+#   9. the benchmark's self-test (python3 ccbench/test_ccbench.py): builds
+#      the gated harness in Release under .bench_build/, smoke-runs every
+#      workload untraced and traced, and checks same-seed digests,
+#  10. a real-substrate throughput floor: the loopback probe (same config
 #      bench_baseline.sh records) must not fall more than
 #      CCSIM_CI_TPUT_TOLERANCE percent below the tracked
 #      BENCH_kernel.json real_substrate number. Wall-clock throughput is
 #      host- and build-sensitive, so the gate self-skips (with a message)
 #      under a sanitizer, in a Debug build, or when the baseline was
 #      recorded on a host with a different core count,
-#  10. a checker-overhead budget gate: the tracked BENCH_kernel.json must
+#  11. a checker-overhead budget gate: the tracked BENCH_kernel.json must
 #      record on_overhead_pct <= CCSIM_CI_CHECKER_BUDGET (default 12) — the
 #      price of the always-on verifier is a CI-enforced contract, not a
 #      hope.
@@ -130,6 +134,9 @@ done
 
 step "perf-smoke gate (allocation-free steady states, ctest -L perf-smoke)"
 ctest -L perf-smoke --output-on-failure -j"$jobs"
+
+step "benchmark self-test (python3 ccbench/test_ccbench.py)"
+(cd "$repo_root" && python3 ccbench/test_ccbench.py)
 
 step "real-substrate throughput floor (within ${tput_tolerance}% of baseline)"
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$build_dir/CMakeCache.txt")"
