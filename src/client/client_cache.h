@@ -83,16 +83,12 @@ class ClientCache {
   void Clear() { lru_.Clear(); }
 
   /// Pins a page for the current transaction (excluded from eviction).
-  void Pin(db::PageId page) {
-    if (!lru_.IsPinned(page)) {
-      lru_.Pin(page);
-    }
-  }
+  /// Pins are only ever cleared all at once by EndTransaction(), so
+  /// pinning a page twice needs no check. Fatal if the page is not cached.
+  void Pin(db::PageId page) { lru_.Pin(page); }
 
   /// True if the current transaction touched (pinned) the page.
-  bool IsPinned(db::PageId page) const {
-    return lru_.Contains(page) && lru_.IsPinned(page);
-  }
+  bool IsPinned(db::PageId page) const { return lru_.IsPinned(page); }
 
   /// Transaction boundary: unpin everything and clear per-transaction
   /// flags and locks.

@@ -242,8 +242,8 @@ void LockManager::GrantEligible(db::PageId page) {
   }
   Entry& entry = it->second;
   while (!entry.waiters.empty() && CanGrant(entry, entry.waiters.front())) {
-    Waiter w = entry.waiters.front();
-    entry.waiters.pop_front();
+    const Waiter w = entry.waiters.front();
+    entry.waiters.erase(entry.waiters.begin());
     --waiter_count_;
     EraseWait(w.owner, page, entry);
     Holder* mine = FindHolder(entry, w.owner);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -154,7 +153,10 @@ class LockManager {
   };
   struct Entry {
     std::vector<Holder> holders;
-    std::deque<Waiter> waiters;
+    /// FIFO: upgrades are inserted ahead of plain waiters, grants pop the
+    /// front. A vector, because queues stay short and a deque allocates a
+    /// map and a chunk for every entry, even one nobody waits on.
+    std::vector<Waiter> waiters;
   };
 
   static bool Compatible(LockMode a, LockMode b) {

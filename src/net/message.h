@@ -1,11 +1,13 @@
 #ifndef CCSIM_NET_MESSAGE_H_
 #define CCSIM_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
 #include "db/database.h"
 #include "lock/lock_manager.h"
+#include "util/block_pool.h"
 #include "util/small_vector.h"
 
 namespace ccsim::net {
@@ -113,16 +115,26 @@ struct Message {
   // Piggybacked eviction notices (callback locking): clean pages with
   // retained locks that left the client cache since the last message.
   PageList evicted_pages;
+
+  // A message is built per send and freed on delivery, so `new Message`
+  // recycles blocks through the per-thread pool instead of the heap.
+  static void* operator new(std::size_t bytes) {
+    return util::BlockPool::Allocate(bytes);
+  }
+  static void operator delete(void* ptr, std::size_t bytes) noexcept {
+    util::BlockPool::Free(ptr, bytes);
+  }
 };
 
-/// A message always fits one bin of glibc's per-thread allocation cache
-/// (tcache, up to 1032 bytes), so building one per send stays cheap.
-static_assert(sizeof(Message) <= 1024, "net::Message outgrew a tcache bin");
+/// A message fits the block pool's largest size class, so building one per
+/// send recycles a block instead of calling the allocator.
+static_assert(sizeof(Message) <= util::BlockPool::kMaxBlockBytes,
+              "net::Message outgrew the block pool's largest class");
 
-/// The owning handle a message travels in. A message is built once on the
-/// heap by its sender and the handle is moved through the network, the
-/// destination mailbox, the dispatcher and the handler, so no coroutine
-/// frame on the way holds (or moves) the ~900-byte struct itself.
+/// The owning handle a message travels in. A message is built once (from
+/// the block pool) by its sender and the handle is moved through the
+/// network, the destination mailbox, the dispatcher and the handler, so no
+/// coroutine frame on the way holds (or moves) the ~900-byte struct itself.
 /// Sub-handlers borrow it as `const Message&`.
 using MessagePtr = std::unique_ptr<Message>;
 

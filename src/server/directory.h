@@ -33,14 +33,15 @@ class Directory {
   /// Records that `client` was sent a copy of `page`.
   void Note(int client, db::PageId page) {
     LruTable<db::PageId, Empty>& pages = per_client_[client];
-    if (pages.Touch(page) != nullptr) {
+    if (!pages.TouchOrInsert(page, Empty{}).second) {
       return;
     }
-    while (static_cast<int>(pages.size()) >= per_client_capacity_) {
+    // The new page is the most recently used entry, so it is never the
+    // victim while the capacity is at least one.
+    while (static_cast<int>(pages.size()) > per_client_capacity_) {
       const auto* victim = pages.VictimCandidate();
       DropInternal(client, pages, victim->key);
     }
-    pages.Insert(page, Empty{});
     by_page_[page].insert(client);
   }
 

@@ -2,7 +2,9 @@
 #define CCSIM_SIM_PROCESS_H_
 
 #include <coroutine>
-#include <cstdint>
+#include <cstddef>
+
+#include "util/block_pool.h"
 
 namespace ccsim::sim {
 
@@ -23,6 +25,11 @@ class Simulator;
 /// are destroyed there. Because shutdown destroys frames while other model
 /// objects are still alive, process-local destructors must not touch shared
 /// simulation state — keep process locals plain data.
+///
+/// The simulator's registry of live processes is an intrusive doubly linked
+/// list threaded through the promises (`prev`/`next`), so spawning costs no
+/// allocation beyond the frame, and the frame itself comes from the
+/// per-thread block pool.
 class Process {
  public:
   struct promise_type;
@@ -30,7 +37,15 @@ class Process {
 
   struct promise_type {
     Simulator* simulator = nullptr;
-    std::uint64_t registry_id = 0;
+    promise_type* prev = nullptr;
+    promise_type* next = nullptr;
+
+    static void* operator new(std::size_t bytes) {
+      return util::BlockPool::Allocate(bytes);
+    }
+    static void operator delete(void* ptr, std::size_t bytes) noexcept {
+      util::BlockPool::Free(ptr, bytes);
+    }
 
     Process get_return_object() {
       return Process(Handle::from_promise(*this));
@@ -38,7 +53,7 @@ class Process {
     // Suspend at the start: Spawn() decides when the first step runs.
     std::suspend_always initial_suspend() noexcept { return {}; }
     // Do not suspend at the end: the frame self-destroys after completion.
-    // Unregistration from the simulator happens in ~promise_type, which
+    // Unlinking from the simulator happens in ~promise_type, which
     // covers both self-destruction and explicit destroy() at shutdown.
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() noexcept {}

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <new>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,7 +16,7 @@
 namespace ccsim::sim {
 
 /// The discrete-event simulation kernel: a simulated clock, an event
-/// calendar, and a registry of live process coroutines.
+/// calendar, and an intrusive list of live process coroutines.
 ///
 /// Usage:
 /// ```
@@ -150,7 +149,7 @@ class Simulator {
   void Shutdown();
 
   /// Number of live (spawned, not yet completed) processes.
-  std::size_t live_process_count() const { return live_processes_.size(); }
+  std::size_t live_process_count() const { return live_count_; }
 
   /// Total events processed so far (for micro-benchmarks and tests).
   std::uint64_t events_processed() const { return events_processed_; }
@@ -320,8 +319,17 @@ class Simulator {
     }
   }
 
-  void Unregister(std::uint64_t registry_id) {
-    live_processes_.erase(registry_id);
+  /// Removes a finishing or destroyed process from the live list.
+  void Unlink(Process::promise_type* promise) {
+    if (promise->prev != nullptr) {
+      promise->prev->next = promise->next;
+    } else {
+      live_head_ = promise->next;
+    }
+    if (promise->next != nullptr) {
+      promise->next->prev = promise->prev;
+    }
+    --live_count_;
   }
 
   /// Direct-mapped time → bucket cache (indexed by `when` mod slots).
@@ -335,7 +343,6 @@ class Simulator {
 
   Ticks now_ = 0;
   std::uint64_t next_bucket_order_ = 0;
-  std::uint64_t next_registry_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::size_t pending_ = 0;
   bool stop_requested_ = false;
@@ -344,7 +351,9 @@ class Simulator {
   std::vector<Bucket> buckets_;
   std::vector<std::uint32_t> free_buckets_;
   Memo memo_[kMemoSlots];
-  std::unordered_map<std::uint64_t, Process::Handle> live_processes_;
+  /// Live (spawned, not yet finished) processes, newest first.
+  Process::promise_type* live_head_ = nullptr;
+  std::size_t live_count_ = 0;
 };
 
 }  // namespace ccsim::sim

@@ -2,8 +2,10 @@
 #define CCSIM_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <utility>
 
+#include "util/block_pool.h"
 #include "util/macros.h"
 
 namespace ccsim::sim {
@@ -18,7 +20,8 @@ namespace ccsim::sim {
 /// Ownership: the Task object owns the child frame and destroys it when the
 /// Task goes out of scope in the parent frame. Because the parent frame
 /// transitively owns children, destroying a root Process at
-/// `Simulator::Shutdown()` reclaims the whole await chain.
+/// `Simulator::Shutdown()` reclaims the whole await chain. Frames come
+/// from the per-thread block pool (one is created per awaited call).
 template <typename T>
 class [[nodiscard]] Task {
  public:
@@ -43,6 +46,13 @@ class [[nodiscard]] Task {
     FinalAwaiter final_suspend() noexcept { return {}; }
     void return_value(T v) { value = std::move(v); }
     void unhandled_exception() noexcept { CCSIM_UNREACHABLE(); }
+
+    static void* operator new(std::size_t bytes) {
+      return util::BlockPool::Allocate(bytes);
+    }
+    static void operator delete(void* ptr, std::size_t bytes) noexcept {
+      util::BlockPool::Free(ptr, bytes);
+    }
   };
 
   Task(Task&& other) noexcept : handle_(other.handle_) {
@@ -98,6 +108,13 @@ class [[nodiscard]] Task<void> {
     FinalAwaiter final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() noexcept { CCSIM_UNREACHABLE(); }
+
+    static void* operator new(std::size_t bytes) {
+      return util::BlockPool::Allocate(bytes);
+    }
+    static void operator delete(void* ptr, std::size_t bytes) noexcept {
+      util::BlockPool::Free(ptr, bytes);
+    }
   };
 
   Task(Task&& other) noexcept : handle_(other.handle_) {

@@ -63,10 +63,23 @@ class LruTable {
 
   /// Inserts a new entry as most recently used. Fatal if the key exists.
   V* Insert(const K& key, V value) {
-    CCSIM_CHECK(!Contains(key));
-    list_.push_front(Entry{key, std::move(value), 0});
-    map_.emplace(key, list_.begin());
-    return &list_.front().value;
+    const auto [entry, inserted] = TouchOrInsert(key, std::move(value));
+    CCSIM_CHECK(inserted);
+    return &entry->value;
+  }
+
+  /// Marks an existing entry most recently used, or inserts `value` as a
+  /// new most recently used entry; one hash lookup either way. Returns the
+  /// entry and whether it was inserted.
+  std::pair<Entry*, bool> TouchOrInsert(const K& key, V value) {
+    const auto [it, inserted] = map_.try_emplace(key);
+    if (inserted) {
+      list_.push_front(Entry{key, std::move(value), 0});
+      it->second = list_.begin();
+    } else {
+      list_.splice(list_.begin(), list_, it->second);
+    }
+    return {&*it->second, inserted};
   }
 
   /// Removes an entry. Returns true if it existed.
@@ -95,10 +108,10 @@ class LruTable {
     --it->second->pin_count;
   }
 
+  /// True if the entry exists and is pinned.
   bool IsPinned(const K& key) const {
     auto it = map_.find(key);
-    CCSIM_CHECK(it != map_.end());
-    return it->second->pin_count > 0;
+    return it != map_.end() && it->second->pin_count > 0;
   }
 
   /// Returns the least-recently-used unpinned entry, or nullptr if every

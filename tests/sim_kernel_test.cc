@@ -109,6 +109,45 @@ TEST(SimulatorTest, CompletedProcessUnregistersItself) {
   EXPECT_EQ(sim.live_process_count(), 0u);
 }
 
+/// Sleeps until `finish_at`, then ends; counts its frame's destruction,
+/// whether the process finished or Shutdown() destroyed it.
+Process Sleeper(Simulator& sim, Ticks finish_at, int& destroyed) {
+  struct CountOnDestroy {
+    int* count;
+    ~CountOnDestroy() { ++*count; }
+  } guard{&destroyed};
+  co_await sim.Delay(finish_at);
+}
+
+TEST(SimulatorTest, LiveProcessListUnlinksInAnyOrder) {
+  Simulator sim;
+  int destroyed = 0;
+  constexpr Ticks kNever = 1000000;
+  // The live list is newest first: head P4, middle P2, tail P0.
+  sim.Spawn(Sleeper(sim, 30, destroyed));      // P0
+  sim.Spawn(Sleeper(sim, kNever, destroyed));  // P1
+  sim.Spawn(Sleeper(sim, 20, destroyed));      // P2
+  sim.Spawn(Sleeper(sim, kNever, destroyed));  // P3
+  sim.Spawn(Sleeper(sim, 10, destroyed));      // P4
+  EXPECT_EQ(sim.live_process_count(), 5u);
+  sim.Run(15);  // P4 finishes: head unlink
+  EXPECT_EQ(sim.live_process_count(), 4u);
+  sim.Run(25);  // P2 finishes: middle unlink
+  EXPECT_EQ(sim.live_process_count(), 3u);
+  sim.Run(35);  // P0 finishes: tail unlink
+  EXPECT_EQ(sim.live_process_count(), 2u);
+  EXPECT_EQ(destroyed, 3);
+  sim.Shutdown();  // destroys the suspended P1 and P3
+  EXPECT_EQ(sim.live_process_count(), 0u);
+  EXPECT_EQ(destroyed, 5);
+  // The emptied list takes new processes.
+  sim.Spawn(Sleeper(sim, 5, destroyed));
+  EXPECT_EQ(sim.live_process_count(), 1u);
+  sim.Run(sim.Now() + 10);
+  EXPECT_EQ(sim.live_process_count(), 0u);
+  EXPECT_EQ(destroyed, 6);
+}
+
 TEST(SimulatorTest, LargeClosureTakesHeapFallbackAndFires) {
   Simulator sim;
   // 48-byte capture: too big for the inline payload buffer.

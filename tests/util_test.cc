@@ -1,4 +1,5 @@
-// Tests for Status/Result, the LRU table, the SPSC ring, and SmallVector.
+// Tests for Status/Result, the LRU table, the SPSC ring, SmallVector and
+// the block pool.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/block_pool.h"
 #include "util/lru.h"
 #include "util/small_vector.h"
 #include "util/spsc_ring.h"
@@ -20,7 +22,8 @@ std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
 // Counts heap allocations so the SmallVector move tests can assert that a
-// move allocates nothing.
+// move allocates nothing, and the block pool tests which requests reach the
+// heap.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* ptr = std::malloc(size ? size : 1)) {
@@ -110,6 +113,20 @@ TEST(LruTableTest, VictimIsLeastRecentlyUsed) {
   const auto* victim = lru.VictimCandidate();
   ASSERT_NE(victim, nullptr);
   EXPECT_EQ(victim->key, 2);
+}
+
+TEST(LruTableTest, TouchOrInsertTouchesExistingKeepingItsValue) {
+  LruTable<int, int> lru;
+  const auto [first, inserted_first] = lru.TouchOrInsert(1, 10);
+  EXPECT_TRUE(inserted_first);
+  EXPECT_EQ(first->value, 10);
+  lru.Insert(2, 20);
+  // Order (MRU..LRU): 2 1. Touching 1 leaves 2 as the victim.
+  const auto [again, inserted_again] = lru.TouchOrInsert(1, 99);
+  EXPECT_FALSE(inserted_again);
+  EXPECT_EQ(again->value, 10);
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.VictimCandidate()->key, 2);
 }
 
 TEST(LruTableTest, PinnedEntriesAreNotVictims) {
@@ -231,6 +248,87 @@ TEST(SmallVectorTest, CopyOfSpilledListOwnsItsOwnBlock) {
   const IntList copy(source);
   EXPECT_NE(copy.data(), source.data());
   EXPECT_EQ(copy, source);
+}
+
+TEST(BlockPoolTest, FreedBlockIsReusedBySameClassOnly) {
+  using util::BlockPool;
+  void* block = BlockPool::Allocate(100);
+  BlockPool::Free(block, 100);
+  // 300 bytes is another size class: it must not get the freed block.
+  void* other = BlockPool::Allocate(300);
+  EXPECT_NE(other, block);
+  // 110 bytes shares 100's class: the freed block comes straight back.
+  const std::uint64_t before = AllocationsNow();
+  void* reused = BlockPool::Allocate(110);
+  EXPECT_EQ(reused, block);
+  EXPECT_EQ(AllocationsNow(), before);
+  BlockPool::Free(reused, 110);
+  BlockPool::Free(other, 300);
+}
+
+TEST(BlockPoolTest, FreesPastTheCapGoBackToTheHeap) {
+  using util::BlockPool;
+  constexpr std::size_t kBytes = 200;
+  constexpr std::size_t kExtra = 8;
+  std::vector<void*> blocks(BlockPool::kMaxFreePerClass + kExtra);
+  const auto allocate_all = [&] {
+    for (void*& block : blocks) {
+      block = BlockPool::Allocate(kBytes);
+    }
+  };
+  const auto free_all = [&] {
+    for (void* block : blocks) {
+      BlockPool::Free(block, kBytes);
+    }
+  };
+  allocate_all();
+  free_all();
+  EXPECT_EQ(BlockPool::FreeCount(kBytes), BlockPool::kMaxFreePerClass);
+  // Only the capped number of blocks was kept: the rest came from the heap.
+  const std::uint64_t before = AllocationsNow();
+  allocate_all();
+  EXPECT_EQ(AllocationsNow() - before, kExtra);
+  EXPECT_EQ(BlockPool::FreeCount(kBytes), 0u);
+  free_all();
+  EXPECT_EQ(BlockPool::FreeCount(kBytes), BlockPool::kMaxFreePerClass);
+}
+
+TEST(BlockPoolTest, OversizeRequestsPassThroughToTheHeap) {
+  using util::BlockPool;
+  constexpr std::size_t kBytes = BlockPool::kMaxBlockBytes + 1;
+  const std::uint64_t before = AllocationsNow();
+  void* block = BlockPool::Allocate(kBytes);
+  EXPECT_EQ(AllocationsNow(), before + 1);
+  BlockPool::Free(block, kBytes);
+  void* again = BlockPool::Allocate(kBytes);
+  EXPECT_EQ(AllocationsNow(), before + 2);
+  BlockPool::Free(again, kBytes);
+}
+
+TEST(BlockPoolTest, TwoThreadsNeverShareAList) {
+  using util::BlockPool;
+  constexpr std::size_t kBytes = 500;
+  void* mine = BlockPool::Allocate(kBytes);
+  BlockPool::Free(mine, kBytes);
+  const std::uint32_t my_count = BlockPool::FreeCount(kBytes);
+  ASSERT_GE(my_count, 1u);
+  void* theirs = nullptr;
+  std::uint32_t their_count_before = 0;
+  std::uint32_t their_count_after = 0;
+  std::thread other([&] {
+    their_count_before = BlockPool::FreeCount(kBytes);
+    theirs = BlockPool::Allocate(kBytes);
+    BlockPool::Free(theirs, kBytes);
+    their_count_after = BlockPool::FreeCount(kBytes);
+  });  // the thread's lists go back to the heap when it exits
+  other.join();
+  EXPECT_EQ(their_count_before, 0u);
+  EXPECT_NE(theirs, mine);
+  EXPECT_EQ(their_count_after, 1u);
+  EXPECT_EQ(BlockPool::FreeCount(kBytes), my_count);
+  void* again = BlockPool::Allocate(kBytes);
+  EXPECT_EQ(again, mine);
+  BlockPool::Free(again, kBytes);
 }
 
 TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
