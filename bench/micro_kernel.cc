@@ -1,10 +1,9 @@
 // Kernel hot-path micro-benchmarks. These isolate the event-calendar cost
 // that dominates sweep wall-clock: coroutine resume scheduling (the Delay /
 // ScheduleResumeAt path), inline-closure timers, FCFS resource handoffs,
-// and Event broadcast. `tools/bench_baseline.sh` runs this binary with
-// `--benchmark_format=json` and folds the items_per_second counters into
-// BENCH_kernel.json, the tracked perf trajectory every future kernel change
-// is compared against.
+// and Event broadcast. It is a microbenchmark, not a gate: end-to-end
+// numbers, compared per host, come from the repository benchmark
+// (`python3 ccbench/run.py`).
 //
 // The workloads are sized to keep a realistically populated calendar: a
 // paper-scale sweep run holds tens-to-hundreds of pending events, so the
@@ -129,9 +128,8 @@ BENCHMARK(BM_EventBroadcast);
 /// Full-experiment guard pair for the consistency oracle's pay-for-use
 /// contract: the same contended run with checker.enabled off and on. Items
 /// are committed transactions, so items_per_second is directly comparable
-/// between the two. `tools/bench_baseline.sh` asserts the Off rate stays
-/// within tolerance of the tracked baseline (the disabled checker must
-/// cost nothing) and records the On overhead as the price of checking.
+/// between the two: the disabled checker must cost nothing, and the On
+/// overhead is the price of checking.
 runner::RunResult RunGuardExperiment(bool checker_enabled) {
   config::ExperimentConfig cfg = config::BaseConfig();
   cfg.system.num_clients = 8;

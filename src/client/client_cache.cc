@@ -1,5 +1,7 @@
 #include "client/client_cache.h"
 
+#include <algorithm>
+
 #include "util/macros.h"
 
 namespace ccsim::client {
@@ -21,16 +23,43 @@ ClientCache::EvictedList ClientCache::Insert(db::PageId page,
   return victims;
 }
 
+void ClientCache::Erase(db::PageId page) {
+  const Entry* entry = lru_.FindEntry(page);
+  if (entry == nullptr) {
+    return;
+  }
+  if (entry->pin_count > 0) {
+    Entry** slot = std::find(touched_.begin(), touched_.end(), entry);
+    CCSIM_CHECK(slot != touched_.end());
+    *slot = touched_.back();
+    touched_.pop_back();
+  }
+  lru_.Erase(page);
+}
+
+CachedPage& ClientCache::MarkDirty(db::PageId page) {
+  Entry* entry = lru_.FindEntry(page);
+  CCSIM_CHECK_MSG(entry != nullptr && entry->pin_count > 0,
+                  "page %d marked dirty without being cached and pinned",
+                  page);
+  entry->value.dirty = true;
+  return entry->value;
+}
+
 void ClientCache::EndTransaction() {
-  lru_.ForEach([](LruTable<db::PageId, CachedPage>::Entry& e) {
-    e.pin_count = 0;
-    e.value.checked_this_xact = false;
-    e.value.requested_this_xact = false;
-    e.value.lock = PageLock::kNone;
-  });
+  for (Entry* entry : touched_) {
+    entry->pin_count = 0;
+    entry->value.checked_this_xact = false;
+    entry->value.requested_this_xact = false;
+    entry->value.lock = PageLock::kNone;
+  }
+  touched_.clear();
 }
 
 void ClientCache::AuditEndOfAttempt() const {
+  CCSIM_CHECK_MSG(touched_.empty(),
+                  "%zu touched pages left after the attempt ended",
+                  touched_.size());
   lru_.ForEach([&](const LruTable<db::PageId, CachedPage>::Entry& e) {
     CCSIM_CHECK_MSG(e.pin_count == 0,
                     "page %d still pinned after the attempt ended", e.key);
@@ -51,13 +80,19 @@ void ClientCache::AuditEndOfAttempt() const {
   });
 }
 
+void ClientCache::SortTouched() const {
+  std::sort(touched_.begin(), touched_.end(),
+            [](const Entry* a, const Entry* b) { return a->stamp > b->stamp; });
+}
+
 ClientCache::PageIdList ClientCache::DirtyPages() const {
+  SortTouched();
   PageIdList dirty;
-  lru_.ForEach([&](const LruTable<db::PageId, CachedPage>::Entry& e) {
-    if (e.value.dirty) {
-      dirty.push_back(e.key);
+  for (const Entry* entry : touched_) {
+    if (entry->value.dirty) {
+      dirty.push_back(entry->key);
     }
-  });
+  }
   return dirty;
 }
 

@@ -79,24 +79,41 @@ class ClientCache {
   /// overflows temporarily rather than deadlocking (counted).
   EvictedList Insert(db::PageId page, CachedPage info);
 
-  void Erase(db::PageId page) { lru_.Erase(page); }
-  void Clear() { lru_.Clear(); }
+  void Erase(db::PageId page);
+  void Clear() {
+    lru_.Clear();
+    touched_.clear();
+  }
 
   /// Pins a page for the current transaction (excluded from eviction).
   /// Pins are only ever cleared all at once by EndTransaction(), so
   /// pinning a page twice needs no check. Fatal if the page is not cached.
-  void Pin(db::PageId page) { lru_.Pin(page); }
+  void Pin(db::PageId page) {
+    Entry& entry = lru_.Pin(page);
+    if (entry.pin_count == 1) {
+      touched_.push_back(&entry);
+    }
+  }
 
   /// True if the current transaction touched (pinned) the page.
   bool IsPinned(db::PageId page) const { return lru_.IsPinned(page); }
 
-  /// Transaction boundary: unpin everything and clear per-transaction
-  /// flags and locks.
+  /// Marks a page the current transaction updated and returns it. Fatal
+  /// unless the page is cached and pinned: dirty implies pinned, which is
+  /// what lets DirtyPages() look at the touched pages alone.
+  CachedPage& MarkDirty(db::PageId page);
+
+  /// Transaction boundary: unpin every touched page and clear its
+  /// per-transaction flags and lock. Per-transaction state lives only on
+  /// pinned pages (every site that sets it pins), so this costs
+  /// O(pages touched), not O(pages cached).
   void EndTransaction();
 
   /// Consistency-oracle audit at the attempt boundary (after the
   /// protocol's OnAttemptEnd): no page may remain pinned, dirty, locked,
-  /// or flagged for the finished transaction. Fatal on violation.
+  /// or flagged for the finished transaction. Fatal on violation. It walks
+  /// the whole cache on purpose: that walk is what proves the per-attempt
+  /// paths, which visit the touched pages only, missed nothing.
   void AuditEndOfAttempt() const;
 
   /// Visits every cached page (MRU to LRU): fn(PageId, const CachedPage&),
@@ -115,6 +132,17 @@ class ClientCache {
     });
   }
 
+  /// Visits the pages the current transaction pinned, MRU to LRU — the
+  /// order ForEach() would visit them in: fn(PageId, CachedPage&). The
+  /// visitor must not insert, erase or pin pages.
+  template <typename Fn>
+  void ForEachTouched(Fn&& fn) {
+    SortTouched();
+    for (Entry* entry : touched_) {
+      fn(entry->key, entry->value);
+    }
+  }
+
   /// Pages currently dirty (in MRU order).
   PageIdList DirtyPages() const;
 
@@ -126,8 +154,19 @@ class ClientCache {
   void ResetStats() { hits_ = misses_ = 0; }
 
  private:
+  using Entry = LruTable<db::PageId, CachedPage>::Entry;
+
+  /// Orders touched_ MRU first (by recency stamp). It only reorders, so
+  /// the const paths may call it.
+  void SortTouched() const;
+
   int capacity_;
   LruTable<db::PageId, CachedPage> lru_;
+  /// Exactly the cached pages with a nonzero pin count, kept so by Pin,
+  /// Erase, Clear and EndTransaction. Inline capacity covers a
+  /// transaction's pages (Table 5: 4-12); a larger one spills once and the
+  /// heap block is kept.
+  mutable util::SmallVector<Entry*, 16> touched_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t overflow_inserts_ = 0;

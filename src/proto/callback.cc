@@ -44,12 +44,13 @@ sim::Task<bool> CallbackClient::Commit() {
   // Reads served purely from retained locks never contacted the server;
   // report them so the commit-time serializability oracle covers them.
   auto request = std::make_unique<net::Message>();
-  c_.cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {
-    if (entry.lock != client::PageLock::kNone && c_.cache().IsPinned(page)) {
-      request->read_set.push_back(page);
-      request->read_versions.push_back(entry.version);
-    }
-  });
+  c_.cache().ForEachTouched(
+      [&](db::PageId page, const client::CachedPage& entry) {
+        if (entry.lock != client::PageLock::kNone) {
+          request->read_set.push_back(page);
+          request->read_versions.push_back(entry.version);
+        }
+      });
   const net::MessagePtr reply =
       co_await CommitThroughServer(std::move(request));
   if (reply->aborted) {
@@ -59,14 +60,15 @@ sim::Task<bool> CallbackClient::Commit() {
   // except the pages it released to queued waiters.
   const std::int64_t lease_until =
       c_.lease_ticks() > 0 ? c_.simulator().Now() + c_.lease_ticks() : 0;
-  c_.cache().ForEach([&](db::PageId /*page*/, client::CachedPage& entry) {
-    if (entry.lock != client::PageLock::kNone) {
-      entry.retained = true;
-      entry.retained_x = retain_write_locks_ &&
-                         entry.lock == client::PageLock::kExclusive;
-      entry.lease_until = lease_until;
-    }
-  });
+  c_.cache().ForEachTouched(
+      [&](db::PageId /*page*/, client::CachedPage& entry) {
+        if (entry.lock != client::PageLock::kNone) {
+          entry.retained = true;
+          entry.retained_x = retain_write_locks_ &&
+                             entry.lock == client::PageLock::kExclusive;
+          entry.lease_until = lease_until;
+        }
+      });
   for (db::PageId page : reply->released_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     if (entry != nullptr) {
@@ -83,12 +85,13 @@ sim::Task<void> CallbackClient::OnAttemptEnd(bool committed) {
     // The server released every lock the aborted transaction held,
     // including absorbed retained locks: those pages are no longer
     // protected.
-    c_.cache().ForEach([](db::PageId /*page*/, client::CachedPage& entry) {
-      if (entry.lock != client::PageLock::kNone && entry.retained) {
-        entry.retained = false;
-        entry.retained_x = false;
-      }
-    });
+    c_.cache().ForEachTouched(
+        [](db::PageId /*page*/, client::CachedPage& entry) {
+          if (entry.lock != client::PageLock::kNone && entry.retained) {
+            entry.retained = false;
+            entry.retained_x = false;
+          }
+        });
   }
   // Deferred callbacks: the transaction is over, relinquish now.
   auto release = std::make_unique<net::Message>();

@@ -51,9 +51,7 @@ sim::Task<bool> CertificationClient::ReadObject(const workload::Step& step) {
 sim::Task<bool> CertificationClient::UpdateObject(const workload::Step& step) {
   // Deferred updates: purely local until commit.
   for (db::PageId page : step.write_pages) {
-    client::CachedPage* entry = c_.cache().Find(page);
-    CCSIM_CHECK(entry != nullptr);
-    entry->dirty = true;
+    c_.cache().MarkDirty(page);
     c_.NoteUpdated(page);
   }
   co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));
@@ -80,9 +78,10 @@ sim::Task<void> CertificationClient::OnAttemptEnd(bool committed) {
     // Deferred updates lived in a private buffer; the cached pages still
     // hold their committed images and stay valid at their versions, so
     // they are kept (clean) rather than dropped.
-    c_.cache().ForEach([](db::PageId /*page*/, client::CachedPage& entry) {
-      entry.dirty = false;
-    });
+    c_.cache().ForEachTouched(
+        [](db::PageId /*page*/, client::CachedPage& entry) {
+          entry.dirty = false;
+        });
   }
   read_set_.clear();
   co_await ClientProtocol::OnAttemptEnd(committed);

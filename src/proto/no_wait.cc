@@ -101,12 +101,10 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
 sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
   std::vector<db::PageId> upgrade;
   for (db::PageId page : step.write_pages) {
-    client::CachedPage* entry = c_.cache().Find(page);
-    CCSIM_CHECK(entry != nullptr);
-    entry->dirty = true;
+    client::CachedPage& entry = c_.cache().MarkDirty(page);
     c_.NoteUpdated(page);
-    if (entry->lock != client::PageLock::kExclusive) {
-      entry->lock = client::PageLock::kExclusive;
+    if (entry.lock != client::PageLock::kExclusive) {
+      entry.lock = client::PageLock::kExclusive;
       upgrade.push_back(page);
     }
   }

@@ -75,7 +75,7 @@ sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
     }
   }
   for (db::PageId page : step.write_pages) {
-    c_.cache().Find(page)->dirty = true;
+    c_.cache().MarkDirty(page);
     c_.NoteUpdated(page);
   }
   co_await c_.ChargePageProcessing(static_cast<int>(step.write_pages.size()));

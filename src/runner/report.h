@@ -36,8 +36,7 @@ class Table {
 ///  - CCSIM_SEED (int, default 1): base RNG seed.
 ///  - CCSIM_CHECK (0/1, default 0): run every configuration under the
 ///    consistency oracle (checker.enabled). The oracle is an observer, so
-///    printed results must be byte-identical either way — which
-///    tools/bench_baseline.sh verifies.
+///    printed results must be byte-identical either way.
 struct BenchScale {
   double scale = 1.0;
   std::uint64_t seed = 1;

@@ -29,8 +29,11 @@ net::Message* InboundChannel::BeginPush() {
   }
 }
 
-void InboundChannel::CommitPush() {
-  ring_.Publish();  // seq_cst, pairs with the loop's idle-flag protocol
+void InboundChannel::CommitPush() { ring_.Publish(); }
+
+void InboundChannel::EndBatch() {
+  // The last Publish() was seq_cst: it pairs with the loop's idle-flag
+  // protocol, so either the loop sees the frames or we see it idle.
   if (substrate_->loop_idle_.load(std::memory_order_seq_cst)) {
     substrate_->Kick();
   }

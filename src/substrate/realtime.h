@@ -22,11 +22,12 @@ class RealtimeSubstrate;
 
 /// One producer's lane into the loop thread: a bounded SPSC ring of
 /// net::Message slots. A socket reader thread decodes frames directly
-/// into reserved slots (BeginPush/CommitPush) and the substrate loop
-/// drains whole batches between calendar steps — per-channel FIFO is
-/// exactly ring order, so per-connection delivery order is preserved.
-/// A full ring stalls the producer (backpressure propagates into TCP
-/// flow control); nothing is dropped.
+/// into reserved slots (BeginPush/CommitPush), wakes the loop once per
+/// batch (EndBatch), and the substrate loop drains whole batches between
+/// calendar steps — per-channel FIFO is exactly ring order, so
+/// per-connection delivery order is preserved. A full ring stalls the
+/// producer (backpressure propagates into TCP flow control); nothing is
+/// dropped.
 class InboundChannel {
  public:
   /// Producer: reserves the next slot, waiting (yield, then short sleeps)
@@ -34,9 +35,15 @@ class InboundChannel {
   /// or the substrate is stopping — the producer should bail out.
   net::Message* BeginPush();
 
-  /// Producer: publishes the slot filled after BeginPush() and wakes the
-  /// loop thread if it is sleeping.
+  /// Producer: publishes the slot filled after BeginPush(). It does not
+  /// wake the loop; EndBatch() does, once per batch.
   void CommitPush();
+
+  /// Producer: wakes the loop thread if it is parked. Call once after the
+  /// last CommitPush() of a batch (every frame one recv() delivered), and
+  /// before bailing out with frames published, so no published frame
+  /// waits on the loop's sleep.
+  void EndBatch();
 
   /// Marks the channel closed: BeginPush() fails from now on, and the
   /// substrate retires the channel once the ring is drained. Callable

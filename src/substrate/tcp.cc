@@ -130,6 +130,14 @@ void BatchedReadLoop(Connection* conn, InboundChannel* channel,
     }
     splitter.CommitBytes(static_cast<std::size_t>(n));
     std::uint64_t batch = 0;
+    // Counts the published frames and wakes the loop once for all of them
+    // (on every exit path, so none waits on the loop's sleep).
+    const auto end_batch = [&] {
+      if (batch > 0) {
+        frames_received->fetch_add(batch, std::memory_order_relaxed);
+        channel->EndBatch();
+      }
+    };
     const std::uint8_t* body = nullptr;
     std::uint32_t len = 0;
     FrameSplitter::Next state;
@@ -138,26 +146,19 @@ void BatchedReadLoop(Connection* conn, InboundChannel* channel,
       net::Message* slot = channel->BeginPush();
       if (slot == nullptr) {
         // Transport closing or substrate stopping: stop consuming.
-        if (batch > 0) {
-          frames_received->fetch_add(batch, std::memory_order_relaxed);
-        }
+        end_batch();
         return;
       }
-      if (!DecodeMessage(body, len, page_payload_bytes, slot,
-                               &error)) {
+      if (!DecodeMessage(body, len, page_payload_bytes, slot, &error)) {
         std::fprintf(stderr, "%s: dropping connection: %s\n", who,
                      error.c_str());
-        if (batch > 0) {
-          frames_received->fetch_add(batch, std::memory_order_relaxed);
-        }
+        end_batch();
         return;
       }
       channel->CommitPush();
       ++batch;
     }
-    if (batch > 0) {
-      frames_received->fetch_add(batch, std::memory_order_relaxed);
-    }
+    end_batch();
     if (state == FrameSplitter::Next::kBad) {
       std::fprintf(stderr, "%s: dropping connection: oversized frame\n",
                    who);
@@ -541,6 +542,7 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
          ++id) {
       routes_[id] = conn;
     }
+    routes_version_.fetch_add(1, std::memory_order_release);
   }
   // Routes go live before the Hello reply, so a client whose Connect has
   // returned is already routable. Frames queued meanwhile wait: Flush()
@@ -564,17 +566,24 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
       routes_[id].reset();
     }
   }
+  routes_version_.fetch_add(1, std::memory_order_release);
+}
+
+void TcpServerTransport::RefreshRoutes() {
+  std::lock_guard<std::mutex> lock(mu_);
+  route_snapshot_ = routes_;
+  route_snapshot_version_ = routes_version_.load(std::memory_order_relaxed);
 }
 
 void TcpServerTransport::Deliver(const net::Message& msg) {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (msg.dst >= 0 &&
-        msg.dst < static_cast<int>(routes_.size())) {
-      conn = routes_[msg.dst];
-    }
+  if (routes_version_.load(std::memory_order_acquire) !=
+      route_snapshot_version_) {
+    RefreshRoutes();
   }
+  const std::size_t dst = static_cast<std::size_t>(msg.dst);
+  Connection* conn = msg.dst >= 0 && dst < route_snapshot_.size()
+                         ? route_snapshot_[dst].get()
+                         : nullptr;
   const bool was_pending = conn != nullptr && conn->has_pending();
   if (conn == nullptr ||
       !conn->QueueMessage(msg, hello_.page_payload_bytes)) {
@@ -584,7 +593,7 @@ void TcpServerTransport::Deliver(const net::Message& msg) {
     return;
   }
   if (!was_pending) {
-    dirty_.push_back(std::move(conn));
+    dirty_.push_back(route_snapshot_[dst]);
   }
 }
 
@@ -677,6 +686,7 @@ void TcpServerTransport::Close() {
     }
   }
   dirty_.clear();
+  route_snapshot_.clear();
 }
 
 }  // namespace ccsim::substrate

@@ -269,6 +269,8 @@ class TcpServerTransport : public net::Transport {
 
   void AcceptLoop();
   void ReadLoop(std::shared_ptr<Connection> conn);
+  /// Re-copies `routes_` into the loop thread's `route_snapshot_`.
+  void RefreshRoutes();
 
   ScopedFd listen_fd_;
   int port_;
@@ -278,9 +280,16 @@ class TcpServerTransport : public net::Transport {
   std::mutex mu_;
   bool closing_ = false;
   /// client id -> the connection that registered it (indexed by id).
+  /// Every change bumps `routes_version_` under mu_.
   std::vector<std::shared_ptr<Connection>> routes_;
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> readers_;
+  std::atomic<std::uint64_t> routes_version_{0};
+
+  /// Loop thread's private copy of `routes_`, refreshed when
+  /// `routes_version_` moves, so Deliver() routes without taking mu_.
+  std::vector<std::shared_ptr<Connection>> route_snapshot_;
+  std::uint64_t route_snapshot_version_ = 0;
 
   /// Connections with queued outbound bytes, awaiting Flush(). Loop
   /// thread only (Deliver and Flush share that thread).

@@ -3,53 +3,61 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
 namespace ccsim::substrate {
+
+// Scalars and whole lists are copied in host byte order; the format is
+// little-endian, so the host must be too.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies scalars in host byte order");
+
 namespace {
 
 /// Shared zero block stitched into outbound iovecs for page payloads.
 constexpr std::size_t kZeroChunk = 64 * 1024;
 const std::uint8_t kZeroes[kZeroChunk] = {};
 
-void PutU8(std::uint8_t v, std::vector<std::uint8_t>* out) {
-  out->push_back(v);
-}
-
-void PutU32(std::uint32_t v, std::vector<std::uint8_t>* out) {
-  out->push_back(static_cast<std::uint8_t>(v));
-  out->push_back(static_cast<std::uint8_t>(v >> 8));
-  out->push_back(static_cast<std::uint8_t>(v >> 16));
-  out->push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void PutU64(std::uint64_t v, std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(v), out);
-  PutU32(static_cast<std::uint32_t>(v >> 32), out);
-}
-
-void PutI32(std::int32_t v, std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(v), out);
-}
-
-void PutI64(std::int64_t v, std::vector<std::uint8_t>* out) {
-  PutU64(static_cast<std::uint64_t>(v), out);
-}
-
-void PutPages(const net::PageList& pages, std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(pages.size()), out);
-  for (db::PageId page : pages) {
-    PutI32(page, out);
+/// Sequential little-endian writer over space already reserved at the
+/// tail of a byte vector: the caller sizes the frame first, so encoding
+/// grows the vector once and copies each scalar and list with memcpy.
+class Writer {
+ public:
+  /// Grows `out` by `bytes` and writes from the old end.
+  Writer(std::vector<std::uint8_t>* out, std::size_t bytes) {
+    const std::size_t at = out->size();
+    out->resize(at + bytes);
+    pos_ = out->data() + at;
   }
-}
 
-void PutVersions(const net::VersionList& versions,
-                 std::vector<std::uint8_t>* out) {
-  PutU32(static_cast<std::uint32_t>(versions.size()), out);
-  for (std::uint64_t v : versions) {
-    PutU64(v, out);
+  template <typename T>
+  void Put(T v) {
+    std::memcpy(pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
   }
+
+  /// u32 element count, then the elements back to back.
+  template <typename List>
+  void PutList(const List& list) {
+    Put(static_cast<std::uint32_t>(list.size()));
+    const std::size_t bytes =
+        list.size() * sizeof(typename List::value_type);
+    if (bytes > 0) {
+      std::memcpy(pos_, list.data(), bytes);
+    }
+    pos_ += bytes;
+  }
+
+ private:
+  std::uint8_t* pos_ = nullptr;
+};
+
+/// Encoded size of a list: its u32 count plus its elements.
+template <typename List>
+std::size_t ListBytes(const List& list) {
+  return 4 + list.size() * sizeof(typename List::value_type);
 }
 
 /// Bounded little-endian reader over a frame body.
@@ -58,83 +66,35 @@ class Reader {
   Reader(const std::uint8_t* data, std::size_t len)
       : data_(data), len_(len) {}
 
-  bool U8(std::uint8_t* v) {
-    if (pos_ + 1 > len_) {
+  template <typename T>
+  bool Get(T* v) {
+    if (len_ - pos_ < sizeof(T)) {
       return false;
     }
-    *v = data_[pos_++];
+    std::memcpy(v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return true;
   }
 
-  bool U32(std::uint32_t* v) {
-    if (pos_ + 4 > len_) {
-      return false;
-    }
-    *v = static_cast<std::uint32_t>(data_[pos_]) |
-         static_cast<std::uint32_t>(data_[pos_ + 1]) << 8 |
-         static_cast<std::uint32_t>(data_[pos_ + 2]) << 16 |
-         static_cast<std::uint32_t>(data_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return true;
-  }
-
-  bool U64(std::uint64_t* v) {
-    std::uint32_t lo = 0, hi = 0;
-    if (!U32(&lo) || !U32(&hi)) {
-      return false;
-    }
-    *v = static_cast<std::uint64_t>(lo) | static_cast<std::uint64_t>(hi) << 32;
-    return true;
-  }
-
-  bool I32(std::int32_t* v) {
-    std::uint32_t raw = 0;
-    if (!U32(&raw)) {
-      return false;
-    }
-    *v = static_cast<std::int32_t>(raw);
-    return true;
-  }
-
-  bool I64(std::int64_t* v) {
-    std::uint64_t raw = 0;
-    if (!U64(&raw)) {
-      return false;
-    }
-    *v = static_cast<std::int64_t>(raw);
-    return true;
-  }
-
-  bool Pages(net::PageList* pages) {
+  /// A u32 element count, then that many elements; fails (leaving the
+  /// list untouched) when the count runs past the end of the body.
+  template <typename List>
+  bool GetList(List* list) {
+    using T = typename List::value_type;
     std::uint32_t count = 0;
-    if (!U32(&count) || pos_ + std::size_t{count} * 4 > len_) {
+    if (!Get(&count) || (len_ - pos_) / sizeof(T) < count) {
       return false;
     }
-    pages->clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::int32_t page = 0;
-      I32(&page);
-      pages->push_back(page);
+    list->resize(count);
+    if (count > 0) {
+      std::memcpy(list->data(), data_ + pos_, std::size_t{count} * sizeof(T));
     }
-    return true;
-  }
-
-  bool Versions(net::VersionList* versions) {
-    std::uint32_t count = 0;
-    if (!U32(&count) || pos_ + std::size_t{count} * 8 > len_) {
-      return false;
-    }
-    versions->clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint64_t v = 0;
-      U64(&v);
-      versions->push_back(v);
-    }
+    pos_ += std::size_t{count} * sizeof(T);
     return true;
   }
 
   bool Skip(std::size_t n) {
-    if (pos_ + n > len_) {
+    if (len_ - pos_ < n) {
       return false;
     }
     pos_ += n;
@@ -149,50 +109,46 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Patches the u32 length prefix reserved at `length_at` once the body is
-/// fully appended.
-void FinishFrame(std::size_t length_at, std::vector<std::uint8_t>* out) {
-  const std::uint32_t body =
-      static_cast<std::uint32_t>(out->size() - length_at - 4);
-  (*out)[length_at] = static_cast<std::uint8_t>(body);
-  (*out)[length_at + 1] = static_cast<std::uint8_t>(body >> 8);
-  (*out)[length_at + 2] = static_cast<std::uint8_t>(body >> 16);
-  (*out)[length_at + 3] = static_cast<std::uint8_t>(body >> 24);
-}
+/// Hello body: magic, version, algorithm, caching, client range, database
+/// size, client count, page payload size.
+constexpr std::uint32_t kHelloBodyBytes = 4 + 4 + 1 + 1 + 4 + 4 + 8 + 4 + 4;
+
+/// Message header: type, src, dst, xact, request id, seq, incarnation,
+/// mode, flags.
+constexpr std::size_t kMessageHeaderBytes = 1 + 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1;
 
 }  // namespace
 
 void EncodeHello(const Hello& hello, std::vector<std::uint8_t>* out) {
-  const std::size_t length_at = out->size();
-  PutU32(0, out);  // patched below
-  PutU32(kWireMagic, out);
-  PutU32(hello.version, out);
-  PutU8(hello.algorithm, out);
-  PutU8(hello.caching, out);
-  PutI32(hello.client_lo, out);
-  PutI32(hello.client_hi, out);
-  PutI64(hello.total_pages, out);
-  PutI32(hello.num_clients, out);
-  PutU32(hello.page_payload_bytes, out);
-  FinishFrame(length_at, out);
+  Writer w(out, 4 + kHelloBodyBytes);
+  w.Put(kHelloBodyBytes);
+  w.Put(kWireMagic);
+  w.Put(hello.version);
+  w.Put(hello.algorithm);
+  w.Put(hello.caching);
+  w.Put(hello.client_lo);
+  w.Put(hello.client_hi);
+  w.Put(hello.total_pages);
+  w.Put(hello.num_clients);
+  w.Put(hello.page_payload_bytes);
 }
 
 bool DecodeHello(const std::uint8_t* body, std::size_t len, Hello* out,
                  std::string* error) {
   Reader r(body, len);
   std::uint32_t magic = 0;
-  if (!r.U32(&magic) || magic != kWireMagic) {
+  if (!r.Get(&magic) || magic != kWireMagic) {
     *error = "bad magic (not a ccsim wire peer)";
     return false;
   }
-  if (!r.U32(&out->version) || out->version != kWireVersion) {
+  if (!r.Get(&out->version) || out->version != kWireVersion) {
     *error = "wire version mismatch";
     return false;
   }
-  if (!r.U8(&out->algorithm) || !r.U8(&out->caching) ||
-      !r.I32(&out->client_lo) || !r.I32(&out->client_hi) ||
-      !r.I64(&out->total_pages) || !r.I32(&out->num_clients) ||
-      !r.U32(&out->page_payload_bytes) || !r.AtEnd()) {
+  if (!r.Get(&out->algorithm) || !r.Get(&out->caching) ||
+      !r.Get(&out->client_lo) || !r.Get(&out->client_hi) ||
+      !r.Get(&out->total_pages) || !r.Get(&out->num_clients) ||
+      !r.Get(&out->page_payload_bytes) || !r.AtEnd()) {
     *error = "truncated hello";
     return false;
   }
@@ -201,59 +157,52 @@ bool DecodeHello(const std::uint8_t* body, std::size_t len, Hello* out,
 
 namespace {
 
-/// Encodes the length prefix (zeroed, patched later) and every control
-/// field of `msg` — header plus lists, everything but the page-image
-/// payload. Returns the offset of the length prefix.
-std::size_t EncodeMessageControl(const net::Message& msg,
-                                 std::vector<std::uint8_t>* out) {
-  const std::size_t length_at = out->size();
-  PutU32(0, out);  // patched by the caller
-  PutU8(static_cast<std::uint8_t>(msg.type), out);
-  PutI32(msg.src, out);
-  PutI32(msg.dst, out);
-  PutU64(msg.xact, out);
-  PutU64(msg.request_id, out);
-  PutU64(msg.seq, out);
-  PutU32(msg.incarnation, out);
-  PutU8(static_cast<std::uint8_t>(msg.mode), out);
-  PutU8(static_cast<std::uint8_t>((msg.aborted ? 1 : 0) |
-                                  (msg.invalidate ? 2 : 0)),
-        out);
-  PutPages(msg.pages, out);
-  PutVersions(msg.versions, out);
-  PutPages(msg.data_pages, out);
-  PutVersions(msg.data_versions, out);
-  PutPages(msg.fetch_pages, out);
-  PutPages(msg.read_set, out);
-  PutVersions(msg.read_versions, out);
-  PutPages(msg.updated_set, out);
-  PutPages(msg.released_pages, out);
-  PutPages(msg.evicted_pages, out);
-  return length_at;
-}
-
-/// Patches the length prefix at `length_at` to cover the control bytes
-/// appended after it plus `extra` payload bytes that follow separately.
-void PatchFrameLength(std::size_t length_at, std::size_t extra,
-                      std::vector<std::uint8_t>* out) {
-  const std::uint32_t body =
-      static_cast<std::uint32_t>(out->size() - length_at - 4 + extra);
-  (*out)[length_at] = static_cast<std::uint8_t>(body);
-  (*out)[length_at + 1] = static_cast<std::uint8_t>(body >> 8);
-  (*out)[length_at + 2] = static_cast<std::uint8_t>(body >> 16);
-  (*out)[length_at + 3] = static_cast<std::uint8_t>(body >> 24);
+/// Appends the length prefix and every control field of `msg` — header
+/// plus lists, everything but the page-image payload, whose
+/// `payload_bytes` the prefix counts but the caller supplies separately.
+/// The frame is sized first, so `out` grows once.
+void EncodeMessageControl(const net::Message& msg, std::size_t payload_bytes,
+                          std::vector<std::uint8_t>* out) {
+  const std::size_t control =
+      kMessageHeaderBytes + ListBytes(msg.pages) + ListBytes(msg.versions) +
+      ListBytes(msg.data_pages) + ListBytes(msg.data_versions) +
+      ListBytes(msg.fetch_pages) + ListBytes(msg.read_set) +
+      ListBytes(msg.read_versions) + ListBytes(msg.updated_set) +
+      ListBytes(msg.released_pages) + ListBytes(msg.evicted_pages);
+  Writer w(out, 4 + control);
+  w.Put(static_cast<std::uint32_t>(control + payload_bytes));
+  w.Put(static_cast<std::uint8_t>(msg.type));
+  w.Put(static_cast<std::int32_t>(msg.src));
+  w.Put(static_cast<std::int32_t>(msg.dst));
+  w.Put(msg.xact);
+  w.Put(msg.request_id);
+  w.Put(msg.seq);
+  w.Put(msg.incarnation);
+  w.Put(static_cast<std::uint8_t>(msg.mode));
+  w.Put(static_cast<std::uint8_t>((msg.aborted ? 1 : 0) |
+                                  (msg.invalidate ? 2 : 0)));
+  w.PutList(msg.pages);
+  w.PutList(msg.versions);
+  w.PutList(msg.data_pages);
+  w.PutList(msg.data_versions);
+  w.PutList(msg.fetch_pages);
+  w.PutList(msg.read_set);
+  w.PutList(msg.read_versions);
+  w.PutList(msg.updated_set);
+  w.PutList(msg.released_pages);
+  w.PutList(msg.evicted_pages);
 }
 
 }  // namespace
 
 void EncodeMessage(const net::Message& msg, std::uint32_t page_payload_bytes,
                    std::vector<std::uint8_t>* out) {
-  const std::size_t length_at = EncodeMessageControl(msg, out);
   // Page images: the model tracks versions rather than bytes, so the image
   // payload is zero-filled, but it is still shipped at full page size.
-  out->resize(out->size() +
-              std::size_t{page_payload_bytes} * msg.data_pages.size());
-  FinishFrame(length_at, out);
+  const std::size_t payload =
+      std::size_t{page_payload_bytes} * msg.data_pages.size();
+  EncodeMessageControl(msg, payload, out);
+  out->resize(out->size() + payload);
 }
 
 bool DecodeMessage(const std::uint8_t* body, std::size_t len,
@@ -261,21 +210,24 @@ bool DecodeMessage(const std::uint8_t* body, std::size_t len,
                    std::string* error) {
   Reader r(body, len);
   std::uint8_t type = 0, mode = 0, flags = 0;
-  if (!r.U8(&type) || !r.I32(&out->src) || !r.I32(&out->dst) ||
-      !r.U64(&out->xact) || !r.U64(&out->request_id) || !r.U64(&out->seq) ||
-      !r.U32(&out->incarnation) || !r.U8(&mode) || !r.U8(&flags)) {
+  std::int32_t src = 0, dst = 0;
+  if (!r.Get(&type) || !r.Get(&src) || !r.Get(&dst) || !r.Get(&out->xact) ||
+      !r.Get(&out->request_id) || !r.Get(&out->seq) ||
+      !r.Get(&out->incarnation) || !r.Get(&mode) || !r.Get(&flags)) {
     *error = "truncated message header";
     return false;
   }
   out->type = static_cast<net::MsgType>(type);
+  out->src = src;
+  out->dst = dst;
   out->mode = static_cast<lock::LockMode>(mode);
   out->aborted = (flags & 1) != 0;
   out->invalidate = (flags & 2) != 0;
-  if (!r.Pages(&out->pages) || !r.Versions(&out->versions) ||
-      !r.Pages(&out->data_pages) || !r.Versions(&out->data_versions) ||
-      !r.Pages(&out->fetch_pages) || !r.Pages(&out->read_set) ||
-      !r.Versions(&out->read_versions) || !r.Pages(&out->updated_set) ||
-      !r.Pages(&out->released_pages) || !r.Pages(&out->evicted_pages)) {
+  if (!r.GetList(&out->pages) || !r.GetList(&out->versions) ||
+      !r.GetList(&out->data_pages) || !r.GetList(&out->data_versions) ||
+      !r.GetList(&out->fetch_pages) || !r.GetList(&out->read_set) ||
+      !r.GetList(&out->read_versions) || !r.GetList(&out->updated_set) ||
+      !r.GetList(&out->released_pages) || !r.GetList(&out->evicted_pages)) {
     *error = "truncated message lists";
     return false;
   }
@@ -291,10 +243,9 @@ bool DecodeMessage(const std::uint8_t* body, std::size_t len,
 
 void FrameBuffer::AppendMessage(const net::Message& msg,
                                 std::uint32_t page_payload_bytes) {
-  const std::size_t length_at = EncodeMessageControl(msg, &bytes_);
   const std::size_t zero_len =
       std::size_t{page_payload_bytes} * msg.data_pages.size();
-  PatchFrameLength(length_at, zero_len, &bytes_);
+  EncodeMessageControl(msg, zero_len, &bytes_);
   segments_.push_back(Segment{bytes_.size(), zero_len});
   ++frames_queued_;
 }

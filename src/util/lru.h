@@ -2,6 +2,7 @@
 #define CCSIM_UTIL_LRU_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -24,6 +25,9 @@ class LruTable {
     K key;
     V value;
     int pin_count = 0;
+    /// Recency stamp, raised on every insert and touch: ordering entries
+    /// by descending stamp reproduces the list's MRU-to-LRU order.
+    std::uint64_t stamp = 0;
   };
 
   LruTable() = default;
@@ -42,6 +46,7 @@ class LruTable {
       return nullptr;
     }
     list_.splice(list_.begin(), list_, it->second);
+    it->second->stamp = ++clock_;
     return &it->second->value;
   }
 
@@ -61,6 +66,13 @@ class LruTable {
     return &it->second->value;
   }
 
+  /// Looks up the whole entry (pin count and stamp included) without
+  /// changing recency order.
+  Entry* FindEntry(const K& key) {
+    auto it = map_.find(key);
+    return it == map_.end() ? nullptr : &*it->second;
+  }
+
   /// Inserts a new entry as most recently used. Fatal if the key exists.
   V* Insert(const K& key, V value) {
     const auto [entry, inserted] = TouchOrInsert(key, std::move(value));
@@ -74,11 +86,12 @@ class LruTable {
   std::pair<Entry*, bool> TouchOrInsert(const K& key, V value) {
     const auto [it, inserted] = map_.try_emplace(key);
     if (inserted) {
-      list_.push_front(Entry{key, std::move(value), 0});
+      list_.push_front(Entry{key, std::move(value), 0, 0});
       it->second = list_.begin();
     } else {
       list_.splice(list_.begin(), list_, it->second);
     }
+    it->second->stamp = ++clock_;
     return {&*it->second, inserted};
   }
 
@@ -93,11 +106,13 @@ class LruTable {
     return true;
   }
 
-  /// Pins an entry, excluding it from victim selection. Fatal if missing.
-  void Pin(const K& key) {
+  /// Pins an entry, excluding it from victim selection, and returns it.
+  /// Fatal if missing.
+  Entry& Pin(const K& key) {
     auto it = map_.find(key);
     CCSIM_CHECK(it != map_.end());
     ++it->second->pin_count;
+    return *it->second;
   }
 
   /// Releases one pin. Fatal if missing or not pinned.
@@ -149,6 +164,7 @@ class LruTable {
  private:
   std::list<Entry> list_;  // front = most recently used
   std::unordered_map<K, typename std::list<Entry>::iterator> map_;
+  std::uint64_t clock_ = 0;  // last stamp handed out
 };
 
 }  // namespace ccsim

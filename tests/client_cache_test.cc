@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "client/client_cache.h"
 
 namespace ccsim::client {
@@ -91,12 +94,123 @@ TEST(ClientCacheTest, EndTransactionClearsPerXactState) {
 
 TEST(ClientCacheTest, DirtyPagesListsMruFirst) {
   ClientCache cache(4);
-  CachedPage dirty = Page(1);
-  dirty.dirty = true;
-  cache.Insert(1, dirty);
+  cache.Insert(1, Page(1));
   cache.Insert(2, Page(1));
-  cache.Insert(3, dirty);
+  cache.Insert(3, Page(1));
+  cache.Pin(1);
+  cache.Pin(3);
+  cache.MarkDirty(1);
+  cache.MarkDirty(3);
   EXPECT_EQ(cache.DirtyPages(), (std::vector<db::PageId>{3, 1}));
+  cache.Touch(1);  // recency, not pin order, decides
+  EXPECT_EQ(cache.DirtyPages(), (std::vector<db::PageId>{1, 3}));
+}
+
+TEST(ClientCacheDeathTest, MarkDirtyRequiresAPin) {
+  ClientCache cache(4);
+  cache.Insert(1, Page(1));
+  EXPECT_DEATH(cache.MarkDirty(1), "marked dirty without being");
+  EXPECT_DEATH(cache.MarkDirty(2), "marked dirty without being");
+}
+
+TEST(ClientCacheTest, ErasingAPinnedPageUntouchesIt) {
+  ClientCache cache(4);
+  cache.Insert(1, Page(1));
+  cache.Insert(2, Page(1));
+  cache.Pin(1);
+  cache.Pin(2);
+  cache.MarkDirty(2);
+  cache.Erase(2);
+  EXPECT_TRUE(cache.DirtyPages().empty());
+  std::vector<db::PageId> touched;
+  cache.ForEachTouched(
+      [&](db::PageId page, CachedPage&) { touched.push_back(page); });
+  EXPECT_EQ(touched, (std::vector<db::PageId>{1}));
+  cache.EndTransaction();
+  cache.AuditEndOfAttempt();
+}
+
+// Property: over random mixes of the cache operations the protocols use,
+// the O(touched) paths (DirtyPages, ForEachTouched) agree exactly — order
+// included — with a brute-force walk of the whole cache.
+TEST(ClientCacheTest, TouchedPathsMatchAWholeCacheWalk) {
+  constexpr int kPages = 48;
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    ClientCache cache(24);
+    const auto pick = [&] {
+      return static_cast<db::PageId>(rng() % kPages);
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const db::PageId page = pick();
+      switch (rng() % 16) {
+        case 0:
+        case 1:
+        case 2:
+          cache.Touch(page);
+          break;
+        case 3:
+        case 4:
+        case 5:
+          if (!cache.Contains(page)) {
+            (void)cache.Insert(page, Page(1));
+          }
+          break;
+        case 6:
+        case 7:
+        case 8:
+        case 9:
+          if (cache.Contains(page)) {
+            cache.Pin(page);
+          }
+          break;
+        case 10:
+        case 11:
+          if (cache.IsPinned(page)) {
+            cache.MarkDirty(page);
+          }
+          break;
+        case 12:
+          cache.Erase(page);
+          break;
+        case 13:
+          if (rng() % 8 == 0) {
+            cache.Clear();
+          }
+          break;
+        default:
+          // An attempt ends the way the protocols end one: dirty pages are
+          // either shipped (made clean) or dropped, then the pins go.
+          for (db::PageId dirty : cache.DirtyPages()) {
+            if (rng() % 2 == 0) {
+              cache.Find(dirty)->dirty = false;
+            } else {
+              cache.Erase(dirty);
+            }
+          }
+          cache.EndTransaction();
+          cache.AuditEndOfAttempt();
+          break;
+      }
+      std::vector<db::PageId> want_dirty, want_touched;
+      cache.ForEach([&](db::PageId p, const CachedPage& entry) {
+        if (entry.dirty) {
+          want_dirty.push_back(p);
+        }
+        if (cache.IsPinned(p)) {
+          want_touched.push_back(p);
+        }
+      });
+      std::vector<db::PageId> touched;
+      cache.ForEachTouched(
+          [&](db::PageId p, CachedPage&) { touched.push_back(p); });
+      const ClientCache::PageIdList dirty = cache.DirtyPages();
+      ASSERT_EQ(std::vector<db::PageId>(dirty.begin(), dirty.end()),
+                want_dirty)
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(touched, want_touched) << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 TEST(ClientCacheTest, ClearDropsEverything) {

@@ -179,7 +179,10 @@ TEST(WireFaultAdapterTest, DownEndpointSendsAndReceivesNothing) {
 TEST(WireFaultAdapterTest, DelaySpikeIsHeldUntilDueThenReleasedFifo) {
   fault::FaultPlan plan;
   plan.link.delay_spike = 1.0;
-  plan.link.spike_delay = sim::MillisToTicks(2.0);
+  // Long enough that the "immediate" flush below is still before the due
+  // time when a loaded (sanitized, parallel ctest) host preempts the test
+  // between the two calls.
+  plan.link.spike_delay = sim::MillisToTicks(100.0);
   AdapterHarness h(std::move(plan));
 
   h.adapter.Deliver(SeqMessage(1));
@@ -191,7 +194,7 @@ TEST(WireFaultAdapterTest, DelaySpikeIsHeldUntilDueThenReleasedFifo) {
   EXPECT_TRUE(h.next.delivered.empty());
   EXPECT_EQ(h.next.flushes, 1);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   h.adapter.Flush();
   ASSERT_EQ(h.next.delivered.size(), 2u);
   EXPECT_EQ(h.next.delivered[0].seq, 1u);  // equal spikes stay FIFO

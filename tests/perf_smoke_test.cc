@@ -254,6 +254,44 @@ TEST(PerfSmokeTest, ClientCacheAttemptEndIsAllocationFree) {
   cache.AuditEndOfAttempt();
 }
 
+TEST(PerfSmokeTest, AttemptBookkeepingIsIndependentOfCacheSize) {
+  // Listing an attempt's dirty pages and ending it must cost O(pages the
+  // attempt touched), not O(pages cached): at steady state every client
+  // cache is full, so a whole-cache walk per attempt makes long runs slow
+  // down as they go. 1000 eight-page attempts against a 100k-page cache
+  // take a few milliseconds; two whole-cache walks each take seconds.
+  constexpr int kPages = 100000;
+  client::ClientCache cache(kPages);
+  for (int page = 0; page < kPages; ++page) {
+    (void)cache.Insert(page, client::CachedPage{});
+  }
+  std::uint64_t sink = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int iter = 0; iter < 1000; ++iter) {
+    for (int i = 0; i < 8; ++i) {
+      const db::PageId page = (iter * 7919 + i * 12289) % kPages;
+      cache.Touch(page);
+      cache.Pin(page);
+      if (i % 2 == 0) {
+        cache.MarkDirty(page);
+      }
+    }
+    const client::ClientCache::PageIdList dirty = cache.DirtyPages();
+    for (db::PageId page : dirty) {
+      cache.Find(page)->dirty = false;
+    }
+    cache.EndTransaction();
+    sink += dirty.size();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(sink, 4000u);
+  EXPECT_LT(seconds, 0.1) << seconds
+                          << " s: per-attempt bookkeeping walks the cache";
+  cache.AuditEndOfAttempt();
+}
+
 // ---------------------------------------------------------------------------
 // Real-substrate wire path (the batched-I/O fast path's contract)
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -327,6 +328,142 @@ TEST(BatchedOrderingTest, DepartedPeerDropsAreCounted) {
   loop.join();
   server->Close();
   EXPECT_GT(server->unroutable_drops(), 0u);
+}
+
+// A reader wakes the loop once per recv batch, not once per frame, so a
+// missed wake would strand a whole batch until the loop's one-second sleep
+// cap. A producer publishes bursts while the loop is parked on a calendar
+// entry an hour away; every burst must arrive well inside that cap. The
+// ring is smaller than the longest bursts, so the full-ring wait (which
+// kicks the loop itself) is exercised too.
+TEST(InboundChannelTest, BurstsWakeALoopParkedOnADistantEntry) {
+  sim::Simulator sim;
+  substrate::RealtimeSubstrate sub(&sim);
+  std::atomic<std::uint64_t> received{0};
+  sub.set_message_sink([&received](net::Message) {
+    received.fetch_add(1, std::memory_order_relaxed);
+  });
+  std::shared_ptr<substrate::InboundChannel> channel = sub.OpenChannel(8);
+  sim.ScheduleAfter(3600 * sim::kTicksPerSecond, [] {});
+  std::thread loop([&sub] { sub.Run(7200 * sim::kTicksPerSecond); });
+
+  constexpr auto kPrompt = std::chrono::milliseconds(500);
+  std::mt19937 rng(7);
+  std::uint64_t sent = 0;
+  int late_bursts = 0;
+  bool stranded = false;
+  for (int burst = 0; burst < 40 && !stranded && late_bursts == 0; ++burst) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));  // park
+    const int frames = 1 + static_cast<int>(rng() % 24);
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < frames && !stranded; ++i) {
+      net::Message* slot = channel->BeginPush();
+      stranded = slot == nullptr;  // the channel refused the frame
+      if (!stranded) {
+        slot->seq = sent++;
+        channel->CommitPush();
+      }
+    }
+    channel->EndBatch();
+    while (received.load(std::memory_order_relaxed) < sent &&
+           std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const auto waited = std::chrono::steady_clock::now() - start;
+    stranded = stranded || received.load(std::memory_order_relaxed) < sent;
+    if (waited > kPrompt) {
+      ++late_bursts;
+    }
+  }
+  sub.Stop();
+  loop.join();
+  channel->Close();
+  EXPECT_FALSE(stranded) << "a burst was refused or never delivered";
+  EXPECT_EQ(received.load(), sent);
+  EXPECT_EQ(late_bursts, 0) << "bursts waited out the loop's sleep";
+}
+
+// Deliver routes through a loop-thread snapshot of the route table, so a
+// route change must reach it: a shard owning client ids [0,8) departs and
+// a replacement shard registers the same ids. Replies then reach the
+// replacement, and none is counted unroutable after its hello.
+TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
+  constexpr int kClients = 8;
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  server_sub.set_message_sink([](net::Message) {});
+  const substrate::Hello hello = OrderingHello(kClients);
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, hello, &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  substrate::TcpServerTransport* st = server.get();
+  server_sub.set_flush_hook([st] { return st->Flush(); });
+  std::thread loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
+  const auto reply_to_every_client = [&server_sub, st] {
+    server_sub.PostControl([st] {
+      for (int id = 0; id < kClients; ++id) {
+        net::Message msg;
+        msg.type = net::MsgType::kAbortNotice;
+        msg.src = net::kServerNode;
+        msg.dst = id;
+        st->Deliver(msg);
+      }
+    });
+  };
+  const auto wait_for_frames = [](substrate::TcpClientTransport* shard,
+                                  std::uint64_t frames) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (shard->frames_received() < frames &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return shard->frames_received();
+  };
+
+  substrate::Hello shard_hello = hello;
+  shard_hello.client_lo = 0;
+  shard_hello.client_hi = kClients;
+  sim::Simulator first_sim;
+  substrate::RealtimeSubstrate first_sub(&first_sim);
+  auto first = substrate::TcpClientTransport::Connect(
+      "127.0.0.1", server->port(), shard_hello, &first_sub, &error);
+  ASSERT_NE(first, nullptr) << error;
+  // The server's snapshot now routes [0,8) to the first shard.
+  reply_to_every_client();
+  EXPECT_EQ(wait_for_frames(first.get(), kClients), std::uint64_t{kClients});
+  first->Close();  // the shard departs
+
+  // The server refuses the ids until it has seen the departure; retry.
+  sim::Simulator second_sim;
+  substrate::RealtimeSubstrate second_sub(&second_sim);
+  std::unique_ptr<substrate::TcpClientTransport> second;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (second == nullptr && std::chrono::steady_clock::now() < deadline) {
+    second = substrate::TcpClientTransport::Connect(
+        "127.0.0.1", server->port(), shard_hello, &second_sub, &error);
+    if (second == nullptr) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_NE(second, nullptr) << error;
+  const std::uint64_t drops_at_hello = server->unroutable_drops();
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    reply_to_every_client();
+  }
+  EXPECT_EQ(wait_for_frames(second.get(), kRounds * kClients),
+            std::uint64_t{kRounds * kClients});
+  EXPECT_EQ(server->unroutable_drops(), drops_at_hello);
+
+  second->Close();
+  server_sub.Stop();
+  loop.join();
+  server->Close();
 }
 
 // Wire faults now run on the real substrate (WireFaultAdapter at the
