@@ -104,20 +104,22 @@ void BM_LockManagerContention(benchmark::State& state) {
 BENCHMARK(BM_LockManagerContention);
 
 void BM_LruTableChurn(benchmark::State& state) {
+  // A 100-page cache over a 2000-page database (Table 5's sizes): a miss
+  // evicts the LRU page and caches the requested one.
+  constexpr int kPages = 2000;
   LruTable<int, int> lru;
   sim::Pcg32 rng(1, 2);
   for (int i = 0; i < 100; ++i) {
     lru.Insert(i, i);
   }
-  int next_key = 100;
   for (auto _ : state) {
-    const int key = static_cast<int>(rng.UniformInt(0, next_key - 1));
+    const int key = static_cast<int>(rng.UniformInt(0, kPages - 1));
     if (lru.Touch(key) == nullptr) {
       const auto* victim = lru.VictimCandidate();
       if (victim != nullptr) {
         lru.Erase(victim->key);
       }
-      lru.Insert(next_key++, 0);
+      lru.Insert(key, 0);
     }
   }
   state.SetItemsProcessed(state.iterations());

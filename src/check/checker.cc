@@ -10,7 +10,9 @@ namespace ccsim::check {
 Checker::Checker(const db::VersionTable* versions, Options options)
     : versions_(versions),
       options_(options),
-      oracle_(std::make_unique<Oracle>(std::move(options.oracle))) {
+      oracle_(std::make_unique<Oracle>(
+          std::move(options.oracle),
+          versions != nullptr ? versions->size() : std::size_t{0})) {
   CCSIM_CHECK(options_.queue_capacity > 0);
   CCSIM_CHECK(options_.audit_epoch_commits > 0);
   if (options_.pipelined) {

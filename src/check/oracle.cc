@@ -25,7 +25,19 @@ std::string Format(const char* fmt, ...) {
 
 }  // namespace
 
-Oracle::Oracle(Options options) : options_(std::move(options)) {}
+Oracle::Oracle(Options options, std::size_t total_pages)
+    : options_(std::move(options)) {
+  pages_.reserve(total_pages);
+}
+
+Oracle::PageState& Oracle::StateOf(db::PageId page) {
+  CCSIM_CHECK_MSG(page >= 0, "commit names page %d", page);
+  const auto index = static_cast<std::size_t>(page);
+  if (index >= pages_.size()) {
+    pages_.resize(index + 1);
+  }
+  return pages_[index];
+}
 
 void Oracle::OnCommit(int client, std::uint64_t xact, std::int64_t at,
                       std::span<const PageVersion> reads,
@@ -38,8 +50,8 @@ void Oracle::OnCommit(int client, std::uint64_t xact, std::int64_t at,
   ++commits_observed_;
 
   for (const auto& [page, version] : reads) {
-    PageState& ps = pages_[page];
-    if (ps.latest == 0 && ps.writer_of.empty()) {
+    PageState& ps = StateOf(page);
+    if (ps.latest == 0 && ps.writers.empty()) {
       // First observation of this page: the read establishes the baseline
       // committed version (the initial database state, not a tracked write).
       ps.latest = version;
@@ -48,16 +60,16 @@ void Oracle::OnCommit(int client, std::uint64_t xact, std::int64_t at,
                     "commit of %" PRIu64 " read page %d at version %" PRIu64
                     " which was never installed (latest %" PRIu64 ")",
                     xact, page, version, ps.latest);
-    if (auto it = ps.writer_of.find(version);
-        it != ps.writer_of.end() && it->second != node) {
-      AddEdgeChecked(it->second, node, EdgeKind::kWriteRead, page, version);
+    if (const int writer = ps.WriterOf(version);
+        writer >= 0 && writer != node) {
+      AddEdgeChecked(writer, node, EdgeKind::kWriteRead, page, version);
     }
     if (version < ps.latest) {
       // The version read was already overwritten: this reader must precede
       // the transaction that installed version + 1.
-      if (auto it = ps.writer_of.find(version + 1);
-          it != ps.writer_of.end() && it->second != node) {
-        AddEdgeChecked(node, it->second, EdgeKind::kReadWrite, page, version);
+      if (const int overwriter = ps.WriterOf(version + 1);
+          overwriter >= 0 && overwriter != node) {
+        AddEdgeChecked(node, overwriter, EdgeKind::kReadWrite, page, version);
       }
     } else {
       ps.readers_of_latest.push_back(node);
@@ -65,8 +77,8 @@ void Oracle::OnCommit(int client, std::uint64_t xact, std::int64_t at,
   }
 
   for (const auto& [page, version] : writes) {
-    PageState& ps = pages_[page];
-    if (ps.latest != 0 || !ps.writer_of.empty()) {
+    PageState& ps = StateOf(page);
+    if (ps.latest != 0 || !ps.writers.empty()) {
       CCSIM_CHECK_MSG(version == ps.latest + 1,
                       "version chain on page %d not dense: %" PRIu64
                       " installed after %" PRIu64,
@@ -82,9 +94,12 @@ void Oracle::OnCommit(int client, std::uint64_t xact, std::int64_t at,
         }
       }
     }
+    if (ps.writers.empty()) {
+      ps.first_written = version;
+    }
     ps.latest = version;
     ps.latest_writer = node;
-    ps.writer_of.emplace(version, node);
+    ps.writers.push_back(node);
     ps.readers_of_latest.clear();
   }
 }

@@ -50,7 +50,11 @@ class Oracle {
     std::string context;
   };
 
-  explicit Oracle(Options options);
+  /// The per-page table reserves room for `total_pages` pages (the checker
+  /// passes its version table's size) and reaches a page's state when the
+  /// page is first committed; tests feeding hand-built histories may leave
+  /// it 0.
+  explicit Oracle(Options options, std::size_t total_pages = 0);
 
   Oracle(const Oracle&) = delete;
   Oracle& operator=(const Oracle&) = delete;
@@ -160,15 +164,29 @@ class Oracle {
 
   /// Per-page bookkeeping over the committed version chain. Versions are
   /// dense (each committed write bumps by exactly one), which the oracle
-  /// asserts and then exploits: the writer of any version is a map lookup.
+  /// asserts and then exploits: the writers of a page's versions are a
+  /// vector indexed from the first version it saw written.
   struct PageState {
     /// Latest committed version seen so far; 0 until first observation
     /// (reads of untouched pages establish the baseline lazily).
     std::uint64_t latest = 0;
     int latest_writer = -1;
     std::vector<int> readers_of_latest;
-    std::unordered_map<std::uint64_t, int> writer_of;
+    /// writers[v - first_written] is the node that installed version v.
+    std::uint64_t first_written = 0;
+    std::vector<int> writers;
+
+    /// The node that installed `version`, or -1 if none was observed.
+    int WriterOf(std::uint64_t version) const {
+      return version >= first_written &&
+                     version - first_written < writers.size()
+                 ? writers[version - first_written]
+                 : -1;
+    }
   };
+
+  /// The page's state; grows the table to reach it.
+  PageState& StateOf(db::PageId page);
 
   void AddEdgeChecked(int from, int to, EdgeKind kind, db::PageId page,
                       std::uint64_t version);
@@ -180,7 +198,8 @@ class Oracle {
   SerializationGraph graph_;
   std::unordered_map<std::uint64_t, int> node_of_;
   std::vector<XactInfo> info_;
-  std::unordered_map<db::PageId, PageState> pages_;
+  /// Indexed by page id, up to the largest page committed so far.
+  std::vector<PageState> pages_;
 
   std::unordered_set<std::uint64_t> unknown_;
   std::unordered_set<std::uint64_t> aborted_;

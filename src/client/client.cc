@@ -348,8 +348,9 @@ sim::Task<void> Client::DrainDeferred() {
 sim::Process Client::Driver() {
   // Stagger client start-up like an initial think time.
   co_await simulator_->Delay(generator_.SampleExternalDelay());
+  workload::TransactionSpec spec;
   while (true) {
-    workload::TransactionSpec spec = generator_.NextTransaction();
+    generator_.NextTransaction(&spec);
     const sim::Ticks begin = simulator_->Now();
     int attempts = 0;
     while (true) {

@@ -7,8 +7,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "client/client_cache.h"
@@ -21,6 +19,7 @@
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "util/block_pool.h"
 #include "workload/workload.h"
 
 namespace ccsim::proto {
@@ -225,7 +224,7 @@ class Client {
   net::MsgType last_rpc_type_{};
   sim::Ticks last_rpc_at_ = 0;
   std::uint64_t next_request_id_ = 1;
-  std::unordered_map<std::uint64_t, RpcSlot*> pending_;
+  util::PooledMap<std::uint64_t, RpcSlot*> pending_;
 
   bool in_user_delay_ = false;
   std::deque<net::MessagePtr> deferred_;
@@ -248,9 +247,9 @@ class Client {
   std::uint32_t incarnation_ = 1;
   std::uint64_t next_seq_ = 1;
   std::unique_ptr<sim::Event> recovered_;
-  std::unordered_set<db::PageId> updated_this_xact_;
+  util::PooledSet<db::PageId> updated_this_xact_;
   /// Sliding window of asynchronous sequence numbers already processed.
-  std::unordered_set<std::uint64_t> seen_seq_;
+  util::PooledSet<std::uint64_t> seen_seq_;
   std::deque<std::uint64_t> seen_order_;
 };
 

@@ -60,7 +60,7 @@ void ClientCache::AuditEndOfAttempt() const {
   CCSIM_CHECK_MSG(touched_.empty(),
                   "%zu touched pages left after the attempt ended",
                   touched_.size());
-  lru_.ForEach([&](const LruTable<db::PageId, CachedPage>::Entry& e) {
+  lru_.ForEach([&](const Entry& e) {
     CCSIM_CHECK_MSG(e.pin_count == 0,
                     "page %d still pinned after the attempt ended", e.key);
     CCSIM_CHECK_MSG(!e.value.dirty,

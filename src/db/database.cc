@@ -49,8 +49,8 @@ ObjectRef DatabaseLayout::RandomObject(sim::Pcg32& rng) const {
   return object;
 }
 
-std::vector<PageId> DatabaseLayout::PagesOf(const ObjectRef& object) const {
-  std::vector<PageId> pages;
+ObjectPages DatabaseLayout::PagesOf(const ObjectRef& object) const {
+  ObjectPages pages;
   pages.reserve(static_cast<std::size_t>(object.size));
   for (int i = 0; i < object.size; ++i) {
     pages.push_back(PageOf(object.cls, object.start_atom + i));

@@ -7,12 +7,18 @@
 #include "config/params.h"
 #include "sim/random.h"
 #include "util/macros.h"
+#include "util/small_vector.h"
 
 namespace ccsim::db {
 
 /// Global page (atom) identifier. Pages are numbered class after class.
 using PageId = std::int32_t;
 inline constexpr PageId kInvalidPage = -1;
+
+/// The pages of one object, in atom order. The inline capacity covers the
+/// object sizes the experiments use (1-8 atoms), so listing an object's
+/// pages allocates nothing; a larger object spills to the heap.
+using ObjectPages = util::SmallVector<PageId, 8>;
 
 /// A logical object: `size` consecutive atoms of one class starting at
 /// `start_atom` (wrapping at the class boundary). Because objects start at
@@ -61,7 +67,7 @@ class DatabaseLayout {
   ObjectRef RandomObject(sim::Pcg32& rng) const;
 
   /// The pages an object occupies, in atom order (wrapping in the class).
-  std::vector<PageId> PagesOf(const ObjectRef& object) const;
+  ObjectPages PagesOf(const ObjectRef& object) const;
 
  private:
   config::DatabaseParams params_;

@@ -1,6 +1,7 @@
 #include "lock/lock_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/macros.h"
 
@@ -28,14 +29,29 @@ void LockManager::EraseWait(OwnerId owner, db::PageId page,
   }
 }
 
+LockManager::Entry& LockManager::EntryOf(db::PageId page) {
+  CCSIM_CHECK_MSG(page >= 0, "lock on page %d", page);
+  const auto index = static_cast<std::size_t>(page);
+  if (index >= table_.size()) {
+    // Within the reserved page count this moves nothing; past it, nothing
+    // refers into the table across this call (Acquire takes its entry
+    // reference only afterwards), so moving the entries is safe.
+    table_.resize(index + 1);
+  }
+  return table_[index];
+}
+
 LockManager::Entry* LockManager::FindEntry(db::PageId page) {
-  auto it = table_.find(page);
-  return it == table_.end() ? nullptr : &it->second;
+  return const_cast<Entry*>(std::as_const(*this).FindEntry(page));
 }
 
 const LockManager::Entry* LockManager::FindEntry(db::PageId page) const {
-  auto it = table_.find(page);
-  return it == table_.end() ? nullptr : &it->second;
+  const auto index = static_cast<std::size_t>(page);
+  if (index >= table_.size()) {
+    return nullptr;
+  }
+  const Entry& entry = table_[index];
+  return entry.holders.empty() && entry.waiters.empty() ? nullptr : &entry;
 }
 
 LockManager::Holder* LockManager::FindHolder(Entry& entry, OwnerId owner) {
@@ -60,14 +76,12 @@ bool LockManager::Holds(OwnerId owner, db::PageId page, LockMode mode) const {
   return false;
 }
 
-std::vector<LockManager::HolderInfo> LockManager::HoldersOf(
-    db::PageId page) const {
-  std::vector<HolderInfo> out;
+LockManager::HolderList LockManager::HoldersOf(db::PageId page) const {
+  HolderList out;
   const Entry* entry = FindEntry(page);
   if (entry == nullptr) {
     return out;
   }
-  out.reserve(entry->holders.size());
   for (const Holder& h : entry->holders) {
     out.push_back(HolderInfo{h.owner, h.mode});
   }
@@ -76,7 +90,7 @@ std::vector<LockManager::HolderInfo> LockManager::HoldersOf(
 
 void LockManager::CollectBlockers(const Entry& entry, OwnerId requester,
                                   LockMode mode, bool is_upgrade,
-                                  std::vector<OwnerId>* blockers) const {
+                                  OwnerList* blockers) const {
   for (const Holder& h : entry.holders) {
     if (h.owner == requester) {
       continue;
@@ -113,9 +127,9 @@ bool LockManager::WouldDeadlock(OwnerId owner, db::PageId page,
     return false;
   }();
 
-  std::vector<OwnerId> stack;
+  OwnerList stack;
   CollectBlockers(*entry, owner, mode, is_upgrade, &stack);
-  std::unordered_set<OwnerId> visited;
+  util::PooledSet<OwnerId> visited;
   while (!stack.empty()) {
     OwnerId blocker = stack.back();
     stack.pop_back();
@@ -158,7 +172,7 @@ bool LockManager::WouldDeadlock(OwnerId owner, db::PageId page,
 
 sim::Task<LockOutcome> LockManager::Acquire(OwnerId owner, db::PageId page,
                                             LockMode mode) {
-  Entry& entry = table_[page];
+  Entry& entry = EntryOf(page);
   Holder* mine = FindHolder(entry, owner);
   if (mine != nullptr) {
     if (mode == LockMode::kShared || mine->mode == LockMode::kExclusive) {
@@ -236,11 +250,11 @@ bool LockManager::CanGrant(const Entry& entry, const Waiter& waiter) const {
 }
 
 void LockManager::GrantEligible(db::PageId page) {
-  auto it = table_.find(page);
-  if (it == table_.end()) {
+  Entry* found = FindEntry(page);
+  if (found == nullptr) {
     return;
   }
-  Entry& entry = it->second;
+  Entry& entry = *found;
   while (!entry.waiters.empty() && CanGrant(entry, entry.waiters.front())) {
     const Waiter w = entry.waiters.front();
     entry.waiters.erase(entry.waiters.begin());
@@ -259,9 +273,6 @@ void LockManager::GrantEligible(db::PageId page) {
       ++held_count_;
     }
     w.slot->Set(LockOutcome::kGranted);
-  }
-  if (entry.holders.empty() && entry.waiters.empty()) {
-    table_.erase(it);
   }
 }
 
@@ -292,7 +303,7 @@ void LockManager::ReleaseAll(OwnerId owner) {
   if (it == held_by_.end()) {
     return;
   }
-  const std::vector<db::PageId> pages(it->second.begin(), it->second.end());
+  const PageIdList pages(it->second.begin(), it->second.end());
   for (db::PageId page : pages) {
     Release(owner, page);
   }
@@ -301,8 +312,7 @@ void LockManager::ReleaseAll(OwnerId owner) {
 void LockManager::CancelOwner(OwnerId owner) {
   auto wait_it = waiting_on_.find(owner);
   if (wait_it != waiting_on_.end()) {
-    const std::vector<db::PageId> pages(wait_it->second.begin(),
-                                        wait_it->second.end());
+    const PageIdList pages(wait_it->second.begin(), wait_it->second.end());
     waiting_on_.erase(wait_it);
     for (db::PageId page : pages) {
       Entry* entry = FindEntry(page);
@@ -329,15 +339,17 @@ void LockManager::CancelOwner(OwnerId owner) {
 }
 
 void LockManager::Reset() {
-  // Collect the slots first: waking a waiter mutates nothing here (Set only
-  // schedules a resume), but iterating a table we are also clearing would.
+  // Collect the slots first, in ascending page order: waking a waiter
+  // mutates nothing here (Set only schedules a resume), but iterating a
+  // table we are also clearing would.
   std::vector<sim::OneShot<LockOutcome>*> slots;
-  for (auto& [page, entry] : table_) {
+  for (Entry& entry : table_) {
     for (const Waiter& w : entry.waiters) {
       slots.push_back(w.slot);
     }
+    entry.holders.clear();
+    entry.waiters.clear();
   }
-  table_.clear();
   waiting_on_.clear();
   held_by_.clear();
   held_count_ = 0;
@@ -387,11 +399,12 @@ void LockManager::Downgrade(OwnerId owner, db::PageId page) {
 }
 
 void LockManager::DebugDump(std::FILE* out) const {
-  for (const auto& [page, entry] : table_) {
+  for (std::size_t page = 0; page < table_.size(); ++page) {
+    const Entry& entry = table_[page];
     if (entry.waiters.empty()) {
       continue;
     }
-    std::fprintf(out, "page %d holders:", page);
+    std::fprintf(out, "page %zu holders:", page);
     for (const Holder& h : entry.holders) {
       std::fprintf(out, " %llu%s", (unsigned long long)h.owner,
                    h.mode == LockMode::kExclusive ? "X" : "S");

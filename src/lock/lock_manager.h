@@ -4,14 +4,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "db/database.h"
 #include "sim/event.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "util/block_pool.h"
+#include "util/small_vector.h"
 
 namespace ccsim::lock {
 
@@ -52,7 +52,15 @@ enum class LockOutcome {
 /// suspending the calling coroutine.
 class LockManager {
  public:
-  explicit LockManager(sim::Simulator* simulator) : simulator_(simulator) {}
+  /// The table reserves room for pages [0, total_pages) — the server
+  /// passes the layout's page count — and reaches each page's entry when
+  /// the page is first locked, so construction touches no entry; unit
+  /// tests and replays that have no layout let it grow.
+  explicit LockManager(sim::Simulator* simulator,
+                       std::int64_t total_pages = 0)
+      : simulator_(simulator) {
+    table_.reserve(static_cast<std::size_t>(total_pages));
+  }
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
   ~LockManager();
@@ -99,12 +107,15 @@ class LockManager {
   /// True if `owner` holds `page` with at least `mode` strength.
   bool Holds(OwnerId owner, db::PageId page, LockMode mode) const;
 
-  /// Current holders of `page` (empty if unlocked).
+  /// Current holders of `page` (empty if unlocked), copied: the caller
+  /// may await while it walks them. Inline capacity covers the usual few
+  /// sharers.
   struct HolderInfo {
     OwnerId owner;
     LockMode mode;
   };
-  std::vector<HolderInfo> HoldersOf(db::PageId page) const;
+  using HolderList = util::SmallVector<HolderInfo, 8>;
+  HolderList HoldersOf(db::PageId page) const;
 
   /// True if any request is queued on `page`.
   bool HasWaiters(db::PageId page) const {
@@ -112,14 +123,18 @@ class LockManager {
     return entry != nullptr && !entry->waiters.empty();
   }
 
-  /// Pages currently held by `owner` (used for commit-time lock
-  /// disposition in callback locking).
-  std::vector<db::PageId> PagesHeldBy(OwnerId owner) const {
+  /// Page-id list for the owner-wide operations; inline capacity covers a
+  /// transaction's locks (Table 5: 4-12 objects, plus upgrades' pages).
+  using PageIdList = util::SmallVector<db::PageId, 32>;
+
+  /// Pages currently held by `owner`, in the held set's iteration order
+  /// (used for commit-time lock disposition in callback locking).
+  PageIdList PagesHeldBy(OwnerId owner) const {
     auto it = held_by_.find(owner);
     if (it == held_by_.end()) {
       return {};
     }
-    return std::vector<db::PageId>(it->second.begin(), it->second.end());
+    return PageIdList(it->second.begin(), it->second.end());
   }
 
   /// Number of (owner, page) locks currently held.
@@ -164,6 +179,9 @@ class LockManager {
   }
 
   void EraseWait(OwnerId owner, db::PageId page, const Entry& entry);
+  /// The page's entry, locked or not; grows the table to reach it.
+  Entry& EntryOf(db::PageId page);
+  /// The page's entry, or nullptr when nobody holds or waits for it.
   Entry* FindEntry(db::PageId page);
   const Entry* FindEntry(db::PageId page) const;
   Holder* FindHolder(Entry& entry, OwnerId owner);
@@ -172,20 +190,31 @@ class LockManager {
   void GrantEligible(db::PageId page);
   bool CanGrant(const Entry& entry, const Waiter& waiter) const;
 
+  /// Owners still to visit in a waits-for search.
+  using OwnerList = util::SmallVector<OwnerId, 16>;
+
   /// True if adding owner's wait on `page` would create a waits-for cycle
   /// back to `owner`.
   bool WouldDeadlock(OwnerId owner, db::PageId page, LockMode mode) const;
   void CollectBlockers(const Entry& entry, OwnerId requester, LockMode mode,
                        bool is_upgrade,
-                       std::vector<OwnerId>* blockers) const;
+                       OwnerList* blockers) const;
+
+  /// Page-id sets per owner. Hashed, and keyed by sparse transaction
+  /// uids: ReleaseAll, CancelOwner and PagesHeldBy hand a set's iteration
+  /// order to the grants and lock transfers they cause.
+  using OwnerPages = util::PooledMap<OwnerId, util::PooledSet<db::PageId>>;
 
   sim::Simulator* simulator_;
-  std::unordered_map<db::PageId, Entry> table_;
+  /// Indexed by page id, up to the largest page locked so far. An entry
+  /// with neither holders nor waiters is an unlocked page; its vectors
+  /// keep their capacity for the next locker.
+  std::vector<Entry> table_;
   /// pages an owner is currently waiting on (no-wait locking can have
   /// several of one transaction's requests queued concurrently).
-  std::unordered_map<OwnerId, std::unordered_set<db::PageId>> waiting_on_;
+  OwnerPages waiting_on_;
   /// reverse index: pages held per owner, for ReleaseAll.
-  std::unordered_map<OwnerId, std::unordered_set<db::PageId>> held_by_;
+  OwnerPages held_by_;
   std::function<OwnerId(OwnerId)> retained_proxy_;
   std::size_t held_count_ = 0;
   std::size_t waiter_count_ = 0;

@@ -2,10 +2,10 @@
 #define CCSIM_PROTO_CALLBACK_H_
 
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "proto/two_phase.h"
+#include "util/block_pool.h"
 
 namespace ccsim::proto {
 
@@ -53,7 +53,7 @@ class CallbackClient : public TwoPhaseClient {
   bool explicit_evict_notices_;
   /// Called-back pages in use by the current transaction; released (with a
   /// kCallbackRelease message) when the transaction ends.
-  std::unordered_set<db::PageId> deferred_callbacks_;
+  util::PooledSet<db::PageId> deferred_callbacks_;
   /// Evicted retained locks awaiting piggybacking on the next message.
   std::vector<db::PageId> pending_evict_notices_;
 };
@@ -101,7 +101,9 @@ class CallbackServer : public TwoPhaseServer {
   /// unanswered past the lease is force-released server-side.
   sim::Ticks lease_ticks_ = 0;
   /// (page, client) pairs with an outstanding callback request.
-  std::set<std::pair<db::PageId, int>> outstanding_callbacks_;
+  std::set<std::pair<db::PageId, int>, std::less<>,
+           util::PoolAllocator<std::pair<db::PageId, int>>>
+      outstanding_callbacks_;
 };
 
 }  // namespace ccsim::proto

@@ -9,9 +9,9 @@
 namespace ccsim::proto {
 
 sim::Task<bool> CertificationClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> check;
-  std::vector<std::uint64_t> check_versions;
-  std::vector<db::PageId> fetch;
+  net::PageList check;
+  net::MsgList<std::uint64_t> check_versions;
+  net::PageList fetch;
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {

@@ -1,10 +1,10 @@
 #ifndef CCSIM_PROTO_CERTIFICATION_H_
 #define CCSIM_PROTO_CERTIFICATION_H_
 
-#include <unordered_map>
 
 #include "config/params.h"
 #include "proto/protocol.h"
+#include "util/block_pool.h"
 
 namespace ccsim::proto {
 
@@ -37,7 +37,7 @@ class CertificationClient : public ClientProtocol {
  private:
   bool intra_;
   /// (page -> version read), shipped with the commit for validation.
-  std::unordered_map<db::PageId, std::uint64_t> read_set_;
+  util::PooledMap<db::PageId, std::uint64_t> read_set_;
 };
 
 /// Server half of certification: version checks on access, commit-time

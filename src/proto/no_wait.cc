@@ -1,9 +1,9 @@
 #include "proto/no_wait.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "check/checker.h"
+#include "util/block_pool.h"
 #include "util/macros.h"
 
 namespace ccsim::proto {
@@ -11,9 +11,9 @@ namespace ccsim::proto {
 // --- client ---
 
 sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> async_pages;
-  std::vector<std::uint64_t> async_versions;
-  std::vector<db::PageId> fetch;
+  net::PageList async_pages;
+  net::MsgList<std::uint64_t> async_versions;
+  net::PageList fetch;
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {
@@ -99,7 +99,7 @@ sim::Task<bool> NoWaitClient::ReadObject(const workload::Step& step) {
 }
 
 sim::Task<bool> NoWaitClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
+  net::PageList upgrade;
   for (db::PageId page : step.write_pages) {
     client::CachedPage& entry = c_.cache().MarkDirty(page);
     c_.NoteUpdated(page);
@@ -219,7 +219,7 @@ sim::Task<void> NoWaitServer::HandleNoWaitLock(const net::Message& msg) {
   }
   --state->pending_async;
   if (state->pending_async == 0) {
-    state->async_resolved->Signal();
+    state->async_resolved.Signal();
   }
 }
 
@@ -255,7 +255,7 @@ sim::Task<void> NoWaitServer::HandleCommit(const net::Message& msg) {
   // resolved (paper §2.4: "the client must receive a response from the
   // server before it can commit").
   while (state->pending_async > 0 && !state->aborted) {
-    co_await state->async_resolved->Wait();
+    co_await state->async_resolved.Wait();
   }
   if (state->aborted) {
     // The asynchronous notice is (or will be) on its way; answer the commit
@@ -319,11 +319,12 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
     const server::XactState& state, const net::Message& commit_reply) {
   // Group the committed pages by caching client so each client gets one
   // message (paper §2.5: the server sends the updated copies).
-  std::unordered_map<int, net::MessagePtr> per_client;
+  util::PooledMap<int, net::MessagePtr> per_client;
+  std::vector<int> targets;  // one page's, reused across the pages
   for (std::size_t i = 0; i < commit_reply.pages.size(); ++i) {
     const db::PageId page = commit_reply.pages[i];
     const std::uint64_t version = commit_reply.versions[i];
-    std::vector<int> targets;
+    targets.clear();
     if (notify_broadcast_) {
       // Broadcast variant (paper §6): no directory, every other client.
       for (int client = 0; client < s_.config().system.num_clients;
@@ -333,7 +334,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
         }
       }
     } else {
-      targets = s_.directory().ClientsCaching(page, state.client);
+      s_.directory().ClientsCaching(page, state.client, &targets);
     }
     for (int client : targets) {
       net::MessagePtr& msg = per_client[client];

@@ -2,10 +2,10 @@
 #define CCSIM_PROTO_NO_WAIT_H_
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "config/params.h"
 #include "proto/protocol.h"
+#include "util/block_pool.h"
 
 namespace ccsim::proto {
 
@@ -30,7 +30,7 @@ class NoWaitClient : public ClientProtocol {
   /// Recovery mode: version of every page at the moment this attempt first
   /// used it. The fire-and-forget lock/validate request may be lost, so the
   /// commit carries these for a server-side backward validation.
-  std::unordered_map<db::PageId, std::uint64_t> read_set_;
+  util::PooledMap<db::PageId, std::uint64_t> read_set_;
 };
 
 /// Server half of no-wait locking. With `notify` (paper §2.5), committed

@@ -35,9 +35,8 @@ sim::Task<bool> ClientProtocol::RunAttempt(
 }
 
 sim::Task<bool> ClientProtocol::ReadThroughServer(
-    const std::vector<db::PageId>& check,
-    const std::vector<std::uint64_t>& versions,
-    const std::vector<db::PageId>& fetch) {
+    const net::PageList& check, const net::MsgList<std::uint64_t>& versions,
+    const net::PageList& fetch) {
   auto request = std::make_unique<net::Message>();
   request->type = net::MsgType::kReadRequest;
   request->xact = c_.current_xact();

@@ -67,9 +67,9 @@ class ClientProtocol {
   /// pages `check` (at `versions`) and to fetch `fetch`, installs every
   /// page the reply ships, and counts each checked page a hit unless the
   /// reply refreshed it. False when the server aborted the attempt.
-  sim::Task<bool> ReadThroughServer(const std::vector<db::PageId>& check,
-                                    const std::vector<std::uint64_t>& versions,
-                                    const std::vector<db::PageId>& fetch);
+  sim::Task<bool> ReadThroughServer(const net::PageList& check,
+                                    const net::MsgList<std::uint64_t>& versions,
+                                    const net::PageList& fetch);
 
   /// The commit round trip of every protocol. `request` carries the
   /// protocol's own fields (read sets); this adds the type, the attempt,

@@ -7,9 +7,9 @@
 namespace ccsim::proto {
 
 sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
-  std::vector<db::PageId> check;
-  std::vector<std::uint64_t> check_versions;
-  std::vector<db::PageId> fetch;
+  net::PageList check;
+  net::MsgList<std::uint64_t> check_versions;
+  net::PageList fetch;
   for (db::PageId page : step.read_pages) {
     client::CachedPage* entry = c_.cache().Touch(page);
     if (entry == nullptr) {
@@ -50,7 +50,7 @@ sim::Task<bool> TwoPhaseClient::ReadObject(const workload::Step& step) {
 }
 
 sim::Task<bool> TwoPhaseClient::UpdateObject(const workload::Step& step) {
-  std::vector<db::PageId> upgrade;
+  net::PageList upgrade;
   for (db::PageId page : step.write_pages) {
     client::CachedPage* entry = c_.cache().Find(page);
     CCSIM_CHECK(entry != nullptr);  // the preceding read pinned it

@@ -1,11 +1,11 @@
 #ifndef CCSIM_SERVER_DIRECTORY_H_
 #define CCSIM_SERVER_DIRECTORY_H_
 
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "db/database.h"
+#include "util/block_pool.h"
 #include "util/lru.h"
 
 namespace ccsim::server {
@@ -24,15 +24,22 @@ namespace ccsim::server {
 /// approximation of the real cache contents).
 class Directory {
  public:
-  explicit Directory(int per_client_capacity = 1 << 20)
-      : per_client_capacity_(per_client_capacity) {}
+  /// A directory for clients [0, num_clients) over pages [0, total_pages).
+  /// The reverse index reserves room for every page and reaches a page's
+  /// set when the page is first noted, so construction touches no set.
+  Directory(int per_client_capacity, int num_clients,
+            std::int64_t total_pages)
+      : per_client_capacity_(per_client_capacity),
+        per_client_(static_cast<std::size_t>(num_clients)) {
+    by_page_.reserve(static_cast<std::size_t>(total_pages));
+  }
 
   Directory(const Directory&) = delete;
   Directory& operator=(const Directory&) = delete;
 
   /// Records that `client` was sent a copy of `page`.
   void Note(int client, db::PageId page) {
-    LruTable<db::PageId, Empty>& pages = per_client_[client];
+    PageLru& pages = ViewOf(client);
     if (!pages.TouchOrInsert(page, Empty{}).second) {
       return;
     }
@@ -42,115 +49,169 @@ class Directory {
       const auto* victim = pages.VictimCandidate();
       DropInternal(client, pages, victim->key);
     }
-    by_page_[page].insert(client);
+    const auto index = static_cast<std::size_t>(page);
+    if (index >= by_page_.size()) {
+      by_page_.resize(index + 1);  // fresh sets; moved sets keep their order
+    }
+    ClientSet& clients = by_page_[index];
+    if (clients.empty()) {
+      ++page_count_;
+    }
+    clients.insert(client);
   }
 
   /// Forgets `page` for `client` (eviction notice processed).
   void Drop(int client, db::PageId page) {
-    auto it = per_client_.find(client);
-    if (it == per_client_.end()) {
-      return;
-    }
-    DropInternal(client, it->second, page);
+    DropInternal(client, ViewOf(client), page);
   }
 
   bool Caches(int client, db::PageId page) const {
-    auto it = by_page_.find(page);
-    return it != by_page_.end() && it->second.count(client) > 0;
+    const ClientSet* clients = ClientsOf(page);
+    return clients != nullptr && clients->count(client) > 0;
   }
 
-  /// Clients believed to cache `page`, excluding `except`.
-  std::vector<int> ClientsCaching(db::PageId page, int except) const {
-    std::vector<int> out;
-    auto it = by_page_.find(page);
-    if (it == by_page_.end()) {
-      return out;
+  /// Appends to `out` the clients believed to cache `page`, excluding
+  /// `except`, in the per-page set's iteration order.
+  void ClientsCaching(db::PageId page, int except,
+                      std::vector<int>* out) const {
+    const ClientSet* clients = ClientsOf(page);
+    if (clients == nullptr) {
+      return;
     }
-    out.reserve(it->second.size());
-    for (int client : it->second) {
+    for (int client : *clients) {
       if (client != except) {
-        out.push_back(client);
+        out->push_back(client);
       }
     }
-    return out;
   }
 
   /// Forgets everything `client` caches (the client crashed; its previous
   /// life's cache is gone).
   void DropClient(int client) {
-    auto it = per_client_.find(client);
-    if (it == per_client_.end()) {
-      return;
+    PageLru& pages = ViewOf(client);
+    std::vector<db::PageId> keys;
+    pages.ForEach([&](const PageLru::Entry& e) { keys.push_back(e.key); });
+    for (db::PageId page : keys) {
+      DropInternal(client, pages, page);
     }
-    std::vector<db::PageId> pages;
-    it->second.ForEach(
-        [&](const LruTable<db::PageId, Empty>::Entry& e) {
-          pages.push_back(e.key);
-        });
-    for (db::PageId page : pages) {
-      DropInternal(client, it->second, page);
-    }
-    per_client_.erase(client);
   }
 
   /// Forgets everything (the server crashed; the directory was volatile).
   void Clear() {
-    per_client_.clear();
-    by_page_.clear();
+    for (PageLru& pages : per_client_) {
+      pages.Clear();
+    }
+    for (ClientSet& clients : by_page_) {
+      if (!clients.empty()) {
+        clients = ClientSet();
+      }
+    }
+    page_count_ = 0;
   }
 
-  std::size_t page_count() const { return by_page_.size(); }
+  /// Pages at least one client is believed to cache.
+  std::size_t page_count() const { return page_count_; }
 
   /// Consistency-oracle audit: the per-client LRU view and the by-page
-  /// reverse index must mirror each other exactly, and no client may exceed
-  /// its capacity bound. Fatal on violation.
+  /// reverse index must mirror each other exactly, page_count() must count
+  /// the non-empty per-page sets, no client may exceed its capacity bound,
+  /// and an emptied per-page set must have been replaced by a fresh one
+  /// (a drained set keeps its buckets, which would change the order
+  /// ClientsCaching reports once it refills). Fatal on violation.
+  ///
+  /// Agreement is checked without hashing: the forward views are marked
+  /// in a page-by-client bitmap, every (page, client) of the reverse index
+  /// must be marked, and both sides must hold as many entries. Neither
+  /// side holds duplicates, so together these mean they hold the same
+  /// entries.
   void AuditStructure() const {
+    const std::size_t words = (per_client_.size() + 63) / 64;
+    std::vector<std::uint64_t> forward(by_page_.size() * words);
     std::size_t forward_entries = 0;
-    for (const auto& [client, pages] : per_client_) {
+    for (std::size_t client = 0; client < per_client_.size(); ++client) {
+      const PageLru& pages = per_client_[client];
       CCSIM_CHECK_MSG(static_cast<int>(pages.size()) <= per_client_capacity_,
-                      "directory for client %d exceeds its capacity bound",
+                      "directory for client %zu exceeds its capacity bound",
                       client);
-      const int client_id = client;
-      pages.ForEach([&](const LruTable<db::PageId, Empty>::Entry& e) {
+      pages.ForEach([&](const PageLru::Entry& e) {
+        const auto page = static_cast<std::size_t>(e.key);
+        CCSIM_CHECK_MSG(page < by_page_.size(),
+                        "directory entry (client %zu, page %d) outside the "
+                        "database", client, e.key);
+        forward[page * words + client / 64] |= std::uint64_t{1}
+                                               << (client % 64);
         ++forward_entries;
-        auto it = by_page_.find(e.key);
-        CCSIM_CHECK_MSG(it != by_page_.end() &&
-                        it->second.count(client_id) > 0,
-                        "directory entry (client %d, page %d) missing from "
-                        "the reverse index", client_id, e.key);
       });
     }
+    const std::size_t fresh_buckets = ClientSet().bucket_count();
     std::size_t reverse_entries = 0;
-    for (const auto& [page, clients] : by_page_) {
-      CCSIM_CHECK_MSG(!clients.empty(),
-                      "empty reverse-index entry for page %d", page);
+    std::size_t cached_pages = 0;
+    for (std::size_t page = 0; page < by_page_.size(); ++page) {
+      const ClientSet& clients = by_page_[page];
+      if (clients.empty()) {
+        CCSIM_CHECK_MSG(clients.bucket_count() == fresh_buckets,
+                        "emptied reverse-index entry for page %zu was not "
+                        "replaced by a fresh set", page);
+        continue;
+      }
+      for (int client : clients) {
+        const auto c = static_cast<std::size_t>(client);
+        CCSIM_CHECK_MSG(
+            c < per_client_.size() &&
+                (forward[page * words + c / 64] >> (c % 64) & 1) != 0,
+            "reverse-index entry (client %d, page %zu) missing from the "
+            "client's view", client, page);
+      }
       reverse_entries += clients.size();
+      ++cached_pages;
     }
     CCSIM_CHECK_MSG(forward_entries == reverse_entries,
                     "directory indexes disagree: %zu forward vs %zu reverse",
                     forward_entries, reverse_entries);
+    CCSIM_CHECK_MSG(cached_pages == page_count_,
+                    "directory counts %zu cached pages but %zu per-page "
+                    "sets are non-empty", page_count_, cached_pages);
   }
 
  private:
   struct Empty {};
+  using PageLru = LruTable<db::PageId, Empty>;
+  /// Hashed on purpose: ClientsCaching hands its iteration order to
+  /// no-wait-notify's propagation sends.
+  using ClientSet = util::PooledSet<int>;
 
-  void DropInternal(int client, LruTable<db::PageId, Empty>& pages,
-                    db::PageId page) {
+  PageLru& ViewOf(int client) {
+    CCSIM_CHECK_MSG(static_cast<std::size_t>(client) < per_client_.size(),
+                    "client %d outside the directory's %zu clients", client,
+                    per_client_.size());
+    return per_client_[static_cast<std::size_t>(client)];
+  }
+
+  const ClientSet* ClientsOf(db::PageId page) const {
+    const auto index = static_cast<std::size_t>(page);
+    return index < by_page_.size() ? &by_page_[index] : nullptr;
+  }
+
+  void DropInternal(int client, PageLru& pages, db::PageId page) {
     if (!pages.Erase(page)) {
       return;
     }
-    auto it = by_page_.find(page);
-    if (it != by_page_.end()) {
-      it->second.erase(client);
-      if (it->second.empty()) {
-        by_page_.erase(it);
-      }
+    ClientSet& clients = by_page_[static_cast<std::size_t>(page)];
+    clients.erase(client);
+    if (clients.empty()) {
+      // A fresh set, not the drained one: see AuditStructure.
+      clients = ClientSet();
+      --page_count_;
     }
   }
 
   int per_client_capacity_;
-  std::unordered_map<int, LruTable<db::PageId, Empty>> per_client_;
-  std::unordered_map<db::PageId, std::unordered_set<int>> by_page_;
+  /// Indexed by client id.
+  std::vector<PageLru> per_client_;
+  /// Indexed by page id, up to the largest page noted so far; an empty set
+  /// means no client caches the page.
+  std::vector<ClientSet> by_page_;
+  std::size_t page_count_ = 0;
 };
 
 }  // namespace ccsim::server

@@ -18,8 +18,13 @@ Server::Server(sim::Simulator* simulator,
       network_(network), metrics_(metrics),
       rng_(seed, /*stream=*/0x5e5fULL),
       cpu_(simulator, "server.cpu", config.system.num_server_cpus),
-      locks_(simulator), versions_(layout->total_pages()),
-      directory_(config.system.client_cache_pages), inbox_(simulator) {
+      locks_(simulator, layout->total_pages()),
+      versions_(layout->total_pages()),
+      directory_(config.system.client_cache_pages, config.system.num_clients,
+                 layout->total_pages()),
+      inbox_(simulator),
+      active_by_client_(static_cast<std::size_t>(config.system.num_clients)),
+      last_finished_(static_cast<std::size_t>(config.system.num_clients)) {
   const storage::DiskTiming timing{
       sim::MillisToTicks(config.system.seek_low_ms),
       sim::MillisToTicks(config.system.seek_high_ms),
@@ -193,16 +198,14 @@ XactState* Server::FindXact(std::uint64_t uid) {
 }
 
 std::uint64_t Server::ActiveXactOfClient(int client) const {
-  auto it = active_by_client_.find(client);
-  return it == active_by_client_.end() ? 0 : it->second;
+  return active_by_client_[ClientSlot(client)];
 }
 
 bool Server::IsStale(const net::Message& msg) const {
   if (msg.xact == 0 || msg.src == net::kServerNode) {
     return false;
   }
-  auto it = last_finished_.find(msg.src);
-  return it != last_finished_.end() && msg.xact <= it->second;
+  return msg.xact <= last_finished_[ClientSlot(msg.src)];
 }
 
 bool Server::IsSynchronous(net::MsgType type) {
@@ -230,12 +233,11 @@ bool Server::IsTransactional(net::MsgType type) {
 }
 
 void Server::Admit(const net::Message& msg) {
-  auto state = std::make_unique<XactState>();
+  auto state = std::make_unique<XactState>(simulator_);
   state->uid = msg.xact;
   state->client = msg.src;
-  state->async_resolved = std::make_unique<sim::Event>(simulator_);
   active_.insert(msg.xact);
-  active_by_client_[msg.src] = msg.xact;
+  active_by_client_[ClientSlot(msg.src)] = msg.xact;
   xacts_.emplace(msg.xact, std::move(state));
 }
 
@@ -388,7 +390,17 @@ void Server::Reclaim(const XactState& state) {
   }
 }
 
+std::size_t Server::ClientSlot(int client) const {
+  CCSIM_CHECK_MSG(client >= 0 && client < config_.system.num_clients,
+                  "client %d outside [0, %d)", client,
+                  config_.system.num_clients);
+  return static_cast<std::size_t>(client);
+}
+
 void Server::PumpReady() {
+  if (ready_.empty()) {
+    return;
+  }
   std::deque<net::MessagePtr> keep;
   while (!ready_.empty()) {
     net::MessagePtr msg = std::move(ready_.front());
@@ -528,11 +540,11 @@ void Server::MarkDone(XactState& state) {
   CCSIM_CHECK(!state.done);
   state.done = true;
   active_.erase(state.uid);
-  auto it = active_by_client_.find(state.client);
-  if (it != active_by_client_.end() && it->second == state.uid) {
-    active_by_client_.erase(it);
+  std::uint64_t& active = active_by_client_[ClientSlot(state.client)];
+  if (active == state.uid) {
+    active = 0;
   }
-  std::uint64_t& last = last_finished_[state.client];
+  std::uint64_t& last = last_finished_[ClientSlot(state.client)];
   last = std::max(last, state.uid);
   PumpReady();
 }
@@ -647,11 +659,11 @@ void Server::Crash() {
         checker->OnAbortObserved(uid);
       }
     }
-    std::uint64_t& last = last_finished_[state->client];
+    std::uint64_t& last = last_finished_[ClientSlot(state->client)];
     last = std::max(last, uid);
   }
   active_.clear();
-  active_by_client_.clear();
+  std::fill(active_by_client_.begin(), active_by_client_.end(), 0);
   ready_.clear();
   channels_.clear();
   inbox_.Clear();

@@ -24,6 +24,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "storage/log_manager.h"
+#include "util/block_pool.h"
 
 namespace ccsim::proto {
 class ServerProtocol;
@@ -32,27 +33,35 @@ class ServerProtocol;
 namespace ccsim::server {
 
 /// Server-side state of one transaction attempt.
+///
+/// Its page sets stay hashed (with pooled nodes): BumpVersionsAndRecord
+/// hands the iteration order of read_versions and updated to the reply and
+/// the checker feed.
 struct XactState {
+  explicit XactState(sim::Simulator* simulator) : async_resolved(simulator) {}
+  XactState(const XactState&) = delete;
+  XactState& operator=(const XactState&) = delete;
+
   std::uint64_t uid = 0;
   int client = 0;
   bool done = false;
   bool aborted = false;
   /// (page -> version read) for the serializability oracle and, in 2PL-like
   /// protocols, built as locks/fetches are granted.
-  std::unordered_map<db::PageId, std::uint64_t> read_versions;
+  util::PooledMap<db::PageId, std::uint64_t> read_versions;
   /// Pages updated by this transaction (installed in the buffer pool for
   /// in-place protocols; staged for certification).
-  std::unordered_set<db::PageId> updated;
+  util::PooledSet<db::PageId> updated;
   /// No-wait locking: asynchronous requests still being processed.
   int pending_async = 0;
   /// Signalled whenever pending_async reaches zero.
-  std::unique_ptr<sim::Event> async_resolved;
+  sim::Event async_resolved;
   /// Pages found stale, reported to the client with the abort.
   std::vector<db::PageId> stale_pages;
   /// Updated pages received before commit but not yet applicable in place:
   /// certification's server-side private buffer, and no-wait dirty
   /// evictions whose X lock is still pending.
-  std::unordered_set<db::PageId> deferred;
+  util::PooledSet<db::PageId> deferred;
   /// Recovery mode: when the server last heard from this transaction
   /// (stamped at dispatch; the idle reaper aborts transactions whose
   /// client went silent without a crash notification).
@@ -64,6 +73,14 @@ struct XactState {
   /// A handler may still touch the state after the transaction is done, so
   /// the state is reclaimed only once it is done and this is zero.
   int handlers = 0;
+
+  // One state per attempt: recycle its block through the per-thread pool.
+  static void* operator new(std::size_t bytes) {
+    return util::BlockPool::Allocate(bytes);
+  }
+  static void operator delete(void* ptr, std::size_t bytes) noexcept {
+    util::BlockPool::Free(ptr, bytes);
+  }
 };
 
 /// The database server (paper §3.3.4): CPU(s), data and log disks, buffer
@@ -264,6 +281,9 @@ class Server {
   void Reclaim(const XactState& state);
   sim::Process ReplyAbortedTo(net::MessagePtr request);
   void PumpReady();
+  /// `client` as an index into the per-client tables; fatal if out of
+  /// range.
+  std::size_t ClientSlot(int client) const;
   bool IsStale(const net::Message& msg) const;
   static bool IsSynchronous(net::MsgType type);
   static bool IsTransactional(net::MsgType type);
@@ -300,10 +320,14 @@ class Server {
 
   sim::Ticks server_proc_page_ticks_ = 0;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<XactState>> xacts_;
-  std::unordered_set<std::uint64_t> active_;
-  std::unordered_map<int, std::uint64_t> active_by_client_;
-  std::unordered_map<int, std::uint64_t> last_finished_;
+  /// Keyed by sparse uids and hashed, with pooled nodes: the Reaper and
+  /// Crash walk active_ in its iteration order.
+  util::PooledMap<std::uint64_t, std::unique_ptr<XactState>> xacts_;
+  util::PooledSet<std::uint64_t> active_;
+  /// Indexed by client id: the client's transaction active here (0 when
+  /// none), and the newest uid of it the server has finished.
+  std::vector<std::uint64_t> active_by_client_;
+  std::vector<std::uint64_t> last_finished_;
   std::deque<net::MessagePtr> ready_;
   std::size_t ready_high_water_ = 0;
 

@@ -12,6 +12,7 @@ BufferPool::BufferPool(sim::Simulator* simulator, const Params& params,
                        sim::Resource* server_cpu)
     : simulator_(simulator), params_(params), layout_(layout),
       data_disks_(std::move(data_disks)), server_cpu_(server_cpu),
+      loading_(static_cast<std::size_t>(layout->total_pages())),
       pool_changed_(simulator) {
   CCSIM_CHECK(params_.capacity_pages >= 1);
   CCSIM_CHECK(!data_disks_.empty());
@@ -55,15 +56,13 @@ sim::Task<void> BufferPool::FetchPage(db::PageId page, bool sequential) {
     ++hits_;
     co_return;
   }
-  if (loading_.count(page) > 0) {
+  std::unique_ptr<sim::Event>& loading =
+      loading_[static_cast<std::size_t>(page)];
+  if (loading != nullptr) {
     // Another fetch is already paying the I/O; share it (paper §1 point 2).
     ++hits_;
-    while (true) {
-      auto it = loading_.find(page);
-      if (it == loading_.end()) {
-        break;
-      }
-      co_await it->second->Wait();
+    while (loading != nullptr) {
+      co_await loading->Wait();
       if (frames_.Touch(page) != nullptr) {
         co_return;
       }
@@ -77,9 +76,8 @@ sim::Task<void> BufferPool::FetchPage(db::PageId page, bool sequential) {
     ++misses_;
   }
 
-  auto event = std::make_unique<sim::Event>(simulator_);
-  sim::Event* raw_event = event.get();
-  loading_.emplace(page, std::move(event));
+  loading = std::make_unique<sim::Event>(simulator_);
+  ++loading_count_;
   co_await server_cpu_->Use(params_.init_disk_cost);
   co_await DiskFor(page)->Access(sequential);
   co_await MakeRoom();
@@ -89,17 +87,20 @@ sim::Task<void> BufferPool::FetchPage(db::PageId page, bool sequential) {
   // else: an InstallPage raced into the gap an eviction left between this
   // page's load and its insert; the installed (dirty) frame wins and this
   // read's I/O cost stands.
-  // Wake sharers before destroying the event with the map entry.
-  raw_event->Signal();
-  loading_.erase(page);
+  // Wake sharers before destroying the event.
+  loading->Signal();
+  loading.reset();
+  --loading_count_;
   pool_changed_.Signal();
 }
 
 sim::Task<void> BufferPool::InstallPage(db::PageId page, std::uint64_t xact) {
   // If a read of this page is in flight, let it land first so we do not
   // insert a duplicate frame.
-  while (loading_.count(page) > 0) {
-    co_await loading_.find(page)->second->Wait();
+  const std::unique_ptr<sim::Event>& loading =
+      loading_[static_cast<std::size_t>(page)];
+  while (loading != nullptr) {
+    co_await loading->Wait();
   }
   Frame* frame = frames_.Touch(page);
   if (frame == nullptr) {

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "db/database.h"
@@ -14,6 +12,7 @@
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "storage/disk.h"
+#include "util/block_pool.h"
 #include "util/lru.h"
 
 namespace ccsim::storage {
@@ -95,7 +94,7 @@ class BufferPool {
   /// every uncommitted owner is a live transaction. Fatal on violation.
   void AuditConsistency(const std::function<bool(std::uint64_t)>& live) const;
 
-  std::size_t loading_count() const { return loading_.size(); }
+  std::size_t loading_count() const { return loading_count_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t writebacks() const { return writebacks_; }
@@ -125,14 +124,17 @@ class BufferPool {
   sim::Resource* server_cpu_;
 
   LruTable<db::PageId, Frame> frames_;
-  /// Pages currently being read from disk; concurrent fetchers share the
-  /// I/O by waiting on the event.
-  std::unordered_map<db::PageId, std::unique_ptr<sim::Event>> loading_;
+  /// Indexed by page id (sized from the layout): the event of the page's
+  /// disk read in flight, null when none. Concurrent fetchers share the
+  /// I/O by waiting on it.
+  std::vector<std::unique_ptr<sim::Event>> loading_;
+  std::size_t loading_count_ = 0;
   sim::Event pool_changed_;
 
-  std::unordered_map<std::uint64_t, std::unordered_set<db::PageId>>
-      dirty_by_xact_;
-  std::unordered_map<std::uint64_t, std::unordered_set<db::PageId>>
+  /// Keyed by transaction uid. AbortTransaction hands a flushed set's
+  /// iteration order to the undo I/O, so these stay hashed.
+  util::PooledMap<std::uint64_t, util::PooledSet<db::PageId>> dirty_by_xact_;
+  util::PooledMap<std::uint64_t, util::PooledSet<db::PageId>>
       flushed_by_xact_;
 
   std::uint64_t hits_ = 0;

@@ -87,11 +87,14 @@ void LogManager::AppendCommitRecord(
   }
   const std::uint64_t lsn = next_lsn_++;
   for (const auto& [page, version] : writes) {
-    auto [it, inserted] = page_lsn_.emplace(page, std::make_pair(lsn, version));
-    if (inserted) {
+    CCSIM_CHECK_MSG(static_cast<std::size_t>(page) < page_lsn_.size(),
+                    "commit record for page %d outside the database", page);
+    auto& [last_lsn, last_version] = page_lsn_[static_cast<std::size_t>(page)];
+    if (last_lsn == 0) {
+      last_lsn = lsn;
+      last_version = version;
       continue;
     }
-    auto& [last_lsn, last_version] = it->second;
     CCSIM_CHECK_MSG(lsn > last_lsn,
                     "log LSN not monotone on page %d: %llu after %llu", page,
                     static_cast<unsigned long long>(lsn),
@@ -101,7 +104,8 @@ void LogManager::AppendCommitRecord(
                     "out of version-chain order",
                     page, static_cast<unsigned long long>(version),
                     static_cast<unsigned long long>(last_version));
-    it->second = {lsn, version};
+    last_lsn = lsn;
+    last_version = version;
   }
 }
 

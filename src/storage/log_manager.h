@@ -2,7 +2,6 @@
 #define CCSIM_STORAGE_LOG_MANAGER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,7 +34,8 @@ class LogManager {
              std::vector<Disk*> log_disks, std::vector<Disk*> data_disks,
              sim::Resource* server_cpu)
       : params_(params), layout_(layout), log_disks_(std::move(log_disks)),
-        data_disks_(std::move(data_disks)), server_cpu_(server_cpu) {}
+        data_disks_(std::move(data_disks)), server_cpu_(server_cpu),
+        page_lsn_(static_cast<std::size_t>(layout->total_pages())) {}
 
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
@@ -94,6 +94,9 @@ class LogManager {
       const std::vector<std::pair<db::PageId, std::uint64_t>>& writes);
 
   std::uint64_t commits_logged() const { return commits_logged_; }
+  /// Commit records AppendCommitRecord has stamped (read-only commits
+  /// stamp none).
+  std::uint64_t commit_records_stamped() const { return next_lsn_ - 1; }
   std::uint64_t undo_page_ios() const { return undo_page_ios_; }
   std::uint64_t redo_page_ios() const { return redo_page_ios_; }
   /// Storage-fault accounting: faults caught by the write-verify read-back,
@@ -132,12 +135,12 @@ class LogManager {
   std::uint64_t torn_writes_detected_ = 0;
   std::uint64_t bit_flips_detected_ = 0;
   std::uint64_t log_rewrites_ = 0;
-  /// Audit state (AppendCommitRecord): next LSN to assign and the last
-  /// (lsn, version) stamped per page. Survives simulated server crashes by
-  /// design — the log is durable, so monotonicity must hold across them.
+  /// Audit state (AppendCommitRecord): next LSN to assign and, indexed by
+  /// page id, the last (lsn, version) stamped on the page ({0, 0}: never
+  /// logged; LSNs start at 1). Survives simulated server crashes by design
+  /// — the log is durable, so monotonicity must hold across them.
   std::uint64_t next_lsn_ = 1;
-  std::unordered_map<db::PageId, std::pair<std::uint64_t, std::uint64_t>>
-      page_lsn_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> page_lsn_;
   std::uint64_t commits_logged_ = 0;
   std::uint64_t undo_page_ios_ = 0;
   std::uint64_t redo_page_ios_ = 0;

@@ -5,16 +5,21 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <new>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 namespace ccsim::util {
 
 /// A per-thread size-class cache of freed heap blocks, for objects that are
-/// created and destroyed once per simulated event: coroutine frames and
-/// messages. Sizes round up to a 64-byte granule; each class keeps a
-/// capped LIFO free list of blocks that were individually obtained from
-/// `::operator new`, so a recycled block costs a pointer pop instead of a
-/// malloc/free pair.
+/// created and destroyed once per simulated event or commit: coroutine
+/// frames, messages, transaction states and the nodes of hashed containers
+/// (PoolAllocator below). Sizes round up to a 64-byte granule; each class
+/// keeps a capped LIFO free list of blocks that were individually obtained
+/// from `::operator new`, so a recycled block costs a pointer pop instead
+/// of a malloc/free pair.
 ///
 /// Callers free with the size they allocated (sized delete), so blocks
 /// carry no header. Requests above `kMaxBlockBytes` go straight to the
@@ -106,6 +111,43 @@ class BlockPool {
 
 inline thread_local BlockPool::Lists BlockPool::lists_;
 inline thread_local bool BlockPool::exited_ = false;
+
+/// A stateless standard allocator over BlockPool, for node-based containers
+/// whose nodes and bucket arrays are created and destroyed on the commit
+/// path. Allocation never changes a hashed container's iteration order:
+/// that depends only on the hash, the bucket count and the sequence of
+/// inserts and erases.
+template <typename T>
+class PoolAllocator {
+ public:
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "BlockPool blocks carry operator new's default alignment");
+  using value_type = T;
+
+  PoolAllocator() = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}  // NOLINT
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(BlockPool::Allocate(n * sizeof(T)));
+  }
+  void deallocate(T* ptr, std::size_t n) noexcept {
+    BlockPool::Free(ptr, n * sizeof(T));
+  }
+
+  friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
+    return true;
+  }
+};
+
+/// std::unordered_set / std::unordered_map with std::hash and pooled nodes:
+/// the same iteration order as the std::allocator containers they replace.
+template <typename K>
+using PooledSet =
+    std::unordered_set<K, std::hash<K>, std::equal_to<K>, PoolAllocator<K>>;
+template <typename K, typename V>
+using PooledMap = std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
+                                     PoolAllocator<std::pair<const K, V>>>;
 
 }  // namespace ccsim::util
 

@@ -44,7 +44,7 @@ void WorkloadGenerator::NoteRead(const db::ObjectRef& object) {
   }
 }
 
-TransactionSpec WorkloadGenerator::NextTransaction() {
+void WorkloadGenerator::NextTransaction(TransactionSpec* spec) {
   // Draw the transaction's type by weight (single-type mixes skip the
   // RNG so single-type streams stay identical to the pre-mix behaviour).
   if (mix_.size() > 1) {
@@ -58,10 +58,11 @@ TransactionSpec WorkloadGenerator::NextTransaction() {
       }
     }
   }
-  TransactionSpec spec;
   const int size = static_cast<int>(object_rng_.UniformInt(
       params_().min_xact_size, params_().max_xact_size));
-  spec.steps.reserve(static_cast<std::size_t>(size));
+  spec->steps.clear();
+  // Room for the type's largest transaction, so a refilled spec grows once.
+  spec->steps.reserve(static_cast<std::size_t>(params_().max_xact_size));
   for (int i = 0; i < size; ++i) {
     Step step;
     step.object = PickObject();
@@ -72,9 +73,8 @@ TransactionSpec WorkloadGenerator::NextTransaction() {
         step.write_pages.push_back(page);
       }
     }
-    spec.steps.push_back(std::move(step));
+    spec->steps.push_back(std::move(step));
   }
-  return spec;
 }
 
 }  // namespace ccsim::workload

@@ -17,9 +17,9 @@ namespace ccsim::workload {
 struct Step {
   db::ObjectRef object;
   /// The object's pages, in atom order.
-  std::vector<db::PageId> read_pages;
+  db::ObjectPages read_pages;
   /// Subset of read_pages updated by the UpdateObject (empty = no update).
-  std::vector<db::PageId> write_pages;
+  db::ObjectPages write_pages;
 };
 
 /// A fully materialized transaction. Pre-generating the operation sequence
@@ -64,8 +64,16 @@ class WorkloadGenerator {
             layout, object_rng, delay_rng) {}
 
   /// Generates the next transaction (drawing its type for mixed
-  /// workloads) and updates the InterXactSet.
-  TransactionSpec NextTransaction();
+  /// workloads) into `spec`, replacing its steps, and updates the
+  /// InterXactSet. Refilling one spec reuses its step storage, so a
+  /// client's steady state allocates nothing here.
+  void NextTransaction(TransactionSpec* spec);
+  /// The same, into a fresh spec.
+  TransactionSpec NextTransaction() {
+    TransactionSpec spec;
+    NextTransaction(&spec);
+    return spec;
+  }
 
   /// Index of the type the current transaction was drawn from.
   std::size_t current_type() const { return current_type_; }

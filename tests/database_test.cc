@@ -79,8 +79,8 @@ TEST(DatabaseLayoutTest, ObjectSpansConsecutiveAtoms) {
 TEST(DatabaseLayoutTest, ObjectsShareAtoms) {
   // Paper Figure 2: objects of one class starting at nearby atoms overlap.
   DatabaseLayout layout(MakeParams(1, 10, 4), 1);
-  const std::vector<PageId> a = layout.PagesOf(ObjectRef{0, 2, 4});
-  const std::vector<PageId> b = layout.PagesOf(ObjectRef{0, 4, 4});
+  const ObjectPages a = layout.PagesOf(ObjectRef{0, 2, 4});
+  const ObjectPages b = layout.PagesOf(ObjectRef{0, 4, 4});
   std::set<PageId> shared;
   for (PageId page : a) {
     for (PageId other : b) {

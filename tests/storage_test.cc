@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "config/params.h"
@@ -228,6 +229,49 @@ TEST_F(StorageTest, AbortUndoChargesDataDiskIos) {
   EXPECT_EQ(log.undo_page_ios(), 4u);  // read + write per page
   EXPECT_EQ(disks_[0]->random_accesses() + disks_[1]->random_accesses(), 4u);
   EXPECT_EQ(log_disk.sequential_accesses(), 1u);  // log tail read
+}
+
+// AppendCommitRecord's audit: per page, LSNs and versions must rise.
+using CommitWrites = std::vector<std::pair<db::PageId, std::uint64_t>>;
+
+TEST_F(StorageTest, CommitRecordOnALoggedPageNeedsAHigherVersion) {
+  LogManager log(LogManager::Params{}, layout_.get(), {},
+                 {disks_[0].get(), disks_[1].get()}, cpu_.get());
+  log.AppendCommitRecord(CommitWrites{{3, 5}, {4, 2}});
+  log.AppendCommitRecord(CommitWrites{{3, 6}});
+  log.AppendCommitRecord(CommitWrites{{4, 9}, {3, 7}});
+  EXPECT_EQ(log.commit_records_stamped(), 3u);
+}
+
+TEST_F(StorageTest, ReadOnlyCommitStampsNoCommitRecord) {
+  LogManager log(LogManager::Params{}, layout_.get(), {},
+                 {disks_[0].get(), disks_[1].get()}, cpu_.get());
+  log.AppendCommitRecord(CommitWrites{});
+  EXPECT_EQ(log.commit_records_stamped(), 0u);
+  log.AppendCommitRecord(CommitWrites{{3, 5}});
+  log.AppendCommitRecord(CommitWrites{});
+  EXPECT_EQ(log.commit_records_stamped(), 1u);
+  // The read-only commits left every page's stamp alone.
+  log.AppendCommitRecord(CommitWrites{{3, 6}});
+  EXPECT_EQ(log.commit_records_stamped(), 2u);
+}
+
+using StorageDeathTest = StorageTest;
+
+TEST_F(StorageDeathTest, LowerVersionOnALoggedPageFails) {
+  LogManager log(LogManager::Params{}, layout_.get(), {},
+                 {disks_[0].get(), disks_[1].get()}, cpu_.get());
+  log.AppendCommitRecord(CommitWrites{{3, 5}});
+  EXPECT_DEATH(log.AppendCommitRecord(CommitWrites{{3, 4}}),
+               "page 3 logged version 4 after 5");
+}
+
+TEST_F(StorageDeathTest, EqualVersionOnALoggedPageFails) {
+  LogManager log(LogManager::Params{}, layout_.get(), {},
+                 {disks_[0].get(), disks_[1].get()}, cpu_.get());
+  log.AppendCommitRecord(CommitWrites{{3, 5}});
+  EXPECT_DEATH(log.AppendCommitRecord(CommitWrites{{3, 5}}),
+               "page 3 logged version 5 after 5");
 }
 
 TEST_F(StorageTest, DisabledLogManagerIsFree) {

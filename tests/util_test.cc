@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <list>
+#include <map>
 #include <new>
+#include <random>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "util/block_pool.h"
@@ -190,6 +196,157 @@ TEST(LruTableTest, ClearEmpties) {
   lru.Clear();
   EXPECT_TRUE(lru.empty());
   EXPECT_FALSE(lru.Contains(1));
+}
+
+TEST(LruTableTest, MatchesAReferenceModel) {
+  // Random inserts, touches, erases, pins and clears over keys spanning
+  // several slot chunks, checked after every step against a list kept in
+  // MRU order: ForEach order, sizes, pins, lookups
+  // and VictimCandidate. Erased keys come back, so slots are reused.
+  struct ModelEntry {
+    int key;
+    int value;
+    int pins;
+  };
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    LruTable<int, int> lru;
+    std::list<ModelEntry> model;  // front = most recently used
+    const auto find = [&model](int key) {
+      return std::find_if(model.begin(), model.end(),
+                          [key](const ModelEntry& e) { return e.key == key; });
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const int key = static_cast<int>(rng() % 80);
+      const int value = static_cast<int>(rng() % 1000);
+      const std::uint32_t op = rng() % 100;
+      auto it = find(key);
+      if (op < 30) {
+        const auto [entry, inserted] = lru.TouchOrInsert(key, value);
+        ASSERT_EQ(inserted, it == model.end());
+        if (it == model.end()) {
+          model.push_front({key, value, 0});
+        } else {
+          model.splice(model.begin(), model, it);
+        }
+        ASSERT_EQ(entry->value, model.front().value);
+        ASSERT_EQ(entry->pin_count, model.front().pins);
+      } else if (op < 50) {
+        int* found = lru.Touch(key);
+        ASSERT_EQ(found == nullptr, it == model.end());
+        if (found != nullptr) {
+          model.splice(model.begin(), model, it);
+          ASSERT_EQ(*found, it->value);
+        }
+      } else if (op < 70) {
+        ASSERT_EQ(lru.Erase(key), it != model.end());
+        if (it != model.end()) {
+          model.erase(it);
+          ASSERT_EQ(lru.Find(key), nullptr);
+          ASSERT_FALSE(lru.IsPinned(key));
+        }
+      } else if (op < 85) {
+        if (it != model.end()) {
+          ASSERT_EQ(lru.Pin(key).pin_count, ++it->pins);
+        }
+      } else if (op < 97) {
+        if (it != model.end() && it->pins > 0) {
+          lru.Unpin(key);
+          --it->pins;
+        }
+      } else if (op < 98) {
+        lru.Clear();
+        model.clear();
+      } else {
+        // A page dropped and cached again starts over: fresh value, no
+        // pins, most recently used.
+        if (it != model.end()) {
+          ASSERT_TRUE(lru.Erase(key));
+          model.erase(it);
+        }
+        ASSERT_EQ(*lru.Insert(key, value), value);
+        model.push_front({key, value, 0});
+        ASSERT_EQ(lru.FindEntry(key)->pin_count, 0);
+      }
+
+      ASSERT_EQ(lru.size(), model.size()) << "seed " << seed;
+      ASSERT_EQ(lru.empty(), model.empty());
+      std::vector<int> order;
+      lru.ForEach([&order](const LruTable<int, int>::Entry& e) {
+        order.push_back(e.key);
+      });
+      std::vector<int> expected;
+      const ModelEntry* victim = nullptr;
+      for (const ModelEntry& e : model) {
+        expected.push_back(e.key);
+        if (e.pins == 0) {
+          victim = &e;
+        }
+      }
+      ASSERT_EQ(order, expected) << "seed " << seed << " step " << step;
+      const auto* candidate = lru.VictimCandidate();
+      ASSERT_EQ(candidate == nullptr, victim == nullptr);
+      if (victim != nullptr) {
+        ASSERT_EQ(candidate->key, victim->key);
+      }
+      const int probe = static_cast<int>(rng() % 80);
+      auto probe_it = find(probe);
+      ASSERT_EQ(lru.Contains(probe), probe_it != model.end());
+      ASSERT_EQ(lru.IsPinned(probe),
+                probe_it != model.end() && probe_it->pins > 0);
+      if (probe_it != model.end()) {
+        ASSERT_EQ(*lru.Find(probe), probe_it->value);
+      }
+    }
+  }
+}
+
+TEST(PooledContainersTest, IterateInTheOrderOfStdContainers) {
+  // The pooled aliases change only where nodes and buckets come from, so
+  // any sequence of inserts, erases, clears and rehashes must leave them
+  // iterating exactly like the std::allocator containers.
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    util::PooledSet<int> pooled_set;
+    std::unordered_set<int> std_set;
+    util::PooledMap<std::uint64_t, int> pooled_map;
+    std::unordered_map<std::uint64_t, int> std_map;
+    for (int step = 0; step < 4000; ++step) {
+      const int key = static_cast<int>(rng() % 600);
+      const std::uint64_t uid = (std::uint64_t{rng()} << 20) % 5000;
+      const std::uint32_t op = rng() % 1000;
+      if (op < 550) {
+        pooled_set.insert(key);
+        std_set.insert(key);
+        pooled_map[uid] = step;
+        std_map[uid] = step;
+      } else if (op < 960) {
+        pooled_set.erase(key);
+        std_set.erase(key);
+        pooled_map.erase(uid);
+        std_map.erase(uid);
+      } else if (op < 985) {
+        const std::size_t buckets = rng() % 400;
+        pooled_set.rehash(buckets);
+        std_set.rehash(buckets);
+        pooled_map.rehash(buckets);
+        std_map.rehash(buckets);
+      } else {
+        pooled_set.clear();
+        std_set.clear();
+        pooled_map.clear();
+        std_map.clear();
+      }
+      ASSERT_EQ(pooled_set.bucket_count(), std_set.bucket_count());
+      ASSERT_TRUE(std::equal(pooled_set.begin(), pooled_set.end(),
+                             std_set.begin(), std_set.end()))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(pooled_map.bucket_count(), std_map.bucket_count());
+      ASSERT_TRUE(std::equal(pooled_map.begin(), pooled_map.end(),
+                             std_map.begin(), std_map.end()))
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 using IntList = util::SmallVector<int, 12>;

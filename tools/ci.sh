@@ -37,12 +37,13 @@
 #      fingerprint); its commits_per_s must not fall more than
 #      CCSIM_CI_TPUT_TOLERANCE percent below their median. With no such
 #      history the run is recorded and the step says it skipped,
-#  11. a checker-overhead budget gate: a traced 10 s benchmark run of
+#  11. a checker-overhead budget gate: three traced 10 s benchmark runs of
 #      sim_hot_checked (python3 ccbench/run.py --workload sim_hot_checked
-#      --trace 1 --seconds 10) re-measures the checker-on overhead, and its
-#      result line's check.overhead_pct must be <= CCSIM_CI_CHECKER_BUDGET
-#      (default 12) — the price of the always-on verifier is a CI-enforced
-#      contract, measured on this host, not read from a tracked file.
+#      --trace 1 --seconds 10) re-measure the checker-on overhead; all
+#      three check.overhead_pct values are printed, and their median must
+#      be <= CCSIM_CI_CHECKER_BUDGET (default 12) — the price of the
+#      always-on verifier is a CI-enforced contract, measured on this host,
+#      not read from a tracked file.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Environment:
@@ -186,27 +187,37 @@ else
   ' "$floor_dir/compare.log"
 fi
 
-step "checker-overhead budget (<= ${checker_budget}%, re-measured)"
+step "checker-overhead budget (<= ${checker_budget}%, median of 3, re-measured)"
 # The benchmark prints one JSON result object as its last line; a traced
-# run's metrics include check.overhead_pct.
-overhead_log="$build_dir/ci_checker_overhead.log"
-(cd "$repo_root" && python3 ccbench/run.py --workload sim_hot_checked \
-    --trace 1 --seconds 10) >"$overhead_log"
-python3 - "$overhead_log" "$checker_budget" <<'PYEOF'
-import json, sys
-lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
-budget = float(sys.argv[2])
-try:
-    result = json.loads(lines[-1])
-except (IndexError, ValueError):
-    sys.exit("FAIL: the benchmark run printed no result line")
-entry = result.get("metrics", {}).get("check.overhead_pct")
-if entry is None:
-    sys.exit("FAIL: check.overhead_pct missing from the benchmark result")
-overhead = entry["value"]
-print(f"checker-on overhead: {overhead:.2f}% (budget {budget}%)")
+# run's metrics include check.overhead_pct. Single runs on a shared host
+# spread widely, so the gate reads the median of three.
+overhead_logs=()
+for run in 1 2 3; do
+  overhead_log="$build_dir/ci_checker_overhead.$run.log"
+  (cd "$repo_root" && python3 ccbench/run.py --workload sim_hot_checked \
+      --trace 1 --seconds 10) >"$overhead_log"
+  overhead_logs+=("$overhead_log")
+done
+python3 - "$checker_budget" "${overhead_logs[@]}" <<'PYEOF'
+import json, statistics, sys
+budget = float(sys.argv[1])
+overheads = []
+for path in sys.argv[2:]:
+    lines = open(path, encoding="utf-8").read().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"FAIL: the benchmark run in {path} printed no result line")
+    entry = result.get("metrics", {}).get("check.overhead_pct")
+    if entry is None:
+        sys.exit(f"FAIL: check.overhead_pct missing from {path}")
+    overheads.append(entry["value"])
+overhead = statistics.median(overheads)
+runs = ", ".join(f"{value:.2f}%" for value in overheads)
+print(f"checker-on overhead: runs {runs}; median {overhead:.2f}% "
+      f"(budget {budget}%)")
 if overhead > budget:
-    sys.exit(f"FAIL: checker-on overhead {overhead:.2f}% exceeds the "
+    sys.exit(f"FAIL: checker-on overhead median {overhead:.2f}% exceeds the "
              f"{budget}% budget")
 PYEOF
 
