@@ -16,6 +16,21 @@ Status ParseSpike(const std::string& value, FaultParams* fault) {
   return Status::OK();
 }
 
+Status ParseCrash(const std::string& value, FaultParams* fault) {
+  const std::size_t c1 = value.find(':');
+  const std::size_t c2 =
+      c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
+  if (c2 == std::string::npos) {
+    return Status::InvalidArgument("--crash wants NODE:AT:DOWN");
+  }
+  FaultParams::CrashEvent crash;
+  crash.node = std::atoi(value.substr(0, c1).c_str());
+  crash.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
+  crash.downtime_s = std::atof(value.substr(c2 + 1).c_str());
+  fault->crashes.push_back(crash);
+  return Status::OK();
+}
+
 Status ParsePartition(const std::string& value, FaultParams* fault) {
   const std::size_t c1 = value.find(':');
   const std::size_t c2 =
@@ -112,6 +127,8 @@ bool ParseFaultFlag(const char* arg, FaultParams* fault, Status* status) {
   std::string value;
   if (ParseValue(arg, "--spike", &value)) {
     *status = ParseSpike(value, fault);
+  } else if (ParseValue(arg, "--crash", &value)) {
+    *status = ParseCrash(value, fault);
   } else if (ParseValue(arg, "--partition", &value)) {
     *status = ParsePartition(value, fault);
   } else {

@@ -39,9 +39,10 @@ struct NumberFlag {
 /// Stores `arg`'s value when it is one of `flags`; false otherwise.
 bool ParseNumberFlag(const char* arg, std::span<const NumberFlag> flags);
 
-/// Parses the structured fault flags every tool takes: --spike=P:MS and
-/// --partition=NODE:AT:DUR[:DIR][:hard] (appends the window). False when
-/// `arg` is neither; else `*status` says whether its value parsed.
+/// Parses the structured fault flags: --spike=P:MS, --crash=NODE:AT:DOWN
+/// and --partition=NODE:AT:DUR[:DIR][:hard] (the last two append a
+/// window). False when `arg` is none of them; else `*status` says whether
+/// its value parsed. ccserve parses its own --crash=AT:DOWN first.
 bool ParseFaultFlag(const char* arg, FaultParams* fault, Status* status);
 }  // namespace ccsim::config
 

@@ -2,21 +2,15 @@
 
 #include <chrono>
 #include <memory>
-#include <string>
 
-#include "check/checker.h"
 #include "client/client.h"
-#include "lock/lock_manager.h"
-#include "db/database.h"
 #include "fault/fault_injector.h"
 #include "net/network.h"
-#include "proto/factory.h"
 #include "server/server.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "storage/disk.h"
 #include "substrate/node.h"
-#include "util/macros.h"
 
 namespace ccsim::runner {
 namespace {
@@ -66,70 +60,10 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
 
   sim::Simulator sim;
   const std::uint64_t seed = config.control.seed;
-  db::DatabaseLayout layout(config.database, config.system.num_data_disks);
-  Metrics metrics(&sim);
-  net::Network network(&sim, sim::MillisToTicks(config.system.net_delay_ms),
-                       sim::Pcg32(seed, proto::kNetworkStream));
-  server::Server server(&sim, config, &layout, &network, &metrics, seed);
-  server.set_protocol(proto::MakeServerProtocol(config.algorithm, &server));
-
-  std::vector<std::unique_ptr<client::Client>> clients;
-  clients.reserve(static_cast<std::size_t>(config.system.num_clients));
-  for (int i = 0; i < config.system.num_clients; ++i) {
-    clients.push_back(proto::MakeClient(&sim, i, config, &layout, &network,
-                                        &metrics, seed));
-  }
-
-  // Consistency checker: one per run (never shared, so parallel sweeps
-  // stay race-free), reached by every component through
-  // metrics.checker(). It never touches the calendar or an RNG stream, so
-  // enabling it cannot perturb results, and leaving it off keeps every
-  // hook a null branch. In the (default) pipelined mode the commit path
-  // only enqueues compact records; a dedicated verification thread runs
-  // the serialization-graph maintenance and is joined (after a drain
-  // barrier) before any counter below is read.
-  std::unique_ptr<check::Checker> checker;
-  if (config.checker.enabled) {
-    checker = substrate::MakeChecker(config, &server, "");
-    server::Server* srv = &server;
-    auto* client_list = &clients;
-    const bool fault_free = !config.fault.recovery_enabled;
-    checker->set_audit_hook([srv, client_list, fault_free] {
-      srv->directory().AuditStructure();
-      if (fault_free) {
-        // Uncommitted buffer frames must belong to live transactions.
-        // Crash/GC windows legitimately break liveness, so resilient runs
-        // audit structure only.
-        srv->pool().AuditConsistency([srv](std::uint64_t owner) {
-          const server::XactState* state = srv->FindXact(owner);
-          return state != nullptr && !state->done;
-        });
-        // Every retained copy a client trusts must be backed by a
-        // server-side retained lock (callback locking's core promise; the
-        // lease machinery relaxes it under faults). Pages locked by the
-        // client's current transaction are in a legitimate transfer
-        // window and are skipped.
-        for (const auto& c : *client_list) {
-          const int id = c->id();
-          c->cache().ForEach([&](db::PageId page,
-                                 const client::CachedPage& entry) {
-            if (!entry.retained || entry.lock != client::PageLock::kNone) {
-              return;
-            }
-            CCSIM_CHECK_MSG(
-                srv->locks().Holds(lock::RetainedOwner(id), page,
-                                   lock::LockMode::kShared),
-                "client %d trusts a retained copy of page %d with no "
-                "server-side retained lock",
-                id, page);
-          });
-        }
-      } else {
-        srv->pool().AuditConsistency(nullptr);
-      }
-    });
-    metrics.set_checker(checker.get());
-  }
+  substrate::Assembly nodes(&sim, config, seed, /*with_server=*/true, 0,
+                            config.system.num_clients, "");
+  server::Server& server = *nodes.server;
+  Metrics& metrics = nodes.metrics;
 
   // Fault injection: attach an injector only when the config asks for
   // faults, so fault-free runs keep a null hook (and the exact calendar of
@@ -139,46 +73,13 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
     const fault::FaultPlan plan = fault::MakePlan(config.fault);
     injector = std::make_unique<fault::FaultInjector>(
         plan, sim::Pcg32(seed, kFaultStream));
-    fault::FaultInjector* inj = injector.get();
-    network.set_fault_injector(inj);
-    for (const fault::CrashWindow& crash : plan.crashes) {
-      const sim::Ticks up_at = crash.at + crash.downtime;
-      if (crash.node == net::kServerNode) {
-        server::Server* srv = &server;
-        sim::Simulator* simp = &sim;
-        sim.ScheduleAt(crash.at, [srv, inj] {
-          inj->SetDown(net::kServerNode, true);
-          srv->Crash();
-        });
-        sim.ScheduleAt(up_at, [srv, inj, simp] {
-          simp->Spawn(substrate::RecoverServer(srv, inj));
-        });
-      } else {
-        CCSIM_CHECK(crash.node >= 0 &&
-                    crash.node < config.system.num_clients);
-        client::Client* victim = clients[static_cast<std::size_t>(
-            crash.node)].get();
-        const int node = crash.node;
-        sim.ScheduleAt(crash.at, [victim, inj, node] {
-          inj->SetDown(node, true);
-          victim->Crash();
-        });
-        sim.ScheduleAt(up_at, [victim, inj, node] {
-          inj->SetDown(node, false);
-          victim->Recover();
-        });
-      }
-    }
-    // Hard partitions cut a TCP connection; the DES has none to cut.
-    substrate::PlantPartitions(plan, 0, config.system.num_clients, &sim, inj,
-                               [](int) {});
-    server.log().set_fault_injector(inj);
+    nodes.network.set_fault_injector(injector.get());
+    // The DES has no TCP connection to sever.
+    nodes.PlantFaultWindows(plan, injector.get(), {});
+    server.log().set_fault_injector(injector.get());
   }
 
-  server.Start();
-  for (auto& c : clients) {
-    c->Start();
-  }
+  nodes.Start();
 
   // Warmup: run, then restart every statistics window.
   const auto wall_begin = std::chrono::steady_clock::now();
@@ -186,7 +87,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   const sim::Ticks window_start = sim.Now();
   metrics.ResetWindow();
   server.cpu().ResetStats(window_start);
-  network.ResetStats(window_start);
+  nodes.network.ResetStats(window_start);
   for (storage::Disk* disk : server.data_disks()) {
     disk->resource().ResetStats(window_start);
   }
@@ -195,7 +96,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   }
   server.pool().ResetStats();
   server.log().ResetStats();
-  for (auto& c : clients) {
+  for (auto& c : nodes.clients) {
     c->cpu().ResetStats(window_start);
     c->cache().ResetStats();
   }
@@ -212,21 +113,14 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
                                     wall_begin)
           .count();
 
-  if (checker != nullptr) {
-    // Drain barrier + verifier join: every queued record is applied (and
-    // any violation surfaced) before Finalize reconciles or a counter is
-    // read, which is what makes the pipelined counters byte-identical to
-    // the synchronous mode's.
-    checker->Finish();
-    checker->oracle().Finalize(metrics.unknown_outcomes());
-  }
-
   RunResult result;
-  AddNodeCounters({&metrics, &server, &network, injector.get(),
-                   checker.get()},
-                  &result);
+  // Drain barrier + verifier join: every queued record is applied (and any
+  // violation surfaced) before Finalize reconciles or a counter is read,
+  // which is what makes the pipelined counters byte-identical to the
+  // synchronous mode's.
+  result.oracle_enabled = nodes.FinalizeChecker();
+  AddNodeCounters(nodes.counter_sources(injector.get()), &result);
   result.stalled = stalled;
-  result.oracle_enabled = checker != nullptr;
   result.measured_seconds = sim::TicksToSeconds(now - window_start);
   result.wall_seconds = wall_seconds;
   result.events_processed = sim.events_processed();
@@ -244,14 +138,14 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   double client_util_sum = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  for (auto& c : clients) {
+  for (auto& c : nodes.clients) {
     client_util_sum += c->cpu().Utilization(now);
     cache_hits += c->cache().hits();
     cache_misses += c->cache().misses();
   }
   result.client_cpu_util =
-      client_util_sum / static_cast<double>(clients.size());
-  result.network_util = network.medium().Utilization(now);
+      client_util_sum / static_cast<double>(nodes.clients.size());
+  result.network_util = nodes.network.medium().Utilization(now);
   result.data_disk_util = MeanUtilization(server.data_disks(), now);
   result.log_disk_util = MeanUtilization(server.log_disks(), now);
   result.client_hit_ratio = HitRatio(cache_hits, cache_misses);
@@ -270,7 +164,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
         static_cast<sim::Ticks>(config.fault.max_rpc_retries + 1) *
         sim::MillisToTicks(config.fault.rpc_timeout_cap_ms);
     const sim::Ticks watchdog = 2 * schedule + sim::SecondsToTicks(60.0);
-    for (auto& c : clients) {
+    for (auto& c : nodes.clients) {
       if (c->pending_rpcs() > 0 && !c->crashed() &&
           now - c->last_rpc_at() > watchdog) {
         ++result.stuck_clients;

@@ -11,17 +11,12 @@
 
 #include "check/checker.h"
 #include "client/client.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
-#include "net/message.h"
 #include "runner/metrics.h"
 #include "server/server.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "substrate/faulty_transport.h"
 #include "substrate/node.h"
 #include "substrate/tcp.h"
-#include "util/macros.h"
 
 namespace ccsim::runner {
 namespace {
@@ -32,24 +27,9 @@ constexpr sim::Ticks kForever = std::numeric_limits<sim::Ticks>::max() / 4;
 
 }  // namespace
 
-Status ValidateRealConfig(const config::ExperimentConfig& config) {
-  for (const config::FaultParams::CrashEvent& crash : config.fault.crashes) {
-    if (crash.node != net::kServerNode) {
-      return Status::InvalidArgument(
-          "--crash=" + std::to_string(crash.node) +
-          ":... crashes a client node, which is simulated-substrate-only: "
-          "real client shards have no crash/restart hook — crash the "
-          "server instead (--crash=-1:AT:DOWN) or rerun with "
-          "--substrate=sim");
-    }
-  }
-  return Status::OK();
-}
-
 Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
                                     const RealRunOptions& options) {
   CCSIM_RETURN_NOT_OK(config.Validate());
-  CCSIM_RETURN_NOT_OK(ValidateRealConfig(config));
   if (options.duration_seconds <= 0) {
     return Status::InvalidArgument("real run duration must be positive");
   }

@@ -33,13 +33,6 @@ struct RealRunOptions {
   bool raw_speed = true;
 };
 
-/// Rejects configurations that only make sense on the DES substrate,
-/// naming the offending flag: client-node crash windows (shards have no
-/// crash/restart hook). Everything else — message drop/dup/delay-spike,
-/// partitions (soft and hard), server crash+restart, storage faults —
-/// runs on the wire via the WireFaultAdapter.
-Status ValidateRealConfig(const config::ExperimentConfig& config);
-
 /// Runs `config` on the real substrate, in-process: a ServerNode plus N
 /// ClientShards connected over TCP loopback, every node on its own
 /// thread. Returns the same RunResult the DES runner produces, with

@@ -16,7 +16,6 @@
 #include "runner/counters.h"
 #include "runner/metrics.h"
 #include "server/server.h"
-#include "sim/process.h"
 #include "sim/simulator.h"
 #include "substrate/faulty_transport.h"
 #include "substrate/realtime.h"
@@ -37,85 +36,156 @@ config::ExperimentConfig RawSpeedConfig(config::ExperimentConfig config);
 /// fields zeroed; shards fill in their own).
 Hello MakeHello(const config::ExperimentConfig& config);
 
-/// The consistency checker of a run of `config` on `server`, options from
-/// config.checker; violation reports name the algorithm, `where` and the
-/// seed. The caller installs the audit hook.
-std::unique_ptr<check::Checker> MakeChecker(
-    const config::ExperimentConfig& config, server::Server* server,
-    const std::string& where);
+/// What a substrate adds to the crash and partition windows both
+/// substrates share. Either hook may be empty.
+struct FaultHooks {
+  /// Runs at a server crash, between SetDown and Server::Crash.
+  std::function<void()> server_crash;
+  /// Runs at the start of a hard partition of client `node`.
+  std::function<void(int)> hard_partition;
+};
 
-/// Server crash-restart: replays the log, then marks the server up in
-/// `injector` so its traffic flows again.
-sim::Process RecoverServer(server::Server* server,
-                           fault::FaultInjector* injector);
+/// The model pieces of one calendar, built the same way on both substrates:
+/// a copy of the config (the model keeps references into it), the layout,
+/// metrics and network, the server with its protocol when `with_server`,
+/// then the clients [lo, hi), then, when config.checker is on and the
+/// server is here, the checker with its audit hook. The DES builds one
+/// with every node, a ServerNode one with the server, a ClientShard one
+/// with its clients. Each harness wires and harvests the members itself.
+class Assembly {
+ public:
+  /// `where` follows the algorithm name in the checker's reports.
+  Assembly(sim::Simulator* sim, const config::ExperimentConfig& config,
+           std::uint64_t seed, bool with_server, int lo, int hi,
+           const std::string& where);
 
-/// Plants the partition windows of clients [lo, hi) in `plan` on `sim`,
-/// cutting and healing the link in `injector`; a hard window also calls
-/// `sever(node)` at its start. Plan ticks are simulated time on the DES
-/// and wall µs since the loop epoch on the real substrate, so there this
-/// runs before the loop thread starts.
-void PlantPartitions(const fault::FaultPlan& plan, int lo, int hi,
-                     sim::Simulator* sim, fault::FaultInjector* injector,
-                     const std::function<void(int)>& sever);
+  Assembly(const Assembly&) = delete;
+  Assembly& operator=(const Assembly&) = delete;
+
+  /// The one fault-wiring routine of both substrates: plants the crash
+  /// windows in `plan` of the nodes on this calendar, then the partition
+  /// windows of every link with an end here, driving `injector`.
+  ///  - Server crash: SetDown, `hooks.server_crash`, Server::Crash; the
+  ///    restart replays the log, then marks the server up.
+  ///  - Client crash: SetDown, Client::Crash; the restart is
+  ///    SetDown(false), Client::Recover.
+  ///  - Partition: cut the link, heal it; a hard one also calls
+  ///    `hooks.hard_partition(node)` at its start.
+  /// Plan ticks are simulated time on the DES and wall µs since the loop
+  /// epoch on the real substrate, so there this runs before the loop
+  /// thread starts.
+  void PlantFaultWindows(const fault::FaultPlan& plan,
+                         fault::FaultInjector* injector,
+                         const FaultHooks& hooks);
+
+  /// Spawns the server's dispatcher, then every client's processes.
+  void Start();
+
+  /// Joins the checker's verification thread and finalizes the oracle
+  /// (call once, after the calendar has stopped). False if no checker.
+  bool FinalizeChecker();
+
+  /// Everything this calendar counts, for runner::AddNodeCounters.
+  runner::NodeSources counter_sources(const fault::FaultInjector* injector) {
+    return {&metrics, server.get(), &network, injector, checker.get()};
+  }
+
+  const config::ExperimentConfig config;
+  db::DatabaseLayout layout;
+  runner::Metrics metrics;
+  net::Network network;
+  std::unique_ptr<server::Server> server;
+  std::vector<std::unique_ptr<client::Client>> clients;
+  std::unique_ptr<check::Checker> checker;
+
+ private:
+  /// Client `node`, or null when it lives on another calendar.
+  client::Client* FindClient(int node) const;
+  /// The checker's structural audit of the nodes on this calendar.
+  void Audit() const;
+
+  sim::Simulator* sim_;
+  int lo_;
+};
+
+/// What ServerNode and ClientShard share: a wall-clock loop around the
+/// node's own calendar, the Assembly on it, and, when the plan has wire
+/// faults, the WireFaultAdapter its transport is routed through.
+class RealNode {
+ public:
+  RealNode(const RealNode&) = delete;
+  RealNode& operator=(const RealNode&) = delete;
+
+  /// Spawns the node's processes. Call after installing the transport
+  /// (AttachTransport, or by hand on network()).
+  void Start() { nodes_.Start(); }
+
+  /// Interposes `filter` between the transport and the node's inboxes:
+  /// messages for which it returns false are discarded. Used by the wire
+  /// fault adapter to enforce crash/partition windows on inbound traffic;
+  /// a null filter (the default) admits everything. Call before the loop
+  /// starts; the filter runs on the loop thread.
+  virtual void InstallInboundFilter(
+      std::function<bool(const net::Message&)> filter) = 0;
+
+  RealtimeSubstrate& substrate() { return substrate_; }
+  net::Network& network() { return nodes_.network; }
+  runner::Metrics& metrics() { return nodes_.metrics; }
+  /// Everything this node counts, for runner::AddNodeCounters.
+  runner::NodeSources counter_sources() {
+    return nodes_.counter_sources(adapter_ != nullptr ? &adapter_->injector()
+                                                      : nullptr);
+  }
+
+ protected:
+  RealNode(const config::ExperimentConfig& config, std::uint64_t seed,
+           bool with_server, int lo, int hi, const std::string& where);
+  /// Destroys still-suspended coroutine frames while the model objects
+  /// they reference are alive (same discipline as the DES harness).
+  virtual ~RealNode() { sim_.Shutdown(); }
+
+  /// Routes the node's traffic over `transport`. When the plan has wire
+  /// faults, a WireFaultAdapter seeded `seed` is interposed on both
+  /// directions and the node's fault windows are planted with `hooks`;
+  /// fault-free runs keep the bare transport and sink.
+  void Route(net::Transport* transport, std::uint64_t seed,
+             const FaultHooks& hooks);
+
+  std::uint64_t seed_;
+  sim::Simulator sim_;
+  RealtimeSubstrate substrate_;
+  Assembly nodes_;
+  std::unique_ptr<WireFaultAdapter> adapter_;
+};
 
 /// A real page server: the unchanged server::Server (buffer pool, lock
 /// manager, log, directory, protocol) running on a RealtimeSubstrate, with
 /// inbound messages injected from the TCP transport. One instance per
 /// ccserve process (or per in-process loopback experiment).
-class ServerNode {
+class ServerNode : public RealNode {
  public:
   ServerNode(const config::ExperimentConfig& config, std::uint64_t seed);
-  ~ServerNode();
 
-  ServerNode(const ServerNode&) = delete;
-  ServerNode& operator=(const ServerNode&) = delete;
-
-  /// Routes the server's traffic over `transport`. When the config's
-  /// fault plan has wire faults, a WireFaultAdapter is interposed on both
-  /// directions and the plan's windows are planted on the calendar: a
-  /// crash severs every connection and replays the log at restart, a hard
-  /// partition severs the client's connection. Fault-free runs keep the
-  /// bare transport and inbox sink. Call once, before Start().
+  /// Routes the server's traffic over `transport`. With wire faults, the
+  /// server's crash windows and every partition window are planted: a
+  /// crash also severs every connection, a hard partition the client's
+  /// connection. Call once, before Start().
   void AttachTransport(TcpServerTransport* transport);
 
-  /// Spawns the server's dispatcher process. Call after installing the
-  /// transport (AttachTransport, or by hand on network()).
-  void Start();
-
   /// Runs the event loop on the calling thread until Stop()/horizon.
-  std::uint64_t RunLoop(sim::Ticks horizon);
+  std::uint64_t RunLoop(sim::Ticks horizon) { return substrate_.Run(horizon); }
 
-  /// Joins the checker's verification thread and finalizes the oracle
-  /// (call once, after the loop has stopped). Returns false if no checker.
-  bool FinalizeChecker();
+  /// See Assembly::FinalizeChecker.
+  bool FinalizeChecker() { return nodes_.FinalizeChecker(); }
 
-  /// Interposes `filter` between the transport and the server's inbox:
-  /// messages for which it returns false are discarded. Used by the wire
-  /// fault adapter to enforce crash/partition windows on inbound traffic;
-  /// a null filter (the default) admits everything. Call before the loop
-  /// starts; the filter runs on the loop thread.
-  void InstallInboundFilter(std::function<bool(const net::Message&)> filter);
+  void InstallInboundFilter(
+      std::function<bool(const net::Message&)> filter) override;
 
-  RealtimeSubstrate& substrate() { return substrate_; }
-  net::Network& network() { return network_; }
-  server::Server& server() { return *server_; }
-  runner::Metrics& metrics() { return metrics_; }
-  check::Checker* checker() { return checker_.get(); }
-  /// Everything this node counts, for runner::AddNodeCounters.
-  runner::NodeSources counter_sources();
+  server::Server& server() { return *nodes_.server; }
+  check::Checker* checker() { return nodes_.checker.get(); }
 
  private:
-  config::ExperimentConfig config_;
-  std::uint64_t seed_;
-  sim::Simulator sim_;
-  RealtimeSubstrate substrate_;
-  db::DatabaseLayout layout_;
-  runner::Metrics metrics_;
-  net::Network network_;
-  std::unique_ptr<check::Checker> checker_;
-  std::unique_ptr<server::Server> server_;
   std::unique_ptr<fault::FaultInjector> storage_injector_;
-  std::unique_ptr<WireFaultAdapter> adapter_;
 };
 
 /// A slice of the client population — global ids [client_lo, client_hi) —
@@ -125,59 +195,35 @@ class ServerNode {
 /// code that runs under the DES substrate; RNG streams are derived from
 /// the global client id, so shard boundaries do not change any client's
 /// workload.
-class ClientShard {
+class ClientShard : public RealNode {
  public:
   ClientShard(const config::ExperimentConfig& config, std::uint64_t seed,
               int client_lo, int client_hi);
-  ~ClientShard();
-
-  ClientShard(const ClientShard&) = delete;
-  ClientShard& operator=(const ClientShard&) = delete;
 
   /// Routes the shard's traffic over `transport`, the shard numbered
   /// `index` within its process. With the recovery layer on, the
-  /// transport redials a lost connection. When the fault plan has wire
-  /// faults, a WireFaultAdapter is interposed on both directions and the
-  /// partition windows of the clients this shard owns are planted on its
-  /// calendar (a hard one aborts the connection). Call once, before
-  /// Start().
+  /// transport redials a lost connection. With wire faults, the crash and
+  /// partition windows of the shard's clients are planted (a hard
+  /// partition aborts the connection). Call once, before Start().
   void AttachTransport(TcpClientTransport* transport, int index);
-
-  /// Spawns every client's driver/dispatcher. Call after installing the
-  /// transport (AttachTransport, or by hand on network()).
-  void Start();
 
   /// Runs the event loop on the calling thread for `duration` wall ticks,
   /// resetting the stats window after `warmup` ticks.
   std::uint64_t RunLoop(sim::Ticks warmup, sim::Ticks duration);
 
-  /// Same as ServerNode::InstallInboundFilter, for the shard's clients.
-  void InstallInboundFilter(std::function<bool(const net::Message&)> filter);
+  void InstallInboundFilter(
+      std::function<bool(const net::Message&)> filter) override;
 
   int client_lo() const { return client_lo_; }
   int client_hi() const { return client_hi_; }
-  RealtimeSubstrate& substrate() { return substrate_; }
-  net::Network& network() { return network_; }
-  runner::Metrics& metrics() { return metrics_; }
   /// The shard's clients (harvest only — do not touch while the loop runs).
   const std::vector<std::unique_ptr<client::Client>>& clients() const {
-    return clients_;
+    return nodes_.clients;
   }
-  /// Everything this shard counts, for runner::AddNodeCounters.
-  runner::NodeSources counter_sources();
 
  private:
-  config::ExperimentConfig config_;
-  std::uint64_t seed_;
   int client_lo_;
   int client_hi_;
-  sim::Simulator sim_;
-  RealtimeSubstrate substrate_;
-  db::DatabaseLayout layout_;
-  runner::Metrics metrics_;
-  net::Network network_;
-  std::vector<std::unique_ptr<client::Client>> clients_;
-  std::unique_ptr<WireFaultAdapter> adapter_;
 };
 
 }  // namespace ccsim::substrate

@@ -298,8 +298,14 @@ TEST(ConfigTest, FaultFlagsParse) {
   ASSERT_TRUE(status.ok());
   EXPECT_DOUBLE_EQ(fault.delay_spike_probability, 0.05);
   EXPECT_DOUBLE_EQ(fault.delay_spike_ms, 20.0);
+  ASSERT_TRUE(ParseFaultFlag("--crash=-1:2.5:0.3", &fault, &status));
+  ASSERT_TRUE(status.ok());
+  ASSERT_EQ(fault.crashes.size(), 1u);
+  EXPECT_EQ(fault.crashes[0].node, -1);
+  EXPECT_DOUBLE_EQ(fault.crashes[0].at_s, 2.5);
+  EXPECT_DOUBLE_EQ(fault.crashes[0].downtime_s, 0.3);
   for (const char* bad : {"--partition=2:1.5", "--partition=2:1:1:sideways",
-                          "--spike=0.05"}) {
+                          "--spike=0.05", "--crash=3:2.0"}) {
     ASSERT_TRUE(ParseFaultFlag(bad, &fault, &status)) << bad;
     EXPECT_FALSE(status.ok()) << bad;
   }

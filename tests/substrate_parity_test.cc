@@ -99,9 +99,9 @@ TEST_P(SubstrateParityTest, ConservationAndOracleOnBothSubstrates) {
   CheckInvariants(real.ValueOrDie(), cfg.system.num_clients, "real");
 }
 
-// The acceptance cocktail from ISSUE/DESIGN §5c on real threads + TCP:
-// frame drop + duplicate + delay spikes, one hard partition (the carrying
-// TCP connection is killed and redialed), one server crash + log-replay
+// The DESIGN §5c cocktail on real threads + TCP: frame drop + duplicate +
+// delay spikes, one hard partition (the carrying TCP connection is killed
+// and redialed), one client crash + restart, one server crash + log-replay
 // restart, and torn log writes — for every protocol, no transaction may
 // be lost, conservation must hold, and the oracle must stay clean.
 TEST_P(SubstrateParityTest, RealChaosCocktailSurvives) {
@@ -119,6 +119,11 @@ TEST_P(SubstrateParityTest, RealChaosCocktailSurvives) {
   part.duration_s = 0.4;
   part.hard = true;  // the TCP connection dies with the window
   cfg.fault.partitions.push_back(part);
+  config::FaultParams::CrashEvent client_crash;
+  client_crash.node = 3;  // its shard drops its traffic while it is down
+  client_crash.at_s = 0.6;
+  client_crash.downtime_s = 0.3;
+  cfg.fault.crashes.push_back(client_crash);
   config::FaultParams::CrashEvent crash;
   crash.node = net::kServerNode;
   crash.at_s = 1.4;
@@ -127,13 +132,44 @@ TEST_P(SubstrateParityTest, RealChaosCocktailSurvives) {
 
   runner::RealRunOptions options;
   options.warmup_seconds = 0.3;
-  options.duration_seconds = 2.2;  // covers both windows plus recovery
+  options.duration_seconds = 2.2;  // covers every window plus recovery
   const Result<RunResult> real = runner::RunRealExperiment(cfg, options);
   ASSERT_TRUE(real.ok()) << real.status().ToString();
   const RunResult& r = real.ValueOrDie();
   CheckInvariants(r, cfg.system.num_clients, "real-chaos");
+  EXPECT_EQ(r.client_crashes, 1u);
   EXPECT_EQ(r.server_crashes, 1u);
   EXPECT_GT(r.recovery_seconds, 0.0);
+}
+
+// One client crash window, the same config on both substrates: each
+// counts the crash and loses no transaction. On the real substrate the
+// crash and restart run on the owning shard's calendar, as on the DES.
+TEST(ClientCrashParityTest, OneClientCrashOnBothSubstrates) {
+  ExperimentConfig cfg = ParityConfig(Algorithm::kCallbackLocking,
+                                      CachingMode::kInterTransaction);
+  cfg.fault.recovery_enabled = true;
+  config::FaultParams::CrashEvent crash;
+  crash.node = 2;
+  crash.at_s = 0.8;
+  crash.downtime_s = 0.3;
+  cfg.fault.crashes.push_back(crash);
+
+  cfg.control.warmup_seconds = 2;
+  cfg.control.target_commits = 200;
+  cfg.control.max_measure_seconds = 300;
+  const Result<RunResult> sim = runner::RunExperiment(cfg);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  CheckInvariants(sim.ValueOrDie(), cfg.system.num_clients, "sim");
+  EXPECT_EQ(sim.ValueOrDie().client_crashes, 1u);
+
+  runner::RealRunOptions options;
+  options.warmup_seconds = 0.3;
+  options.duration_seconds = 1.2;
+  const Result<RunResult> real = runner::RunRealExperiment(cfg, options);
+  ASSERT_TRUE(real.ok()) << real.status().ToString();
+  CheckInvariants(real.ValueOrDie(), cfg.system.num_clients, "real");
+  EXPECT_EQ(real.ValueOrDie().client_crashes, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -464,57 +500,6 @@ TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
   server_sub.Stop();
   loop.join();
   server->Close();
-}
-
-// Wire faults now run on the real substrate (WireFaultAdapter at the
-// Transport seam): the full cocktail must validate.
-TEST(RealConfigValidationTest, AcceptsWireFaultPlans) {
-  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
-                                      CachingMode::kInterTransaction);
-  cfg.fault.recovery_enabled = true;
-  cfg.fault.drop_probability = 0.02;
-  cfg.fault.duplicate_probability = 0.01;
-  cfg.fault.delay_spike_probability = 0.05;
-  cfg.fault.delay_spike_ms = 5.0;
-  cfg.fault.torn_write_probability = 0.2;
-  config::FaultParams::PartitionEvent part;
-  part.node = 0;
-  part.at_s = 1.0;
-  part.duration_s = 0.5;
-  part.hard = true;
-  cfg.fault.partitions.push_back(part);
-  config::FaultParams::CrashEvent crash;
-  crash.node = net::kServerNode;
-  crash.at_s = 2.0;
-  crash.downtime_s = 0.3;
-  cfg.fault.crashes.push_back(crash);
-  const Status status = runner::ValidateRealConfig(cfg);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
-// The remaining sim-only options must be rejected up front, not silently
-// ignored — and the error must name the offending flag so the operator
-// knows what to change.
-TEST(RealConfigValidationTest, RejectsClientCrashWindowsNamingTheFlag) {
-  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
-                                      CachingMode::kInterTransaction);
-  cfg.fault.recovery_enabled = true;
-  config::FaultParams::CrashEvent crash;
-  crash.node = 2;  // a client node: shards have no crash/restart hook
-  crash.at_s = 1.0;
-  crash.downtime_s = 0.3;
-  cfg.fault.crashes.push_back(crash);
-  const Status status = runner::ValidateRealConfig(cfg);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("--crash"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(RealConfigValidationTest, AcceptsCleanConfig) {
-  const ExperimentConfig cfg = ParityConfig(
-      Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction);
-  EXPECT_TRUE(runner::ValidateRealConfig(cfg).ok());
 }
 
 }  // namespace

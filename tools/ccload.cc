@@ -53,10 +53,15 @@ void PrintUsage() {
       "                        blackhole client NODE's frames at AT s for\n"
       "                        DUR s; DIR = both | in | out; 'hard' also\n"
       "                        kills the owning shard's TCP connection\n"
+      "  --crash=NODE:AT:DOWN  crash client NODE at AT s for DOWN s: it\n"
+      "                        loses its cache and restarts under a new\n"
+      "                        incarnation (repeatable; windows of clients\n"
+      "                        outside --lo/--hi are ignored)\n"
       "  --recovery            run the client recovery layer (timeouts,\n"
       "                        retries, leases, reconnects) without\n"
-      "                        injecting faults; --drop, --dup and\n"
-      "                        --partition imply it (--spike does not).\n"
+      "                        injecting faults; --drop, --dup, --crash\n"
+      "                        and --partition imply it (--spike does\n"
+      "                        not).\n"
       "                        Pass --recovery when ccserve runs with\n"
       "                        --crash, so both sides agree on recovery.\n"
       "  --help                this text\n");

@@ -116,22 +116,25 @@ int main(int argc, char** argv) {
       port_file = value;
     } else if (std::strcmp(arg, "--recovery") == 0) {
       cfg.fault.recovery_enabled = true;
+    } else if (ParseValue(arg, "--crash", &value)) {
+      // Parsed before ParseFaultFlag's NODE:AT:DOWN form: a server
+      // crashes only itself, so a NODE field is an error.
+      const std::size_t colon = value.find(':');
+      if (colon == std::string::npos ||
+          value.find(':', colon + 1) != std::string::npos) {
+        std::fprintf(stderr, "--crash wants AT:DOWN\n");
+        return 2;
+      }
+      ccsim::config::FaultParams::CrashEvent crash;
+      crash.node = ccsim::net::kServerNode;
+      crash.at_s = std::atof(value.substr(0, colon).c_str());
+      crash.downtime_s = std::atof(value.substr(colon + 1).c_str());
+      cfg.fault.crashes.push_back(crash);
     } else if (ccsim::config::ParseFaultFlag(arg, &cfg.fault, &status)) {
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.message().c_str());
         return 2;
       }
-    } else if (ParseValue(arg, "--crash", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--crash wants AT:DOWN\n");
-        return 2;
-      }
-      ccsim::config::FaultParams::CrashEvent crash;
-      crash.node = ccsim::net::kServerNode;  // self-crash only
-      crash.at_s = std::atof(value.substr(0, colon).c_str());
-      crash.downtime_s = std::atof(value.substr(colon + 1).c_str());
-      cfg.fault.crashes.push_back(crash);
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
       return 2;

@@ -80,9 +80,8 @@ void PrintUsage() {
       "  --rpc-timeout-ms=D --lease-ms=D --idle-timeout-ms=D\n"
       "  --substrate=NAME        sim (default: deterministic discrete-event\n"
       "                          simulation) | real (threads + TCP loopback,\n"
-      "                          wall-clock paced; fault plans run on the\n"
-      "                          wire — only client crashes are\n"
-      "                          rejected)\n"
+      "                          wall-clock paced; every fault plan runs\n"
+      "                          on the wire)\n"
       "  --duration=S            real-substrate measurement window in wall\n"
       "                          seconds (default 5)\n"
       "  --shards=N              real-substrate load-generator threads\n"
@@ -296,7 +295,8 @@ int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
 
 /// Derives a wire-level fault cocktail that fits a short wall-clock run:
 /// lossy links, usually one server crash+restart, usually one partition
-/// window (sometimes hard). Windows land inside warmup(1s)+duration(3s).
+/// window (sometimes hard), sometimes one client crash+restart. Windows
+/// land inside warmup(1s)+duration(3s).
 ExperimentConfig MakeRealChaosConfig(std::uint64_t seed) {
   ccsim::sim::Pcg32 rng(seed, /*stream=*/0xC0C8);
   ExperimentConfig cfg = ccsim::config::BaseConfig();
@@ -330,6 +330,14 @@ ExperimentConfig MakeRealChaosConfig(std::uint64_t seed) {
   }
   if (rng.Bernoulli(0.4)) {
     f.torn_write_probability = rng.UniformReal(0.02, 0.2);
+  }
+  if (rng.Bernoulli(0.5)) {
+    ccsim::config::FaultParams::CrashEvent crash;
+    crash.node = static_cast<int>(
+        rng.UniformInt(0, cfg.system.num_clients - 1));
+    crash.at_s = rng.UniformReal(1.2, 2.5);
+    crash.downtime_s = rng.UniformReal(0.2, 0.5);
+    f.crashes.push_back(crash);
   }
   return cfg;
 }
@@ -367,11 +375,12 @@ int RunRealChaosSoak(int n, std::uint64_t base_seed) {
         } else {
           std::printf(
               "  %s: ok (commits %llu, dropped %llu, part-drops %llu, "
-              "crashes %llu, retries %llu)\n",
+              "crashes %llu+%llu, retries %llu)\n",
               name, static_cast<unsigned long long>(r.commits),
               static_cast<unsigned long long>(r.messages_dropped),
               static_cast<unsigned long long>(r.partition_drops),
               static_cast<unsigned long long>(r.server_crashes),
+              static_cast<unsigned long long>(r.client_crashes),
               static_cast<unsigned long long>(r.rpc_retries));
         }
       }
@@ -490,19 +499,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", status.message().c_str());
         return 2;
       }
-    } else if (ParseValue(arg, "--crash", &value)) {
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        std::fprintf(stderr, "--crash wants NODE:AT:DOWN\n");
-        return 2;
-      }
-      ccsim::config::FaultParams::CrashEvent crash;
-      crash.node = std::atoi(value.substr(0, c1).c_str());
-      crash.at_s = std::atof(value.substr(c1 + 1, c2 - c1 - 1).c_str());
-      crash.downtime_s = std::atof(value.substr(c2 + 1).c_str());
-      cfg.fault.crashes.push_back(crash);
     } else if (ParseValue(arg, "--chaos-soak", &value)) {
       chaos_soak = std::atoi(value.c_str());
       if (chaos_soak < 1) {

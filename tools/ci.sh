@@ -19,8 +19,9 @@
 #      shutdown fails the leg,
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
-#      partition, and one server crash + log-replay restart, oracle on; a
-#      lost transaction (exit 4), an oracle violation, or a stall fails,
+#      partition, one client crash + restart, and one server crash +
+#      log-replay restart, oracle on; a lost transaction (exit 4), an
+#      oracle violation, or a stall fails,
 #   8. a perf-smoke gate (ctest -L perf-smoke): the allocation-free
 #      steady-state contracts — the event kernel's Delay/broadcast paths
 #      AND the real-substrate wire path (encode/flush/split/decode) — are
@@ -123,17 +124,19 @@ for algo in 2pl cert callback no-wait no-wait-notify; do
   wait "$serve_pid"
 done
 
-step "real-substrate chaos cocktail (5 protocols, drop+dup+spike+hard-partition+crash)"
+step "real-substrate chaos cocktail (5 protocols, drop+dup+spike+hard-partition+crashes)"
 # The wire-level fault plan from DESIGN.md §5c on real threads + TCP:
 # 2% frame drop, 1% duplicate, 5% 5 ms delay spikes, one hard partition
-# (TCP connection killed mid-run), one server crash + log-replay restart.
+# (TCP connection killed mid-run), one client crash + restart (client 3
+# loses its cache and comes back under a new incarnation), one server
+# crash + log-replay restart.
 # ccsim_run exits 4 if any committed transaction was lost, non-zero on an
 # oracle violation or stall; set -e propagates.
 for algo in 2pl cert callback no-wait no-wait-notify; do
   "$build_dir"/tools/ccsim_run --substrate=real --algorithm="$algo" \
       --clients=8 --duration=4 --check \
       --drop=0.02 --dup=0.01 --spike=0.05:5 \
-      --partition=0:1.5:0.5:hard --crash=-1:2.5:0.3
+      --partition=0:1.5:0.5:hard --crash=3:2.0:0.3 --crash=-1:2.5:0.3
 done
 
 step "perf-smoke gate (allocation-free steady states, ctest -L perf-smoke)"
