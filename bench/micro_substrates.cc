@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "lock/lock_manager.h"
@@ -18,7 +19,6 @@
 #include "sim/task.h"
 #include "substrate/wire.h"
 #include "util/lru.h"
-#include "util/spsc_ring.h"
 
 namespace ccsim {
 namespace {
@@ -195,7 +195,9 @@ void BM_FrameBufferAppend(benchmark::State& state) {
 BENCHMARK(BM_FrameBufferAppend)->Arg(16)->Arg(256);
 
 /// Batched inbound split+decode: a chunk of back-to-back frames (as one
-/// recv would deliver them) peeled and decoded message by message.
+/// recv would deliver them) peeled and decoded message by message, each
+/// into a fresh pooled handle, as the substrate loop hands them to a
+/// mailbox.
 void BM_FrameSplitterDecode(benchmark::State& state) {
   const net::Message msg = TypicalControlMessage();
   std::vector<std::uint8_t> chunk;
@@ -204,7 +206,6 @@ void BM_FrameSplitterDecode(benchmark::State& state) {
     substrate::EncodeMessage(msg, 0, &chunk);
   }
   substrate::FrameSplitter splitter;
-  net::Message decoded;
   std::string error;
   for (auto _ : state) {
     std::uint8_t* dst = splitter.WritableData(chunk.size());
@@ -214,30 +215,14 @@ void BM_FrameSplitterDecode(benchmark::State& state) {
     std::uint32_t len = 0;
     while (splitter.NextFrame(&body, &len) ==
            substrate::FrameSplitter::Next::kFrame) {
-      substrate::DecodeMessage(body, len, 0, &decoded, &error);
-      benchmark::DoNotOptimize(decoded.seq);
+      auto decoded = std::make_unique<net::Message>();
+      substrate::DecodeMessage(body, len, 0, decoded.get(), &error);
+      benchmark::DoNotOptimize(decoded->seq);
     }
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_FrameSplitterDecode)->Arg(16)->Arg(256);
-
-/// The inbound channel's ring: single-threaded reserve/publish/pop cost
-/// (the cross-thread cache bounce is the workload's problem, not the
-/// ring's).
-void BM_SpscRingPushPop(benchmark::State& state) {
-  util::SpscRing<net::Message> ring(1024);
-  const net::Message msg = TypicalControlMessage();
-  for (auto _ : state) {
-    net::Message* slot = ring.TryReserve();
-    *slot = msg;
-    ring.Publish();
-    benchmark::DoNotOptimize(ring.Front().seq);
-    ring.Pop();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 }  // namespace
 }  // namespace ccsim

@@ -71,8 +71,8 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
   }
 
   // --- run ---------------------------------------------------------------
-  // Shard transports close before the server stops: client readers first
-  // (no more replies into shard substrates), then the server.
+  // Shard transports close before the server stops: the shards' sockets
+  // first (their loops have returned), then the server.
   const auto wall_begin = std::chrono::steady_clock::now();
   const std::uint64_t shard_events =
       RunShards(&load, options.warmup_seconds, options.duration_seconds);

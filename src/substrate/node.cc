@@ -251,9 +251,9 @@ void ServerNode::InstallInboundFilter(
     std::function<bool(const net::Message&)> filter) {
   server::Server* srv = nodes_.server.get();
   substrate_.set_message_sink(
-      [srv, filter = std::move(filter)](net::Message&& msg) {
-        if (!filter || filter(msg)) {
-          srv->inbox().Push(std::make_unique<net::Message>(std::move(msg)));
+      [srv, filter = std::move(filter)](net::MessagePtr msg) {
+        if (!filter || filter(*msg)) {
+          srv->inbox().Push(std::move(msg));
         }
       });
 }
@@ -272,7 +272,7 @@ void ClientShard::AttachTransport(TcpClientTransport* transport,
                                   int index) {
   if (nodes_.config.fault.recovery_enabled) {
     // A server crash or a hard partition kills this shard's connection;
-    // the reader redials so the clients' RPC retries land after it.
+    // the loop redials so the clients' RPC retries land after it.
     transport->EnableReconnect();
   }
   // The shard's loop epoch starts a connection-setup interval after the
@@ -289,13 +289,13 @@ void ClientShard::InstallInboundFilter(
   const int lo = client_lo_;
   const int hi = client_hi_;
   substrate_.set_message_sink(
-      [clients, lo, hi, filter = std::move(filter)](net::Message&& msg) {
+      [clients, lo, hi, filter = std::move(filter)](net::MessagePtr msg) {
         // A stray frame from a confused peer is not ours.
-        if (msg.dst < lo || msg.dst >= hi || (filter && !filter(msg))) {
+        if (msg->dst < lo || msg->dst >= hi || (filter && !filter(*msg))) {
           return;
         }
-        (*clients)[static_cast<std::size_t>(msg.dst - lo)]->inbox().Push(
-            std::make_unique<net::Message>(std::move(msg)));
+        const std::size_t index = static_cast<std::size_t>(msg->dst - lo);
+        (*clients)[index]->inbox().Push(std::move(msg));
       });
 }
 

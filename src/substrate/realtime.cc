@@ -1,198 +1,149 @@
 #include "substrate/realtime.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <ctime>
 #include <thread>
 #include <utility>
 
 #include "util/macros.h"
 
 namespace ccsim::substrate {
+namespace {
 
-// --- InboundChannel -------------------------------------------------------
+/// Ready fds taken from the kernel per poll; more stay ready for the next.
+constexpr int kMaxEvents = 64;
 
-net::Message* InboundChannel::BeginPush() {
-  for (int spins = 0;; ++spins) {
-    if (closed_.load(std::memory_order_acquire) || substrate_->stopping()) {
-      return nullptr;
-    }
-    if (net::Message* slot = ring_.TryReserve()) {
-      return slot;
-    }
-    // Ring full: the loop thread is behind. Yield first (on a single core
-    // the consumer needs the CPU to drain), then back off to short sleeps
-    // and make sure the loop is awake.
-    if (spins < 64) {
-      std::this_thread::yield();
-    } else {
-      substrate_->Kick();
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
+}  // namespace
+
+RealtimeSubstrate::RealtimeSubstrate(sim::Simulator* sim)
+    : sim_(sim), epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  CCSIM_CHECK_MSG(epoll_fd_ >= 0 && wake_fd_ >= 0,
+                  "cannot create the loop's epoll set");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  CCSIM_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) == 0);
 }
 
-void InboundChannel::CommitPush() { ring_.Publish(); }
-
-void InboundChannel::EndBatch() {
-  // The last Publish() was seq_cst: it pairs with the loop's idle-flag
-  // protocol, so either the loop sees the frames or we see it idle.
-  if (substrate_->loop_idle_.load(std::memory_order_seq_cst)) {
-    substrate_->Kick();
-  }
+RealtimeSubstrate::~RealtimeSubstrate() {
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
 }
 
-void InboundChannel::Close() {
-  closed_.store(true, std::memory_order_release);
-  // Wake the loop so it prunes us (and so a drain pass runs even if the
-  // close races a final publish).
-  substrate_->Kick();
+void RealtimeSubstrate::AddSource(int fd, std::function<void()> on_readable) {
+  CCSIM_CHECK(fd >= 0);
+  const std::size_t slot = static_cast<std::size_t>(fd);
+  if (slot >= sources_.size()) {
+    sources_.resize(slot + 1);
+  }
+  CCSIM_CHECK_MSG(sources_[slot] == nullptr, "fd %d is already a source", fd);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  CCSIM_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0);
+  sources_[slot] =
+      std::make_unique<std::function<void()>>(std::move(on_readable));
 }
 
-// --- RealtimeSubstrate ----------------------------------------------------
-
-std::shared_ptr<InboundChannel> RealtimeSubstrate::OpenChannel(
-    std::size_t capacity) {
-  std::shared_ptr<InboundChannel> ch(new InboundChannel(this, capacity));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    channels_.push_back(ch);
-    channels_version_.fetch_add(1, std::memory_order_release);
+void RealtimeSubstrate::RemoveSource(int fd) {
+  const std::size_t slot = static_cast<std::size_t>(fd);
+  if (fd < 0 || slot >= sources_.size() || sources_[slot] == nullptr) {
+    return;
   }
-  cv_.notify_one();
-  return ch;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  retired_.push_back(std::move(sources_[slot]));
 }
 
-void RealtimeSubstrate::PostMessage(net::Message msg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inject_.push_back(std::move(msg));
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_one();
+void RealtimeSubstrate::Receive(net::MessagePtr msg) {
+  CCSIM_CHECK_MSG(sink_ != nullptr, "message received with no sink");
+  sink_(std::move(msg));
 }
 
 void RealtimeSubstrate::PostControl(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     control_.push_back(std::move(fn));
-    queued_.fetch_add(1, std::memory_order_release);
   }
-  cv_.notify_one();
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
 void RealtimeSubstrate::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  cv_.notify_one();
+  stop_.store(true, std::memory_order_release);
+  const std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
-void RealtimeSubstrate::Kick() {
-  // Take-and-drop the mutex so the wake cannot slip between the loop's
-  // final predicate check and its wait.
-  { std::lock_guard<std::mutex> lock(mu_); }
-  cv_.notify_one();
-}
-
-void RealtimeSubstrate::RefreshChannels() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(channels_, [](const std::shared_ptr<InboundChannel>& ch) {
-    return ch->closed_.load(std::memory_order_acquire) &&
-           ch->ring_.ready() == 0;
-  });
-  active_ = channels_;
-  seen_version_ = channels_version_.load(std::memory_order_acquire);
-}
-
-bool RealtimeSubstrate::AnyChannelReady() const {
-  for (const std::shared_ptr<InboundChannel>& ch : active_) {
-    if (ch->ring_.ready() > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool RealtimeSubstrate::DrainChannels() {
-  if (channels_version_.load(std::memory_order_acquire) != seen_version_) {
-    RefreshChannels();
-  }
-  bool drained = false;
-  bool prune = false;
-  for (const std::shared_ptr<InboundChannel>& ch : active_) {
-    std::size_t n = ch->ring_.ready();
-    if (n > 0) {
-      CCSIM_CHECK_MSG(sink_ != nullptr, "message injected with no sink");
-      drained = true;
-      do {
-        sink_(std::move(ch->ring_.Front()));
-        ch->ring_.Pop();
-      } while (--n > 0);
-    }
-    if (ch->closed_.load(std::memory_order_acquire) &&
-        ch->ring_.ready() == 0) {
-      prune = true;
-    }
-  }
-  if (prune) {
-    RefreshChannels();
-  }
-  return drained;
-}
-
-void RealtimeSubstrate::DrainQueues() {
-  std::deque<net::Message> msgs;
+void RealtimeSubstrate::DrainControl() {
   std::deque<std::function<void()>> thunks;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    msgs.swap(inject_);
     thunks.swap(control_);
-    queued_.fetch_sub(msgs.size() + thunks.size(),
-                      std::memory_order_release);
-  }
-  for (net::Message& msg : msgs) {
-    CCSIM_CHECK_MSG(sink_ != nullptr, "message injected with no sink");
-    sink_(std::move(msg));
   }
   for (std::function<void()>& fn : thunks) {
     fn();
   }
 }
 
-void RealtimeSubstrate::SpinUntil(sim::Ticks wake) {
-  while (!stop_.load(std::memory_order_acquire) &&
-         queued_.load(std::memory_order_acquire) == 0 &&
-         !AnyChannelReady()) {
-    if (WallTicks() >= wake) {
+bool RealtimeSubstrate::Poll(sim::Ticks timeout) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout / sim::kTicksPerSecond);
+  ts.tv_nsec = static_cast<long>(timeout % sim::kTicksPerSecond) * 1000;
+  epoll_event events[kMaxEvents];
+  const int n = ::epoll_pwait2(epoll_fd_, events, kMaxEvents, &ts, nullptr);
+  if (n <= 0) {
+    CCSIM_CHECK_MSG(n == 0 || errno == EINTR, "epoll_pwait2 failed");
+    return false;
+  }
+  bool woken = false;
+  for (int i = 0; i < n; ++i) {
+    const int fd = events[i].data.fd;
+    if (fd == wake_fd_) {
+      std::uint64_t count = 0;
+      (void)!::read(wake_fd_, &count, sizeof(count));
+      woken = true;
+      continue;
+    }
+    // An earlier callback of this pass may have removed this source.
+    const std::size_t slot = static_cast<std::size_t>(fd);
+    if (slot < sources_.size() && sources_[slot] != nullptr) {
+      (*sources_[slot])();
+    }
+  }
+  retired_.clear();
+  if (woken) {
+    DrainControl();
+  }
+  return true;
+}
+
+void RealtimeSubstrate::WaitUntil(sim::Ticks wake) {
+  for (;;) {
+    const sim::Ticks left = wake - WallTicks();
+    if (left > kSpinThresholdTicks) {
+      Poll(left);
+      return;
+    }
+    // Stop() writes the eventfd, so a stop also ends the spin here.
+    if (Poll(0) || left <= 0) {
       return;
     }
     std::this_thread::yield();
   }
 }
 
-void RealtimeSubstrate::SleepUntil(sim::Ticks wake) {
-  std::unique_lock<std::mutex> lock(mu_);
-  loop_idle_.store(true, std::memory_order_seq_cst);
-  cv_.wait_until(lock, epoch_ + std::chrono::microseconds(wake), [this] {
-    return stop_.load(std::memory_order_relaxed) ||
-           queued_.load(std::memory_order_relaxed) > 0 ||
-           channels_version_.load(std::memory_order_relaxed) !=
-               seen_version_ ||
-           AnyChannelReady();
-  });
-  loop_idle_.store(false, std::memory_order_seq_cst);
-}
-
 std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
   epoch_ = std::chrono::steady_clock::now();
   std::uint64_t events = 0;
-  RefreshChannels();
+  sim::Ticks wake = 0;  // the first pass only looks
   for (;;) {
-    DrainChannels();
-    if (queued_.load(std::memory_order_acquire) > 0) {
-      DrainQueues();
-    }
+    WaitUntil(wake);
     if (stop_.load(std::memory_order_acquire)) {
-      stop_seen_.store(true, std::memory_order_release);
       break;
     }
     const sim::Ticks wall = WallTicks();
@@ -204,7 +155,6 @@ std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
       events += sim_->Run(target);
       sim_->AdvanceTo(target);
       if (sim_->stop_requested()) {
-        stop_seen_.store(true, std::memory_order_release);
         break;
       }
     }
@@ -217,17 +167,10 @@ std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
     if (wall >= horizon) {
       break;
     }
-    if (AnyChannelReady() || queued_.load(std::memory_order_acquire) > 0 ||
-        stop_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    // Wait until the next calendar entry is due (or the horizon), waking
-    // early for injections. An empty calendar waits on injections alone.
+    // Wait until the next calendar entry is due (or the horizon). An empty
+    // calendar waits on sources and thunks alone.
     const sim::Ticks next = sim_->PeekNextTime();
-    sim::Ticks wake = horizon;
-    if (next >= 0 && next < wake) {
-      wake = next;
-    }
+    wake = next >= 0 && next < horizon ? next : horizon;
     // Cap each wait so an effectively-infinite horizon (a server waiting
     // for work) never overflows the deadline arithmetic — and retry soon
     // when outbound bytes are still stuck in a full socket buffer.
@@ -235,11 +178,6 @@ std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
         wall + (flushed ? sim::kTicksPerSecond : sim::Ticks{200});
     if (wake > cap) {
       wake = cap;
-    }
-    if (wake - wall <= spin_threshold_) {
-      SpinUntil(wake);
-    } else {
-      SleepUntil(wake);
     }
   }
   // Final flush: hand buffered replies to the kernel so peers that are

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -14,53 +13,8 @@
 #include "net/message.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "util/spsc_ring.h"
 
 namespace ccsim::substrate {
-
-class RealtimeSubstrate;
-
-/// One producer's lane into the loop thread: a bounded SPSC ring of
-/// net::Message slots. A socket reader thread decodes frames directly
-/// into reserved slots (BeginPush/CommitPush), wakes the loop once per
-/// batch (EndBatch), and the substrate loop drains whole batches between
-/// calendar steps — per-channel FIFO is exactly ring order, so
-/// per-connection delivery order is preserved. A full ring stalls the
-/// producer (backpressure propagates into TCP flow control); nothing is
-/// dropped.
-class InboundChannel {
- public:
-  /// Producer: reserves the next slot, waiting (yield, then short sleeps)
-  /// while the ring is full. Returns nullptr once the channel is closed
-  /// or the substrate is stopping — the producer should bail out.
-  net::Message* BeginPush();
-
-  /// Producer: publishes the slot filled after BeginPush(). It does not
-  /// wake the loop; EndBatch() does, once per batch.
-  void CommitPush();
-
-  /// Producer: wakes the loop thread if it is parked. Call once after the
-  /// last CommitPush() of a batch (every frame one recv() delivered), and
-  /// before bailing out with frames published, so no published frame
-  /// waits on the loop's sleep.
-  void EndBatch();
-
-  /// Marks the channel closed: BeginPush() fails from now on, and the
-  /// substrate retires the channel once the ring is drained. Callable
-  /// from any thread (producer on EOF, or the transport on Close()).
-  void Close();
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
- private:
-  friend class RealtimeSubstrate;
-  InboundChannel(RealtimeSubstrate* substrate, std::size_t capacity)
-      : ring_(capacity), substrate_(substrate) {}
-
-  util::SpscRing<net::Message> ring_;
-  RealtimeSubstrate* substrate_;
-  std::atomic<bool> closed_{false};
-};
 
 /// Drives an (unmodified) sim::Simulator against the wall clock: one tick
 /// is one steady-clock microsecond. The protocol, client, server, and
@@ -71,30 +25,31 @@ class InboundChannel {
 ///
 /// Threading contract: the simulator and everything built on it (clients,
 /// server, protocol state) are touched ONLY by the thread inside Run().
-/// Other threads (socket readers, signal watchers) communicate exclusively
-/// through InboundChannels (the batched fast path) or
-/// PostMessage()/PostControl()/Stop(); all of it is drained on the loop
-/// thread between calendar steps.
+/// The loop owns an epoll set. Sockets registered with AddSource() are read
+/// by the loop thread itself between calendar steps, so an inbound frame
+/// goes from recv() to the model's mailbox with no thread hand-off. Other
+/// threads (a server's handshakes, a client's redial, signal watchers)
+/// reach the loop only through PostControl() and Stop(), which wake it
+/// through an eventfd in the same set.
 ///
-/// Pacing: the loop spins (yielding, so single-core hosts still make
-/// progress) when the next calendar event is within spin_threshold ticks,
-/// and parks on a condition variable otherwise. Channel producers wake it
-/// through a Dekker-style idle flag, so no published message waits on the
-/// sleep granularity.
+/// Pacing: between calendar steps the loop waits in epoll_pwait2() with
+/// the next calendar entry as its deadline, so a readable socket, a posted
+/// thunk or the deadline wakes it, whichever comes first. Deadlines within
+/// kSpinThresholdTicks are polled with a zero timeout instead, yielding
+/// between polls so single-core hosts still run the peer's loop.
 class RealtimeSubstrate {
  public:
-  static constexpr std::size_t kDefaultChannelCapacity = 1024;
   /// Next-event distances at or under this (µs) spin instead of sleeping.
-  static constexpr sim::Ticks kDefaultSpinThresholdTicks = 50;
+  static constexpr sim::Ticks kSpinThresholdTicks = 50;
 
-  explicit RealtimeSubstrate(sim::Simulator* sim) : sim_(sim) {}
+  explicit RealtimeSubstrate(sim::Simulator* sim);
+  ~RealtimeSubstrate();
   RealtimeSubstrate(const RealtimeSubstrate&) = delete;
   RealtimeSubstrate& operator=(const RealtimeSubstrate&) = delete;
 
-  /// Routes injected messages into the model (typically a Mailbox::Push on
-  /// the destination's inbox). Runs on the loop thread; the sink may move
-  /// the message out (ring slots are reused).
-  void set_message_sink(std::function<void(net::Message&&)> sink) {
+  /// Routes inbound messages into the model (typically a Mailbox::Push on
+  /// the destination's inbox). Runs on the loop thread.
+  void set_message_sink(std::function<void(net::MessagePtr)> sink) {
     sink_ = std::move(sink);
   }
 
@@ -106,12 +61,19 @@ class RealtimeSubstrate {
     flush_hook_ = std::move(hook);
   }
 
-  void set_spin_threshold(sim::Ticks ticks) { spin_threshold_ = ticks; }
+  /// Watches `fd` (non-blocking): whenever it is readable the loop calls
+  /// `on_readable` between calendar steps, which should read one bounded
+  /// chunk so an unread backlog stays in TCP flow control. Loop thread, or
+  /// while the loop is not running.
+  void AddSource(int fd, std::function<void()> on_readable);
 
-  /// Registers a new producer lane. Thread-safe; the loop picks it up on
-  /// its next drain pass and retires it after Close() once drained.
-  std::shared_ptr<InboundChannel> OpenChannel(
-      std::size_t capacity = kDefaultChannelCapacity);
+  /// Stops watching `fd`; a no-op if it is not a source. Call before the
+  /// fd is closed. Loop thread (a source may remove itself from its own
+  /// callback), or while the loop is not running.
+  void RemoveSource(int fd);
+
+  /// Loop thread: hands one decoded inbound message to the sink.
+  void Receive(net::MessagePtr msg);
 
   /// Wall-clock ticks since Run() started (0 before).
   sim::Ticks WallTicks() const {
@@ -119,10 +81,6 @@ class RealtimeSubstrate {
                std::chrono::steady_clock::now() - epoch_)
         .count();
   }
-
-  /// Thread-safe: enqueues a message for delivery through the sink.
-  /// (Slow path — socket readers use InboundChannels instead.)
-  void PostMessage(net::Message msg);
 
   /// Thread-safe: enqueues an arbitrary thunk to run on the loop thread.
   void PostControl(std::function<void()> fn);
@@ -134,61 +92,40 @@ class RealtimeSubstrate {
   /// called, or the model requests a stop (sim::Simulator::RequestStop, as
   /// fired by the commit-target hook). Returns the number of calendar
   /// events processed. The simulated clock tracks the wall clock: between
-  /// calendar entries the loop spins or sleeps (interruptibly) until the
-  /// earlier of the next fire time and the next injection.
+  /// calendar entries the loop waits (interruptibly) until the earlier of
+  /// the next fire time, a readable source and a posted thunk.
   std::uint64_t Run(sim::Ticks horizon);
-
-  /// True once Stop() was called or the model requested a stop.
-  bool stopped() const { return stop_seen_.load(std::memory_order_acquire); }
-
-  /// True once Stop() was called (readers poll this to bail out of a
-  /// full-ring wait while the loop is no longer draining).
-  bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
   sim::Simulator& sim() { return *sim_; }
 
  private:
-  friend class InboundChannel;
-
-  /// Drains every ready slot from every registered channel into the sink.
-  /// Returns true if anything was delivered. Loop thread only.
-  bool DrainChannels();
-  /// Drains the mutex-guarded PostMessage/PostControl queues.
-  void DrainQueues();
-  /// Re-snapshots `active_` from `channels_` and drops closed+drained
-  /// channels from the registry.
-  void RefreshChannels();
-  bool AnyChannelReady() const;
-  /// Yield-spins until `wake`, work, or stop. Single-core friendly: every
-  /// iteration yields so producer threads can run.
-  void SpinUntil(sim::Ticks wake);
-  /// Parks on the condition variable until `wake`, work, or stop.
-  void SleepUntil(sim::Ticks wake);
-  /// Wakes a sleeping loop. Called by producers after publishing.
-  void Kick();
+  /// Waits up to `timeout` ticks (0 = just look) for readable sources or a
+  /// wake, runs their callbacks, then any posted thunks. Returns true if
+  /// anything was ready.
+  bool Poll(sim::Ticks timeout);
+  /// Waits until wall tick `wake`, a readable source, a thunk, or Stop():
+  /// yield-polling when `wake` is close, else one blocking Poll().
+  void WaitUntil(sim::Ticks wake);
+  /// Runs the thunks queued by PostControl().
+  void DrainControl();
 
   sim::Simulator* sim_;
-  std::function<void(net::Message&&)> sink_;
+  std::function<void(net::MessagePtr)> sink_;
   std::function<bool()> flush_hook_;
   std::chrono::steady_clock::time_point epoch_{};
-  sim::Ticks spin_threshold_ = kDefaultSpinThresholdTicks;
+
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd written by PostControl() and Stop()
+  /// Readable callbacks indexed by fd; null where no source is registered.
+  /// Each callback lives behind its own pointer, so growing the table or
+  /// removing a source never moves one that is running.
+  std::vector<std::unique_ptr<std::function<void()>>> sources_;
+  /// Callbacks removed since the last poll, destroyed after it.
+  std::vector<std::unique_ptr<std::function<void()>>> retired_;
 
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<net::Message> inject_;
   std::deque<std::function<void()>> control_;
-  std::vector<std::shared_ptr<InboundChannel>> channels_;
-
-  /// Loop thread's private snapshot of `channels_`, refreshed when
-  /// `channels_version_` moves.
-  std::vector<std::shared_ptr<InboundChannel>> active_;
-  std::uint64_t seen_version_ = 0;
-
-  std::atomic<std::uint64_t> channels_version_{0};
-  std::atomic<std::size_t> queued_{0};  // inject_ + control_ entries
-  std::atomic<bool> loop_idle_{false};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> stop_seen_{false};
 };
 
 }  // namespace ccsim::substrate

@@ -1,6 +1,7 @@
 #include "substrate/tcp.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -109,64 +110,6 @@ bool ReadHello(Connection* conn, Hello* hello, std::string* error) {
   return DecodeHello(body.data(), body.size(), hello, error);
 }
 
-/// The post-handshake reader: recv() a chunk, peel every complete frame
-/// out of it, and decode each one directly into an InboundChannel slot.
-/// One frame costs ~1/N of a syscall and zero allocations. Returns when
-/// the peer hangs up, the stream corrupts, or the channel closes.
-void BatchedReadLoop(Connection* conn, InboundChannel* channel,
-                     std::uint32_t page_payload_bytes,
-                     std::atomic<std::uint64_t>* frames_received,
-                     const char* who) {
-  FrameSplitter splitter;
-  std::string error;
-  for (;;) {
-    std::uint8_t* dst = splitter.WritableData(kReadChunk);
-    const ssize_t n = ::recv(conn->fd(), dst, splitter.writable_size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return;  // EOF, shutdown, or hard error
-    }
-    splitter.CommitBytes(static_cast<std::size_t>(n));
-    std::uint64_t batch = 0;
-    // Counts the published frames and wakes the loop once for all of them
-    // (on every exit path, so none waits on the loop's sleep).
-    const auto end_batch = [&] {
-      if (batch > 0) {
-        frames_received->fetch_add(batch, std::memory_order_relaxed);
-        channel->EndBatch();
-      }
-    };
-    const std::uint8_t* body = nullptr;
-    std::uint32_t len = 0;
-    FrameSplitter::Next state;
-    while ((state = splitter.NextFrame(&body, &len)) ==
-           FrameSplitter::Next::kFrame) {
-      net::Message* slot = channel->BeginPush();
-      if (slot == nullptr) {
-        // Transport closing or substrate stopping: stop consuming.
-        end_batch();
-        return;
-      }
-      if (!DecodeMessage(body, len, page_payload_bytes, slot, &error)) {
-        std::fprintf(stderr, "%s: dropping connection: %s\n", who,
-                     error.c_str());
-        end_batch();
-        return;
-      }
-      channel->CommitPush();
-      ++batch;
-    }
-    end_batch();
-    if (state == FrameSplitter::Next::kBad) {
-      std::fprintf(stderr, "%s: dropping connection: oversized frame\n",
-                   who);
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 void ScopedFd::Reset() {
@@ -270,9 +213,54 @@ bool Connection::ReadFrame(std::vector<std::uint8_t>* body) {
   return len == 0 || ReadExact(fd_.get(), body->data(), len);
 }
 
+void Connection::SetNonBlocking() {
+  const int flags = ::fcntl(fd_.get(), F_GETFL, 0);
+  ::fcntl(fd_.get(), F_SETFL, flags | O_NONBLOCK);
+}
+
+bool Connection::ReadReady(RealtimeSubstrate* substrate,
+                           std::uint32_t page_payload_bytes,
+                           std::atomic<std::uint64_t>* frames_received,
+                           const char* who) {
+  std::uint8_t* dst = splitter_.WritableData(kReadChunk);
+  const ssize_t n = ::recv(fd_.get(), dst, splitter_.writable_size(), 0);
+  if (n <= 0) {
+    // EOF, shutdown, or a hard error end the connection; a spurious or
+    // interrupted read waits for the next readiness report.
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                     errno == EINTR);
+  }
+  splitter_.CommitBytes(static_cast<std::size_t>(n));
+  std::uint64_t frames = 0;
+  const std::uint8_t* body = nullptr;
+  std::uint32_t len = 0;
+  FrameSplitter::Next state;
+  std::string error;
+  while ((state = splitter_.NextFrame(&body, &len)) ==
+         FrameSplitter::Next::kFrame) {
+    auto msg = std::make_unique<net::Message>();
+    if (!DecodeMessage(body, len, page_payload_bytes, msg.get(), &error)) {
+      break;
+    }
+    substrate->Receive(std::move(msg));
+    ++frames;
+  }
+  frames_received->fetch_add(frames, std::memory_order_relaxed);
+  if (state == FrameSplitter::Next::kFrame) {
+    std::fprintf(stderr, "%s: dropping connection: %s\n", who,
+                 error.c_str());
+    return false;
+  }
+  if (state == FrameSplitter::Next::kBad) {
+    std::fprintf(stderr, "%s: dropping connection: oversized frame\n", who);
+    return false;
+  }
+  return true;
+}
+
 // --- client ---------------------------------------------------------------
 
-std::unique_ptr<Connection> TcpClientTransport::DialAndHandshake(
+std::shared_ptr<Connection> TcpClientTransport::DialAndHandshake(
     const std::string& host, int port, const Hello& hello,
     std::string* error, double handshake_timeout_s) {
   ScopedFd fd = NewTcpSocket(error);
@@ -293,14 +281,14 @@ std::unique_ptr<Connection> TcpClientTransport::DialAndHandshake(
   }
   if (handshake_timeout_s > 0) {
     // Bound the handshake recv so a redial racing teardown cannot park the
-    // reader thread forever (Close() joins it).
+    // dial thread forever (Close() joins it).
     timeval tv{};
     tv.tv_sec = static_cast<time_t>(handshake_timeout_s);
     tv.tv_usec = static_cast<suseconds_t>(
         (handshake_timeout_s - static_cast<double>(tv.tv_sec)) * 1e6);
     ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
-  auto conn = std::make_unique<Connection>(std::move(fd));
+  auto conn = std::make_shared<Connection>(std::move(fd));
   std::vector<std::uint8_t> frame;
   EncodeHello(hello, &frame);
   if (!conn->SendRaw(frame)) {
@@ -315,18 +303,15 @@ std::unique_ptr<Connection> TcpClientTransport::DialAndHandshake(
   if (!HellosCompatible(hello, server_hello, error)) {
     return nullptr;
   }
-  if (handshake_timeout_s > 0) {
-    timeval tv{};  // back to blocking for the steady-state reader
-    ::setsockopt(conn->fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
   conn->set_peer(server_hello);
+  conn->SetNonBlocking();
   return conn;
 }
 
 std::unique_ptr<TcpClientTransport> TcpClientTransport::Connect(
     const std::string& host, int port, const Hello& hello,
     RealtimeSubstrate* substrate, std::string* error) {
-  std::unique_ptr<Connection> conn =
+  std::shared_ptr<Connection> conn =
       DialAndHandshake(host, port, hello, error);
   if (conn == nullptr) {
     return nullptr;
@@ -335,81 +320,68 @@ std::unique_ptr<TcpClientTransport> TcpClientTransport::Connect(
       std::move(conn), substrate, host, port, hello));
 }
 
-TcpClientTransport::TcpClientTransport(std::unique_ptr<Connection> conn,
+TcpClientTransport::TcpClientTransport(std::shared_ptr<Connection> conn,
                                        RealtimeSubstrate* substrate,
                                        const std::string& host, int port,
                                        const Hello& hello)
-    : conn_(std::move(conn)), substrate_(substrate),
-      channel_(substrate->OpenChannel()), host_(host), port_(port),
-      hello_(hello), page_payload_bytes_(hello.page_payload_bytes) {
-  reader_ = std::thread([this] { ReaderMain(); });
+    : substrate_(substrate), host_(host), port_(port), hello_(hello),
+      page_payload_bytes_(hello.page_payload_bytes) {
+  Adopt(std::move(conn));
 }
 
 TcpClientTransport::~TcpClientTransport() { Close(); }
 
-void TcpClientTransport::ReaderMain() {
-  for (;;) {
-    Connection* conn;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      conn = conn_.get();
-    }
-    // Fresh FrameSplitter per connection: a mid-frame cut on the old
-    // connection cannot corrupt the new stream's framing.
-    BatchedReadLoop(conn, channel_.get(), page_payload_bytes_,
-                    &frames_received_, "ccload");
-    if (closing_.load(std::memory_order_acquire) ||
-        !reconnect_.load(std::memory_order_relaxed)) {
-      break;
-    }
-    // Connection lost under an active fault plan: poison it so the loop
-    // thread counts queued messages as disconnected drops, then redial.
-    conn->MarkDead();
-    std::unique_ptr<Connection> fresh;
-    int backoff_ms = 20;
-    while (!closing_.load(std::memory_order_acquire)) {
-      std::string error;
-      fresh = DialAndHandshake(host_, port_, hello_, &error,
-                               /*handshake_timeout_s=*/2.0);
-      if (fresh != nullptr) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 200);
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      // Swap and re-check closing_ under the lock: Close() sets closing_
-      // and shuts down conn_ under the same lock, so either it kills the
-      // connection we are about to read or we see the flag and stop.
-      if (closing_.load(std::memory_order_acquire) || fresh == nullptr) {
-        break;
-      }
-      conn_ = std::move(fresh);
-    }
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
+void TcpClientTransport::Adopt(std::shared_ptr<Connection> conn) {
+  // A fresh Connection brings a fresh FrameSplitter: a mid-frame cut on
+  // the old connection cannot corrupt the new stream's framing.
+  conn_ = std::move(conn);
+  substrate_->AddSource(conn_->fd(), [this] { OnReadable(); });
+}
+
+void TcpClientTransport::OnReadable() {
+  if (conn_->ReadReady(substrate_, page_payload_bytes_, &frames_received_,
+                       "ccload")) {
+    return;
   }
-  channel_->Close();
+  substrate_->RemoveSource(conn_->fd());
+  if (!reconnect_) {
+    return;
+  }
+  // Connection lost under an active fault plan: poison it so Deliver
+  // counts queued messages as disconnected drops, then redial. The last
+  // dial thread handed its connection over before exiting.
+  conn_->MarkDead();
+  if (dialer_.joinable()) {
+    dialer_.join();
+  }
+  dialer_ = std::thread([this] { Redial(); });
 }
 
-void TcpClientTransport::EnableReconnect() {
-  reconnect_.store(true, std::memory_order_relaxed);
-}
-
-void TcpClientTransport::AbortConnection() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_->Abort();
+void TcpClientTransport::Redial() {
+  int backoff_ms = 20;
+  while (!closing_.load(std::memory_order_acquire)) {
+    std::string error;
+    std::shared_ptr<Connection> fresh = DialAndHandshake(
+        host_, port_, hello_, &error, /*handshake_timeout_s=*/2.0);
+    if (fresh != nullptr) {
+      substrate_->PostControl([this, fresh] {
+        Adopt(fresh);
+        reconnects_.fetch_add(1, std::memory_order_relaxed);
+      });
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, 200);
+  }
 }
 
 void TcpClientTransport::Deliver(const net::Message& msg) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
   if (!conn_->QueueMessage(msg, page_payload_bytes_)) {
     disconnected_drops_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 bool TcpClientTransport::Flush() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
   if (!conn_->has_pending()) {
     return true;
   }
@@ -417,15 +389,12 @@ bool TcpClientTransport::Flush() {
 }
 
 void TcpClientTransport::Close() {
-  channel_->Close();  // unblock a reader stalled on a full ring
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    closing_.store(true, std::memory_order_release);
-    conn_->Shutdown();
+  closing_.store(true, std::memory_order_release);
+  if (dialer_.joinable()) {
+    dialer_.join();
   }
-  if (reader_.joinable()) {
-    reader_.join();
-  }
+  substrate_->RemoveSource(conn_->fd());
+  conn_->Shutdown();
 }
 
 // --- server ---------------------------------------------------------------
@@ -498,13 +467,13 @@ void TcpServerTransport::AcceptLoop() {
       return;
     }
     conns_.push_back(conn);
-    // Handshake and framing run on the per-connection reader so a stalled
-    // peer cannot block further accepts.
-    readers_.emplace_back([this, conn] { ReadLoop(conn); });
+    // The handshake runs on its own thread so a stalled peer cannot block
+    // further accepts.
+    handshakers_.emplace_back([this, conn] { Handshake(conn); });
   }
 }
 
-void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
+void TcpServerTransport::Handshake(std::shared_ptr<Connection> conn) {
   Hello client_hello;
   std::string error;
   if (!ReadHello(conn.get(), &client_hello, &error) ||
@@ -552,17 +521,36 @@ void TcpServerTransport::ReadLoop(std::shared_ptr<Connection> conn) {
   EncodeHello(hello_, &frame);
   const bool replied = conn->SendRaw(frame);
   conn->OpenForWrites();
-  if (replied) {
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<InboundChannel> channel = substrate_->OpenChannel();
-    BatchedReadLoop(conn.get(), channel.get(), hello_.page_payload_bytes,
-                    &frames_received_, "ccserve");
-    channel->Close();
+  if (!replied) {
+    conn->Shutdown();
+    ForgetRoutes(conn.get());
+    return;
   }
+  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+  conn->SetNonBlocking();
+  // conns_ keeps the connection (and its fd) alive until Close().
+  substrate_->PostControl([this, c = conn.get()] { Adopt(c); });
+}
+
+void TcpServerTransport::Adopt(Connection* conn) {
+  substrate_->AddSource(conn->fd(), [this, conn] {
+    if (!conn->ReadReady(substrate_, hello_.page_payload_bytes,
+                         &frames_received_, "ccserve")) {
+      Drop(conn);
+    }
+  });
+}
+
+void TcpServerTransport::Drop(Connection* conn) {
+  substrate_->RemoveSource(conn->fd());
   conn->Shutdown();
+  ForgetRoutes(conn);
+}
+
+void TcpServerTransport::ForgetRoutes(const Connection* conn) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
-    if (routes_[id] == conn) {
+  for (int id = conn->peer().client_lo; id < conn->peer().client_hi; ++id) {
+    if (routes_[id].get() == conn) {
       routes_[id].reset();
     }
   }
@@ -655,35 +643,28 @@ bool TcpServerTransport::DrainOrPoison(double seconds) {
 }
 
 void TcpServerTransport::Close() {
-  std::vector<std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_) {
       return;
     }
-    closing_ = true;
-    readers.swap(readers_);
+    closing_ = true;  // the acceptor starts no handshake from here on
   }
   listen_fd_.ShutdownBoth();
   if (acceptor_.joinable()) {
     acceptor_.join();
   }
+  std::vector<std::thread> handshakers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : conns_) {
-      conn->Shutdown();
+      substrate_->RemoveSource(conn->fd());
+      conn->Shutdown();  // ejects a handshake parked in recv()
     }
-    // A reader that raced past the closing_ check parked its thread in
-    // readers_ after the swap above; collect any stragglers.
-    for (auto& t : readers_) {
-      readers.push_back(std::move(t));
-    }
-    readers_.clear();
+    handshakers.swap(handshakers_);
   }
-  for (std::thread& t : readers) {
-    if (t.joinable()) {
-      t.join();
-    }
+  for (std::thread& t : handshakers) {
+    t.join();
   }
   dirty_.clear();
   route_snapshot_.clear();

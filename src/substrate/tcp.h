@@ -40,7 +40,7 @@ class ScopedFd {
     return fd;
   }
   void Reset();
-  /// shutdown(SHUT_RDWR): unblocks a reader thread parked in recv().
+  /// shutdown(SHUT_RDWR): unblocks a handshake parked in recv().
   void ShutdownBoth();
 
  private:
@@ -51,11 +51,11 @@ class ScopedFd {
 /// read/write plumbing.
 ///
 /// Threading: the handshake (SendRaw/ReadFrame, blocking) runs on a single
-/// thread before the connection is routed. Afterwards the hot path is
-/// split single-writer/single-reader — QueueMessage/Flush only from the
-/// substrate loop thread, recv only from the connection's reader thread —
-/// so no write lock is needed. Outbound messages batch into a FrameBuffer
-/// and reach the kernel in one vectored, non-blocking sendmsg per flush.
+/// thread before the connection is handed to the substrate loop. Afterwards
+/// the socket is non-blocking and only the loop thread reads and writes
+/// it: ReadReady() when epoll reports it readable, QueueMessage/Flush for
+/// the outbound side. Outbound messages batch into a FrameBuffer and reach
+/// the kernel in one vectored, non-blocking sendmsg per flush.
 class Connection {
  public:
   /// Pending outbound bytes past this mark poison the connection: the
@@ -90,6 +90,19 @@ class Connection {
   /// Returns false on EOF/error. `body` is reused across calls.
   bool ReadFrame(std::vector<std::uint8_t>* body);
 
+  /// Ends the handshake: the socket turns non-blocking for the loop.
+  void SetNonBlocking();
+
+  /// Loop thread: one non-blocking recv() of up to a read chunk, then
+  /// every complete frame decoded into a pooled message and handed to
+  /// `substrate`'s sink, in stream order. Returns false once the connection
+  /// is finished: EOF, a socket error, an oversized frame or a malformed
+  /// message (the last two reported on stderr under `who`).
+  bool ReadReady(RealtimeSubstrate* substrate,
+                 std::uint32_t page_payload_bytes,
+                 std::atomic<std::uint64_t>* frames_received,
+                 const char* who);
+
   void Shutdown() { fd_.ShutdownBoth(); }
 
   /// Marks the connection dead without touching the outbound buffer, so it
@@ -100,7 +113,7 @@ class Connection {
   /// Hard kill: poisons the connection, discards any partially-flushed
   /// outbound batch (the peer sees a frame cut mid-stream), arms
   /// SO_LINGER(0) so the eventual close() RSTs instead of FIN-ing, and
-  /// shuts the socket down to eject the reader thread. Caller must hold
+  /// shuts the socket down, so the loop reads EOF from it. Caller must hold
   /// the outbound single-writer role (loop thread, or post-join teardown).
   void Abort();
 
@@ -115,6 +128,7 @@ class Connection {
   ScopedFd fd_;
   Hello peer_{};
   FrameBuffer buffer_;
+  FrameSplitter splitter_;
   std::atomic<bool> dead_{false};
   std::atomic<bool> writable_;
 };
@@ -122,15 +136,16 @@ class Connection {
 /// Client side of the wire: one connection from a load-generator shard to
 /// the page server. Installed as the shard Network's Transport, it queues
 /// every outbound message into the connection's frame batch (flushed at
-/// each calendar-step boundary via Flush()); a reader thread decodes
-/// inbound frames straight into an InboundChannel ring that the shard's
-/// RealtimeSubstrate drains in batches.
+/// each calendar-step boundary via Flush()), and registers the socket as a
+/// source of the shard's RealtimeSubstrate, whose loop thread decodes
+/// inbound frames straight into the handles its mailboxes receive. A
+/// fault-free shard runs on that one thread.
 class TcpClientTransport : public net::Transport {
  public:
   /// Connects, exchanges Hellos, and validates the server against `hello`
   /// (algorithm, database size, client-id range). `host` may be an IPv4
   /// literal or a resolvable hostname. Returns nullptr with `error` set
-  /// on any failure.
+  /// on any failure. Call before `substrate`'s loop starts.
   static std::unique_ptr<TcpClientTransport> Connect(
       const std::string& host, int port, const Hello& hello,
       RealtimeSubstrate* substrate, std::string* error);
@@ -143,21 +158,22 @@ class TcpClientTransport : public net::Transport {
   /// net::Transport: flushes the outbound batch (shard loop thread).
   bool Flush() override;
 
-  /// Closes the socket and joins the reader.
+  /// Closes the socket and joins a redial in progress. Call once the
+  /// shard's loop is not running.
   void Close();
 
-  /// Opts in to redial-on-disconnect: when the reader thread loses the
-  /// connection it re-dials the server (exponential backoff, fresh
-  /// handshake, fresh FrameSplitter) and swaps the new connection in. Off
-  /// by default so fault-free runs keep the original lock-free-reader,
-  /// fail-stop semantics; wiring enables it only when a fault plan is
-  /// active. Call before the substrate starts delivering.
-  void EnableReconnect();
+  /// Opts in to redial-on-disconnect: when the loop loses the connection
+  /// it starts one dial thread, which re-dials the server (exponential
+  /// backoff, fresh handshake) and hands the new connection, with its
+  /// fresh FrameSplitter, back to the loop. Off by default so fault-free
+  /// runs keep fail-stop semantics; wiring enables it only when a fault
+  /// plan is active. Call before the substrate starts delivering.
+  void EnableReconnect() { reconnect_ = true; }
 
   /// Hard partition: kills the current connection mid-frame (RST). With
-  /// reconnect enabled the reader redials; messages queued in between are
+  /// reconnect enabled the loop redials; messages queued in between are
   /// counted as disconnected drops. Shard-loop-thread only.
-  void AbortConnection();
+  void AbortConnection() { conn_->Abort(); }
 
   std::uint64_t frames_received() const {
     return frames_received_.load(std::memory_order_relaxed);
@@ -172,47 +188,56 @@ class TcpClientTransport : public net::Transport {
   }
 
  private:
-  TcpClientTransport(std::unique_ptr<Connection> conn,
+  TcpClientTransport(std::shared_ptr<Connection> conn,
                      RealtimeSubstrate* substrate, const std::string& host,
                      int port, const Hello& hello);
 
-  /// Socket + connect + Hello exchange. `handshake_timeout_s` > 0 bounds
-  /// the handshake recv (redials during teardown must not hang Close()).
-  static std::unique_ptr<Connection> DialAndHandshake(
+  /// Socket + connect + Hello exchange, leaving the socket non-blocking.
+  /// `handshake_timeout_s` > 0 bounds the handshake recv (redials during
+  /// teardown must not hang Close()).
+  static std::shared_ptr<Connection> DialAndHandshake(
       const std::string& host, int port, const Hello& hello,
       std::string* error, double handshake_timeout_s = 0.0);
 
-  /// Reader-thread main: BatchedReadLoop on the live connection; on loss,
-  /// redial-and-swap when reconnect is enabled, else exit.
-  void ReaderMain();
+  /// Loop thread: makes `conn` the live connection and watches its socket.
+  void Adopt(std::shared_ptr<Connection> conn);
+  /// Loop thread: reads the live connection; on its loss, stops watching
+  /// it and, with reconnect enabled, starts the dial thread.
+  void OnReadable();
+  /// Dial-thread main: redials with backoff until a handshake succeeds
+  /// (handing the connection to the loop) or Close() begins.
+  void Redial();
 
-  /// Guards conn_ replacement on reconnect. Uncontended on the hot path
-  /// (the reader only takes it between connections).
-  std::mutex conn_mu_;
-  std::unique_ptr<Connection> conn_;
+  /// The live connection. Loop thread only (and Connect/Close, while the
+  /// loop is not running). Shared only so a redial can hand it over in a
+  /// PostControl thunk, which must be copyable.
+  std::shared_ptr<Connection> conn_;
   RealtimeSubstrate* substrate_;
-  std::shared_ptr<InboundChannel> channel_;
   std::string host_;
   int port_;
   Hello hello_;
   std::uint32_t page_payload_bytes_;
-  std::atomic<bool> reconnect_{false};
+  bool reconnect_ = false;
   std::atomic<bool> closing_{false};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> disconnected_drops_{0};
-  std::thread reader_;
+  std::thread dialer_;
 };
 
 /// Server side of the wire: a listener plus one Connection per load shard.
 /// Installed as the server Network's Transport, it routes each outbound
 /// message into the frame batch of the connection whose Hello claimed the
-/// destination client id (batches flushed per calendar step via Flush());
-/// each connection's reader thread decodes inbound frames into its own
-/// InboundChannel, so the server loop drains per-connection FIFO batches.
-/// Connections come and go (ccload runs end while ccserve stays up):
-/// messages to a departed client are counted and dropped, exactly like a
-/// crashed workstation.
+/// destination client id (batches flushed per calendar step via Flush()).
+/// An acceptor thread takes each connection and a short-lived handshake
+/// thread validates its Hello and registers its routes, so a stalled peer
+/// blocks neither further accepts nor the loop; the handshake thread then
+/// hands the socket to the server loop (PostControl) and exits. From there
+/// the loop thread reads every connection itself, in stream order, and
+/// runs its EOF and route cleanup: a fault-free server runs on its loop
+/// thread plus the idle acceptor. Connections come and go (ccload runs end
+/// while ccserve stays up): messages to a departed client are counted and
+/// dropped, exactly like a crashed workstation.
 class TcpServerTransport : public net::Transport {
  public:
   /// Binds `bind_host` (empty = all interfaces) and listens on `port`
@@ -230,7 +255,8 @@ class TcpServerTransport : public net::Transport {
   /// net::Transport: flushes every dirty connection (server loop thread).
   bool Flush() override;
 
-  /// Stops accepting, closes every connection, joins all threads.
+  /// Stops accepting, closes every connection, joins all threads. Call
+  /// once the server's loop is not running.
   void Close();
 
   /// Hard server crash: kills every live connection (RST / mid-frame cut).
@@ -268,7 +294,15 @@ class TcpServerTransport : public net::Transport {
                      RealtimeSubstrate* substrate);
 
   void AcceptLoop();
-  void ReadLoop(std::shared_ptr<Connection> conn);
+  /// Handshake-thread main: validates the peer's Hello, registers its
+  /// routes, replies, and posts the connection to the loop.
+  void Handshake(std::shared_ptr<Connection> conn);
+  /// Loop thread: watches an accepted connection's socket.
+  void Adopt(Connection* conn);
+  /// Loop thread: stops watching a finished connection and forgets it.
+  void Drop(Connection* conn);
+  /// Clears the routes that still point at `conn`. Takes mu_.
+  void ForgetRoutes(const Connection* conn);
   /// Re-copies `routes_` into the loop thread's `route_snapshot_`.
   void RefreshRoutes();
 
@@ -283,7 +317,7 @@ class TcpServerTransport : public net::Transport {
   /// Every change bumps `routes_version_` under mu_.
   std::vector<std::shared_ptr<Connection>> routes_;
   std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;
+  std::vector<std::thread> handshakers_;
   std::atomic<std::uint64_t> routes_version_{0};
 
   /// Loop thread's private copy of `routes_`, refreshed when

@@ -312,7 +312,7 @@ TEST(FrameSplitterCutTest, GarbageLengthPrefixIsBadNotFatal) {
 TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
 
   substrate::Hello hello;
   hello.algorithm = 0;
@@ -385,7 +385,7 @@ TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
 TEST(DrainOrPoisonTest, DrainsWhenThePeerReads) {
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
 
   substrate::Hello hello;
   hello.algorithm = 0;
@@ -401,7 +401,7 @@ TEST(DrainOrPoisonTest, DrainsWhenThePeerReads) {
   sim::Simulator client_sim;
   substrate::RealtimeSubstrate client_sub(&client_sim);
   std::atomic<std::uint64_t> received{0};
-  client_sub.set_message_sink([&received](net::Message) {
+  client_sub.set_message_sink([&received](net::MessagePtr) {
     received.fetch_add(1, std::memory_order_relaxed);
   });
   substrate::Hello ch = hello;

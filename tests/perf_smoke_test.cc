@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -32,8 +31,9 @@
 #include "sim/process.h"
 #include "sim/event.h"
 #include "sim/simulator.h"
+#include "substrate/realtime.h"
+#include "substrate/tcp.h"
 #include "substrate/wire.h"
-#include "util/spsc_ring.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -297,14 +297,18 @@ TEST(PerfSmokeTest, AttemptBookkeepingIsIndependentOfCacheSize) {
 // ---------------------------------------------------------------------------
 
 TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
-  // The steady-state real-substrate message loop — encode into a reused
-  // FrameBuffer, vectored flush, batched recv into a reused FrameSplitter,
-  // decode into reusable SpscRing slots — must not touch the heap once
-  // every buffer has grown to its working capacity. One lap here is what
-  // one calendar step does per connection: queue a batch, flush it, read
-  // it back, peel and decode every frame into the inbound ring.
+  // The steady-state real-substrate message path — encode into a reused
+  // FrameBuffer, vectored flush, one recv into the connection's reused
+  // FrameSplitter, decode into a pooled message handle, the sink takes the
+  // handle and releases it — must not touch the heap once every buffer has
+  // grown to its working capacity. One lap here is what one calendar step
+  // does per connection: queue a batch and flush it, then the loop reads
+  // it back and hands every frame to the model.
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  substrate::Connection sender{substrate::ScopedFd(fds[0])};
+  substrate::Connection receiver{substrate::ScopedFd(fds[1])};
+  receiver.SetNonBlocking();
 
   net::Message msg;
   msg.type = net::MsgType::kReadReply;
@@ -321,44 +325,29 @@ TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
   constexpr std::uint32_t kPagePayload = 512;
   constexpr int kBatch = 8;
 
-  substrate::FrameBuffer buffer;
-  substrate::FrameSplitter splitter;
-  util::SpscRing<net::Message> ring(64);
-  std::string error;
+  sim::Simulator sim;
+  substrate::RealtimeSubstrate loop(&sim);
   std::uint64_t decoded = 0;
+  loop.set_message_sink([&decoded](net::MessagePtr in) {
+    EXPECT_EQ(in->xact, 42u);
+    ++decoded;
+  });  // the handle goes back to the block pool here
+  std::atomic<std::uint64_t> frames{0};
 
   const auto lap = [&] {
     for (int i = 0; i < kBatch; ++i) {
-      buffer.AppendMessage(msg, kPagePayload);
+      ASSERT_TRUE(sender.QueueMessage(msg, kPagePayload));
     }
-    ASSERT_EQ(buffer.Flush(fds[0]), substrate::FrameBuffer::FlushResult::kDone)
+    ASSERT_EQ(sender.Flush(), substrate::FrameBuffer::FlushResult::kDone)
         << "socketpair buffer too small for one batch";
     const std::uint64_t target = decoded + kBatch;
     while (decoded < target) {
-      std::uint8_t* dst = splitter.WritableData(4096);
-      const ssize_t n = ::recv(fds[1], dst, splitter.writable_size(), 0);
-      ASSERT_GT(n, 0);
-      splitter.CommitBytes(static_cast<std::size_t>(n));
-      const std::uint8_t* body = nullptr;
-      std::uint32_t len = 0;
-      while (splitter.NextFrame(&body, &len) ==
-             substrate::FrameSplitter::Next::kFrame) {
-        net::Message* slot = ring.TryReserve();
-        ASSERT_NE(slot, nullptr);
-        ASSERT_TRUE(
-            substrate::DecodeMessage(body, len, kPagePayload, slot, &error))
-            << error;
-        ring.Publish();
-        EXPECT_EQ(ring.Front().xact, 42u);
-        ring.Pop();
-        ++decoded;
-      }
+      ASSERT_TRUE(receiver.ReadReady(&loop, kPagePayload, &frames, "test"));
     }
-    ASSERT_TRUE(splitter.Empty());
   };
 
   for (int warm = 0; warm < 4; ++warm) {
-    lap();  // grow buffer/splitter/slot capacities to steady state
+    lap();  // grow buffer/splitter capacities, fill the pool's free list
   }
   const std::uint64_t before = AllocationsNow();
   for (int i = 0; i < 64; ++i) {
@@ -367,8 +356,7 @@ TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(AllocationsNow(), before)
       << "steady-state wire path (encode/flush/split/decode) allocated";
   EXPECT_EQ(decoded, 68u * kBatch);
-  ::close(fds[0]);
-  ::close(fds[1]);
+  EXPECT_EQ(frames.load(), 68u * kBatch);
 }
 
 /// The sim_hot_checked benchmark's shape, shortened: 50 clients on a hot

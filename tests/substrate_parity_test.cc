@@ -14,9 +14,15 @@
 // test (~2 s per protocol); it is also the one that must stay clean under
 // ASan and TSan — it exercises every cross-thread path in the substrate.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -31,6 +37,7 @@
 #include "runner/experiment.h"
 #include "runner/real_experiment.h"
 #include "sim/simulator.h"
+#include "substrate/node.h"
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
 #include "util/status.h"
@@ -213,8 +220,8 @@ substrate::Hello OrderingHello(int num_clients) {
 }
 
 // Per-connection FIFO must survive the whole batched path: many frames
-// per sendmsg on the sender, many frames per recv on the reader, many
-// ring slots per drain pass on the loop thread. Two connections send
+// per sendmsg on the sender, many frames per recv on the server loop,
+// each decoded and handed to the sink in stream order. Two connections send
 // interleaved seq-stamped bursts; the server-side sink must observe every
 // sender's sequence gapless and in order.
 TEST(BatchedOrderingTest, PerConnectionFifoUnderBatchDrain) {
@@ -227,8 +234,8 @@ TEST(BatchedOrderingTest, PerConnectionFifoUnderBatchDrain) {
   std::map<int, std::uint64_t> next_seq;   // loop thread only
   std::atomic<std::uint64_t> received{0};
   bool order_ok = true;                    // loop thread only
-  server_sub.set_message_sink([&](net::Message msg) {
-    if (msg.seq != next_seq[msg.src]++) {
+  server_sub.set_message_sink([&](net::MessagePtr msg) {
+    if (msg->seq != next_seq[msg->src]++) {
       order_ok = false;
     }
     received.fetch_add(1, std::memory_order_relaxed);
@@ -320,7 +327,7 @@ TEST(BatchedOrderingTest, PerConnectionFifoUnderBatchDrain) {
 TEST(BatchedOrderingTest, DepartedPeerDropsAreCounted) {
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
 
   const substrate::Hello hello = OrderingHello(2);
   std::string error;
@@ -366,59 +373,6 @@ TEST(BatchedOrderingTest, DepartedPeerDropsAreCounted) {
   EXPECT_GT(server->unroutable_drops(), 0u);
 }
 
-// A reader wakes the loop once per recv batch, not once per frame, so a
-// missed wake would strand a whole batch until the loop's one-second sleep
-// cap. A producer publishes bursts while the loop is parked on a calendar
-// entry an hour away; every burst must arrive well inside that cap. The
-// ring is smaller than the longest bursts, so the full-ring wait (which
-// kicks the loop itself) is exercised too.
-TEST(InboundChannelTest, BurstsWakeALoopParkedOnADistantEntry) {
-  sim::Simulator sim;
-  substrate::RealtimeSubstrate sub(&sim);
-  std::atomic<std::uint64_t> received{0};
-  sub.set_message_sink([&received](net::Message) {
-    received.fetch_add(1, std::memory_order_relaxed);
-  });
-  std::shared_ptr<substrate::InboundChannel> channel = sub.OpenChannel(8);
-  sim.ScheduleAfter(3600 * sim::kTicksPerSecond, [] {});
-  std::thread loop([&sub] { sub.Run(7200 * sim::kTicksPerSecond); });
-
-  constexpr auto kPrompt = std::chrono::milliseconds(500);
-  std::mt19937 rng(7);
-  std::uint64_t sent = 0;
-  int late_bursts = 0;
-  bool stranded = false;
-  for (int burst = 0; burst < 40 && !stranded && late_bursts == 0; ++burst) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));  // park
-    const int frames = 1 + static_cast<int>(rng() % 24);
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < frames && !stranded; ++i) {
-      net::Message* slot = channel->BeginPush();
-      stranded = slot == nullptr;  // the channel refused the frame
-      if (!stranded) {
-        slot->seq = sent++;
-        channel->CommitPush();
-      }
-    }
-    channel->EndBatch();
-    while (received.load(std::memory_order_relaxed) < sent &&
-           std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    const auto waited = std::chrono::steady_clock::now() - start;
-    stranded = stranded || received.load(std::memory_order_relaxed) < sent;
-    if (waited > kPrompt) {
-      ++late_bursts;
-    }
-  }
-  sub.Stop();
-  loop.join();
-  channel->Close();
-  EXPECT_FALSE(stranded) << "a burst was refused or never delivered";
-  EXPECT_EQ(received.load(), sent);
-  EXPECT_EQ(late_bursts, 0) << "bursts waited out the loop's sleep";
-}
-
 // Deliver routes through a loop-thread snapshot of the route table, so a
 // route change must reach it: a shard owning client ids [0,8) departs and
 // a replacement shard registers the same ids. Replies then reach the
@@ -427,7 +381,7 @@ TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
   constexpr int kClients = 8;
   sim::Simulator server_sim;
   substrate::RealtimeSubstrate server_sub(&server_sim);
-  server_sub.set_message_sink([](net::Message) {});
+  server_sub.set_message_sink([](net::MessagePtr) {});
   const substrate::Hello hello = OrderingHello(kClients);
   std::string error;
   auto server = substrate::TcpServerTransport::Listen(
@@ -465,17 +419,24 @@ TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
   shard_hello.client_hi = kClients;
   sim::Simulator first_sim;
   substrate::RealtimeSubstrate first_sub(&first_sim);
+  first_sub.set_message_sink([](net::MessagePtr) {});
   auto first = substrate::TcpClientTransport::Connect(
       "127.0.0.1", server->port(), shard_hello, &first_sub, &error);
   ASSERT_NE(first, nullptr) << error;
+  std::thread first_loop([&first_sub] {
+    first_sub.Run(60 * sim::kTicksPerSecond);
+  });
   // The server's snapshot now routes [0,8) to the first shard.
   reply_to_every_client();
   EXPECT_EQ(wait_for_frames(first.get(), kClients), std::uint64_t{kClients});
+  first_sub.Stop();
+  first_loop.join();
   first->Close();  // the shard departs
 
   // The server refuses the ids until it has seen the departure; retry.
   sim::Simulator second_sim;
   substrate::RealtimeSubstrate second_sub(&second_sim);
+  second_sub.set_message_sink([](net::MessagePtr) {});
   std::unique_ptr<substrate::TcpClientTransport> second;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -487,6 +448,9 @@ TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
     }
   }
   ASSERT_NE(second, nullptr) << error;
+  std::thread second_loop([&second_sub] {
+    second_sub.Run(60 * sim::kTicksPerSecond);
+  });
   const std::uint64_t drops_at_hello = server->unroutable_drops();
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
@@ -496,10 +460,244 @@ TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
             std::uint64_t{kRounds * kClients});
   EXPECT_EQ(server->unroutable_drops(), drops_at_hello);
 
+  second_sub.Stop();
+  second_loop.join();
   second->Close();
   server_sub.Stop();
   loop.join();
   server->Close();
+}
+
+// ---------------------------------------------------------------------------
+// The loop reads its own sockets (DESIGN.md §5e)
+// ---------------------------------------------------------------------------
+
+// A frame that lands while the loop is parked must wake it through its
+// epoll set: a missed wake would strand the burst until the loop's
+// one-second wait cap. A peer writes bursts to the server's connection
+// while the server loop is parked on a calendar entry an hour away; every
+// burst must arrive well inside that cap.
+TEST(LoopSourceTest, BurstsWakeALoopParkedOnADistantEntry) {
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  std::atomic<std::uint64_t> received{0};
+  server_sub.set_message_sink([&received](net::MessagePtr) {
+    received.fetch_add(1, std::memory_order_relaxed);
+  });
+  const substrate::Hello hello = OrderingHello(2);
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, hello, &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  // The test thread plays the client's loop thread.
+  sim::Simulator client_sim;
+  substrate::RealtimeSubstrate client_sub(&client_sim);
+  substrate::Hello ch = hello;
+  ch.client_lo = 0;
+  ch.client_hi = 2;
+  auto client = substrate::TcpClientTransport::Connect(
+      "127.0.0.1", server->port(), ch, &client_sub, &error);
+  ASSERT_NE(client, nullptr) << error;
+  server_sim.ScheduleAfter(3600 * sim::kTicksPerSecond, [] {});
+  std::thread loop([&server_sub] {
+    server_sub.Run(7200 * sim::kTicksPerSecond);
+  });
+
+  constexpr auto kPrompt = std::chrono::milliseconds(500);
+  std::mt19937 rng(7);
+  net::Message msg;
+  msg.type = net::MsgType::kNoWaitLock;
+  msg.src = 0;
+  msg.dst = net::kServerNode;
+  std::uint64_t sent = 0;
+  int late_bursts = 0;
+  bool stranded = false;
+  for (int burst = 0; burst < 40 && !stranded && late_bursts == 0; ++burst) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));  // park
+    const int frames = 1 + static_cast<int>(rng() % 24);
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < frames; ++i) {
+      msg.seq = sent++;
+      client->Deliver(msg);
+    }
+    while (!client->Flush()) {
+      std::this_thread::yield();
+    }
+    while (received.load(std::memory_order_relaxed) < sent &&
+           std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const auto waited = std::chrono::steady_clock::now() - start;
+    stranded = received.load(std::memory_order_relaxed) < sent;
+    if (waited > kPrompt) {
+      ++late_bursts;
+    }
+  }
+  server_sub.Stop();
+  loop.join();
+  client->Close();
+  server->Close();
+  EXPECT_FALSE(stranded) << "a burst was never delivered";
+  EXPECT_EQ(received.load(), sent);
+  EXPECT_EQ(late_bursts, 0) << "bursts waited out the loop's sleep";
+}
+
+// Handshakes stay off the loop: a peer that connects and never sends its
+// Hello must not stop a shard that arrives after it from handshaking and
+// exchanging messages with the running server.
+TEST(LoopSourceTest, SilentPeerDoesNotBlockTheNextHandshake) {
+  constexpr std::uint64_t kRequests = 8;
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  const substrate::Hello hello = OrderingHello(2);
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, hello, &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  substrate::TcpServerTransport* st = server.get();
+  server_sub.set_flush_hook([st] { return st->Flush(); });
+  server_sub.set_message_sink([st](net::MessagePtr request) {
+    net::Message reply;  // echo the request's sequence number
+    reply.type = net::MsgType::kAbortNotice;
+    reply.src = net::kServerNode;
+    reply.dst = request->src;
+    reply.seq = request->seq;
+    st->Deliver(reply);
+  });
+  std::thread server_loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
+
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const bool silent_connected =
+      silent >= 0 && ::connect(silent, reinterpret_cast<sockaddr*>(&addr),
+                               sizeof(addr)) == 0;
+
+  sim::Simulator client_sim;
+  substrate::RealtimeSubstrate client_sub(&client_sim);
+  std::atomic<std::uint64_t> replies{0};
+  client_sub.set_message_sink([&replies](net::MessagePtr reply) {
+    if (reply->seq == replies.load(std::memory_order_relaxed)) {
+      replies.fetch_add(1, std::memory_order_relaxed);  // in order only
+    }
+  });
+  substrate::Hello ch = hello;
+  ch.client_lo = 0;
+  ch.client_hi = 2;
+  auto client = substrate::TcpClientTransport::Connect(
+      "127.0.0.1", server->port(), ch, &client_sub, &error);
+  if (client != nullptr) {
+    substrate::TcpClientTransport* ct = client.get();
+    client_sub.set_flush_hook([ct] { return ct->Flush(); });
+    std::thread client_loop([&client_sub] {
+      client_sub.Run(60 * sim::kTicksPerSecond);
+    });
+    client_sub.PostControl([ct] {
+      net::Message request;
+      request.type = net::MsgType::kNoWaitLock;
+      request.src = 1;
+      request.dst = net::kServerNode;
+      for (std::uint64_t i = 0; i < kRequests; ++i) {
+        request.seq = i;
+        ct->Deliver(request);
+      }
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (replies.load(std::memory_order_relaxed) < kRequests &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    client_sub.Stop();
+    client_loop.join();
+    client->Close();
+  }
+  server_sub.Stop();
+  server_loop.join();
+  server->Close();  // ejects the silent peer's handshake
+  if (silent >= 0) {
+    ::close(silent);
+  }
+  EXPECT_TRUE(silent_connected);
+  ASSERT_NE(client, nullptr) << error;
+  EXPECT_EQ(replies.load(), kRequests);
+  EXPECT_EQ(server->connections_accepted(), 1u);
+}
+
+int TaskCount() {
+  int tasks = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++tasks;
+  }
+  return tasks;
+}
+
+// Fault-free, a ServerNode runs on its loop thread plus the idle acceptor
+// and each ClientShard on its loop thread alone: once the handshake
+// threads have handed their sockets over, a server with two connected
+// shards adds exactly four threads to the process.
+TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
+  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                      CachingMode::kInterTransaction);
+  cfg.checker.enabled = false;  // the checker's pipeline has its own thread
+  // A sanitizer runtime may start a helper thread with the process's first
+  // thread; start one first so that helper is in the baseline.
+  std::thread([] {}).join();
+  const int baseline = TaskCount();
+
+  substrate::ServerNode server_node(cfg, cfg.control.seed);
+  std::string error;
+  auto server_tcp = substrate::TcpServerTransport::Listen(
+      0, substrate::MakeHello(cfg), &server_node.substrate(), &error);
+  ASSERT_NE(server_tcp, nullptr) << error;
+  server_node.AttachTransport(server_tcp.get());
+  server_node.Start();
+  runner::ShardSet load;
+  const Status connected =
+      runner::ConnectShards(cfg, "127.0.0.1", server_tcp->port(), 0,
+                            cfg.system.num_clients, 2, &load);
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  ASSERT_EQ(load.shards.size(), 2u);
+
+  std::thread server_loop([&server_node] {
+    server_node.RunLoop(600 * sim::kTicksPerSecond);
+  });
+  std::vector<std::thread> shard_loops;
+  for (auto& shard : load.shards) {
+    substrate::ClientShard* s = shard.get();
+    shard_loops.emplace_back(
+        [s] { s->RunLoop(0, sim::SecondsToTicks(1.5)); });
+  }
+  const int expected = baseline + 3 + 1;  // three loops and the acceptor
+  int tasks = TaskCount();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (tasks != expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    tasks = TaskCount();
+  }
+  for (std::thread& t : shard_loops) {
+    t.join();
+  }
+  for (auto& transport : load.transports) {
+    transport->Close();
+  }
+  server_node.substrate().Stop();
+  server_loop.join();
+  server_tcp->Close();
+
+  EXPECT_EQ(tasks, expected)
+      << "threads beyond the loops and the acceptor while running";
+  std::uint64_t commits = 0;
+  for (const auto& shard : load.shards) {
+    commits += shard->metrics().commits();
+  }
+  EXPECT_GT(commits, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for Status/Result, the LRU table, the SPSC ring, SmallVector and
-// the block pool.
+// Tests for Status/Result, the LRU table, SmallVector and the block pool.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "util/block_pool.h"
 #include "util/lru.h"
 #include "util/small_vector.h"
-#include "util/spsc_ring.h"
 #include "util/status.h"
 
 namespace {
@@ -486,78 +484,6 @@ TEST(BlockPoolTest, TwoThreadsNeverShareAList) {
   void* again = BlockPool::Allocate(kBytes);
   EXPECT_EQ(again, mine);
   BlockPool::Free(again, kBytes);
-}
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  util::SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  util::SpscRing<int> exact(16);
-  EXPECT_EQ(exact.capacity(), 16u);
-}
-
-TEST(SpscRingTest, FifoWithinCapacityAndFullDetection) {
-  util::SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) {
-    int* slot = ring.TryReserve();
-    ASSERT_NE(slot, nullptr);
-    *slot = i;
-    ring.Publish();
-  }
-  EXPECT_EQ(ring.TryReserve(), nullptr) << "full ring must refuse a slot";
-  EXPECT_EQ(ring.ready(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.Front(), i);
-    ring.Pop();
-  }
-  EXPECT_EQ(ring.ready(), 0u);
-  EXPECT_NE(ring.TryReserve(), nullptr) << "drained ring must accept again";
-}
-
-TEST(SpscRingTest, SlotContentsSurviveLaps) {
-  // The wire path decodes into ring slots and relies on a slot's heap
-  // capacity (SmallVector spill, string buffers) persisting across laps;
-  // the ring must hand back the same slot objects, never fresh ones.
-  util::SpscRing<std::vector<int>> ring(2);
-  for (int lap = 0; lap < 10; ++lap) {
-    std::vector<int>* slot = ring.TryReserve();
-    ASSERT_NE(slot, nullptr);
-    slot->assign(3, lap);
-    ring.Publish();
-    EXPECT_EQ(ring.Front().size(), 3u);
-    EXPECT_EQ(ring.Front()[0], lap);
-    ring.Pop();
-  }
-}
-
-TEST(SpscRingTest, CrossThreadTransferPreservesOrder) {
-  // One producer, one consumer, a ring much smaller than the item count:
-  // every value must cross in order, with the producer stalling on full
-  // and the consumer on empty. (Run under TSan, this is also the memory-
-  // ordering test for TryReserve/Publish vs Front/Pop.)
-  constexpr std::uint64_t kItems = 200000;
-  util::SpscRing<std::uint64_t> ring(8);
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kItems;) {
-      if (std::uint64_t* slot = ring.TryReserve()) {
-        *slot = i++;
-        ring.Publish();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kItems) {
-    if (ring.ready() > 0) {
-      ASSERT_EQ(ring.Front(), expected);
-      ring.Pop();
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(ring.ready(), 0u);
 }
 
 }  // namespace
