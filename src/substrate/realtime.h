@@ -28,9 +28,9 @@ namespace ccsim::substrate {
 /// The loop owns an epoll set. Sockets registered with AddSource() are read
 /// by the loop thread itself between calendar steps, so an inbound frame
 /// goes from recv() to the model's mailbox with no thread hand-off. Other
-/// threads (a server's handshakes, a client's redial, signal watchers)
-/// reach the loop only through PostControl() and Stop(), which wake it
-/// through an eventfd in the same set.
+/// threads (a client's redial) and signal handlers reach the loop only
+/// through PostControl() and Stop(), which wake it through an eventfd in
+/// the same set.
 ///
 /// Pacing: between calendar steps the loop waits in epoll_pwait2() with
 /// the next calendar entry as its deadline, so a readable socket, a posted
@@ -85,7 +85,9 @@ class RealtimeSubstrate {
   /// Thread-safe: enqueues an arbitrary thunk to run on the loop thread.
   void PostControl(std::function<void()> fn);
 
-  /// Thread-safe: makes Run() return after the current calendar step.
+  /// Thread-safe and async-signal-safe (a signal handler may call it): a
+  /// lock-free atomic store plus one eventfd write(). Makes Run() return
+  /// after the current calendar step.
   void Stop();
 
   /// Runs the event loop until `horizon` wall ticks elapse, Stop() is
@@ -126,6 +128,8 @@ class RealtimeSubstrate {
   std::mutex mu_;
   std::deque<std::function<void()>> control_;
   std::atomic<bool> stop_{false};
+  static_assert(std::atomic<bool>::is_always_lock_free,
+                "Stop() must stay async-signal-safe");
 };
 
 }  // namespace ccsim::substrate

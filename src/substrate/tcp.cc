@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -137,7 +138,7 @@ bool Connection::WriteAll(const std::uint8_t* data, std::size_t len) {
     if (n < 0 && errno == EINTR) {
       continue;
     }
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
     return false;
   }
   return true;
@@ -145,11 +146,11 @@ bool Connection::WriteAll(const std::uint8_t* data, std::size_t len) {
 
 bool Connection::QueueMessage(const net::Message& msg,
                               std::uint32_t page_payload_bytes) {
-  if (dead_.load(std::memory_order_relaxed)) {
+  if (dead_) {
     return false;
   }
   if (buffer_.pending_bytes() > kMaxBufferedBytes) {
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
     buffer_.Clear();
     return false;
   }
@@ -158,22 +159,19 @@ bool Connection::QueueMessage(const net::Message& msg,
 }
 
 FrameBuffer::FlushResult Connection::Flush() {
-  if (dead_.load(std::memory_order_relaxed)) {
+  if (dead_) {
     buffer_.Clear();
     return FrameBuffer::FlushResult::kError;
   }
-  if (!writable_.load(std::memory_order_acquire)) {
-    return FrameBuffer::FlushResult::kAgain;  // handshake reply not sent
-  }
   const FrameBuffer::FlushResult result = buffer_.Flush(fd_.get());
   if (result == FrameBuffer::FlushResult::kError) {
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
   }
   return result;
 }
 
 void Connection::Abort() {
-  dead_.store(true, std::memory_order_relaxed);
+  dead_ = true;
   // Discard the outbound batch even mid-frame: the peer's splitter is left
   // holding a partial frame, exactly the failure a yanked cable produces.
   buffer_.Clear();
@@ -190,7 +188,7 @@ void Connection::Abort() {
 }
 
 bool Connection::SendRaw(const std::vector<std::uint8_t>& bytes) {
-  if (dead_.load(std::memory_order_relaxed)) {
+  if (dead_) {
     return false;
   }
   return WriteAll(bytes.data(), bytes.size());
@@ -206,7 +204,7 @@ bool Connection::ReadFrame(std::vector<std::uint8_t>* body) {
                             static_cast<std::uint32_t>(prefix[2]) << 16 |
                             static_cast<std::uint32_t>(prefix[3]) << 24;
   if (len > kMaxFrameBytes) {
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
     return false;
   }
   body->resize(len);
@@ -218,10 +216,7 @@ void Connection::SetNonBlocking() {
   ::fcntl(fd_.get(), F_SETFL, flags | O_NONBLOCK);
 }
 
-bool Connection::ReadReady(RealtimeSubstrate* substrate,
-                           std::uint32_t page_payload_bytes,
-                           std::atomic<std::uint64_t>* frames_received,
-                           const char* who) {
+bool Connection::Fill() {
   std::uint8_t* dst = splitter_.WritableData(kReadChunk);
   const ssize_t n = ::recv(fd_.get(), dst, splitter_.writable_size(), 0);
   if (n <= 0) {
@@ -231,6 +226,13 @@ bool Connection::ReadReady(RealtimeSubstrate* substrate,
                      errno == EINTR);
   }
   splitter_.CommitBytes(static_cast<std::size_t>(n));
+  return true;
+}
+
+bool Connection::Dispatch(RealtimeSubstrate* substrate,
+                          std::uint32_t page_payload_bytes,
+                          std::atomic<std::uint64_t>* frames_received,
+                          const char* who) {
   std::uint64_t frames = 0;
   const std::uint8_t* body = nullptr;
   std::uint32_t len = 0;
@@ -339,8 +341,8 @@ void TcpClientTransport::Adopt(std::shared_ptr<Connection> conn) {
 }
 
 void TcpClientTransport::OnReadable() {
-  if (conn_->ReadReady(substrate_, page_payload_bytes_, &frames_received_,
-                       "ccload")) {
+  if (conn_->Fill() && conn_->Dispatch(substrate_, page_payload_bytes_,
+                                       &frames_received_, "ccload")) {
     return;
   }
   substrate_->RemoveSource(conn_->fd());
@@ -426,6 +428,8 @@ std::unique_ptr<TcpServerTransport> TcpServerTransport::Listen(
     *error = std::string("listen: ") + std::strerror(errno);
     return nullptr;
   }
+  // The loop accepts until EAGAIN.
+  ::fcntl(fd.get(), F_SETFL, ::fcntl(fd.get(), F_GETFL, 0) | O_NONBLOCK);
   socklen_t addr_len = sizeof(addr);
   if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                     &addr_len) != 0) {
@@ -442,45 +446,62 @@ TcpServerTransport::TcpServerTransport(ScopedFd listen_fd, int port,
                                        RealtimeSubstrate* substrate)
     : listen_fd_(std::move(listen_fd)), port_(port), hello_(hello),
       substrate_(substrate) {
+  EncodeHello(hello_, &hello_frame_);
   routes_.resize(hello_.num_clients > 0 ? hello_.num_clients : 0);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  substrate_->AddSource(listen_fd_.get(), [this] { Accept(); });
 }
 
 TcpServerTransport::~TcpServerTransport() { Close(); }
 
-void TcpServerTransport::AcceptLoop() {
+void TcpServerTransport::Accept() {
   for (;;) {
-    const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
+                             SOCK_NONBLOCK);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;
       }
-      return;  // listener shut down
+      return;  // backlog empty
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(ScopedFd(fd),
-                                             /*writable=*/false);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closing_) {
-      conn->Shutdown();
-      return;
-    }
-    conns_.push_back(conn);
-    // The handshake runs on its own thread so a stalled peer cannot block
-    // further accepts.
-    handshakers_.emplace_back([this, conn] { Handshake(conn); });
+    conns_.push_back(std::make_unique<Connection>(ScopedFd(fd)));
+    Connection* conn = conns_.back().get();
+    substrate_->AddSource(fd, [this, conn] { OnReadable(conn); });
   }
 }
 
-void TcpServerTransport::Handshake(std::shared_ptr<Connection> conn) {
+void TcpServerTransport::OnReadable(Connection* conn) {
+  if (!conn->Fill()) {
+    if (!conn->has_peer()) {
+      std::fprintf(stderr,
+                   "ccserve: rejected connection: connection closed during "
+                   "handshake\n");
+    }
+    Drop(conn);
+    return;
+  }
+  if ((!conn->has_peer() && !Handshake(conn)) ||
+      !conn->Dispatch(substrate_, hello_.page_payload_bytes,
+                      &frames_received_, "ccserve")) {
+    Drop(conn);
+  }
+}
+
+bool TcpServerTransport::Handshake(Connection* conn) {
+  const std::uint8_t* body = nullptr;
+  std::uint32_t len = 0;
+  const FrameSplitter::Next state = conn->NextFrame(&body, &len);
+  if (state == FrameSplitter::Next::kNeedMore) {
+    return true;  // the rest of the Hello is still in flight
+  }
   Hello client_hello;
-  std::string error;
-  if (!ReadHello(conn.get(), &client_hello, &error) ||
+  std::string error = "connection closed during handshake";
+  if (state == FrameSplitter::Next::kBad ||
+      !DecodeHello(body, len, &client_hello, &error) ||
       !HellosCompatible(hello_, client_hello, &error)) {
     std::fprintf(stderr, "ccserve: rejected connection: %s\n", error.c_str());
-    conn->Shutdown();
-    return;
+    return false;
   }
   if (client_hello.client_lo < 0 ||
       client_hello.client_hi <= client_hello.client_lo ||
@@ -490,88 +511,47 @@ void TcpServerTransport::Handshake(std::shared_ptr<Connection> conn) {
                  "outside the configured 0..%d\n",
                  client_hello.client_lo, client_hello.client_hi,
                  hello_.num_clients);
-    conn->Shutdown();
-    return;
+    return false;
+  }
+  for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
+    if (routes_[id] != nullptr && !routes_[id]->dead()) {
+      std::fprintf(stderr,
+                   "ccserve: rejected connection: client id %d already "
+                   "connected\n",
+                   id);
+      return false;
+    }
   }
   conn->set_peer(client_hello);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int id = client_hello.client_lo; id < client_hello.client_hi;
-         ++id) {
-      if (routes_[id] != nullptr && !routes_[id]->dead()) {
-        std::fprintf(stderr,
-                     "ccserve: rejected connection: client id %d already "
-                     "connected\n",
-                     id);
-        conn->Shutdown();
-        return;
-      }
-    }
-    for (int id = client_hello.client_lo; id < client_hello.client_hi;
-         ++id) {
-      routes_[id] = conn;
-    }
-    routes_version_.fetch_add(1, std::memory_order_release);
+  for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
+    routes_[id] = conn;
   }
-  // Routes go live before the Hello reply, so a client whose Connect has
-  // returned is already routable. Frames queued meanwhile wait: Flush()
-  // holds them until OpenForWrites(), so nothing precedes the reply on the
-  // wire, and the blocking send runs without mu_.
-  std::vector<std::uint8_t> frame;
-  EncodeHello(hello_, &frame);
-  const bool replied = conn->SendRaw(frame);
-  conn->OpenForWrites();
-  if (!replied) {
-    conn->Shutdown();
-    ForgetRoutes(conn.get());
-    return;
-  }
+  // The reply is the first frame in the batch, ahead of anything Deliver
+  // queues, and goes out now: the client's Connect is waiting for it.
+  conn->QueueFrame(hello_frame_);
+  dirty_.push_back(conn);
+  Flush();
   connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-  conn->SetNonBlocking();
-  // conns_ keeps the connection (and its fd) alive until Close().
-  substrate_->PostControl([this, c = conn.get()] { Adopt(c); });
-}
-
-void TcpServerTransport::Adopt(Connection* conn) {
-  substrate_->AddSource(conn->fd(), [this, conn] {
-    if (!conn->ReadReady(substrate_, hello_.page_payload_bytes,
-                         &frames_received_, "ccserve")) {
-      Drop(conn);
-    }
-  });
+  return true;
 }
 
 void TcpServerTransport::Drop(Connection* conn) {
   substrate_->RemoveSource(conn->fd());
-  conn->Shutdown();
-  ForgetRoutes(conn);
-}
-
-void TcpServerTransport::ForgetRoutes(const Connection* conn) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (int id = conn->peer().client_lo; id < conn->peer().client_hi; ++id) {
-    if (routes_[id].get() == conn) {
-      routes_[id].reset();
+    if (routes_[id] == conn) {
+      routes_[id] = nullptr;
     }
   }
-  routes_version_.fetch_add(1, std::memory_order_release);
-}
-
-void TcpServerTransport::RefreshRoutes() {
-  std::lock_guard<std::mutex> lock(mu_);
-  route_snapshot_ = routes_;
-  route_snapshot_version_ = routes_version_.load(std::memory_order_relaxed);
+  std::erase(dirty_, conn);
+  std::erase_if(conns_, [conn](const std::unique_ptr<Connection>& c) {
+    return c.get() == conn;
+  });
 }
 
 void TcpServerTransport::Deliver(const net::Message& msg) {
-  if (routes_version_.load(std::memory_order_acquire) !=
-      route_snapshot_version_) {
-    RefreshRoutes();
-  }
   const std::size_t dst = static_cast<std::size_t>(msg.dst);
-  Connection* conn = msg.dst >= 0 && dst < route_snapshot_.size()
-                         ? route_snapshot_[dst].get()
-                         : nullptr;
+  Connection* conn =
+      msg.dst >= 0 && dst < routes_.size() ? routes_[dst] : nullptr;
   const bool was_pending = conn != nullptr && conn->has_pending();
   if (conn == nullptr ||
       !conn->QueueMessage(msg, hello_.page_payload_bytes)) {
@@ -581,7 +561,7 @@ void TcpServerTransport::Deliver(const net::Message& msg) {
     return;
   }
   if (!was_pending) {
-    dirty_.push_back(route_snapshot_[dst]);
+    dirty_.push_back(conn);
   }
 }
 
@@ -590,9 +570,9 @@ bool TcpServerTransport::Flush() {
     return true;
   }
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    if (dirty_[i]->Flush() == FrameBuffer::FlushResult::kAgain) {
-      dirty_[keep++] = std::move(dirty_[i]);
+  for (Connection* conn : dirty_) {
+    if (conn->Flush() == FrameBuffer::FlushResult::kAgain) {
+      dirty_[keep++] = conn;
     }
   }
   dirty_.resize(keep);
@@ -600,7 +580,6 @@ bool TcpServerTransport::Flush() {
 }
 
 void TcpServerTransport::SeverAll() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& conn : conns_) {
     if (!conn->dead()) {
       conn->Abort();
@@ -609,15 +588,9 @@ void TcpServerTransport::SeverAll() {
 }
 
 void TcpServerTransport::SeverClient(int id) {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (id >= 0 && id < static_cast<int>(routes_.size())) {
-      conn = routes_[id];
-    }
-  }
-  if (conn != nullptr) {
-    conn->Abort();
+  if (id >= 0 && id < static_cast<int>(routes_.size()) &&
+      routes_[id] != nullptr) {
+    routes_[id]->Abort();
   }
 }
 
@@ -631,7 +604,7 @@ bool TcpServerTransport::DrainOrPoison(double seconds) {
       // The peers still attached here have not drained within the grace
       // period: poison them so they observe a failed connection, never a
       // silently truncated stream passed off as success.
-      for (auto& conn : dirty_) {
+      for (Connection* conn : dirty_) {
         conn->Abort();
       }
       dirty_.clear();
@@ -643,31 +616,14 @@ bool TcpServerTransport::DrainOrPoison(double seconds) {
 }
 
 void TcpServerTransport::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closing_) {
-      return;
-    }
-    closing_ = true;  // the acceptor starts no handshake from here on
-  }
-  listen_fd_.ShutdownBoth();
-  if (acceptor_.joinable()) {
-    acceptor_.join();
-  }
-  std::vector<std::thread> handshakers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : conns_) {
-      substrate_->RemoveSource(conn->fd());
-      conn->Shutdown();  // ejects a handshake parked in recv()
-    }
-    handshakers.swap(handshakers_);
-  }
-  for (std::thread& t : handshakers) {
-    t.join();
+  substrate_->RemoveSource(listen_fd_.get());
+  listen_fd_.Reset();
+  for (auto& conn : conns_) {
+    substrate_->RemoveSource(conn->fd());
   }
   dirty_.clear();
-  route_snapshot_.clear();
+  std::fill(routes_.begin(), routes_.end(), nullptr);
+  conns_.clear();
 }
 
 }  // namespace ccsim::substrate

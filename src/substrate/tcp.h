@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +39,8 @@ class ScopedFd {
     return fd;
   }
   void Reset();
-  /// shutdown(SHUT_RDWR): unblocks a handshake parked in recv().
+  /// shutdown(SHUT_RDWR): the peer reads EOF, and so does the loop
+  /// watching this socket.
   void ShutdownBoth();
 
  private:
@@ -50,22 +50,21 @@ class ScopedFd {
 /// One framed TCP connection: a socket, its peer's Hello, and the
 /// read/write plumbing.
 ///
-/// Threading: the handshake (SendRaw/ReadFrame, blocking) runs on a single
-/// thread before the connection is handed to the substrate loop. Afterwards
-/// the socket is non-blocking and only the loop thread reads and writes
-/// it: ReadReady() when epoll reports it readable, QueueMessage/Flush for
-/// the outbound side. Outbound messages batch into a FrameBuffer and reach
-/// the kernel in one vectored, non-blocking sendmsg per flush.
+/// Threading: a client dials and handshakes (SendRaw/ReadFrame, blocking)
+/// on one thread before handing the connection to its substrate loop; a
+/// server connection is non-blocking from accept() on and its handshake
+/// runs on the server loop. Once on a loop, only the loop thread reads and
+/// writes the connection: Fill() then Dispatch() when epoll reports it
+/// readable, QueueMessage/Flush for the outbound side. Outbound messages
+/// batch into a FrameBuffer and reach the kernel in one vectored,
+/// non-blocking sendmsg per flush.
 class Connection {
  public:
   /// Pending outbound bytes past this mark poison the connection: the
   /// peer has stalled for so long it is treated as departed.
   static constexpr std::size_t kMaxBufferedBytes = 64u * 1024u * 1024u;
 
-  /// `writable` false holds every Flush() until OpenForWrites(): a server
-  /// connection is routable before its handshake reply is sent.
-  explicit Connection(ScopedFd fd, bool writable = true)
-      : fd_(std::move(fd)), writable_(writable) {}
+  explicit Connection(ScopedFd fd) : fd_(std::move(fd)) {}
 
   /// Encodes one Message frame into the outbound batch. Returns false
   /// once the peer is gone (dead or hopelessly backlogged); the message
@@ -73,13 +72,14 @@ class Connection {
   bool QueueMessage(const net::Message& msg,
                     std::uint32_t page_payload_bytes);
 
-  /// Pushes the batch to the kernel without blocking. kAgain leaves the
-  /// remainder queued for the next flush (or all of it, before
-  /// OpenForWrites); kError marks the peer dead.
-  FrameBuffer::FlushResult Flush();
+  /// Appends a pre-encoded frame (a server's Hello reply) to the batch.
+  void QueueFrame(const std::vector<std::uint8_t>& frame) {
+    buffer_.AppendFrame(frame);
+  }
 
-  /// Lets Flush() write, once the handshake reply is on the wire.
-  void OpenForWrites() { writable_.store(true, std::memory_order_release); }
+  /// Pushes the batch to the kernel without blocking. kAgain leaves the
+  /// remainder queued for the next flush; kError marks the peer dead.
+  FrameBuffer::FlushResult Flush();
 
   bool has_pending() const { return buffer_.has_pending(); }
 
@@ -90,47 +90,62 @@ class Connection {
   /// Returns false on EOF/error. `body` is reused across calls.
   bool ReadFrame(std::vector<std::uint8_t>* body);
 
-  /// Ends the handshake: the socket turns non-blocking for the loop.
+  /// Ends a client's handshake: the socket turns non-blocking for the loop.
   void SetNonBlocking();
 
-  /// Loop thread: one non-blocking recv() of up to a read chunk, then
-  /// every complete frame decoded into a pooled message and handed to
-  /// `substrate`'s sink, in stream order. Returns false once the connection
-  /// is finished: EOF, a socket error, an oversized frame or a malformed
-  /// message (the last two reported on stderr under `who`).
-  bool ReadReady(RealtimeSubstrate* substrate,
-                 std::uint32_t page_payload_bytes,
-                 std::atomic<std::uint64_t>* frames_received,
-                 const char* who);
+  /// Loop thread: one non-blocking recv() of up to a read chunk into the
+  /// connection's FrameSplitter. Returns false once the connection is
+  /// finished: EOF or a socket error.
+  bool Fill();
+
+  /// Loop thread: peels the next complete received frame (a server reads
+  /// its peer's Hello this way, ahead of Dispatch()).
+  FrameSplitter::Next NextFrame(const std::uint8_t** body,
+                                std::uint32_t* len) {
+    return splitter_.NextFrame(body, len);
+  }
+
+  /// Loop thread: decodes every complete received frame into a pooled
+  /// message and hands it to `substrate`'s sink, in stream order. Returns
+  /// false on an oversized frame or a malformed message (reported on
+  /// stderr under `who`): the connection is finished.
+  bool Dispatch(RealtimeSubstrate* substrate,
+                std::uint32_t page_payload_bytes,
+                std::atomic<std::uint64_t>* frames_received,
+                const char* who);
 
   void Shutdown() { fd_.ShutdownBoth(); }
 
-  /// Marks the connection dead without touching the outbound buffer, so it
-  /// is safe from any thread (the buffer is loop-thread-only; the next
-  /// loop-thread Flush() discards it).
-  void MarkDead() { dead_.store(true, std::memory_order_relaxed); }
+  /// Marks the connection dead; the next Flush() discards the outbound
+  /// batch.
+  void MarkDead() { dead_ = true; }
 
   /// Hard kill: poisons the connection, discards any partially-flushed
   /// outbound batch (the peer sees a frame cut mid-stream), arms
   /// SO_LINGER(0) so the eventual close() RSTs instead of FIN-ing, and
-  /// shuts the socket down, so the loop reads EOF from it. Caller must hold
-  /// the outbound single-writer role (loop thread, or post-join teardown).
+  /// shuts the socket down, so the loop reads EOF from it. Loop thread, or
+  /// after the loop has returned.
   void Abort();
 
   int fd() const { return fd_.get(); }
-  bool dead() const { return dead_.load(std::memory_order_relaxed); }
+  bool dead() const { return dead_; }
+  /// True once the peer's Hello has been accepted.
+  bool has_peer() const { return has_peer_; }
   const Hello& peer() const { return peer_; }
-  void set_peer(const Hello& hello) { peer_ = hello; }
+  void set_peer(const Hello& hello) {
+    peer_ = hello;
+    has_peer_ = true;
+  }
 
  private:
   bool WriteAll(const std::uint8_t* data, std::size_t len);
 
   ScopedFd fd_;
   Hello peer_{};
+  bool has_peer_ = false;
   FrameBuffer buffer_;
   FrameSplitter splitter_;
-  std::atomic<bool> dead_{false};
-  std::atomic<bool> writable_;
+  bool dead_ = false;
 };
 
 /// Client side of the wire: one connection from a load-generator shard to
@@ -229,20 +244,20 @@ class TcpClientTransport : public net::Transport {
 /// Installed as the server Network's Transport, it routes each outbound
 /// message into the frame batch of the connection whose Hello claimed the
 /// destination client id (batches flushed per calendar step via Flush()).
-/// An acceptor thread takes each connection and a short-lived handshake
-/// thread validates its Hello and registers its routes, so a stalled peer
-/// blocks neither further accepts nor the loop; the handshake thread then
-/// hands the socket to the server loop (PostControl) and exits. From there
-/// the loop thread reads every connection itself, in stream order, and
-/// runs its EOF and route cleanup: a fault-free server runs on its loop
-/// thread plus the idle acceptor. Connections come and go (ccload runs end
-/// while ccserve stays up): messages to a departed client are counted and
-/// dropped, exactly like a crashed workstation.
+/// The server loop runs every connection's whole life: it accepts, reads
+/// the peer's Hello through the connection's splitter (a stalled peer's
+/// half-read Hello blocks no one), registers its routes, queues the reply
+/// first in its batch, and frees it at EOF or Close(). Connections come
+/// and go (ccload runs end while ccserve stays up): messages to a
+/// departed client are counted and dropped, exactly like a crashed
+/// workstation.
 class TcpServerTransport : public net::Transport {
  public:
   /// Binds `bind_host` (empty = all interfaces) and listens on `port`
-  /// (0 = ephemeral). `hello` describes this server and is used to
-  /// validate every client. Returns nullptr with `error` set on failure.
+  /// (0 = ephemeral), watching the listener from `substrate`'s loop.
+  /// `hello` describes this server and is used to validate every client.
+  /// Returns nullptr with `error` set on failure. Call before the loop
+  /// starts; clients handshake once it runs.
   static std::unique_ptr<TcpServerTransport> Listen(
       int port, const Hello& hello, RealtimeSubstrate* substrate,
       std::string* error, const std::string& bind_host = std::string());
@@ -255,8 +270,8 @@ class TcpServerTransport : public net::Transport {
   /// net::Transport: flushes every dirty connection (server loop thread).
   bool Flush() override;
 
-  /// Stops accepting, closes every connection, joins all threads. Call
-  /// once the server's loop is not running.
+  /// Stops listening and closes every connection. Call once the server's
+  /// loop is not running.
   void Close();
 
   /// Hard server crash: kills every live connection (RST / mid-frame cut).
@@ -293,46 +308,36 @@ class TcpServerTransport : public net::Transport {
   TcpServerTransport(ScopedFd listen_fd, int port, const Hello& hello,
                      RealtimeSubstrate* substrate);
 
-  void AcceptLoop();
-  /// Handshake-thread main: validates the peer's Hello, registers its
-  /// routes, replies, and posts the connection to the loop.
-  void Handshake(std::shared_ptr<Connection> conn);
-  /// Loop thread: watches an accepted connection's socket.
-  void Adopt(Connection* conn);
-  /// Loop thread: stops watching a finished connection and forgets it.
+  /// Loop thread: accepts every pending connection and watches it.
+  void Accept();
+  /// Loop thread: reads `conn`; handshakes it first if its Hello is still
+  /// due; drops it once it is finished.
+  void OnReadable(Connection* conn);
+  /// Loop thread: once the peer's Hello has fully arrived, validates it,
+  /// registers its routes and replies. Returns false on a rejection.
+  bool Handshake(Connection* conn);
+  /// Loop thread: stops watching `conn`, forgets its routes and frees it,
+  /// closing its socket.
   void Drop(Connection* conn);
-  /// Clears the routes that still point at `conn`. Takes mu_.
-  void ForgetRoutes(const Connection* conn);
-  /// Re-copies `routes_` into the loop thread's `route_snapshot_`.
-  void RefreshRoutes();
 
   ScopedFd listen_fd_;
   int port_;
   Hello hello_;
+  /// This server's Hello frame, encoded once.
+  std::vector<std::uint8_t> hello_frame_;
   RealtimeSubstrate* substrate_;
 
-  std::mutex mu_;
-  bool closing_ = false;
+  /// Everything below is loop-thread state (or touched after the loop has
+  /// returned).
+  std::vector<std::unique_ptr<Connection>> conns_;
   /// client id -> the connection that registered it (indexed by id).
-  /// Every change bumps `routes_version_` under mu_.
-  std::vector<std::shared_ptr<Connection>> routes_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> handshakers_;
-  std::atomic<std::uint64_t> routes_version_{0};
-
-  /// Loop thread's private copy of `routes_`, refreshed when
-  /// `routes_version_` moves, so Deliver() routes without taking mu_.
-  std::vector<std::shared_ptr<Connection>> route_snapshot_;
-  std::uint64_t route_snapshot_version_ = 0;
-
-  /// Connections with queued outbound bytes, awaiting Flush(). Loop
-  /// thread only (Deliver and Flush share that thread).
-  std::vector<std::shared_ptr<Connection>> dirty_;
+  std::vector<Connection*> routes_;
+  /// Connections with queued outbound bytes, awaiting Flush().
+  std::vector<Connection*> dirty_;
 
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> unroutable_drops_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};
-  std::thread acceptor_;
 };
 
 }  // namespace ccsim::substrate

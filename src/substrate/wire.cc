@@ -250,6 +250,12 @@ void FrameBuffer::AppendMessage(const net::Message& msg,
   ++frames_queued_;
 }
 
+void FrameBuffer::AppendFrame(const std::vector<std::uint8_t>& frame) {
+  bytes_.insert(bytes_.end(), frame.begin(), frame.end());
+  segments_.push_back(Segment{bytes_.size(), 0});
+  ++frames_queued_;
+}
+
 std::size_t FrameBuffer::pending_bytes() const {
   if (!has_pending()) {
     return 0;

@@ -85,6 +85,9 @@ class FrameBuffer {
   void AppendMessage(const net::Message& msg,
                      std::uint32_t page_payload_bytes);
 
+  /// Appends an already length-prefixed frame (a pre-encoded Hello).
+  void AppendFrame(const std::vector<std::uint8_t>& frame);
+
   /// Writes as much of the batch as the kernel will take without
   /// blocking. kDone: everything reached the socket (buffer reset).
   /// kAgain: socket buffer full, pending bytes retained. kError: the

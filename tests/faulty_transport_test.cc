@@ -345,12 +345,12 @@ TEST(DrainOrPoisonTest, PoisonsWedgedConnectionWithinDeadline) {
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (server->connections_accepted() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    server_sub.Run(sim::kTicksPerSecond / 500);  // accepts and handshakes
   }
   ASSERT_EQ(server->connections_accepted(), 1u);
 
   // Queue far more page traffic than the kernel buffers will take. (We are
-  // the loop thread: no RealtimeSubstrate::Run in this test.)
+  // the loop thread: the Run slices above have returned.)
   net::Message page = SeqMessage(1, net::kServerNode, /*dst=*/0);
   page.type = net::MsgType::kReadReply;
   page.data_pages.push_back(1);
@@ -407,8 +407,15 @@ TEST(DrainOrPoisonTest, DrainsWhenThePeerReads) {
   substrate::Hello ch = hello;
   ch.client_lo = 0;
   ch.client_hi = 2;
+  // The server loop runs only for the handshake; from then on the test
+  // thread plays it.
+  std::thread server_loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
   auto client = substrate::TcpClientTransport::Connect(
       "127.0.0.1", server->port(), ch, &client_sub, &error);
+  server_sub.Stop();
+  server_loop.join();
   ASSERT_NE(client, nullptr) << error;
   std::thread client_loop([&client_sub] {
     client_sub.Run(60 * sim::kTicksPerSecond);

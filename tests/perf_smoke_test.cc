@@ -342,7 +342,8 @@ TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
         << "socketpair buffer too small for one batch";
     const std::uint64_t target = decoded + kBatch;
     while (decoded < target) {
-      ASSERT_TRUE(receiver.ReadReady(&loop, kPagePayload, &frames, "test"));
+      ASSERT_TRUE(receiver.Fill() &&
+                  receiver.Dispatch(&loop, kPagePayload, &frames, "test"));
     }
   };
 

@@ -40,6 +40,7 @@
 #include "substrate/node.h"
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
+#include "substrate/wire.h"
 #include "util/status.h"
 
 namespace ccsim {
@@ -373,10 +374,9 @@ TEST(BatchedOrderingTest, DepartedPeerDropsAreCounted) {
   EXPECT_GT(server->unroutable_drops(), 0u);
 }
 
-// Deliver routes through a loop-thread snapshot of the route table, so a
-// route change must reach it: a shard owning client ids [0,8) departs and
-// a replacement shard registers the same ids. Replies then reach the
-// replacement, and none is counted unroutable after its hello.
+// A route change must reach Deliver: a shard owning client ids [0,8)
+// departs and a replacement shard registers the same ids. Replies then
+// reach the replacement, and none is counted unroutable after its hello.
 TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
   constexpr int kClients = 8;
   sim::Simulator server_sim;
@@ -426,7 +426,7 @@ TEST(BatchedOrderingTest, ReplacementShardInheritsTheRoutes) {
   std::thread first_loop([&first_sub] {
     first_sub.Run(60 * sim::kTicksPerSecond);
   });
-  // The server's snapshot now routes [0,8) to the first shard.
+  // The server now routes [0,8) to the first shard.
   reply_to_every_client();
   EXPECT_EQ(wait_for_frames(first.get(), kClients), std::uint64_t{kClients});
   first_sub.Stop();
@@ -489,6 +489,10 @@ TEST(LoopSourceTest, BurstsWakeALoopParkedOnADistantEntry) {
   auto server = substrate::TcpServerTransport::Listen(
       0, hello, &server_sub, &error);
   ASSERT_NE(server, nullptr) << error;
+  server_sim.ScheduleAfter(3600 * sim::kTicksPerSecond, [] {});
+  std::thread loop([&server_sub] {
+    server_sub.Run(7200 * sim::kTicksPerSecond);
+  });
   // The test thread plays the client's loop thread.
   sim::Simulator client_sim;
   substrate::RealtimeSubstrate client_sub(&client_sim);
@@ -497,11 +501,11 @@ TEST(LoopSourceTest, BurstsWakeALoopParkedOnADistantEntry) {
   ch.client_hi = 2;
   auto client = substrate::TcpClientTransport::Connect(
       "127.0.0.1", server->port(), ch, &client_sub, &error);
+  if (client == nullptr) {
+    server_sub.Stop();
+    loop.join();
+  }
   ASSERT_NE(client, nullptr) << error;
-  server_sim.ScheduleAfter(3600 * sim::kTicksPerSecond, [] {});
-  std::thread loop([&server_sub] {
-    server_sub.Run(7200 * sim::kTicksPerSecond);
-  });
 
   constexpr auto kPrompt = std::chrono::milliseconds(500);
   std::mt19937 rng(7);
@@ -542,9 +546,9 @@ TEST(LoopSourceTest, BurstsWakeALoopParkedOnADistantEntry) {
   EXPECT_EQ(late_bursts, 0) << "bursts waited out the loop's sleep";
 }
 
-// Handshakes stay off the loop: a peer that connects and never sends its
-// Hello must not stop a shard that arrives after it from handshaking and
-// exchanging messages with the running server.
+// A peer that connects and never sends its Hello must not stop a shard
+// that arrives after it from handshaking and exchanging messages with the
+// running server.
 TEST(LoopSourceTest, SilentPeerDoesNotBlockTheNextHandshake) {
   constexpr std::uint64_t kRequests = 8;
   sim::Simulator server_sim;
@@ -618,7 +622,7 @@ TEST(LoopSourceTest, SilentPeerDoesNotBlockTheNextHandshake) {
   }
   server_sub.Stop();
   server_loop.join();
-  server->Close();  // ejects the silent peer's handshake
+  server->Close();  // closes the silent peer's half-open connection
   if (silent >= 0) {
     ::close(silent);
   }
@@ -628,19 +632,178 @@ TEST(LoopSourceTest, SilentPeerDoesNotBlockTheNextHandshake) {
   EXPECT_EQ(server->connections_accepted(), 1u);
 }
 
-int TaskCount() {
-  int tasks = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    ++tasks;
+// The server reads a peer's Hello through the connection's own splitter,
+// so frames that arrive behind it in the same segment must still reach
+// the sink: a raw peer sends its Hello and three messages in one send().
+TEST(LoopSourceTest, FramesBehindTheHelloAreDecoded) {
+  constexpr std::uint64_t kMessages = 3;
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  std::atomic<std::uint64_t> received{0};
+  server_sub.set_message_sink([&received](net::MessagePtr) {
+    received.fetch_add(1, std::memory_order_relaxed);
+  });
+  const substrate::Hello hello = OrderingHello(2);
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, hello, &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  std::thread server_loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
+
+  substrate::Hello peer_hello = hello;
+  peer_hello.client_lo = 0;
+  peer_hello.client_hi = 2;
+  std::vector<std::uint8_t> bytes;
+  substrate::EncodeHello(peer_hello, &bytes);
+  net::Message msg;
+  msg.type = net::MsgType::kNoWaitLock;
+  msg.src = 0;
+  msg.dst = net::kServerNode;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    substrate::EncodeMessage(msg, hello.page_payload_bytes, &bytes);
   }
-  return tasks;
+  const int peer = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const bool sent =
+      peer >= 0 &&
+      ::connect(peer, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0 &&
+      ::send(peer, bytes.data(), bytes.size(), 0) ==
+          static_cast<ssize_t>(bytes.size());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (sent && received.load(std::memory_order_relaxed) < kMessages &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server_sub.Stop();
+  server_loop.join();
+  server->Close();
+  if (peer >= 0) {
+    ::close(peer);
+  }
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(received.load(), kMessages);
+  EXPECT_EQ(server->connections_accepted(), 1u);
 }
 
-// Fault-free, a ServerNode runs on its loop thread plus the idle acceptor
-// and each ClientShard on its loop thread alone: once the handshake
-// threads have handed their sockets over, a server with two connected
-// shards adds exactly four threads to the process.
+int EntryCount(const char* dir) {
+  int entries = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(dir)) {
+    ++entries;
+  }
+  return entries;
+}
+
+// A long-lived server frees each departed shard's connection: three shards
+// connect one after another, each exchanges a few frames with the running
+// server and closes, and the process's open descriptors return to their
+// level before the first connect.
+TEST(LoopSourceTest, DepartedShardsReleaseTheirSockets) {
+  constexpr std::uint64_t kRequests = 4;
+  constexpr int kShards = 3;
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  const substrate::Hello hello = OrderingHello(2);
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, hello, &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  substrate::TcpServerTransport* st = server.get();
+  server_sub.set_flush_hook([st] { return st->Flush(); });
+  server_sub.set_message_sink([st](net::MessagePtr request) {
+    net::Message reply;
+    reply.type = net::MsgType::kAbortNotice;
+    reply.src = net::kServerNode;
+    reply.dst = request->src;
+    st->Deliver(reply);
+  });
+  std::thread server_loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
+  const int baseline = EntryCount("/proc/self/fd");
+
+  std::vector<std::uint64_t> replies_per_shard;
+  for (int shard = 0; shard < kShards; ++shard) {
+    sim::Simulator client_sim;
+    substrate::RealtimeSubstrate client_sub(&client_sim);
+    std::atomic<std::uint64_t> replies{0};
+    client_sub.set_message_sink([&replies](net::MessagePtr) {
+      replies.fetch_add(1, std::memory_order_relaxed);
+    });
+    substrate::Hello ch = hello;
+    ch.client_lo = 0;
+    ch.client_hi = 2;
+    // The server refuses the ids until it has seen the last departure.
+    std::unique_ptr<substrate::TcpClientTransport> client;
+    const auto connect_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (client == nullptr &&
+           std::chrono::steady_clock::now() < connect_deadline) {
+      client = substrate::TcpClientTransport::Connect(
+          "127.0.0.1", server->port(), ch, &client_sub, &error);
+      if (client == nullptr) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    if (client == nullptr) {
+      break;
+    }
+    substrate::TcpClientTransport* ct = client.get();
+    client_sub.set_flush_hook([ct] { return ct->Flush(); });
+    std::thread client_loop([&client_sub] {
+      client_sub.Run(60 * sim::kTicksPerSecond);
+    });
+    client_sub.PostControl([ct] {
+      net::Message request;
+      request.type = net::MsgType::kNoWaitLock;
+      request.src = 0;
+      request.dst = net::kServerNode;
+      for (std::uint64_t i = 0; i < kRequests; ++i) {
+        ct->Deliver(request);
+      }
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (replies.load(std::memory_order_relaxed) < kRequests &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    client_sub.Stop();
+    client_loop.join();
+    client->Close();
+    replies_per_shard.push_back(replies.load());
+  }
+
+  // The server sees each departure as EOF on its loop.
+  int fds = EntryCount("/proc/self/fd");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fds != baseline && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    fds = EntryCount("/proc/self/fd");
+  }
+  server_sub.Stop();
+  server_loop.join();
+  server->Close();
+
+  EXPECT_EQ(replies_per_shard,
+            std::vector<std::uint64_t>(kShards, kRequests))
+      << error;
+  EXPECT_EQ(fds, baseline) << "departed shards' sockets are still open";
+  EXPECT_EQ(server->connections_accepted(),
+            static_cast<std::uint64_t>(kShards));
+}
+
+// Fault-free, a ServerNode and each ClientShard run on their loop threads
+// alone: the server accepts and handshakes on its loop, so a server with
+// two connected shards adds exactly three threads to the process.
 TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
   ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
                                       CachingMode::kInterTransaction);
@@ -648,7 +811,7 @@ TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
   // A sanitizer runtime may start a helper thread with the process's first
   // thread; start one first so that helper is in the baseline.
   std::thread([] {}).join();
-  const int baseline = TaskCount();
+  const int baseline = EntryCount("/proc/self/task");
 
   substrate::ServerNode server_node(cfg, cfg.control.seed);
   std::string error;
@@ -657,29 +820,33 @@ TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
   ASSERT_NE(server_tcp, nullptr) << error;
   server_node.AttachTransport(server_tcp.get());
   server_node.Start();
+  std::thread server_loop([&server_node] {
+    server_node.RunLoop(600 * sim::kTicksPerSecond);
+  });
   runner::ShardSet load;
   const Status connected =
       runner::ConnectShards(cfg, "127.0.0.1", server_tcp->port(), 0,
                             cfg.system.num_clients, 2, &load);
+  if (!connected.ok() || load.shards.size() != 2u) {
+    server_node.substrate().Stop();
+    server_loop.join();
+  }
   ASSERT_TRUE(connected.ok()) << connected.ToString();
   ASSERT_EQ(load.shards.size(), 2u);
 
-  std::thread server_loop([&server_node] {
-    server_node.RunLoop(600 * sim::kTicksPerSecond);
-  });
   std::vector<std::thread> shard_loops;
   for (auto& shard : load.shards) {
     substrate::ClientShard* s = shard.get();
     shard_loops.emplace_back(
         [s] { s->RunLoop(0, sim::SecondsToTicks(1.5)); });
   }
-  const int expected = baseline + 3 + 1;  // three loops and the acceptor
-  int tasks = TaskCount();
+  const int expected = baseline + 3;  // three loops
+  int tasks = EntryCount("/proc/self/task");
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(1);
   while (tasks != expected && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    tasks = TaskCount();
+    tasks = EntryCount("/proc/self/task");
   }
   for (std::thread& t : shard_loops) {
     t.join();
@@ -692,7 +859,7 @@ TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
   server_tcp->Close();
 
   EXPECT_EQ(tasks, expected)
-      << "threads beyond the loops and the acceptor while running";
+      << "threads beyond the loops while running";
   std::uint64_t commits = 0;
   for (const auto& shard : load.shards) {
     commits += shard->metrics().commits();

@@ -9,15 +9,14 @@
 // until SIGINT/SIGTERM or --duration elapses, then prints a summary and
 // exits 0 on a clean shutdown.
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "config/flags.h"
 #include "config/params.h"
@@ -70,8 +69,13 @@ void PrintUsage() {
       "  --help                this text\n");
 }
 
-volatile std::sig_atomic_t g_signal = 0;
-void OnSignal(int sig) { g_signal = sig; }
+// The loop the signal handler stops; set before the handler is installed.
+ccsim::substrate::RealtimeSubstrate* g_loop = nullptr;
+void OnSignal(int) {
+  const int saved_errno = errno;
+  g_loop->Stop();  // async-signal-safe
+  errno = saved_errno;
+}
 
 }  // namespace
 
@@ -181,28 +185,13 @@ int main(int argc, char** argv) {
               cfg.checker.enabled ? ", oracle on" : "");
   std::fflush(stdout);
 
+  g_loop = &node.substrate();
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  std::uint64_t events = 0;
-  std::thread loop([&node, &events] {
-    events = node.RunLoop(std::numeric_limits<ccsim::sim::Ticks>::max() / 4);
-  });
-  // Signal handlers cannot touch the substrate's condition variable, so a
-  // watcher polls the flag (and the optional wall deadline) at 50 ms.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(duration_s));
-  for (;;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (g_signal != 0 ||
-        (duration_s > 0 && std::chrono::steady_clock::now() >= deadline)) {
-      break;
-    }
-  }
-  node.substrate().Stop();
-  loop.join();
+  const std::uint64_t events = node.RunLoop(
+      duration_s > 0 ? ccsim::sim::SecondsToTicks(duration_s)
+                     : std::numeric_limits<ccsim::sim::Ticks>::max() / 4);
   // A signal can land mid-flush: finish the write-out (bounded) so peers
   // see complete frames, or poison the dirty connections so they see a
   // clean cut instead of a torn frame.

@@ -15,8 +15,10 @@
 #      the pipelined verifier rides every soak run,
 #   6. a real-substrate loopback smoke: ccserve is started (oracle on) and
 #      driven by ccload for each of the five protocols; a lost transaction,
-#      a conservation violation, zero commits, or an unclean server
-#      shutdown fails the leg,
+#      a conservation violation, zero commits, an unclean server shutdown,
+#      or a server whose open descriptors (/proc/PID/fd) do not return
+#      within 2 s of ccload's exit to their count when it wrote its port
+#      (a departed shard's socket left open) fails the leg,
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
 #      partition, one client crash + restart, and one server crash +
@@ -103,7 +105,9 @@ step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on)"
 # not be able to mask (or cause) a failure in the next. ccload exits
 # non-zero on zero commits, lost transactions, or a conservation
 # violation; ccserve exits non-zero on an unclean shutdown; set -e
-# propagates both.
+# propagates both. Within 2 s of ccload's exit ccserve's open descriptors
+# fall back to at most their count when it wrote its port (the port
+# file's own descriptor may still have been open then).
 for algo in 2pl cert callback no-wait no-wait-notify; do
   port_file="$build_dir/ccserve.$algo.port"
   rm -f "$port_file"
@@ -119,8 +123,20 @@ for algo in 2pl cert callback no-wait no-wait-notify; do
     kill "$serve_pid" 2>/dev/null || true
     exit 1
   fi
+  fds_before=$(ls /proc/"$serve_pid"/fd | wc -l)
   "$build_dir"/tools/ccload --port-file="$port_file" --algorithm="$algo" \
       --clients=8 --duration="$smoke_secs" --warmup=1
+  for _ in $(seq 20); do
+    fds_after=$(ls /proc/"$serve_pid"/fd | wc -l)
+    (( fds_after <= fds_before )) && break
+    sleep 0.1
+  done
+  if (( fds_after > fds_before )); then
+    echo "FAIL: ccserve ($algo) holds $fds_after descriptors after ccload" \
+        "left, $fds_before before it connected"
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+  fi
   kill -TERM "$serve_pid" 2>/dev/null || true
   wait "$serve_pid"
 done
