@@ -16,7 +16,7 @@ void Resource::Start(Job job) {
   const Ticks now = simulator_->Now();
   ++busy_;
   busy_integral_.Set(static_cast<double>(busy_), now);
-  wait_times_.Add(TicksToSeconds(now - job.enqueued_at));
+  wait_times_.Add(now - job.enqueued_at);
   if (job.manual_hold) {
     // Caller holds the server until Release(); hand control back now.
     simulator_->ScheduleResumeAt(now, job.handle);

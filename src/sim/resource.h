@@ -83,14 +83,14 @@ class Resource {
   double MeanQueueLength(Ticks now) const {
     return queue_integral_.TimeAverage(now);
   }
-  const Tally& wait_times() const { return wait_times_; }
+  const TickTally& wait_times() const { return wait_times_; }
   std::uint64_t completions() const { return completions_; }
 
   /// Restarts statistic windows (end-of-warmup).
   void ResetStats(Ticks now) {
     busy_integral_.Reset(now);
     queue_integral_.Reset(now);
-    wait_times_.Reset();
+    wait_times_ = {};
     completions_ = 0;
   }
 
@@ -114,7 +114,7 @@ class Resource {
   std::deque<Job> queue_;
   TimeWeighted busy_integral_;
   TimeWeighted queue_integral_;
-  Tally wait_times_;
+  TickTally wait_times_;
   std::uint64_t completions_ = 0;
 };
 

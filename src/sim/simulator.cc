@@ -35,43 +35,39 @@ void Simulator::Spawn(Process process) {
 }
 
 std::uint64_t Simulator::Run(Ticks until) {
-  std::uint64_t processed = 0;
+  const std::uint64_t first = events_processed_;
   stop_requested_ = false;
-  while (!times_.empty() && !stop_requested_) {
-    // Copy the heap root: the fired callback may push entries and
-    // reallocate times_. New pushes sort strictly after the root (their
-    // time is >= now_ and their bucket order is later), so the root entry
-    // stays the minimum until its bucket is fully drained.
-    const TimesEntry top = times_.front();
-    if (top.when > until) {
+  if (until < now_) {
+    return 0;
+  }
+  while (!stop_requested_) {
+    // Copy the payload out before firing: the callback may push, and a
+    // push can reallocate either vector.
+    EntryPayload payload;
+    if (!heap_.empty() && heap_.front().when == now_) {
+      // Pushed before the clock reached now_: earlier than the lane.
+      payload = HeapPop();
+    } else if (lane_head_ != lane_.size()) {
+      payload = lane_[lane_head_];
+      if (++lane_head_ == lane_.size()) {
+        lane_.clear();
+        lane_head_ = 0;
+      }
+    } else if (!heap_.empty() && heap_.front().when <= until) {
+      now_ = heap_.front().when;
+      payload = HeapPop();
+    } else {
       break;
     }
-    CCSIM_DCHECK(top.when >= now_);
-    now_ = top.when;
-    {
-      // Copy the payload before firing: the callback may append to this
-      // very bucket (a same-time push) and reallocate its vector.
-      Bucket& bucket = buckets_[top.bucket];
-      EntryPayload payload = bucket.items[bucket.cursor];
-      ++bucket.cursor;
-      Fire(payload);
-    }
-    --pending_;
-    ++processed;
+    Fire(payload);
     ++events_processed_;
-    // Re-acquire: Fire may have grown buckets_.
-    Bucket& bucket = buckets_[top.bucket];
-    if (bucket.cursor == bucket.items.size()) {
-      HeapPopMin();
-      FreeBucket(top.when, top.bucket);
-    }
   }
-  if (times_.empty() || stop_requested_) {
-    // Clock does not advance past the last event.
-    return processed;
+  // The clock does not advance past the last event when the calendar
+  // drains, nor past a stop.
+  if (!stop_requested_ && !heap_.empty()) {
+    now_ = until;
   }
-  now_ = until;
-  return processed;
+  return events_processed_ - first;
 }
 
 void Simulator::Shutdown() {
@@ -83,26 +79,19 @@ void Simulator::Shutdown() {
   }
   // Drop pending events without firing them; they may reference handles
   // that no longer exist. Only heap-fallback closures own memory.
-  for (const TimesEntry& entry : times_) {
-    Bucket& bucket = buckets_[entry.bucket];
-    for (std::size_t i = bucket.cursor; i < bucket.items.size(); ++i) {
-      if (bucket.items[i].drop != nullptr) {
-        bucket.items[i].drop(bucket.items[i]);
-      }
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    if (lane_[i].drop != nullptr) {
+      lane_[i].drop(lane_[i]);
     }
-    bucket.items.clear();
-    bucket.cursor = 0;
   }
-  times_.clear();
-  // Rebuild the free list: every pooled bucket is empty again.
-  free_buckets_.clear();
-  for (std::uint32_t i = 0; i < buckets_.size(); ++i) {
-    free_buckets_.push_back(i);
+  for (Entry& entry : heap_) {
+    if (entry.payload.drop != nullptr) {
+      entry.payload.drop(entry.payload);
+    }
   }
-  for (Memo& memo : memo_) {
-    memo.bucket = kNoBucket;
-  }
-  pending_ = 0;
+  lane_.clear();
+  lane_head_ = 0;
+  heap_.clear();
   shutting_down_ = false;
 }
 

@@ -27,23 +27,18 @@ namespace ccsim::sim {
 ///   sim.Shutdown();  // destroy still-suspended processes
 /// ```
 ///
-/// Determinism: events at equal times fire in scheduling order, so runs
-/// with the same seed are bit-reproducible. The calendar realizes the
-/// (when, arrival) total order structurally — see below — so the fire
-/// sequence is independent of its internal layout.
+/// Determinism: events fire in `(when, arrival)` order, so runs with the
+/// same seed are bit-reproducible.
 ///
-/// Performance model: the calendar is a two-level calendar queue. Level
-/// one is an index-based 4-ary min-heap with one 24-byte entry per
-/// *distinct* pending time, ordered by (when, bucket creation order).
-/// Level two is a pool of per-time FIFO buckets holding the event
-/// payloads in push order. Equal-time events — every `Delay(1)` tick and
-/// every wakeup scheduled at `Now()` by Event/Mailbox/Resource — cost an
-/// O(1) append on push and a sequential read on pop, with no heap sift at
-/// all; the heap only works when the *set of distinct times* changes, and
-/// payloads never move during sifts. A small direct-mapped memo maps
-/// recently used times to their buckets so clustered pushes skip the heap
-/// entirely. Buckets and the heap vector are recycled, so the hot path is
-/// allocation-free once they reach the run's high-water mark.
+/// The calendar has two parts. Entries for a later time go into a 4-ary
+/// min-heap of whole `(when, seq, payload)` events ordered by
+/// `(when, seq)`. Entries for `Now()` (a `Spawn`, a `Delay(0)`, every
+/// wakeup an Event/Mailbox/Resource schedules) append to a FIFO lane
+/// instead, with no sift. The heap entries due at `Now()` were all pushed
+/// before the clock got there, so `Run` fires those first, then drains the
+/// lane, and only then advances the clock: the two parts together fire in
+/// exactly `(when, arrival)` order. Both are vectors that keep their
+/// capacity, so the steady state is allocation-free.
 ///
 /// The dominant payload kind stores a raw coroutine handle (every
 /// `Delay`/`ScheduleResumeAt`); closure payloads store trivially copyable
@@ -57,9 +52,8 @@ class Simulator {
   static constexpr std::size_t kInlineClosureBytes = 32;
 
   Simulator() {
-    times_.reserve(64);
-    buckets_.reserve(64);
-    free_buckets_.reserve(64);
+    heap_.reserve(64);
+    lane_.reserve(64);
   }
   ~Simulator() { Shutdown(); }
 
@@ -160,7 +154,10 @@ class Simulator {
 
   /// Fire time of the earliest pending calendar entry, or -1 when empty.
   Ticks PeekNextTime() const {
-    return times_.empty() ? Ticks{-1} : times_.front().when;
+    if (lane_head_ != lane_.size()) {
+      return now_;
+    }
+    return heap_.empty() ? Ticks{-1} : heap_.front().when;
   }
 
   /// Advances the clock to `t` without firing anything (no-op if t <= Now()).
@@ -168,13 +165,16 @@ class Simulator {
   /// i.e. call Run(t) first; any remaining entries are then strictly later.
   void AdvanceTo(Ticks t) {
     if (t > now_) {
-      CCSIM_DCHECK(times_.empty() || times_.front().when > t);
+      CCSIM_DCHECK(lane_head_ == lane_.size() &&
+                   (heap_.empty() || heap_.front().when > t));
       now_ = t;
     }
   }
 
   /// Pending calendar entries (tests / diagnostics).
-  std::size_t calendar_size() const { return pending_; }
+  std::size_t calendar_size() const {
+    return heap_.size() + (lane_.size() - lane_head_);
+  }
 
  private:
   friend struct Process::promise_type;
@@ -196,60 +196,48 @@ class Simulator {
   static_assert(sizeof(EntryPayload) == 48);
   static_assert(std::is_trivially_copyable_v<EntryPayload>);
 
-  /// Level two: a FIFO of payloads sharing one fire time. `cursor` marks
-  /// how far the drain has progressed (entries fire in push order).
-  struct Bucket {
-    std::vector<EntryPayload> items;
-    std::uint32_t cursor = 0;
-  };
-
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
-
-  /// Level one: one heap entry per distinct pending time. `order` is the
-  /// bucket's creation order; two buckets can exist for the same `when`
-  /// (when the memo evicted the first before the last push arrived), and
-  /// the earlier-created one holds strictly earlier pushes, so ordering by
-  /// (when, order) and draining each bucket FIFO realizes the global
-  /// (when, arrival) total order exactly.
-  struct TimesEntry {
+  /// A heap entry: a payload due at a later time than it was pushed.
+  /// `seq` is the push order, the tie-break between equal times.
+  struct Entry {
     Ticks when;
-    std::uint64_t order;
-    std::uint32_t bucket;
+    std::uint64_t seq;
+    EntryPayload payload;
   };
-  static_assert(std::is_trivially_copyable_v<TimesEntry>);
+  static_assert(std::is_trivially_copyable_v<Entry>);
 
-  static bool TimesBefore(const TimesEntry& a, const TimesEntry& b) {
+  static bool Before(const Entry& a, const Entry& b) {
     if (a.when != b.when) {
       return a.when < b.when;
     }
-    return a.order < b.order;
+    return a.seq < b.seq;
   }
 
-  // Index-based 4-ary min-heap over times_. Holds distinct times, not
-  // events, so it stays tiny (a handful of entries) even when thousands of
-  // events share a few fire times.
+  // Index-based 4-ary min-heap over heap_: half the depth of a binary
+  // heap, so a pop moves the 64-byte entries half as many times.
   static constexpr std::size_t kHeapArity = 4;
 
-  void HeapPush(TimesEntry entry) {
-    times_.push_back(entry);
-    std::size_t index = times_.size() - 1;
+  void HeapPush(const Entry& entry) {
+    std::size_t index = heap_.size();
+    heap_.push_back(entry);
     while (index > 0) {
       const std::size_t parent = (index - 1) / kHeapArity;
-      if (!TimesBefore(entry, times_[parent])) {
+      if (!Before(entry, heap_[parent])) {
         break;
       }
-      times_[index] = times_[parent];
+      heap_[index] = heap_[parent];
       index = parent;
     }
-    times_[index] = entry;
+    heap_[index] = entry;
   }
 
-  void HeapPopMin() {
-    const TimesEntry last = times_.back();
-    times_.pop_back();
-    const std::size_t size = times_.size();
+  /// Removes the minimum entry and returns its payload.
+  EntryPayload HeapPop() {
+    const EntryPayload top = heap_.front().payload;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t size = heap_.size();
     if (size == 0) {
-      return;
+      return top;
     }
     std::size_t index = 0;
     for (;;) {
@@ -261,54 +249,26 @@ class Simulator {
       const std::size_t end =
           first_child + kHeapArity < size ? first_child + kHeapArity : size;
       for (std::size_t child = first_child + 1; child < end; ++child) {
-        if (TimesBefore(times_[child], times_[best])) {
+        if (Before(heap_[child], heap_[best])) {
           best = child;
         }
       }
-      if (!TimesBefore(times_[best], last)) {
+      if (!Before(heap_[best], last)) {
         break;
       }
-      times_[index] = times_[best];
+      heap_[index] = heap_[best];
       index = best;
     }
-    times_[index] = last;
-  }
-
-  std::uint32_t AllocBucket() {
-    if (!free_buckets_.empty()) {
-      const std::uint32_t index = free_buckets_.back();
-      free_buckets_.pop_back();
-      return index;
-    }
-    buckets_.emplace_back();
-    return static_cast<std::uint32_t>(buckets_.size() - 1);
-  }
-
-  /// Returns a drained bucket to the pool, keeping its capacity so the
-  /// steady state stays allocation-free.
-  void FreeBucket(Ticks when, std::uint32_t index) {
-    Bucket& bucket = buckets_[index];
-    bucket.items.clear();
-    bucket.cursor = 0;
-    free_buckets_.push_back(index);
-    Memo& memo = memo_[static_cast<std::size_t>(when) & (kMemoSlots - 1)];
-    if (memo.bucket == index) {
-      memo.bucket = kNoBucket;
-    }
+    heap_[index] = last;
+    return top;
   }
 
   void Push(Ticks when, const EntryPayload& payload) {
-    ++pending_;
-    Memo& memo = memo_[static_cast<std::size_t>(when) & (kMemoSlots - 1)];
-    if (memo.bucket != kNoBucket && memo.when == when) {
-      buckets_[memo.bucket].items.push_back(payload);
-      return;
+    if (when == now_) {
+      lane_.push_back(payload);
+    } else {
+      HeapPush(Entry{when, next_seq_++, payload});
     }
-    const std::uint32_t index = AllocBucket();
-    buckets_[index].items.push_back(payload);
-    memo.when = when;
-    memo.bucket = index;
-    HeapPush(TimesEntry{when, next_bucket_order_++, index});
   }
 
   static void Fire(EntryPayload& payload) {
@@ -332,25 +292,17 @@ class Simulator {
     --live_count_;
   }
 
-  /// Direct-mapped time → bucket cache (indexed by `when` mod slots).
-  /// A miss is never wrong — it just creates a fresh bucket for that time
-  /// — so collisions only cost performance, never correctness.
-  static constexpr std::size_t kMemoSlots = 4;
-  struct Memo {
-    Ticks when = 0;
-    std::uint32_t bucket = kNoBucket;
-  };
-
   Ticks now_ = 0;
-  std::uint64_t next_bucket_order_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::size_t pending_ = 0;
   bool stop_requested_ = false;
   bool shutting_down_ = false;
-  std::vector<TimesEntry> times_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
-  Memo memo_[kMemoSlots];
+  /// Entries due after the time they were pushed at.
+  std::vector<Entry> heap_;
+  /// Entries pushed for `now_`, in push order; [lane_head_, size) are
+  /// pending. Emptied (keeping its capacity) whenever it drains.
+  std::vector<EntryPayload> lane_;
+  std::size_t lane_head_ = 0;
   /// Live (spawned, not yet finished) processes, newest first.
   Process::promise_type* live_head_ = nullptr;
   std::size_t live_count_ = 0;

@@ -45,6 +45,30 @@ class Tally {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Count, mean and maximum of tick durations (queueing delays), summed as
+/// integers so a sample costs no floating-point work; the accessors
+/// report seconds.
+class TickTally {
+ public:
+  void Add(Ticks t) {
+    ++count_;
+    sum_ += t;
+    max_ = std::max(max_, t);
+  }
+
+  std::uint64_t count() const { return count_; }
+  double mean() const {
+    return count_ == 0 ? 0.0
+                       : TicksToSeconds(sum_) / static_cast<double>(count_);
+  }
+  double max() const { return TicksToSeconds(max_); }
+
+ private:
+  std::uint64_t count_ = 0;
+  Ticks sum_ = 0;
+  Ticks max_ = 0;
+};
+
 /// Time-weighted average of a piecewise-constant value (queue lengths,
 /// busy-server counts). Callers report value changes with the current
 /// simulated time.

@@ -61,11 +61,14 @@ class BlockPool {
       return;
     }
     const std::size_t c = ClassOf(bytes);
-    if (exited_ || lists_.count[c] == kMaxFreePerClass) {
+    Lists& lists = lists_;
+    if (lists.state == State::kFresh) [[unlikely]] {
+      Arm();
+    }
+    if (lists.state == State::kExited || lists.count[c] == kMaxFreePerClass) {
       ::operator delete(ptr, BlockBytes(c));
       return;
     }
-    Lists& lists = lists_;
     FreeBlock* block = ::new (ptr) FreeBlock{lists.head[c]};
     lists.head[c] = block;
     ++lists.count[c];
@@ -82,35 +85,49 @@ class BlockPool {
     FreeBlock* next;
   };
 
-  struct Lists {
-    FreeBlock* head[kClasses] = {};
-    std::uint32_t count[kClasses] = {};
+  /// kFresh until this thread's first free, kArmed once the thread-exit
+  /// drain is registered, kExited after it has run.
+  enum class State : std::uint8_t { kFresh, kArmed, kExited };
 
-    ~Lists() {
-      exited_ = true;
+  /// Trivially constructible and destructible, so reaching it costs no
+  /// thread-local initialisation check.
+  struct Lists {
+    FreeBlock* head[kClasses];
+    std::uint32_t count[kClasses];
+    State state;
+  };
+
+  /// Returns this thread's lists to the heap when the thread exits.
+  struct Drain {
+    ~Drain() {
+      Lists& lists = lists_;
+      lists.state = State::kExited;
       for (std::size_t c = 0; c < kClasses; ++c) {
-        while (FreeBlock* block = head[c]) {
+        while (FreeBlock* block = lists.head[c]) {
           ASAN_UNPOISON_MEMORY_REGION(block, BlockBytes(c));
-          head[c] = block->next;
+          lists.head[c] = block->next;
           ::operator delete(block, BlockBytes(c));
         }
-        count[c] = 0;
+        lists.count[c] = 0;
       }
     }
   };
+
+  /// Registers the drain on a thread's first free: only a free can put a
+  /// block on the lists.
+  [[gnu::noinline]] static void Arm() noexcept {
+    thread_local Drain drain;
+    (void)drain;
+    lists_.state = State::kArmed;
+  }
 
   static std::size_t ClassOf(std::size_t bytes) {
     return (bytes - 1) / kGranule;
   }
   static std::size_t BlockBytes(std::size_t c) { return (c + 1) * kGranule; }
 
-  static thread_local Lists lists_;
-  // Trivially destructible, so it stays readable after ~Lists has run.
-  static thread_local bool exited_;
+  static inline constinit thread_local Lists lists_{};
 };
-
-inline thread_local BlockPool::Lists BlockPool::lists_;
-inline thread_local bool BlockPool::exited_ = false;
 
 /// A stateless standard allocator over BlockPool, for node-based containers
 /// whose nodes and bucket arrays are created and destroyed on the commit

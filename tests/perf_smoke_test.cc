@@ -1,9 +1,10 @@
 // Fast perf-smoke checks for the event kernel (label: perf-smoke).
 //
 // The load-bearing property is *allocation-free steady state*: after a
-// short warmup (which grows calendar buckets, the times heap, and event
-// waiter vectors to their working capacity), the Delay/resume hot path
-// and Event broadcast path must perform zero heap allocations. This is
+// short warmup (which grows the calendar's heap and same-time lane, the
+// block pool's free lists, and event waiter vectors to their working
+// capacity), the Delay/resume hot path, the same-time lane and the Event
+// broadcast path must perform zero heap allocations. This is
 // deterministic — asserted exactly, not statistically — via a counting
 // replacement of global operator new.
 //
@@ -92,7 +93,7 @@ TEST(PerfSmokeTest, DelayHotPathIsAllocationFreeAfterWarmup) {
   for (int i = 0; i < 64; ++i) {
     sim.Spawn(Ticker(sim, 1 + (i % 4), 1u << 20));
   }
-  sim.Run(1000);  // warmup: buckets, heap, and free list reach capacity
+  sim.Run(1000);  // warmup: the calendar's heap reaches capacity
   const std::uint64_t before = AllocationsNow();
   const std::uint64_t processed_before = sim.events_processed();
   sim.Run(20000);
@@ -128,6 +129,41 @@ TEST(PerfSmokeTest, EventBroadcastIsAllocationFreeAfterWarmup) {
   sim.Run(5000);
   EXPECT_EQ(AllocationsNow(), before)
       << "Event::Signal broadcast steady state allocated";
+  sim.Shutdown();
+}
+
+Process Yielder(Simulator& sim) { co_await sim.Delay(0); }
+
+/// Each tick: spawns a short-lived process, yields, wakes the listeners and
+/// yields again — all of it scheduled at Now(), on the same-time lane.
+Process SameTimeTicker(Simulator& sim, Event& event, std::uint64_t rounds) {
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    co_await sim.Delay(1);
+    sim.Spawn(Yielder(sim));
+    co_await sim.Delay(0);
+    event.Signal();
+    co_await sim.Delay(0);
+  }
+}
+
+TEST(PerfSmokeTest, SameTimeLaneIsAllocationFreeAfterWarmup) {
+  Simulator sim;
+  Event event(&sim);
+  for (int i = 0; i < 16; ++i) {
+    sim.Spawn(Listener(sim, event, 1u << 20));
+  }
+  for (int i = 0; i < 4; ++i) {
+    sim.Spawn(SameTimeTicker(sim, event, 1u << 20));
+  }
+  sim.Run(100);  // warmup: the lane, waiter vectors and frame pool
+  const std::uint64_t before = AllocationsNow();
+  const std::uint64_t processed_before = sim.events_processed();
+  sim.Run(5000);
+  EXPECT_EQ(AllocationsNow(), before)
+      << "Spawn/Delay(0)/Signal same-time steady state allocated";
+  // Per tick: 4 tickers x (resume, Yielder's 2 steps, 2 yields) plus the
+  // listeners' wakeups, over 30 events.
+  EXPECT_GT(sim.events_processed(), processed_before + 4900u * 30u);
   sim.Shutdown();
 }
 

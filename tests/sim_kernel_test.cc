@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.h"
 #include "sim/process.h"
+#include "sim/random.h"
 #include "sim/resource.h"
 #include "sim/task.h"
 #include "sim/simulator.h"
@@ -214,9 +218,8 @@ Process PushAfterDelay(Simulator& sim, std::vector<int>& order, Ticks delay,
 
 TEST(SimulatorTest, EqualTimeFifoAcrossEntryKindsAndTimes) {
   // Interleaves closure entries and coroutine resumes across two fire
-  // times whose memo slots collide (10 and 14 mod 4), forcing multiple
-  // calendar buckets per time. The global order must still be (time,
-  // schedule order) regardless of entry kind or bucket layout.
+  // times, some pushed before the run and some during it. The global
+  // order must still be (time, schedule order) regardless of entry kind.
   Simulator sim;
   std::vector<int> order;
   std::vector<int> expect_t10;
@@ -252,6 +255,180 @@ TEST(SimulatorTest, EqualTimeFifoAcrossEntryKindsAndTimes) {
     }
   }
   EXPECT_EQ(order, expected);
+}
+
+// --- Calendar model: random schedules against a reference order. ---
+
+/// Pushes random calendar entries and checks each firing against a
+/// reference: the pending (when, push sequence) pairs, sorted. Only the
+/// least pair may fire next, and only at its own time.
+struct CalendarModel {
+  static constexpr std::uint64_t kPushBudget = 3000;
+
+  explicit CalendarModel(std::uint64_t seed) : rng(seed, 11) {}
+
+  /// Records a push due at `when` and returns its sequence number.
+  std::uint64_t Expect(Ticks when) {
+    pending.emplace(when, next_seq);
+    return next_seq++;
+  }
+
+  /// Every entry calls this when it fires.
+  void Fired(std::uint64_t seq) {
+    const std::pair<Ticks, std::uint64_t> got{sim.Now(), seq};
+    if (pending.empty() || *pending.begin() != got) {
+      if (out_of_order++ == 0) {
+        first_error = "fired (" + std::to_string(got.first) + ", " +
+                      std::to_string(got.second) + ")";
+      }
+    }
+    pending.erase(got);
+    ++fired;
+    if (stops_allowed && rng.Bernoulli(0.03)) {
+      sim.RequestStop();
+    }
+    const double u = rng.NextDouble();
+    for (int i = u < 0.45 ? 0 : (u < 0.8 ? 1 : 2); i > 0; --i) {
+      PushRandom();
+    }
+  }
+
+  /// Mostly `Now()` and nearby shared ticks, sometimes further out.
+  Ticks RandomDelay() {
+    const double u = rng.NextDouble();
+    if (u < 0.4) {
+      return 0;
+    }
+    return u < 0.8 ? rng.UniformInt(1, 3) : rng.UniformInt(4, 40);
+  }
+
+  void PushRandom();
+
+  Simulator sim;
+  Pcg32 rng;
+  std::set<std::pair<Ticks, std::uint64_t>> pending;
+  std::uint64_t next_seq = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t out_of_order = 0;
+  std::string first_error;
+  std::uint64_t heap_fallbacks = 0;
+  std::uint64_t spawns = 0;
+  bool stops_allowed = true;
+};
+
+/// Resumes the awaiting process at absolute time `when`.
+struct ResumeAt {
+  Simulator* sim;
+  Ticks when;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> handle) {
+    sim->ScheduleResumeAt(when, handle);
+  }
+  void await_resume() const noexcept {}
+};
+
+/// A process whose first step and each resume are model entries; it
+/// alternates `Delay` and `ScheduleResumeAt`.
+Process Stepper(CalendarModel& model, std::uint64_t seq, int steps) {
+  model.Fired(seq);
+  for (int i = 0; i < steps; ++i) {
+    const Ticks delay = model.RandomDelay();
+    seq = model.Expect(model.sim.Now() + delay);
+    if (i % 2 == 0) {
+      co_await model.sim.Delay(delay);
+    } else {
+      co_await ResumeAt{&model.sim, model.sim.Now() + delay};
+    }
+    model.Fired(seq);
+  }
+}
+
+void CalendarModel::PushRandom() {
+  if (next_seq >= kPushBudget) {
+    return;
+  }
+  const Ticks when = sim.Now() + RandomDelay();
+  switch (rng.UniformInt(0, 2)) {
+    case 0: {
+      const std::uint64_t seq = Expect(when);
+      sim.ScheduleAt(when, [this, seq] { Fired(seq); });
+      break;
+    }
+    case 1: {
+      // A shared_ptr capture is not trivially copyable: heap fallback.
+      auto seq = std::make_shared<std::uint64_t>(Expect(when));
+      sim.ScheduleAt(when, [this, seq] { Fired(*seq); });
+      ++heap_fallbacks;
+      break;
+    }
+    default: {
+      const std::uint64_t seq = Expect(sim.Now());
+      sim.Spawn(Stepper(*this, seq, static_cast<int>(rng.UniformInt(0, 3))));
+      ++spawns;
+      break;
+    }
+  }
+}
+
+TEST(CalendarModelTest, FiresInWhenThenPushOrder) {
+  std::uint64_t stops_mid_batch = 0;
+  std::uint64_t advances = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CalendarModel model(seed);
+    Simulator& sim = model.sim;
+    for (int i = 0; i < 8; ++i) {
+      model.PushRandom();  // before the first Run, at 0 and later
+    }
+    for (int round = 0; round < 300; ++round) {
+      if (model.rng.Bernoulli(0.25)) {
+        // AdvanceTo may only skip times that hold no entry.
+        const Ticks next = sim.PeekNextTime();
+        if (next == -1 || next > sim.Now()) {
+          const Ticks to = next == -1 ? sim.Now() + model.rng.UniformInt(0, 9)
+                                      : model.rng.UniformInt(sim.Now(), next - 1);
+          sim.AdvanceTo(to);
+          EXPECT_EQ(sim.Now(), to);
+          ++advances;
+        }
+        model.PushRandom();  // pushes from outside Run
+      } else {
+        const Ticks until = sim.Now() + model.rng.UniformInt(0, 25);
+        sim.Run(until);
+        if (sim.stop_requested()) {
+          const auto& pending = model.pending;
+          if (!pending.empty() && pending.begin()->first == sim.Now()) {
+            ++stops_mid_batch;
+          }
+          if (model.rng.Bernoulli(0.5)) {
+            model.PushRandom();  // joins the interrupted batch's time
+          }
+        } else {
+          EXPECT_TRUE(model.pending.empty() ||
+                      model.pending.begin()->first > until);
+          if (!model.pending.empty()) {
+            EXPECT_EQ(sim.Now(), until);
+          }
+        }
+      }
+      EXPECT_EQ(sim.calendar_size(), model.pending.size());
+      EXPECT_EQ(sim.PeekNextTime(), model.pending.empty()
+                                        ? Ticks{-1}
+                                        : model.pending.begin()->first);
+    }
+    model.stops_allowed = false;
+    sim.Run(std::numeric_limits<Ticks>::max());
+    EXPECT_TRUE(model.pending.empty());
+    EXPECT_EQ(sim.calendar_size(), 0u);
+    EXPECT_EQ(sim.live_process_count(), 0u);
+    EXPECT_EQ(model.fired, model.next_seq);
+    EXPECT_EQ(model.out_of_order, 0u) << "first: " << model.first_error;
+    EXPECT_GT(model.heap_fallbacks, 0u);
+    EXPECT_GT(model.spawns, 0u);
+  }
+  // The mixes reached the cases the lane/heap split has to get right.
+  EXPECT_GT(stops_mid_batch, 10u);
+  EXPECT_GT(advances, 100u);
 }
 
 Process Waiter(Simulator& sim, Event& event, std::vector<Ticks>& wakeups) {

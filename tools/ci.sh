@@ -8,8 +8,9 @@
 #   3. the oracle suite     (ctest -L oracle — serializability oracle +
 #                            invariant auditor, incl. the broken-protocol
 #                            negative control),
-#   4. the determinism tests (byte-identical replay, serial-vs-parallel
-#      sweeps) as an explicit final gate,
+#   4. the determinism gate: the determinism tests (byte-identical replay,
+#      serial-vs-parallel sweeps, golden digests) and the calendar model
+#      test (random schedules must fire in (when, push order)),
 #   5. a bounded chaos soak (fixed seeds, 3 compound-fault cocktails across
 #      all five protocols) under the same sanitizer, always with --check so
 #      the pipelined verifier rides every soak run,
@@ -94,8 +95,8 @@ ctest --repeat until-fail:20 -L 'substrate|chaos' --output-on-failure \
 step "oracle suite (ctest -L oracle)"
 ctest -L oracle --output-on-failure -j"$jobs"
 
-step "determinism gate"
-ctest -R "Determinism" --output-on-failure -j"$jobs"
+step "determinism gate (determinism tests + calendar model)"
+ctest -R "Determinism|CalendarModel" --output-on-failure -j"$jobs"
 
 step "bounded chaos soak (3 fixed seeds x 5 protocols, oracle on)"
 "$build_dir"/tools/ccsim_run --chaos-soak=3 --seed=1 --jobs="$jobs" --check
