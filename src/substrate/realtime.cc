@@ -175,7 +175,7 @@ std::uint64_t RealtimeSubstrate::Run(sim::Ticks horizon) {
     // for work) never overflows the deadline arithmetic — and retry soon
     // when outbound bytes are still stuck in a full socket buffer.
     const sim::Ticks cap =
-        wall + (flushed ? sim::kTicksPerSecond : sim::Ticks{200});
+        wall + (flushed ? sim::kTicksPerSecond : kStuckFlushRetryTicks);
     if (wake > cap) {
       wake = cap;
     }

@@ -28,9 +28,8 @@ namespace ccsim::substrate {
 /// The loop owns an epoll set. Sockets registered with AddSource() are read
 /// by the loop thread itself between calendar steps, so an inbound frame
 /// goes from recv() to the model's mailbox with no thread hand-off. Other
-/// threads (a client's redial) and signal handlers reach the loop only
-/// through PostControl() and Stop(), which wake it through an eventfd in
-/// the same set.
+/// threads and signal handlers reach the loop only through PostControl()
+/// and Stop(), which wake it through an eventfd in the same set.
 ///
 /// Pacing: between calendar steps the loop waits in epoll_pwait2() with
 /// the next calendar entry as its deadline, so a readable socket, a posted
@@ -41,6 +40,9 @@ class RealtimeSubstrate {
  public:
   /// Next-event distances at or under this (µs) spin instead of sleeping.
   static constexpr sim::Ticks kSpinThresholdTicks = 50;
+  /// While outbound bytes are stuck (a full socket buffer, a connect in
+  /// progress), the loop retries its flush at least this often (µs).
+  static constexpr sim::Ticks kStuckFlushRetryTicks = 200;
 
   explicit RealtimeSubstrate(sim::Simulator* sim);
   ~RealtimeSubstrate();
@@ -98,13 +100,15 @@ class RealtimeSubstrate {
   /// the next fire time, a readable source and a posted thunk.
   std::uint64_t Run(sim::Ticks horizon);
 
+  /// Waits up to `timeout` ticks (0 = just look) for readable sources or a
+  /// wake, runs their callbacks, then any posted thunks. Returns true if
+  /// anything was ready. Run() calls it between calendar steps; before
+  /// Run(), TcpClientTransport::Connect drives its handshake with it.
+  bool Poll(sim::Ticks timeout);
+
   sim::Simulator& sim() { return *sim_; }
 
  private:
-  /// Waits up to `timeout` ticks (0 = just look) for readable sources or a
-  /// wake, runs their callbacks, then any posted thunks. Returns true if
-  /// anything was ready.
-  bool Poll(sim::Ticks timeout);
   /// Waits until wall tick `wake`, a readable source, a thunk, or Stop():
   /// yield-polling when `wake` is close, else one blocking Poll().
   void WaitUntil(sim::Ticks wake);

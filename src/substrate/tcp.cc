@@ -1,7 +1,6 @@
 #include "substrate/tcp.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -25,26 +24,15 @@ namespace {
 /// dozens of frames per syscall.
 constexpr std::size_t kReadChunk = 128 * 1024;
 
-/// recv() exactly `len` bytes (retrying short reads and EINTR). Returns
-/// false on EOF or a hard error.
-bool ReadExact(int fd, std::uint8_t* buf, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::recv(fd, buf + done, len - done, 0);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    return false;  // EOF or error
-  }
-  return true;
-}
+/// The first redial waits this long; each failed attempt doubles the wait
+/// up to kMaxBackoff.
+constexpr sim::Ticks kFirstBackoff = 20 * sim::kTicksPerSecond / 1000;
+constexpr sim::Ticks kMaxBackoff = 200 * sim::kTicksPerSecond / 1000;
 
+/// A non-blocking TCP socket: both ends' loops read and write their
+/// sockets without ever blocking.
 ScopedFd NewTcpSocket(std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     *error = std::string("socket: ") + std::strerror(errno);
     return ScopedFd();
@@ -101,16 +89,6 @@ bool HellosCompatible(const Hello& mine, const Hello& theirs,
   return true;
 }
 
-/// Reads and decodes the peer's Hello (the first frame on the wire).
-bool ReadHello(Connection* conn, Hello* hello, std::string* error) {
-  std::vector<std::uint8_t> body;
-  if (!conn->ReadFrame(&body)) {
-    *error = "connection closed during handshake";
-    return false;
-  }
-  return DecodeHello(body.data(), body.size(), hello, error);
-}
-
 }  // namespace
 
 void ScopedFd::Reset() {
@@ -124,24 +102,6 @@ void ScopedFd::ShutdownBoth() {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_RDWR);
   }
-}
-
-bool Connection::WriteAll(const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n =
-        ::send(fd_.get(), data + done, len - done, MSG_NOSIGNAL);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    dead_ = true;
-    return false;
-  }
-  return true;
 }
 
 bool Connection::QueueMessage(const net::Message& msg,
@@ -187,35 +147,6 @@ void Connection::Abort() {
   fd_.ShutdownBoth();
 }
 
-bool Connection::SendRaw(const std::vector<std::uint8_t>& bytes) {
-  if (dead_) {
-    return false;
-  }
-  return WriteAll(bytes.data(), bytes.size());
-}
-
-bool Connection::ReadFrame(std::vector<std::uint8_t>* body) {
-  std::uint8_t prefix[4];
-  if (!ReadExact(fd_.get(), prefix, sizeof(prefix))) {
-    return false;
-  }
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            static_cast<std::uint32_t>(prefix[1]) << 8 |
-                            static_cast<std::uint32_t>(prefix[2]) << 16 |
-                            static_cast<std::uint32_t>(prefix[3]) << 24;
-  if (len > kMaxFrameBytes) {
-    dead_ = true;
-    return false;
-  }
-  body->resize(len);
-  return len == 0 || ReadExact(fd_.get(), body->data(), len);
-}
-
-void Connection::SetNonBlocking() {
-  const int flags = ::fcntl(fd_.get(), F_GETFL, 0);
-  ::fcntl(fd_.get(), F_SETFL, flags | O_NONBLOCK);
-}
-
 bool Connection::Fill() {
   std::uint8_t* dst = splitter_.WritableData(kReadChunk);
   const ssize_t n = ::recv(fd_.get(), dst, splitter_.writable_size(), 0);
@@ -226,6 +157,27 @@ bool Connection::Fill() {
                      errno == EINTR);
   }
   splitter_.CommitBytes(static_cast<std::size_t>(n));
+  return true;
+}
+
+bool Connection::CheckHello(const Hello& mine, std::string* error) {
+  const std::uint8_t* body = nullptr;
+  std::uint32_t len = 0;
+  const FrameSplitter::Next state = splitter_.NextFrame(&body, &len);
+  if (state == FrameSplitter::Next::kNeedMore) {
+    return true;  // the rest of the Hello is still in flight
+  }
+  if (state == FrameSplitter::Next::kBad) {
+    *error = "connection closed during handshake";
+    return false;
+  }
+  Hello hello;
+  if (!DecodeHello(body, len, &hello, error) ||
+      !HellosCompatible(mine, hello, error)) {
+    return false;
+  }
+  peer_ = hello;
+  has_peer_ = true;
   return true;
 }
 
@@ -262,123 +214,119 @@ bool Connection::Dispatch(RealtimeSubstrate* substrate,
 
 // --- client ---------------------------------------------------------------
 
-std::shared_ptr<Connection> TcpClientTransport::DialAndHandshake(
-    const std::string& host, int port, const Hello& hello,
-    std::string* error, double handshake_timeout_s) {
-  ScopedFd fd = NewTcpSocket(error);
-  if (!fd.valid()) {
-    return nullptr;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (!ResolveV4(host, &addr.sin_addr)) {
-    *error = "cannot resolve host '" + host + "'";
-    return nullptr;
-  }
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    *error = std::string("connect: ") + std::strerror(errno);
-    return nullptr;
-  }
-  if (handshake_timeout_s > 0) {
-    // Bound the handshake recv so a redial racing teardown cannot park the
-    // dial thread forever (Close() joins it).
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(handshake_timeout_s);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (handshake_timeout_s - static_cast<double>(tv.tv_sec)) * 1e6);
-    ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  auto conn = std::make_shared<Connection>(std::move(fd));
-  std::vector<std::uint8_t> frame;
-  EncodeHello(hello, &frame);
-  if (!conn->SendRaw(frame)) {
-    *error = "connection closed during handshake";
-    return nullptr;
-  }
-  Hello server_hello;
-  if (!ReadHello(conn.get(), &server_hello, error)) {
-    *error = error->empty() ? "connection closed during handshake" : *error;
-    return nullptr;
-  }
-  if (!HellosCompatible(hello, server_hello, error)) {
-    return nullptr;
-  }
-  conn->set_peer(server_hello);
-  conn->SetNonBlocking();
-  return conn;
-}
-
 std::unique_ptr<TcpClientTransport> TcpClientTransport::Connect(
     const std::string& host, int port, const Hello& hello,
     RealtimeSubstrate* substrate, std::string* error) {
-  std::shared_ptr<Connection> conn =
-      DialAndHandshake(host, port, hello, error);
-  if (conn == nullptr) {
+  sockaddr_in server{};
+  server.sin_family = AF_INET;
+  server.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (!ResolveV4(host, &server.sin_addr)) {
+    *error = "cannot resolve host '" + host + "'";
     return nullptr;
   }
-  return std::unique_ptr<TcpClientTransport>(new TcpClientTransport(
-      std::move(conn), substrate, host, port, hello));
+  std::unique_ptr<TcpClientTransport> transport(
+      new TcpClientTransport(server, hello, substrate));
+  const auto deadline = std::chrono::steady_clock::now() + kHandshakeTimeout;
+  // The loop's sockets, driven here by hand: the server's Hello arrives
+  // through the connection's source callback, and a failure sets error_.
+  transport->Dial();
+  while (transport->error_.empty() && !transport->conn_->has_peer()) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= decltype(left)::zero()) {
+      transport->error_ = "no Hello from the server within " +
+                          std::to_string(kHandshakeTimeout.count()) + " s";
+      break;
+    }
+    // A Hello still buffered (a connect in progress) is re-flushed on the
+    // loop's stuck-batch cadence.
+    substrate->Poll(
+        transport->Flush()
+            ? std::chrono::duration_cast<std::chrono::microseconds>(left)
+                  .count()
+            : RealtimeSubstrate::kStuckFlushRetryTicks);
+  }
+  if (!transport->conn_->has_peer()) {
+    *error = transport->error_;
+    return nullptr;
+  }
+  return transport;
 }
 
-TcpClientTransport::TcpClientTransport(std::shared_ptr<Connection> conn,
-                                       RealtimeSubstrate* substrate,
-                                       const std::string& host, int port,
-                                       const Hello& hello)
-    : substrate_(substrate), host_(host), port_(port), hello_(hello),
-      page_payload_bytes_(hello.page_payload_bytes) {
-  Adopt(std::move(conn));
+TcpClientTransport::TcpClientTransport(const sockaddr_in& server,
+                                       const Hello& hello,
+                                       RealtimeSubstrate* substrate)
+    : substrate_(substrate), server_(server), hello_(hello) {
+  EncodeHello(hello_, &hello_frame_);
 }
 
 TcpClientTransport::~TcpClientTransport() { Close(); }
 
-void TcpClientTransport::Adopt(std::shared_ptr<Connection> conn) {
+bool TcpClientTransport::Dial() {
   // A fresh Connection brings a fresh FrameSplitter: a mid-frame cut on
   // the old connection cannot corrupt the new stream's framing.
-  conn_ = std::move(conn);
+  conn_ = std::make_unique<Connection>(NewTcpSocket(&error_));
+  if (conn_->fd() < 0) {
+    conn_->MarkDead();
+    return false;
+  }
+  if (::connect(conn_->fd(), reinterpret_cast<const sockaddr*>(&server_),
+                sizeof(server_)) != 0 &&
+      errno != EINPROGRESS) {
+    error_ = std::string("connect: ") + std::strerror(errno);
+    conn_->MarkDead();
+    return false;
+  }
+  conn_->QueueFrame(hello_frame_);
+  if (conn_->Flush() == FrameBuffer::FlushResult::kError) {
+    // On loopback a refused connect fails here; the socket then reads EOF.
+    error_ = std::string("connect: ") + std::strerror(errno);
+  }
   substrate_->AddSource(conn_->fd(), [this] { OnReadable(); });
+  return true;
 }
 
 void TcpClientTransport::OnReadable() {
-  if (conn_->Fill() && conn_->Dispatch(substrate_, page_payload_bytes_,
-                                       &frames_received_, "ccload")) {
+  if (conn_->Fill() && (conn_->has_peer() || Handshake()) &&
+      conn_->Dispatch(substrate_, hello_.page_payload_bytes,
+                      &frames_received_, "ccload")) {
     return;
   }
+  if (!conn_->has_peer() && error_.empty()) {
+    error_ = "connection closed during handshake";
+  }
+  // Poison the connection so Deliver counts queued messages as
+  // disconnected drops.
   substrate_->RemoveSource(conn_->fd());
-  if (!reconnect_) {
-    return;
-  }
-  // Connection lost under an active fault plan: poison it so Deliver
-  // counts queued messages as disconnected drops, then redial. The last
-  // dial thread handed its connection over before exiting.
   conn_->MarkDead();
-  if (dialer_.joinable()) {
-    dialer_.join();
+  if (reconnect_) {
+    ScheduleDial();
   }
-  dialer_ = std::thread([this] { Redial(); });
 }
 
-void TcpClientTransport::Redial() {
-  int backoff_ms = 20;
-  while (!closing_.load(std::memory_order_acquire)) {
-    std::string error;
-    std::shared_ptr<Connection> fresh = DialAndHandshake(
-        host_, port_, hello_, &error, /*handshake_timeout_s=*/2.0);
-    if (fresh != nullptr) {
-      substrate_->PostControl([this, fresh] {
-        Adopt(fresh);
-        reconnects_.fetch_add(1, std::memory_order_relaxed);
-      });
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    backoff_ms = std::min(backoff_ms * 2, 200);
+bool TcpClientTransport::Handshake() {
+  if (!conn_->CheckHello(hello_, &error_)) {
+    return false;
   }
+  if (conn_->has_peer() && backoff_ > 0) {
+    backoff_ = 0;
+    reconnects_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return true;
+}
+
+void TcpClientTransport::ScheduleDial() {
+  backoff_ =
+      backoff_ == 0 ? kFirstBackoff : std::min(2 * backoff_, kMaxBackoff);
+  substrate_->sim().ScheduleAfter(backoff_, [this] {
+    if (!Dial()) {
+      ScheduleDial();
+    }
+  });
 }
 
 void TcpClientTransport::Deliver(const net::Message& msg) {
-  if (!conn_->QueueMessage(msg, page_payload_bytes_)) {
+  if (!conn_->has_peer() ||
+      !conn_->QueueMessage(msg, hello_.page_payload_bytes)) {
     disconnected_drops_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -391,10 +339,6 @@ bool TcpClientTransport::Flush() {
 }
 
 void TcpClientTransport::Close() {
-  closing_.store(true, std::memory_order_release);
-  if (dialer_.joinable()) {
-    dialer_.join();
-  }
   substrate_->RemoveSource(conn_->fd());
   conn_->Shutdown();
 }
@@ -428,8 +372,6 @@ std::unique_ptr<TcpServerTransport> TcpServerTransport::Listen(
     *error = std::string("listen: ") + std::strerror(errno);
     return nullptr;
   }
-  // The loop accepts until EAGAIN.
-  ::fcntl(fd.get(), F_SETFL, ::fcntl(fd.get(), F_GETFL, 0) | O_NONBLOCK);
   socklen_t addr_len = sizeof(addr);
   if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                     &addr_len) != 0) {
@@ -489,20 +431,15 @@ void TcpServerTransport::OnReadable(Connection* conn) {
 }
 
 bool TcpServerTransport::Handshake(Connection* conn) {
-  const std::uint8_t* body = nullptr;
-  std::uint32_t len = 0;
-  const FrameSplitter::Next state = conn->NextFrame(&body, &len);
-  if (state == FrameSplitter::Next::kNeedMore) {
-    return true;  // the rest of the Hello is still in flight
-  }
-  Hello client_hello;
-  std::string error = "connection closed during handshake";
-  if (state == FrameSplitter::Next::kBad ||
-      !DecodeHello(body, len, &client_hello, &error) ||
-      !HellosCompatible(hello_, client_hello, &error)) {
+  std::string error;
+  if (!conn->CheckHello(hello_, &error)) {
     std::fprintf(stderr, "ccserve: rejected connection: %s\n", error.c_str());
     return false;
   }
+  if (!conn->has_peer()) {
+    return true;
+  }
+  const Hello& client_hello = conn->peer();
   if (client_hello.client_lo < 0 ||
       client_hello.client_hi <= client_hello.client_lo ||
       client_hello.client_hi > hello_.num_clients) {
@@ -522,7 +459,6 @@ bool TcpServerTransport::Handshake(Connection* conn) {
       return false;
     }
   }
-  conn->set_peer(client_hello);
   for (int id = client_hello.client_lo; id < client_hello.client_hi; ++id) {
     routes_[id] = conn;
   }
@@ -537,11 +473,9 @@ bool TcpServerTransport::Handshake(Connection* conn) {
 
 void TcpServerTransport::Drop(Connection* conn) {
   substrate_->RemoveSource(conn->fd());
-  for (int id = conn->peer().client_lo; id < conn->peer().client_hi; ++id) {
-    if (routes_[id] == conn) {
-      routes_[id] = nullptr;
-    }
-  }
+  // A rejected peer's range may lie outside the table: scan it whole.
+  std::replace(routes_.begin(), routes_.end(), conn,
+               static_cast<Connection*>(nullptr));
   std::erase(dirty_, conn);
   std::erase_if(conns_, [conn](const std::unique_ptr<Connection>& c) {
     return c.get() == conn;

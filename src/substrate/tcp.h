@@ -1,11 +1,13 @@
 #ifndef CCSIM_SUBSTRATE_TCP_H_
 #define CCSIM_SUBSTRATE_TCP_H_
 
+#include <netinet/in.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/network.h"
@@ -50,14 +52,12 @@ class ScopedFd {
 /// One framed TCP connection: a socket, its peer's Hello, and the
 /// read/write plumbing.
 ///
-/// Threading: a client dials and handshakes (SendRaw/ReadFrame, blocking)
-/// on one thread before handing the connection to its substrate loop; a
-/// server connection is non-blocking from accept() on and its handshake
-/// runs on the server loop. Once on a loop, only the loop thread reads and
-/// writes the connection: Fill() then Dispatch() when epoll reports it
-/// readable, QueueMessage/Flush for the outbound side. Outbound messages
-/// batch into a FrameBuffer and reach the kernel in one vectored,
-/// non-blocking sendmsg per flush.
+/// Threading: the socket is non-blocking from its creation (a client's
+/// connect, a server's accept) on, and only its loop thread reads and
+/// writes it, handshake included: Fill() then CheckHello() and Dispatch()
+/// when epoll reports it readable, QueueFrame/QueueMessage/Flush for the
+/// outbound side. Outbound frames batch into a FrameBuffer and reach the
+/// kernel in one vectored, non-blocking sendmsg per flush.
 class Connection {
  public:
   /// Pending outbound bytes past this mark poison the connection: the
@@ -72,7 +72,7 @@ class Connection {
   bool QueueMessage(const net::Message& msg,
                     std::uint32_t page_payload_bytes);
 
-  /// Appends a pre-encoded frame (a server's Hello reply) to the batch.
+  /// Appends a pre-encoded frame (this end's Hello) to the batch.
   void QueueFrame(const std::vector<std::uint8_t>& frame) {
     buffer_.AppendFrame(frame);
   }
@@ -83,27 +83,18 @@ class Connection {
 
   bool has_pending() const { return buffer_.has_pending(); }
 
-  /// Writes a pre-encoded frame, blocking (handshake only).
-  bool SendRaw(const std::vector<std::uint8_t>& bytes);
-
-  /// Blocking read of one length-prefixed frame body (handshake only).
-  /// Returns false on EOF/error. `body` is reused across calls.
-  bool ReadFrame(std::vector<std::uint8_t>* body);
-
-  /// Ends a client's handshake: the socket turns non-blocking for the loop.
-  void SetNonBlocking();
-
   /// Loop thread: one non-blocking recv() of up to a read chunk into the
   /// connection's FrameSplitter. Returns false once the connection is
   /// finished: EOF or a socket error.
   bool Fill();
 
-  /// Loop thread: peels the next complete received frame (a server reads
-  /// its peer's Hello this way, ahead of Dispatch()).
-  FrameSplitter::Next NextFrame(const std::uint8_t** body,
-                                std::uint32_t* len) {
-    return splitter_.NextFrame(body, len);
-  }
+  /// Loop thread, both ends' one Hello check: once the peer's Hello (the
+  /// first received frame) has fully arrived, decodes it and checks it
+  /// against `mine` (same protocol, database, client count and page size);
+  /// an accepted Hello becomes peer(). Returns false with `error` set on a
+  /// rejection, true otherwise: has_peer() tells an accepted Hello from
+  /// one still in flight. Call ahead of Dispatch() until has_peer().
+  bool CheckHello(const Hello& mine, std::string* error);
 
   /// Loop thread: decodes every complete received frame into a pooled
   /// message and hands it to `substrate`'s sink, in stream order. Returns
@@ -132,14 +123,8 @@ class Connection {
   /// True once the peer's Hello has been accepted.
   bool has_peer() const { return has_peer_; }
   const Hello& peer() const { return peer_; }
-  void set_peer(const Hello& hello) {
-    peer_ = hello;
-    has_peer_ = true;
-  }
 
  private:
-  bool WriteAll(const std::uint8_t* data, std::size_t len);
-
   ScopedFd fd_;
   Hello peer_{};
   bool has_peer_ = false;
@@ -153,36 +138,45 @@ class Connection {
 /// every outbound message into the connection's frame batch (flushed at
 /// each calendar-step boundary via Flush()), and registers the socket as a
 /// source of the shard's RealtimeSubstrate, whose loop thread decodes
-/// inbound frames straight into the handles its mailboxes receive. A
-/// fault-free shard runs on that one thread.
+/// inbound frames straight into the handles its mailboxes receive. It
+/// dials, handshakes and redials on that loop too, so a shard is its loop
+/// thread alone, with or without reconnect.
 class TcpClientTransport : public net::Transport {
  public:
-  /// Connects, exchanges Hellos, and validates the server against `hello`
-  /// (algorithm, database size, client-id range). `host` may be an IPv4
-  /// literal or a resolvable hostname. Returns nullptr with `error` set
-  /// on any failure. Call before `substrate`'s loop starts.
+  /// How long Connect waits for the server's Hello.
+  static constexpr std::chrono::seconds kHandshakeTimeout{2};
+
+  /// Dials the server, sends `hello` and waits, driving `substrate`'s
+  /// sockets with RealtimeSubstrate::Poll (the loop is not running yet),
+  /// until the server's Hello is accepted (same algorithm, database size,
+  /// client count and page size), the connection fails, or
+  /// kHandshakeTimeout passes. `host` may be an IPv4 literal or a
+  /// resolvable hostname. Returns nullptr with `error` set on any failure.
+  /// Call before `substrate`'s loop starts.
   static std::unique_ptr<TcpClientTransport> Connect(
       const std::string& host, int port, const Hello& hello,
       RealtimeSubstrate* substrate, std::string* error);
 
   ~TcpClientTransport() override;
 
-  /// net::Transport: called on the shard loop thread.
+  /// net::Transport: called on the shard loop thread. Until the server's
+  /// Hello is accepted on the live connection, counts a disconnected drop.
   void Deliver(const net::Message& msg) override;
 
   /// net::Transport: flushes the outbound batch (shard loop thread).
   bool Flush() override;
 
-  /// Closes the socket and joins a redial in progress. Call once the
-  /// shard's loop is not running.
+  /// Stops watching the socket and shuts it down. Call once the shard's
+  /// loop is not running; a redial still pending on its calendar is
+  /// dropped unfired when the calendar shuts down.
   void Close();
 
   /// Opts in to redial-on-disconnect: when the loop loses the connection
-  /// it starts one dial thread, which re-dials the server (exponential
-  /// backoff, fresh handshake) and hands the new connection, with its
-  /// fresh FrameSplitter, back to the loop. Off by default so fault-free
-  /// runs keep fail-stop semantics; wiring enables it only when a fault
-  /// plan is active. Call before the substrate starts delivering.
+  /// it schedules a dial on the shard's calendar (backoff 20 ms, doubling
+  /// to 200 ms between failed attempts); the fresh connection, with its
+  /// fresh FrameSplitter, handshakes on the loop. Off by default so
+  /// fault-free runs keep fail-stop semantics; wiring enables it only in
+  /// recovery mode. Call after Connect, before the loop starts.
   void EnableReconnect() { reconnect_ = true; }
 
   /// Hard partition: kills the current connection mid-frame (RST). With
@@ -203,41 +197,42 @@ class TcpClientTransport : public net::Transport {
   }
 
  private:
-  TcpClientTransport(std::shared_ptr<Connection> conn,
-                     RealtimeSubstrate* substrate, const std::string& host,
-                     int port, const Hello& hello);
+  TcpClientTransport(const sockaddr_in& server, const Hello& hello,
+                     RealtimeSubstrate* substrate);
 
-  /// Socket + connect + Hello exchange, leaving the socket non-blocking.
-  /// `handshake_timeout_s` > 0 bounds the handshake recv (redials during
-  /// teardown must not hang Close()).
-  static std::shared_ptr<Connection> DialAndHandshake(
-      const std::string& host, int port, const Hello& hello,
-      std::string* error, double handshake_timeout_s = 0.0);
-
-  /// Loop thread: makes `conn` the live connection and watches its socket.
-  void Adopt(std::shared_ptr<Connection> conn);
-  /// Loop thread: reads the live connection; on its loss, stops watching
-  /// it and, with reconnect enabled, starts the dial thread.
+  /// Loop thread (or Connect): replaces the connection with a fresh one,
+  /// a non-blocking socket whose connect may still be in progress, queues
+  /// this end's Hello first in its batch, flushes it and watches the
+  /// socket. A refused connect fails the first flush or reads as EOF.
+  /// Returns false, with error_ set, when the connect fails at once.
+  bool Dial();
+  /// Loop thread: reads the live connection, checking the server's Hello
+  /// first while it is due. On the connection's loss, stops watching it,
+  /// marks it dead and, with reconnect enabled, schedules the next dial.
   void OnReadable();
-  /// Dial-thread main: redials with backoff until a handshake succeeds
-  /// (handing the connection to the loop) or Close() begins.
-  void Redial();
+  /// Loop thread: checks the server's Hello once it has arrived; a
+  /// redial's accepted Hello counts a reconnect. False on a rejection.
+  bool Handshake();
+  /// Loop thread: dials again after the current backoff, then doubles it.
+  void ScheduleDial();
 
-  /// The live connection. Loop thread only (and Connect/Close, while the
-  /// loop is not running). Shared only so a redial can hand it over in a
-  /// PostControl thunk, which must be copyable.
-  std::shared_ptr<Connection> conn_;
+  /// The live connection, or the one handshaking, or (between a loss and
+  /// the next dial) the dead one. Loop thread only (and Connect/Close,
+  /// while the loop is not running).
+  std::unique_ptr<Connection> conn_;
   RealtimeSubstrate* substrate_;
-  std::string host_;
-  int port_;
+  sockaddr_in server_;
   Hello hello_;
-  std::uint32_t page_payload_bytes_;
+  /// This end's Hello frame, encoded once.
+  std::vector<std::uint8_t> hello_frame_;
   bool reconnect_ = false;
-  std::atomic<bool> closing_{false};
+  /// The wait before the next redial; 0 while no redial is under way.
+  sim::Ticks backoff_ = 0;
+  /// Why the last dial or handshake failed (read by Connect).
+  std::string error_;
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> disconnected_drops_{0};
-  std::thread dialer_;
 };
 
 /// Server side of the wire: a listener plus one Connection per load shard.

@@ -341,10 +341,9 @@ TEST(PerfSmokeTest, WirePathIsAllocationFreeAfterWarmup) {
   // does per connection: queue a batch and flush it, then the loop reads
   // it back and hands every frame to the model.
   int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
   substrate::Connection sender{substrate::ScopedFd(fds[0])};
   substrate::Connection receiver{substrate::ScopedFd(fds[1])};
-  receiver.SetNonBlocking();
 
   net::Message msg;
   msg.type = net::MsgType::kReadReply;

@@ -632,6 +632,47 @@ TEST(LoopSourceTest, SilentPeerDoesNotBlockTheNextHandshake) {
   EXPECT_EQ(server->connections_accepted(), 1u);
 }
 
+// A server that accepts the connection but never answers the Hello must
+// fail the client's Connect within its handshake deadline, not hang it.
+// The "server" is a raw listening socket that is never read: the kernel
+// completes the TCP handshake, and no Hello ever comes back.
+TEST(LoopSourceTest, SilentServerFailsTheConnect) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t addr_len = sizeof(addr);
+  const bool listening =
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0 &&
+      ::listen(listener, 4) == 0 &&
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) == 0;
+  if (!listening) {
+    ::close(listener);
+  }
+  ASSERT_TRUE(listening);
+
+  sim::Simulator client_sim;
+  substrate::RealtimeSubstrate client_sub(&client_sim);
+  substrate::Hello ch = OrderingHello(2);
+  ch.client_lo = 0;
+  ch.client_hi = 2;
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  auto client = substrate::TcpClientTransport::Connect(
+      "127.0.0.1", ntohs(addr.sin_port), ch, &client_sub, &error);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ::close(listener);
+
+  EXPECT_EQ(client, nullptr);
+  EXPECT_FALSE(error.empty());
+  EXPECT_LT(waited, substrate::TcpClientTransport::kHandshakeTimeout +
+                        std::chrono::seconds(1))
+      << "Connect outlived its handshake deadline";
+}
+
 // The server reads a peer's Hello through the connection's own splitter,
 // so frames that arrive behind it in the same segment must still reach
 // the sink: a raw peer sends its Hello and three messages in one send().
@@ -865,6 +906,106 @@ TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
     commits += shard->metrics().commits();
   }
   EXPECT_GT(commits, 0u);
+}
+
+// With the recovery layer on and no wire faults, the bare transport
+// redials on the shard's own loop: a shard whose connection is cut
+// mid-run reconnects once and keeps committing, and no thread beyond the
+// three loops appears at any point.
+TEST(LoopSourceTest, ACutShardRedialsOnItsLoop) {
+  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                      CachingMode::kInterTransaction);
+  cfg.checker.enabled = false;  // the checker's pipeline has its own thread
+  cfg.fault.recovery_enabled = true;
+  std::thread([] {}).join();  // see FaultFreeNodesRunOnTheirLoopThreads
+  const int baseline = EntryCount("/proc/self/task");
+
+  substrate::ServerNode server_node(cfg, cfg.control.seed);
+  std::string error;
+  auto server_tcp = substrate::TcpServerTransport::Listen(
+      0, substrate::MakeHello(cfg), &server_node.substrate(), &error);
+  ASSERT_NE(server_tcp, nullptr) << error;
+  server_node.AttachTransport(server_tcp.get());
+  server_node.Start();
+  std::thread server_loop([&server_node] {
+    server_node.RunLoop(600 * sim::kTicksPerSecond);
+  });
+  runner::ShardSet load;
+  const Status connected =
+      runner::ConnectShards(cfg, "127.0.0.1", server_tcp->port(), 0,
+                            cfg.system.num_clients, 2, &load);
+  if (!connected.ok() || load.shards.size() != 2u) {
+    server_node.substrate().Stop();
+    server_loop.join();
+  }
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  ASSERT_EQ(load.shards.size(), 2u);
+
+  std::vector<std::thread> shard_loops;
+  for (auto& shard : load.shards) {
+    substrate::ClientShard* s = shard.get();
+    shard_loops.emplace_back(
+        [s] { s->RunLoop(0, 600 * sim::kTicksPerSecond); });
+  }
+  const int expected = baseline + 3;  // three loops
+  int tasks = EntryCount("/proc/self/task");
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (tasks != expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    tasks = EntryCount("/proc/self/task");
+  }
+
+  // The cut shard's commits, read on its loop thread.
+  substrate::ClientShard* cut = load.shards[0].get();
+  substrate::TcpClientTransport* cut_tcp = load.transports[0].get();
+  std::atomic<std::uint64_t> commits{0};
+  std::atomic<std::uint64_t> commits_at_cut{0};
+  const auto read_commits = [cut, &commits] {
+    cut->substrate().PostControl(
+        [cut, &commits] { commits.store(cut->metrics().commits()); });
+  };
+  // Polls until `done` or 20 s pass, sampling the process's threads.
+  int stray_samples = 0;
+  const auto wait_for = [&](const auto& done) {
+    deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      read_commits();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      if (EntryCount("/proc/self/task") != expected) {
+        ++stray_samples;
+      }
+    }
+  };
+  wait_for([&commits] { return commits.load() > 0; });
+  cut->substrate().PostControl([cut, cut_tcp, &commits_at_cut] {
+    commits_at_cut.store(cut->metrics().commits());
+    cut_tcp->AbortConnection();
+  });
+  wait_for([&] {
+    return cut_tcp->reconnects() >= 1 && commits_at_cut.load() > 0 &&
+           commits.load() > commits_at_cut.load();
+  });
+
+  for (auto& shard : load.shards) {
+    shard->substrate().Stop();
+  }
+  for (std::thread& t : shard_loops) {
+    t.join();
+  }
+  for (auto& transport : load.transports) {
+    transport->Close();
+  }
+  server_node.substrate().Stop();
+  server_loop.join();
+  server_tcp->Close();
+
+  EXPECT_EQ(tasks, expected) << "threads beyond the loops while running";
+  EXPECT_EQ(stray_samples, 0) << "a thread came and went around the redial";
+  EXPECT_EQ(cut_tcp->reconnects(), 1u);
+  EXPECT_EQ(load.transports[1]->reconnects(), 0u);
+  EXPECT_GT(commits_at_cut.load(), 0u);
+  EXPECT_GT(commits.load(), commits_at_cut.load())
+      << "no commits after the redial";
 }
 
 }  // namespace

@@ -19,7 +19,10 @@
 #      a conservation violation, zero commits, an unclean server shutdown,
 #      or a server whose open descriptors (/proc/PID/fd) do not return
 #      within 2 s of ccload's exit to their count when it wrote its port
-#      (a departed shard's socket left open) fails the leg,
+#      (a departed shard's socket left open) fails the leg; then one
+#      redial leg (2PL, ccserve --recovery): ccload's hard partition cuts a
+#      shard's connection mid-run, and ccload must exit 0 having redialed
+#      (`transport   : reconnects N`, N >= 1),
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
 #      partition, one client crash + restart, and one server crash +
@@ -101,7 +104,7 @@ ctest -R "Determinism|CalendarModel" --output-on-failure -j"$jobs"
 step "bounded chaos soak (3 fixed seeds x 5 protocols, oracle on)"
 "$build_dir"/tools/ccsim_run --chaos-soak=3 --seed=1 --jobs="$jobs" --check
 
-step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on)"
+step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on; 2PL redial leg)"
 # One fresh server per protocol: a poisoned server state from one run must
 # not be able to mask (or cause) a failure in the next. ccload exits
 # non-zero on zero commits, lost transactions, or a conservation
@@ -109,11 +112,16 @@ step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on)"
 # propagates both. Within 2 s of ccload's exit ccserve's open descriptors
 # fall back to at most their count when it wrote its port (the port
 # file's own descriptor may still have been open then).
-for algo in 2pl cert callback no-wait no-wait-notify; do
+# start_ccserve ALGO [FLAG...]: starts ccserve in the background (pid in
+# serve_pid) and waits until it has written its port to port_file.
+start_ccserve() {
+  local algo="$1"
+  shift
   port_file="$build_dir/ccserve.$algo.port"
   rm -f "$port_file"
   "$build_dir"/tools/ccserve --algorithm="$algo" --clients=8 --port=0 \
-      --port-file="$port_file" --check --duration=$((smoke_secs + 60)) &
+      --port-file="$port_file" --check --duration=$((smoke_secs + 60)) \
+      "$@" &
   serve_pid=$!
   for _ in $(seq 100); do
     [[ -s "$port_file" ]] && break
@@ -124,6 +132,9 @@ for algo in 2pl cert callback no-wait no-wait-notify; do
     kill "$serve_pid" 2>/dev/null || true
     exit 1
   fi
+}
+for algo in 2pl cert callback no-wait no-wait-notify; do
+  start_ccserve "$algo"
   fds_before=$(ls /proc/"$serve_pid"/fd | wc -l)
   "$build_dir"/tools/ccload --port-file="$port_file" --algorithm="$algo" \
       --clients=8 --duration="$smoke_secs" --warmup=1
@@ -141,6 +152,20 @@ for algo in 2pl cert callback no-wait no-wait-notify; do
   kill -TERM "$serve_pid" 2>/dev/null || true
   wait "$serve_pid"
 done
+# The redial leg: the shard whose connection the partition cuts redials
+# on its loop and finishes clean.
+start_ccserve 2pl --recovery
+redial_log="$build_dir/ccload.redial.log"
+"$build_dir"/tools/ccload --port-file="$port_file" --algorithm=2pl \
+    --clients=8 --duration=4 --partition=0:2.0:0.3:hard | tee "$redial_log"
+kill -TERM "$serve_pid" 2>/dev/null || true
+wait "$serve_pid"
+reconnects=$(sed -n 's/^transport *: reconnects \([0-9]*\).*/\1/p' \
+    "$redial_log")
+if (( ${reconnects:-0} < 1 )); then
+  echo "FAIL: no shard redialed after the hard partition"
+  exit 1
+fi
 
 step "real-substrate chaos cocktail (5 protocols, drop+dup+spike+hard-partition+crashes)"
 # The wire-level fault plan from DESIGN.md §5c on real threads + TCP:
