@@ -11,9 +11,13 @@
 
 namespace ccsim::fault {
 
+/// PCG stream of a node's fault draws: message, spike and storage faults
+/// alike, on either substrate.
+inline constexpr std::uint64_t kFaultStream = 0xFA17;
+
 /// Draws per-message fault outcomes from a FaultPlan and tracks which nodes
 /// are currently down (crash windows). The network consults the injector at
-/// send and delivery time; the experiment runner drives SetDown() from the
+/// send and delivery time; substrate::Assembly drives SetDown() from the
 /// plan's crash schedule.
 ///
 /// Determinism: the injector owns a dedicated PCG stream, so attaching an
@@ -28,8 +32,6 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  const FaultPlan& plan() const { return plan_; }
-
   /// Fault draw for one message on src -> dst. Counts drops/duplicates.
   SendOutcome DrawSendOutcome(int src, int dst);
 
@@ -40,7 +42,6 @@ class FaultInjector {
   /// Crash-window bookkeeping. A down node sends and receives nothing.
   void SetDown(int node, bool down);
   bool IsDown(int node) const { return down_.count(node) > 0; }
-  bool AnyDown() const { return !down_.empty(); }
 
   /// Partition-window bookkeeping: cuts (or heals) the client/server link
   /// of `node` in the given direction(s). The experiment runner drives this

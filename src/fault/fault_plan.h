@@ -85,12 +85,9 @@ struct FaultPlan {
   std::vector<PartitionWindow> partitions;
   StorageFaults storage;
 
-  bool Any() const { return AnyWireFaults() || storage.Any(); }
-
-  /// True when message faults, crash windows or partitions are planned:
-  /// the families a real substrate's WireFaultAdapter handles.
-  bool AnyWireFaults() const {
-    if (link.Any() || !crashes.empty() || !partitions.empty()) {
+  bool Any() const {
+    if (link.Any() || !crashes.empty() || !partitions.empty() ||
+        storage.Any()) {
       return true;
     }
     for (const auto& [key, faults] : per_link) {

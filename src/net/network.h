@@ -16,9 +16,10 @@ namespace ccsim::net {
 
 /// Pluggable message carrier for the real substrate. When installed on a
 /// Network, Send() hands every message to the transport instead of the
-/// simulated medium: framing, loss, and latency become the carrier's
-/// problem (TCP over loopback/LAN in practice). Delivery back into a node
-/// goes through its substrate's injection queue, never through this class.
+/// simulated medium: framing and latency become the carrier's problem (TCP
+/// over loopback/LAN in practice), while planned faults stay the
+/// Network's. Messages the carrier brings in reach the node through
+/// Network::Receive.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -71,24 +72,31 @@ class Network {
   }
 
   /// Attaches a real transport (nullptr = simulated medium, the default).
-  /// With a transport installed, Send() bypasses the medium, the CPU
-  /// charges, and the fault injector entirely: the wire is real, so its
-  /// costs and failures are real too.
+  /// With a transport installed, Send() bypasses the medium and the CPU
+  /// charges (the wire is real, so its costs are real too) but applies the
+  /// fault injector as the medium path does; a delay spike holds the
+  /// message on this network's calendar before the transport gets it.
   void set_transport(Transport* transport) { transport_ = transport; }
   Transport* transport() { return transport_; }
 
   /// Attaches a fault injector (nullptr = perfect network, the default).
-  /// The hook costs nothing when unset: Send/TransferAndDeliver touch the
-  /// injector only through this pointer.
+  /// The hook costs nothing when unset: Send, TransferAndDeliver and
+  /// Receive touch the injector only through this pointer.
   void set_fault_injector(fault::FaultInjector* injector) {
     injector_ = injector;
   }
-  fault::FaultInjector* fault_injector() { return injector_; }
 
   /// Sends a message: the caller pays the send-side CPU cost, then transfer
   /// and delivery proceed asynchronously. The handle travels on into the
   /// destination inbox; only a duplicating fault copies the message.
   sim::Task<void> Send(MessagePtr msg);
+
+  /// Hands an arrived message to its destination's inbox, unless the
+  /// in-flight rule kills it (Arrives). The medium path ends here; on the
+  /// real substrate the transport's inbound frames come here. A message
+  /// for a node with no endpoint on this network came from outside the
+  /// program and is dropped.
+  void Receive(MessagePtr msg);
 
   sim::Resource& medium() { return medium_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
@@ -103,7 +111,13 @@ class Network {
   }
 
  private:
+  /// Carries one copy that survived the send-side draws: over the
+  /// medium, or to the transport after its spike draw.
+  void Transfer(MessagePtr msg, int packets);
   sim::Process TransferAndDeliver(MessagePtr msg, int packets);
+  /// The in-flight rule: a message whose receiver is down, or whose link
+  /// is cut, dies in transit (counted). True when it may be delivered.
+  bool Arrives(const Message& msg);
 
   /// The endpoint registered for `node`, or nullptr. Callers copy it
   /// before awaiting: a registration may grow the table meanwhile.

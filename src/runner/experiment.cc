@@ -1,22 +1,16 @@
 #include "runner/experiment.h"
 
 #include <chrono>
-#include <memory>
 
 #include "client/client.h"
-#include "fault/fault_injector.h"
 #include "net/network.h"
 #include "server/server.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "storage/disk.h"
 #include "substrate/node.h"
 
 namespace ccsim::runner {
 namespace {
-
-/// RNG stream of the fault injector's draws.
-constexpr std::uint64_t kFaultStream = 0xFA17;
 
 double MeanUtilization(const std::vector<storage::Disk*>& disks,
                        sim::Ticks now) {
@@ -65,19 +59,9 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   server::Server& server = *nodes.server;
   Metrics& metrics = nodes.metrics;
 
-  // Fault injection: attach an injector only when the config asks for
-  // faults, so fault-free runs keep a null hook (and the exact calendar of
-  // a build without the fault subsystem).
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (config.fault.AnyFaults()) {
-    const fault::FaultPlan plan = fault::MakePlan(config.fault);
-    injector = std::make_unique<fault::FaultInjector>(
-        plan, sim::Pcg32(seed, kFaultStream));
-    nodes.network.set_fault_injector(injector.get());
-    // The DES has no TCP connection to sever.
-    nodes.PlantFaultWindows(plan, injector.get(), {});
-    server.log().set_fault_injector(injector.get());
-  }
+  // Fault-free runs keep a null hook (and the exact calendar of a build
+  // without the fault subsystem). The DES has no TCP connection to sever.
+  nodes.InjectFaults(seed, {});
 
   nodes.Start();
 
@@ -119,7 +103,7 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
   // which is what makes the pipelined counters byte-identical to the
   // synchronous mode's.
   result.oracle_enabled = nodes.FinalizeChecker();
-  AddNodeCounters(nodes.counter_sources(injector.get()), &result);
+  AddNodeCounters(nodes.counter_sources(), &result);
   result.stalled = stalled;
   result.measured_seconds = sim::TicksToSeconds(now - window_start);
   result.wall_seconds = wall_seconds;

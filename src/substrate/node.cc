@@ -14,11 +14,6 @@
 namespace ccsim::substrate {
 namespace {
 
-/// Storage-fault draws get their own stream (distinct from the wire-fault
-/// adapter's kWireFaultStream) so log forces and message faults stay
-/// deterministic independently of each other.
-constexpr std::uint64_t kStorageFaultStream = 0xFA18;
-
 /// Server crash-restart: replays the log, then marks the server up in
 /// `injector` so its traffic flows again.
 sim::Process RecoverServer(server::Server* server,
@@ -110,9 +105,25 @@ void Assembly::Audit() const {
   }
 }
 
+void Assembly::InjectFaults(std::uint64_t fault_seed,
+                            const FaultHooks& hooks) {
+  if (!config.fault.AnyFaults()) {
+    return;
+  }
+  CCSIM_CHECK_MSG(injector == nullptr, "faults injected twice");
+  fault::FaultPlan plan = fault::MakePlan(config.fault);
+  injector = std::make_unique<fault::FaultInjector>(
+      plan, sim::Pcg32(fault_seed, fault::kFaultStream));
+  network.set_fault_injector(injector.get());
+  if (server != nullptr) {
+    server->log().set_fault_injector(injector.get());
+  }
+  PlantFaultWindows(plan, hooks);
+}
+
 void Assembly::PlantFaultWindows(const fault::FaultPlan& plan,
-                                 fault::FaultInjector* injector,
                                  const FaultHooks& hooks) {
+  fault::FaultInjector* injector = this->injector.get();
   for (const fault::CrashWindow& crash : plan.crashes) {
     const sim::Ticks up_at = crash.at + crash.downtime;
     if (crash.node == net::kServerNode && server != nullptr) {
@@ -204,20 +215,24 @@ Hello MakeHello(const config::ExperimentConfig& config) {
 RealNode::RealNode(const config::ExperimentConfig& config, std::uint64_t seed,
                    bool with_server, int lo, int hi, const std::string& where)
     : seed_(seed), substrate_(&sim_),
-      nodes_(&sim_, config, seed, with_server, lo, hi, where) {}
+      nodes_(&sim_, config, seed, with_server, lo, hi, where) {
+  InstallInboundFilter(nullptr);
+}
 
-void RealNode::Route(net::Transport* transport, std::uint64_t seed,
+void RealNode::InstallInboundFilter(
+    std::function<bool(const net::Message&)> filter) {
+  net::Network* network = &nodes_.network;
+  substrate_.set_message_sink(
+      [network, filter = std::move(filter)](net::MessagePtr msg) {
+        if (!filter || filter(*msg)) {
+          network->Receive(std::move(msg));
+        }
+      });
+}
+
+void RealNode::Route(net::Transport* transport, std::uint64_t fault_seed,
                      const FaultHooks& hooks) {
-  const fault::FaultPlan plan = fault::MakePlan(nodes_.config.fault);
-  if (plan.AnyWireFaults()) {
-    adapter_ = std::make_unique<WireFaultAdapter>(plan, seed, &substrate_,
-                                                  transport);
-    WireFaultAdapter* ad = adapter_.get();
-    InstallInboundFilter(
-        [ad](const net::Message& msg) { return ad->AllowInbound(msg); });
-    nodes_.PlantFaultWindows(plan, &ad->injector(), hooks);
-    transport = ad;
-  }
+  nodes_.InjectFaults(fault_seed, hooks);
   nodes_.network.set_transport(transport);
   substrate_.set_flush_hook([transport] { return transport->Flush(); });
 }
@@ -227,17 +242,7 @@ void RealNode::Route(net::Transport* transport, std::uint64_t seed,
 ServerNode::ServerNode(const config::ExperimentConfig& config,
                        std::uint64_t seed)
     : RealNode(config, seed, /*with_server=*/true, 0, 0,
-               " (real substrate)") {
-  fault::FaultPlan plan = fault::MakePlan(config.fault);
-  if (plan.storage.Any()) {
-    // Torn writes / bit flips happen inside log forces, which run on this
-    // node's loop thread only — a plain injector is safe here.
-    storage_injector_ = std::make_unique<fault::FaultInjector>(
-        std::move(plan), sim::Pcg32(seed, kStorageFaultStream));
-    nodes_.server->log().set_fault_injector(storage_injector_.get());
-  }
-  InstallInboundFilter(nullptr);
-}
+               " (real substrate)") {}
 
 void ServerNode::AttachTransport(TcpServerTransport* transport) {
   // A real crash takes the TCP endpoints with it: sever every connection
@@ -247,26 +252,13 @@ void ServerNode::AttachTransport(TcpServerTransport* transport) {
          [transport](int node) { transport->SeverClient(node); }});
 }
 
-void ServerNode::InstallInboundFilter(
-    std::function<bool(const net::Message&)> filter) {
-  server::Server* srv = nodes_.server.get();
-  substrate_.set_message_sink(
-      [srv, filter = std::move(filter)](net::MessagePtr msg) {
-        if (!filter || filter(*msg)) {
-          srv->inbox().Push(std::move(msg));
-        }
-      });
-}
-
 // --- ClientShard ----------------------------------------------------------
 
 ClientShard::ClientShard(const config::ExperimentConfig& config,
                          std::uint64_t seed, int client_lo, int client_hi)
     : RealNode(config, seed, /*with_server=*/false, client_lo, client_hi,
                ""),
-      client_lo_(client_lo), client_hi_(client_hi) {
-  InstallInboundFilter(nullptr);
-}
+      client_lo_(client_lo), client_hi_(client_hi) {}
 
 void ClientShard::AttachTransport(TcpClientTransport* transport,
                                   int index) {
@@ -278,25 +270,9 @@ void ClientShard::AttachTransport(TcpClientTransport* transport,
   // The shard's loop epoch starts a connection-setup interval after the
   // server's, so mirrored partition windows land within scheduling noise
   // of the server's copies. A crashed client needs no wire action: the
-  // adapter drops its traffic both ways while it is down.
+  // shard's network drops its traffic both ways while it is down.
   Route(transport, seed_ + 1 + static_cast<std::uint64_t>(index),
         {nullptr, [transport](int) { transport->AbortConnection(); }});
-}
-
-void ClientShard::InstallInboundFilter(
-    std::function<bool(const net::Message&)> filter) {
-  auto* clients = &nodes_.clients;
-  const int lo = client_lo_;
-  const int hi = client_hi_;
-  substrate_.set_message_sink(
-      [clients, lo, hi, filter = std::move(filter)](net::MessagePtr msg) {
-        // A stray frame from a confused peer is not ours.
-        if (msg->dst < lo || msg->dst >= hi || (filter && !filter(*msg))) {
-          return;
-        }
-        const std::size_t index = static_cast<std::size_t>(msg->dst - lo);
-        (*clients)[index]->inbox().Push(std::move(msg));
-      });
 }
 
 std::uint64_t ClientShard::RunLoop(sim::Ticks warmup, sim::Ticks duration) {

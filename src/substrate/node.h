@@ -17,7 +17,6 @@
 #include "runner/metrics.h"
 #include "server/server.h"
 #include "sim/simulator.h"
-#include "substrate/faulty_transport.h"
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
 #include "substrate/wire.h"
@@ -62,21 +61,13 @@ class Assembly {
   Assembly(const Assembly&) = delete;
   Assembly& operator=(const Assembly&) = delete;
 
-  /// The one fault-wiring routine of both substrates: plants the crash
-  /// windows in `plan` of the nodes on this calendar, then the partition
-  /// windows of every link with an end here, driving `injector`.
-  ///  - Server crash: SetDown, `hooks.server_crash`, Server::Crash; the
-  ///    restart replays the log, then marks the server up.
-  ///  - Client crash: SetDown, Client::Crash; the restart is
-  ///    SetDown(false), Client::Recover.
-  ///  - Partition: cut the link, heal it; a hard one also calls
-  ///    `hooks.hard_partition(node)` at its start.
-  /// Plan ticks are simulated time on the DES and wall µs since the loop
-  /// epoch on the real substrate, so there this runs before the loop
-  /// thread starts.
-  void PlantFaultWindows(const fault::FaultPlan& plan,
-                         fault::FaultInjector* injector,
-                         const FaultHooks& hooks);
+  /// The one fault-wiring routine of both substrates. When the config
+  /// plans any fault, builds this calendar's injector, drawing from
+  /// `fault_seed`'s fault::kFaultStream, hooks it to the network and to
+  /// the server's log, and plants its windows (PlantFaultWindows). A
+  /// fault-free config leaves every hook null. Call once, before Start();
+  /// on the real substrate, before the loop thread starts.
+  void InjectFaults(std::uint64_t fault_seed, const FaultHooks& hooks);
 
   /// Spawns the server's dispatcher, then every client's processes.
   void Start();
@@ -86,8 +77,9 @@ class Assembly {
   bool FinalizeChecker();
 
   /// Everything this calendar counts, for runner::AddNodeCounters.
-  runner::NodeSources counter_sources(const fault::FaultInjector* injector) {
-    return {&metrics, server.get(), &network, injector, checker.get()};
+  runner::NodeSources counter_sources() {
+    return {&metrics, server.get(), &network, injector.get(),
+            checker.get()};
   }
 
   const config::ExperimentConfig config;
@@ -97,8 +89,23 @@ class Assembly {
   std::unique_ptr<server::Server> server;
   std::vector<std::unique_ptr<client::Client>> clients;
   std::unique_ptr<check::Checker> checker;
+  /// The calendar's one fault injector; null while no fault is planned.
+  std::unique_ptr<fault::FaultInjector> injector;
 
  private:
+  /// Plants the crash windows in `plan` of the nodes on this calendar,
+  /// then the partition windows of every link with an end here, driving
+  /// the injector.
+  ///  - Server crash: SetDown, `hooks.server_crash`, Server::Crash; the
+  ///    restart replays the log, then marks the server up.
+  ///  - Client crash: SetDown, Client::Crash; the restart is
+  ///    SetDown(false), Client::Recover.
+  ///  - Partition: cut the link, heal it; a hard one also calls
+  ///    `hooks.hard_partition(node)` at its start.
+  /// Plan ticks are simulated time on the DES and wall µs since the loop
+  /// epoch on the real substrate.
+  void PlantFaultWindows(const fault::FaultPlan& plan,
+                         const FaultHooks& hooks);
   /// Client `node`, or null when it lives on another calendar.
   client::Client* FindClient(int node) const;
   /// The checker's structural audit of the nodes on this calendar.
@@ -109,8 +116,8 @@ class Assembly {
 };
 
 /// What ServerNode and ClientShard share: a wall-clock loop around the
-/// node's own calendar, the Assembly on it, and, when the plan has wire
-/// faults, the WireFaultAdapter its transport is routed through.
+/// node's own calendar and the Assembly on it, whose network takes the
+/// node's inbound messages from the loop and applies the node's faults.
 class RealNode {
  public:
   RealNode(const RealNode&) = delete;
@@ -120,22 +127,18 @@ class RealNode {
   /// (AttachTransport, or by hand on network()).
   void Start() { nodes_.Start(); }
 
-  /// Interposes `filter` between the transport and the node's inboxes:
-  /// messages for which it returns false are discarded. Used by the wire
-  /// fault adapter to enforce crash/partition windows on inbound traffic;
-  /// a null filter (the default) admits everything. Call before the loop
-  /// starts; the filter runs on the loop thread.
-  virtual void InstallInboundFilter(
-      std::function<bool(const net::Message&)> filter) = 0;
+  /// Interposes `filter` between the transport and the node's network:
+  /// messages for which it returns false are discarded before
+  /// net::Network::Receive sees them; a null filter (the default) admits
+  /// everything. Call before the loop starts; the filter runs on the loop
+  /// thread.
+  void InstallInboundFilter(std::function<bool(const net::Message&)> filter);
 
   RealtimeSubstrate& substrate() { return substrate_; }
   net::Network& network() { return nodes_.network; }
   runner::Metrics& metrics() { return nodes_.metrics; }
   /// Everything this node counts, for runner::AddNodeCounters.
-  runner::NodeSources counter_sources() {
-    return nodes_.counter_sources(adapter_ != nullptr ? &adapter_->injector()
-                                                      : nullptr);
-  }
+  runner::NodeSources counter_sources() { return nodes_.counter_sources(); }
 
  protected:
   RealNode(const config::ExperimentConfig& config, std::uint64_t seed,
@@ -144,18 +147,16 @@ class RealNode {
   /// they reference are alive (same discipline as the DES harness).
   virtual ~RealNode() { sim_.Shutdown(); }
 
-  /// Routes the node's traffic over `transport`. When the plan has wire
-  /// faults, a WireFaultAdapter seeded `seed` is interposed on both
-  /// directions and the node's fault windows are planted with `hooks`;
-  /// fault-free runs keep the bare transport and sink.
-  void Route(net::Transport* transport, std::uint64_t seed,
+  /// Routes the node's traffic over `transport` and, when the plan has
+  /// faults, injects them (Assembly::InjectFaults with `fault_seed` and
+  /// `hooks`).
+  void Route(net::Transport* transport, std::uint64_t fault_seed,
              const FaultHooks& hooks);
 
   std::uint64_t seed_;
   sim::Simulator sim_;
   RealtimeSubstrate substrate_;
   Assembly nodes_;
-  std::unique_ptr<WireFaultAdapter> adapter_;
 };
 
 /// A real page server: the unchanged server::Server (buffer pool, lock
@@ -166,10 +167,11 @@ class ServerNode : public RealNode {
  public:
   ServerNode(const config::ExperimentConfig& config, std::uint64_t seed);
 
-  /// Routes the server's traffic over `transport`. With wire faults, the
-  /// server's crash windows and every partition window are planted: a
+  /// Routes the server's traffic over `transport`. With faults planned,
+  /// the server's crash windows and every partition window are planted (a
   /// crash also severs every connection, a hard partition the client's
-  /// connection. Call once, before Start().
+  /// connection), and storage faults reach the log. Call once, before
+  /// Start().
   void AttachTransport(TcpServerTransport* transport);
 
   /// Runs the event loop on the calling thread until Stop()/horizon.
@@ -178,14 +180,8 @@ class ServerNode : public RealNode {
   /// See Assembly::FinalizeChecker.
   bool FinalizeChecker() { return nodes_.FinalizeChecker(); }
 
-  void InstallInboundFilter(
-      std::function<bool(const net::Message&)> filter) override;
-
   server::Server& server() { return *nodes_.server; }
   check::Checker* checker() { return nodes_.checker.get(); }
-
- private:
-  std::unique_ptr<fault::FaultInjector> storage_injector_;
 };
 
 /// A slice of the client population — global ids [client_lo, client_hi) —
@@ -202,17 +198,14 @@ class ClientShard : public RealNode {
 
   /// Routes the shard's traffic over `transport`, the shard numbered
   /// `index` within its process. With the recovery layer on, the
-  /// transport redials a lost connection. With wire faults, the crash and
-  /// partition windows of the shard's clients are planted (a hard
+  /// transport redials a lost connection. With faults planned, the crash
+  /// and partition windows of the shard's clients are planted (a hard
   /// partition aborts the connection). Call once, before Start().
   void AttachTransport(TcpClientTransport* transport, int index);
 
   /// Runs the event loop on the calling thread for `duration` wall ticks,
   /// resetting the stats window after `warmup` ticks.
   std::uint64_t RunLoop(sim::Ticks warmup, sim::Ticks duration);
-
-  void InstallInboundFilter(
-      std::function<bool(const net::Message&)> filter) override;
 
   int client_lo() const { return client_lo_; }
   int client_hi() const { return client_hi_; }

@@ -49,8 +49,9 @@ class RealtimeSubstrate {
   RealtimeSubstrate(const RealtimeSubstrate&) = delete;
   RealtimeSubstrate& operator=(const RealtimeSubstrate&) = delete;
 
-  /// Routes inbound messages into the model (typically a Mailbox::Push on
-  /// the destination's inbox). Runs on the loop thread.
+  /// Routes inbound messages into the model (a node's net::Network::Receive,
+  /// which pushes each onto its destination's inbox). Runs on the loop
+  /// thread.
   void set_message_sink(std::function<void(net::MessagePtr)> sink) {
     sink_ = std::move(sink);
   }

@@ -29,6 +29,10 @@ constexpr std::size_t kReadChunk = 128 * 1024;
 constexpr sim::Ticks kFirstBackoff = 20 * sim::kTicksPerSecond / 1000;
 constexpr sim::Ticks kMaxBackoff = 200 * sim::kTicksPerSecond / 1000;
 
+/// kHandshakeTimeout on the loop's calendar.
+constexpr sim::Ticks kHandshakeTicks =
+    kHandshakeTimeout.count() * sim::kTicksPerSecond;
+
 /// A non-blocking TCP socket: both ends' loops read and write their
 /// sockets without ever blocking.
 ScopedFd NewTcpSocket(std::string* error) {
@@ -407,9 +411,25 @@ void TcpServerTransport::Accept() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    conns_.push_back(std::make_unique<Connection>(ScopedFd(fd)));
+    conns_.push_back(std::make_shared<Connection>(ScopedFd(fd)));
     Connection* conn = conns_.back().get();
     substrate_->AddSource(fd, [this, conn] { OnReadable(conn); });
+    // The loop reads its sockets before it advances the calendar, so the
+    // clock may trail the wall here: the deadline counts from the wall.
+    // The entry holds the connection weakly, so one freed before it fires
+    // (and any new one at its address) is left alone.
+    sim::Simulator& calendar = substrate_->sim();
+    const sim::Ticks due =
+        std::max(calendar.Now(), substrate_->WallTicks()) + kHandshakeTicks;
+    calendar.ScheduleAt(due, [this, weak = std::weak_ptr(conns_.back())] {
+      const std::shared_ptr<Connection> late = weak.lock();
+      if (late != nullptr && !late->has_peer()) {
+        std::fprintf(stderr,
+                     "ccserve: rejected connection: no Hello within %lld s\n",
+                     static_cast<long long>(kHandshakeTimeout.count()));
+        Drop(late.get());
+      }
+    });
   }
 }
 
@@ -477,7 +497,7 @@ void TcpServerTransport::Drop(Connection* conn) {
   std::replace(routes_.begin(), routes_.end(), conn,
                static_cast<Connection*>(nullptr));
   std::erase(dirty_, conn);
-  std::erase_if(conns_, [conn](const std::unique_ptr<Connection>& c) {
+  std::erase_if(conns_, [conn](const std::shared_ptr<Connection>& c) {
     return c.get() == conn;
   });
 }

@@ -16,6 +16,10 @@
 
 namespace ccsim::substrate {
 
+/// How long either end waits for its peer's Hello: a client's Connect for
+/// the server's, the server for each accepted peer's.
+inline constexpr std::chrono::seconds kHandshakeTimeout{2};
+
 /// Owning POSIX file descriptor.
 class ScopedFd {
  public:
@@ -143,9 +147,6 @@ class Connection {
 /// thread alone, with or without reconnect.
 class TcpClientTransport : public net::Transport {
  public:
-  /// How long Connect waits for the server's Hello.
-  static constexpr std::chrono::seconds kHandshakeTimeout{2};
-
   /// Dials the server, sends `hello` and waits, driving `substrate`'s
   /// sockets with RealtimeSubstrate::Poll (the loop is not running yet),
   /// until the server's Hello is accepted (same algorithm, database size,
@@ -242,7 +243,8 @@ class TcpClientTransport : public net::Transport {
 /// The server loop runs every connection's whole life: it accepts, reads
 /// the peer's Hello through the connection's splitter (a stalled peer's
 /// half-read Hello blocks no one), registers its routes, queues the reply
-/// first in its batch, and frees it at EOF or Close(). Connections come
+/// first in its batch, and frees it at EOF, at Close(), or when no Hello
+/// has arrived kHandshakeTimeout after the accept. Connections come
 /// and go (ccload runs end while ccserve stays up): messages to a
 /// departed client are counted and dropped, exactly like a crashed
 /// workstation.
@@ -303,7 +305,8 @@ class TcpServerTransport : public net::Transport {
   TcpServerTransport(ScopedFd listen_fd, int port, const Hello& hello,
                      RealtimeSubstrate* substrate);
 
-  /// Loop thread: accepts every pending connection and watches it.
+  /// Loop thread: accepts every pending connection, watches it and puts
+  /// its handshake deadline on the loop's calendar.
   void Accept();
   /// Loop thread: reads `conn`; handshakes it first if its Hello is still
   /// due; drops it once it is finished.
@@ -324,7 +327,8 @@ class TcpServerTransport : public net::Transport {
 
   /// Everything below is loop-thread state (or touched after the loop has
   /// returned).
-  std::vector<std::unique_ptr<Connection>> conns_;
+  /// Shared only so a handshake deadline can hold its connection weakly.
+  std::vector<std::shared_ptr<Connection>> conns_;
   /// client id -> the connection that registered it (indexed by id).
   std::vector<Connection*> routes_;
   /// Connections with queued outbound bytes, awaiting Flush().

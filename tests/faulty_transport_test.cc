@@ -1,17 +1,15 @@
-// Wire-level fault injection at the net::Transport seam (DESIGN.md §5c):
+// The wire under connection faults (DESIGN.md §5c):
 //
-//   - WireFaultAdapter applies drop/duplicate/delay-spike draws to whole
-//     messages (= whole frames once encoded), preserving per-connection
-//     FIFO for everything that survives;
-//   - partition and crash windows black-hole traffic directionally, on
-//     both the outbound (Deliver) and inbound (AllowInbound) sides, and
-//     are re-checked when a delay-spiked message is released;
 //   - FrameSplitter treats a mid-frame connection cut as "need more
 //     bytes", never as a bogus frame, and a fresh splitter (what a
 //     reconnect gets) resyncs on the re-sent stream;
 //   - TcpServerTransport::DrainOrPoison either completes an interrupted
 //     flush or poisons the dirty connections within its deadline — a
 //     SIGTERM mid-flush cannot wedge shutdown or emit a torn frame.
+//
+// The planned message faults (drop, duplicate, delay spike, crash and
+// partition windows) act in net::Network on both substrates; their wire
+// cases are in network_test.cc.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -28,34 +26,16 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "substrate/faulty_transport.h"
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
 #include "substrate/wire.h"
 
 namespace ccsim {
 namespace {
-
-/// Downstream transport that records what the adapter lets through.
-class RecordingTransport : public net::Transport {
- public:
-  void Deliver(const net::Message& msg) override {
-    delivered.push_back(msg);
-  }
-  bool Flush() override {
-    ++flushes;
-    return true;
-  }
-
-  std::vector<net::Message> delivered;
-  int flushes = 0;
-};
 
 net::Message SeqMessage(std::uint64_t seq, int src = 0,
                         int dst = net::kServerNode) {
@@ -65,158 +45,6 @@ net::Message SeqMessage(std::uint64_t seq, int src = 0,
   msg.dst = dst;
   msg.seq = seq;
   return msg;
-}
-
-struct AdapterHarness {
-  explicit AdapterHarness(fault::FaultPlan plan, std::uint64_t seed = 7)
-      : substrate(&sim), adapter(std::move(plan), seed, &substrate, &next) {}
-
-  sim::Simulator sim;
-  substrate::RealtimeSubstrate substrate;
-  RecordingTransport next;
-  substrate::WireFaultAdapter adapter;
-};
-
-TEST(WireFaultAdapterTest, DuplicatesArriveBackToBack) {
-  fault::FaultPlan plan;
-  plan.link.duplicate = 1.0;
-  AdapterHarness h(std::move(plan));
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    h.adapter.Deliver(SeqMessage(i));
-  }
-  ASSERT_EQ(h.next.delivered.size(), 10u);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(h.next.delivered[2 * i].seq, i);
-    EXPECT_EQ(h.next.delivered[2 * i + 1].seq, i);
-  }
-  EXPECT_EQ(h.adapter.injector().messages_duplicated(), 5u);
-}
-
-TEST(WireFaultAdapterTest, DropsAreCountedAndNothingLeaks) {
-  fault::FaultPlan plan;
-  plan.link.drop = 1.0;
-  AdapterHarness h(std::move(plan));
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    h.adapter.Deliver(SeqMessage(i));
-  }
-  EXPECT_TRUE(h.next.delivered.empty());
-  EXPECT_EQ(h.adapter.injector().messages_dropped(), 4u);
-}
-
-// The ISSUE's "duplicated-then-dropped" contract: with both faults active,
-// the surviving stream must still be a per-sender FIFO — seqs arrive in
-// non-decreasing order, each at most twice, duplicates adjacent.
-TEST(WireFaultAdapterTest, DuplicatedThenDroppedPreservesFifo) {
-  fault::FaultPlan plan;
-  plan.link.drop = 0.3;
-  plan.link.duplicate = 0.3;
-  AdapterHarness h(std::move(plan));
-  constexpr std::uint64_t kSends = 400;
-  for (std::uint64_t i = 0; i < kSends; ++i) {
-    h.adapter.Deliver(SeqMessage(i));
-  }
-  std::uint64_t last = 0;
-  int run = 0;
-  for (const net::Message& msg : h.next.delivered) {
-    if (!(msg.seq == last && run > 0)) {
-      EXPECT_GE(msg.seq, last) << "survivor stream reordered";
-      last = msg.seq;
-      run = 1;
-    } else {
-      ++run;
-      EXPECT_LE(run, 2) << "seq " << msg.seq << " delivered more than twice";
-    }
-  }
-  EXPECT_GT(h.adapter.injector().messages_dropped(), 0u);
-  EXPECT_GT(h.adapter.injector().messages_duplicated(), 0u);
-  EXPECT_EQ(h.next.delivered.size() +
-                h.adapter.injector().messages_dropped() -
-                h.adapter.injector().messages_duplicated(),
-            kSends);
-}
-
-TEST(WireFaultAdapterTest, PartitionCutsDirectionally) {
-  AdapterHarness h(fault::FaultPlan{});
-  fault::FaultInjector& inj = h.adapter.injector();
-  inj.SetPartitioned(3, fault::PartitionWindow::Direction::kToServer, true);
-
-  // client 3 -> server is cut...
-  h.adapter.Deliver(SeqMessage(1, /*src=*/3, /*dst=*/net::kServerNode));
-  EXPECT_TRUE(h.next.delivered.empty());
-  EXPECT_EQ(inj.partition_drops(), 1u);
-  // ...but server -> client 3 still flows, in both seam directions.
-  h.adapter.Deliver(SeqMessage(2, /*src=*/net::kServerNode, /*dst=*/3));
-  EXPECT_EQ(h.next.delivered.size(), 1u);
-  EXPECT_TRUE(
-      h.adapter.AllowInbound(SeqMessage(3, net::kServerNode, /*dst=*/3)));
-  // An unrelated client is untouched.
-  h.adapter.Deliver(SeqMessage(4, /*src=*/1, /*dst=*/net::kServerNode));
-  EXPECT_EQ(h.next.delivered.size(), 2u);
-
-  inj.SetPartitioned(3, fault::PartitionWindow::Direction::kToServer, false);
-  h.adapter.Deliver(SeqMessage(5, /*src=*/3, /*dst=*/net::kServerNode));
-  EXPECT_EQ(h.next.delivered.size(), 3u);  // healed
-}
-
-TEST(WireFaultAdapterTest, DownEndpointSendsAndReceivesNothing) {
-  AdapterHarness h(fault::FaultPlan{});
-  fault::FaultInjector& inj = h.adapter.injector();
-  inj.SetDown(net::kServerNode, true);
-
-  h.adapter.Deliver(SeqMessage(1, /*src=*/net::kServerNode, /*dst=*/0));
-  EXPECT_TRUE(h.next.delivered.empty());
-  EXPECT_FALSE(
-      h.adapter.AllowInbound(SeqMessage(2, /*src=*/0, net::kServerNode)));
-  EXPECT_EQ(inj.down_drops(), 2u);
-
-  inj.SetDown(net::kServerNode, false);
-  h.adapter.Deliver(SeqMessage(3, /*src=*/net::kServerNode, /*dst=*/0));
-  EXPECT_EQ(h.next.delivered.size(), 1u);
-  EXPECT_TRUE(
-      h.adapter.AllowInbound(SeqMessage(4, /*src=*/0, net::kServerNode)));
-}
-
-TEST(WireFaultAdapterTest, DelaySpikeIsHeldUntilDueThenReleasedFifo) {
-  fault::FaultPlan plan;
-  plan.link.delay_spike = 1.0;
-  // Long enough that the "immediate" flush below is still before the due
-  // time when a loaded (sanitized, parallel ctest) host preempts the test
-  // between the two calls.
-  plan.link.spike_delay = sim::MillisToTicks(100.0);
-  AdapterHarness h(std::move(plan));
-
-  h.adapter.Deliver(SeqMessage(1));
-  h.adapter.Deliver(SeqMessage(2));
-  EXPECT_TRUE(h.next.delivered.empty());
-  // An immediate flush is before the due time: still held (but the
-  // downstream transport is still flushed — the adapter never blocks it).
-  h.adapter.Flush();
-  EXPECT_TRUE(h.next.delivered.empty());
-  EXPECT_EQ(h.next.flushes, 1);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  h.adapter.Flush();
-  ASSERT_EQ(h.next.delivered.size(), 2u);
-  EXPECT_EQ(h.next.delivered[0].seq, 1u);  // equal spikes stay FIFO
-  EXPECT_EQ(h.next.delivered[1].seq, 2u);
-  EXPECT_EQ(h.adapter.injector().delay_spikes(), 2u);
-}
-
-// A spiked message must not leak through a window that opened while it was
-// "in flight": the release path re-checks crash and partition state.
-TEST(WireFaultAdapterTest, SpikedMessageDroppedByWindowOpenedMidFlight) {
-  fault::FaultPlan plan;
-  plan.link.delay_spike = 1.0;
-  plan.link.spike_delay = sim::MillisToTicks(2.0);
-  AdapterHarness h(std::move(plan));
-
-  h.adapter.Deliver(SeqMessage(1, /*src=*/0, net::kServerNode));
-  h.adapter.injector().SetPartitioned(
-      0, fault::PartitionWindow::Direction::kBoth, true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  h.adapter.Flush();
-  EXPECT_TRUE(h.next.delivered.empty());
-  EXPECT_EQ(h.adapter.injector().partition_drops(), 1u);
 }
 
 // --- FrameSplitter under connection cuts -----------------------------------

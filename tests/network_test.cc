@@ -1,9 +1,12 @@
 // Unit tests for the network manager: packetization, per-packet CPU
-// charges at both endpoints, FCFS medium occupancy, ordering, and the
-// zero-delay (infinitely fast network) mode.
+// charges at both endpoints, FCFS medium occupancy, ordering, the
+// zero-delay (infinitely fast network) mode, and the fault injector on
+// both of its inputs: the simulated medium and a real substrate's
+// transport, whose inbound side is Network::Receive.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -335,6 +338,192 @@ TEST_F(NetworkTest, ResetStatsClearsInjectorCounters) {
   net_.ResetStats(sim_.Now());
   EXPECT_EQ(injector.messages_dropped(), 0u);
   EXPECT_EQ(net_.messages_sent(), 0u);
+}
+
+// --- The same faults with a transport installed ---------------------------
+
+/// Stands in for a real substrate's wire: records what the network hands
+/// it, in order.
+class RecordingTransport : public Transport {
+ public:
+  void Deliver(const Message& msg) override { delivered.push_back(msg.seq); }
+
+  std::vector<std::uint64_t> delivered;
+};
+
+Message Sequenced(std::uint64_t seq, int src = 0, int dst = kServerNode) {
+  Message msg;
+  msg.type = MsgType::kNoWaitLock;
+  msg.src = src;
+  msg.dst = dst;
+  msg.seq = seq;
+  return msg;
+}
+
+/// The fixture's network with a transport and an injector built from
+/// `plan` installed.
+class WireNetworkTest : public NetworkTest {
+ protected:
+  void Install(fault::FaultPlan plan) {
+    injector_ = std::make_unique<fault::FaultInjector>(std::move(plan),
+                                                       sim::Pcg32(7, 2));
+    net_.set_fault_injector(injector_.get());
+    net_.set_transport(&wire_);
+  }
+
+  /// Sends `msg` and runs the calendar through the current instant.
+  void Send(Message msg) {
+    sim::Ticks sent_at = 0;
+    sim_.Spawn(SendOne(sim_, net_, std::move(msg), sent_at));
+    sim_.Run(sim_.Now());
+  }
+
+  /// Hands `msg` to the inbound side, as a transport's decoded frame.
+  void Receive(Message msg) {
+    net_.Receive(std::make_unique<Message>(std::move(msg)));
+  }
+
+  RecordingTransport wire_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+};
+
+TEST_F(WireNetworkTest, DuplicatesArriveBackToBack) {
+  fault::FaultPlan plan;
+  plan.link.duplicate = 1.0;
+  Install(std::move(plan));
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Send(Sequenced(i));
+  }
+  EXPECT_EQ(wire_.delivered,
+            (std::vector<std::uint64_t>{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}));
+  EXPECT_EQ(injector_->messages_duplicated(), 5u);
+  EXPECT_EQ(net_.messages_sent(), 5u);
+}
+
+TEST_F(WireNetworkTest, DropsAreCountedAndNothingLeaks) {
+  fault::FaultPlan plan;
+  plan.link.drop = 1.0;
+  Install(std::move(plan));
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    Send(Sequenced(i));
+  }
+  EXPECT_TRUE(wire_.delivered.empty());
+  EXPECT_EQ(injector_->messages_dropped(), 4u);
+}
+
+// With both faults active the surviving stream is still a per-sender FIFO:
+// seqs arrive in non-decreasing order, each at most twice, duplicates
+// adjacent.
+TEST_F(WireNetworkTest, DuplicatedThenDroppedPreservesFifo) {
+  fault::FaultPlan plan;
+  plan.link.drop = 0.3;
+  plan.link.duplicate = 0.3;
+  Install(std::move(plan));
+  constexpr std::uint64_t kSends = 400;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    Send(Sequenced(i));
+  }
+  std::uint64_t last = 0;
+  int run = 0;
+  for (const std::uint64_t seq : wire_.delivered) {
+    if (!(seq == last && run > 0)) {
+      EXPECT_GE(seq, last) << "survivor stream reordered";
+      last = seq;
+      run = 1;
+    } else {
+      ++run;
+      EXPECT_LE(run, 2) << "seq " << seq << " delivered more than twice";
+    }
+  }
+  EXPECT_GT(injector_->messages_dropped(), 0u);
+  EXPECT_GT(injector_->messages_duplicated(), 0u);
+  EXPECT_EQ(wire_.delivered.size() + injector_->messages_dropped() -
+                injector_->messages_duplicated(),
+            kSends);
+}
+
+TEST_F(WireNetworkTest, PartitionCutsDirectionally) {
+  Install(fault::FaultPlan{});
+  injector_->SetPartitioned(0, fault::PartitionWindow::Direction::kToServer,
+                            true);
+  // Client 0 -> server is cut, outbound and inbound...
+  Send(Sequenced(1, /*src=*/0, kServerNode));
+  Receive(Sequenced(2, /*src=*/0, kServerNode));
+  EXPECT_TRUE(wire_.delivered.empty());
+  EXPECT_TRUE(server_inbox_.empty());
+  EXPECT_EQ(injector_->partition_drops(), 2u);
+  // ...but server -> client 0 still flows both ways.
+  Send(Sequenced(3, kServerNode, /*dst=*/0));
+  Receive(Sequenced(4, kServerNode, /*dst=*/0));
+  EXPECT_EQ(wire_.delivered, std::vector<std::uint64_t>{3});
+  EXPECT_EQ(client_inbox_.size(), 1u);
+  // Another client's link is untouched.
+  Send(Sequenced(5, /*src=*/1, kServerNode));
+  EXPECT_EQ(wire_.delivered, (std::vector<std::uint64_t>{3, 5}));
+
+  injector_->SetPartitioned(0, fault::PartitionWindow::Direction::kToServer,
+                            false);
+  Send(Sequenced(6, /*src=*/0, kServerNode));
+  EXPECT_EQ(wire_.delivered, (std::vector<std::uint64_t>{3, 5, 6}));
+}
+
+TEST_F(WireNetworkTest, DownEndpointSendsAndReceivesNothing) {
+  Install(fault::FaultPlan{});
+  injector_->SetDown(kServerNode, true);
+  Send(Sequenced(1, kServerNode, /*dst=*/0));
+  Receive(Sequenced(2, /*src=*/0, kServerNode));
+  EXPECT_TRUE(wire_.delivered.empty());
+  EXPECT_TRUE(server_inbox_.empty());
+  EXPECT_EQ(injector_->down_drops(), 2u);
+
+  injector_->SetDown(kServerNode, false);
+  Send(Sequenced(3, kServerNode, /*dst=*/0));
+  Receive(Sequenced(4, /*src=*/0, kServerNode));
+  EXPECT_EQ(wire_.delivered, std::vector<std::uint64_t>{3});
+  EXPECT_EQ(server_inbox_.size(), 1u);
+}
+
+// A spike is an entry on the network's calendar: the transport gets the
+// message when the entry fires, not before, and equal spikes stay FIFO.
+TEST_F(WireNetworkTest, DelaySpikeIsHeldUntilDueThenReleasedFifo) {
+  fault::FaultPlan plan;
+  plan.link.delay_spike = 1.0;
+  plan.link.spike_delay = sim::MillisToTicks(100.0);
+  Install(std::move(plan));
+  const sim::Ticks due = sim_.Now() + sim::MillisToTicks(100.0);
+  Send(Sequenced(1));
+  Send(Sequenced(2));
+  sim_.Run(due - 1);
+  EXPECT_TRUE(wire_.delivered.empty());
+  sim_.Run(due);
+  EXPECT_EQ(wire_.delivered, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(injector_->delay_spikes(), 2u);
+}
+
+// A spiked message must not leak through a window that opened while it was
+// in flight: the entry applies the in-flight rule when it fires.
+TEST_F(WireNetworkTest, SpikedMessageDroppedByWindowOpenedMidFlight) {
+  fault::FaultPlan plan;
+  plan.link.delay_spike = 1.0;
+  plan.link.spike_delay = sim::MillisToTicks(2.0);
+  Install(std::move(plan));
+  Send(Sequenced(1, /*src=*/0, kServerNode));
+  injector_->SetPartitioned(0, fault::PartitionWindow::Direction::kBoth,
+                            true);
+  sim_.Run(sim_.Now() + sim::MillisToTicks(5.0));
+  EXPECT_TRUE(wire_.delivered.empty());
+  EXPECT_EQ(injector_->partition_drops(), 1u);
+}
+
+// A frame for a node with no endpoint here came from outside the program:
+// Receive drops it instead of asserting.
+TEST_F(NetworkTest, ReceiveDropsMessagesForUnregisteredNodes) {
+  net_.Receive(std::make_unique<Message>(Sequenced(1, kServerNode, 7)));
+  net_.Receive(std::make_unique<Message>(Sequenced(2, 0, -5)));
+  EXPECT_TRUE(client_inbox_.empty());
+  EXPECT_TRUE(server_inbox_.empty());
+  net_.Receive(std::make_unique<Message>(Sequenced(3, 0, kServerNode)));
+  EXPECT_EQ(server_inbox_.size(), 1u);
 }
 
 TEST(NetworkDeathTest, DoubleEndpointRegistrationAsserts) {

@@ -668,8 +668,7 @@ TEST(LoopSourceTest, SilentServerFailsTheConnect) {
 
   EXPECT_EQ(client, nullptr);
   EXPECT_FALSE(error.empty());
-  EXPECT_LT(waited, substrate::TcpClientTransport::kHandshakeTimeout +
-                        std::chrono::seconds(1))
+  EXPECT_LT(waited, substrate::kHandshakeTimeout + std::chrono::seconds(1))
       << "Connect outlived its handshake deadline";
 }
 
@@ -840,6 +839,58 @@ TEST(LoopSourceTest, DepartedShardsReleaseTheirSockets) {
   EXPECT_EQ(fds, baseline) << "departed shards' sockets are still open";
   EXPECT_EQ(server->connections_accepted(),
             static_cast<std::uint64_t>(kShards));
+}
+
+// A peer that connects and never sends its Hello is dropped at the
+// server's handshake deadline: the process's open descriptors return to
+// their level before the connect while the peer still holds its end open.
+TEST(LoopSourceTest, SilentPeerIsDroppedAtTheHandshakeDeadline) {
+  sim::Simulator server_sim;
+  substrate::RealtimeSubstrate server_sub(&server_sim);
+  server_sub.set_message_sink([](net::MessagePtr) {});
+  std::string error;
+  auto server = substrate::TcpServerTransport::Listen(
+      0, OrderingHello(2), &server_sub, &error);
+  ASSERT_NE(server, nullptr) << error;
+  std::thread server_loop([&server_sub] {
+    server_sub.Run(60 * sim::kTicksPerSecond);
+  });
+
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int baseline = EntryCount("/proc/self/fd");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        substrate::kHandshakeTimeout +
+                        std::chrono::seconds(1);
+  const bool connected =
+      silent >= 0 && ::connect(silent, reinterpret_cast<sockaddr*>(&addr),
+                               sizeof(addr)) == 0;
+  // Wait for the server's socket to appear, then to go.
+  bool accepted = false;
+  int fds = baseline;
+  while (connected && std::chrono::steady_clock::now() < deadline) {
+    fds = EntryCount("/proc/self/fd");
+    if (fds > baseline) {
+      accepted = true;
+    } else if (accepted) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server_sub.Stop();
+  server_loop.join();
+  server->Close();
+  if (silent >= 0) {
+    ::close(silent);
+  }
+  EXPECT_TRUE(connected);
+  EXPECT_TRUE(accepted) << "the server never accepted the peer";
+  EXPECT_EQ(fds, baseline)
+      << "the silent peer's connection outlived the handshake deadline";
+  EXPECT_EQ(server->connections_accepted(), 0u);
 }
 
 // Fault-free, a ServerNode and each ClientShard run on their loop threads

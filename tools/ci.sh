@@ -20,8 +20,12 @@
 #      or a server whose open descriptors (/proc/PID/fd) do not return
 #      within 2 s of ccload's exit to their count when it wrote its port
 #      (a departed shard's socket left open) fails the leg; then one
-#      redial leg (2PL, ccserve --recovery): ccload's hard partition cuts a
-#      shard's connection mid-run, and ccload must exit 0 having redialed
+#      silent-peer leg (2PL): a python3 socket connects and sends nothing,
+#      and ccserve's open descriptors must return to their count before
+#      it connected within 3 s while it stays open (the server's 2 s
+#      handshake deadline drops it); then one redial leg (2PL, ccserve
+#      --recovery): ccload's hard partition cuts a shard's connection
+#      mid-run, and ccload must exit 0 having redialed
 #      (`transport   : reconnects N`, N >= 1),
 #   7. a real-substrate chaos cocktail: each of the five protocols runs on
 #      threads + TCP with frame drop/duplicate/delay-spike, one hard
@@ -104,7 +108,7 @@ ctest -R "Determinism|CalendarModel" --output-on-failure -j"$jobs"
 step "bounded chaos soak (3 fixed seeds x 5 protocols, oracle on)"
 "$build_dir"/tools/ccsim_run --chaos-soak=3 --seed=1 --jobs="$jobs" --check
 
-step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on; 2PL redial leg)"
+step "ccserve/ccload loopback smoke (5 protocols x ${smoke_secs}s, oracle on; 2PL silent-peer and redial legs)"
 # One fresh server per protocol: a poisoned server state from one run must
 # not be able to mask (or cause) a failure in the next. ccload exits
 # non-zero on zero commits, lost transactions, or a conservation
@@ -152,6 +156,40 @@ for algo in 2pl cert callback no-wait no-wait-notify; do
   kill -TERM "$serve_pid" 2>/dev/null || true
   wait "$serve_pid"
 done
+# The silent-peer leg: a peer that connects and never sends its Hello is
+# dropped at the server's handshake deadline, so ccserve's descriptors rise
+# by its socket and are back at their count before the connect within 3 s,
+# while the peer still holds its end open.
+start_ccserve 2pl
+fds_before=$(ls /proc/"$serve_pid"/fd | wc -l)
+python3 -c 'import socket, sys, time
+peer = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+time.sleep(30)' "$(cat "$port_file")" &
+silent_pid=$!
+accepted=0
+deadline=$(( $(date +%s%N) + 3000000000 ))
+while (( $(date +%s%N) < deadline )); do
+  fds_now=$(ls /proc/"$serve_pid"/fd | wc -l)
+  if (( fds_now > fds_before )); then
+    accepted=1
+  elif (( accepted )); then
+    break
+  fi
+  sleep 0.05
+done
+peer_alive=0
+kill -0 "$silent_pid" 2>/dev/null && peer_alive=1
+kill "$silent_pid" 2>/dev/null || true
+wait "$silent_pid" 2>/dev/null || true
+kill -TERM "$serve_pid" 2>/dev/null || true
+wait "$serve_pid"
+if (( !accepted || !peer_alive || fds_now > fds_before )); then
+  echo "FAIL: silent peer (accepted $accepted, still open $peer_alive):" \
+      "ccserve holds $fds_now descriptors 3 s after it connected," \
+      "$fds_before before"
+  exit 1
+fi
+echo "silent peer dropped at the handshake deadline"
 # The redial leg: the shard whose connection the partition cuts redials
 # on its loop and finishes clean.
 start_ccserve 2pl --recovery
