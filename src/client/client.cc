@@ -12,26 +12,6 @@ namespace ccsim::client {
 namespace {
 /// Client ids occupy the low bits of transaction uids.
 constexpr std::uint64_t kUidClientBits = 10;
-
-/// Duplicate-suppression window: asynchronous sequence numbers older than
-/// this many messages are forgotten. Far larger than the number of
-/// messages that can be in flight on one client/server pair.
-constexpr std::size_t kSeenSeqWindow = 4096;
-
-/// The reply type a given synchronous request expects; used to synthesize
-/// an aborted reply when the real one will never come.
-net::MsgType ReplyTypeFor(net::MsgType request) {
-  switch (request) {
-    case net::MsgType::kReadRequest:
-      return net::MsgType::kReadReply;
-    case net::MsgType::kUpgradeRequest:
-      return net::MsgType::kUpgradeReply;
-    case net::MsgType::kCommitRequest:
-      return net::MsgType::kCommitReply;
-    default:
-      return request;
-  }
-}
 }  // namespace
 
 Client::Client(sim::Simulator* simulator, int id,
@@ -188,7 +168,7 @@ sim::Task<net::MessagePtr> Client::Rpc(net::MessagePtr msg) {
         gave_up ? runner::AbortKind::kTimeout : runner::AbortKind::kCrash;
   }
   auto synth = std::make_unique<net::Message>();
-  synth->type = ReplyTypeFor(type);
+  synth->type = net::ReplyTypeFor(type);
   synth->src = net::kServerNode;
   synth->dst = id_;
   synth->xact = xact;
@@ -230,18 +210,6 @@ void Client::WakeSlot(RpcSlot* slot) {
     slot->woken = true;
     simulator_->ScheduleResumeAt(simulator_->Now(), slot->waiter);
   }
-}
-
-bool Client::NoteSeenSeq(std::uint64_t seq) {
-  if (!seen_seq_.insert(seq).second) {
-    return false;
-  }
-  seen_order_.push_back(seq);
-  if (seen_order_.size() > kSeenSeqWindow) {
-    seen_seq_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return true;
 }
 
 sim::Task<void> Client::SendAsync(net::MessagePtr msg) {
@@ -294,8 +262,7 @@ sim::Task<void> Client::FinishCrashRecovery() {
   cache_.Clear();
   pending_stale_.clear();
   updated_this_xact_.clear();
-  seen_seq_.clear();
-  seen_order_.clear();
+  seen_seqs_.Clear();
   deferred_.clear();
   crash_dirty_ = false;
   while (crashed_) {
@@ -419,7 +386,7 @@ sim::Process Client::Dispatcher() {
       WakeSlot(slot);
       continue;
     }
-    if (resilient_ && msg->seq != 0 && !NoteSeenSeq(msg->seq)) {
+    if (resilient_ && msg->seq != 0 && !seen_seqs_.Note(msg->seq)) {
       metrics_->Count(runner::Counter::duplicates_suppressed);
       continue;
     }

@@ -190,8 +190,6 @@ class Client {
                      sim::Ticks timeout);
   /// Wakes `slot` (at most once per epoch) by scheduling its waiter now.
   void WakeSlot(RpcSlot* slot);
-  /// Duplicate check for asynchronous server messages (true = first time).
-  bool NoteSeenSeq(std::uint64_t seq);
   /// Models the loss of volatile state after Crash(): wipes the page cache
   /// and per-transaction bookkeeping, then waits for Recover(). Runs at the
   /// driver's attempt boundary so no coroutine is mid-walk over the cache.
@@ -248,9 +246,8 @@ class Client {
   std::uint64_t next_seq_ = 1;
   std::unique_ptr<sim::Event> recovered_;
   util::PooledSet<db::PageId> updated_this_xact_;
-  /// Sliding window of asynchronous sequence numbers already processed.
-  util::PooledSet<std::uint64_t> seen_seq_;
-  std::deque<std::uint64_t> seen_order_;
+  /// Asynchronous sequence numbers already processed.
+  net::SeenSeqWindow seen_seqs_;
 };
 
 }  // namespace ccsim::client

@@ -331,6 +331,14 @@ ExperimentConfig BaseConfig();
 /// vs certification.
 ExperimentConfig AclVerificationConfig();
 
+/// Strips the simulated hardware costs out of a config for real-substrate
+/// runs: the wire is a real socket (no modeled network delay or per-packet
+/// CPU charge), the page store is in-memory (no seeks, no transfer time),
+/// and page processing is the real CPU work of handling the message. Think
+/// times and workload shape are left untouched — they are the experiment,
+/// not the hardware.
+ExperimentConfig RawSpeedConfig(ExperimentConfig config);
+
 }  // namespace ccsim::config
 
 #endif  // CCSIM_CONFIG_PARAMS_H_

@@ -3,11 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 
 #include "db/database.h"
 #include "lock/lock_manager.h"
 #include "util/block_pool.h"
+#include "util/macros.h"
 #include "util/small_vector.h"
 
 namespace ccsim::net {
@@ -47,6 +49,22 @@ enum class MsgType {
   /// Committed updates propagated to caching clients (notification).
   kUpdatePropagation,
 };
+
+/// The reply type a synchronous request (read, upgrade, commit) expects;
+/// an aborted reply of this type answers a request that will not be
+/// served.
+inline MsgType ReplyTypeFor(MsgType request) {
+  switch (request) {
+    case MsgType::kReadRequest:
+      return MsgType::kReadReply;
+    case MsgType::kUpgradeRequest:
+      return MsgType::kUpgradeReply;
+    case MsgType::kCommitRequest:
+      return MsgType::kCommitReply;
+    default:
+      CCSIM_UNREACHABLE();  // asynchronous requests get no reply
+  }
+}
 
 /// Inline capacity of message page lists: transactions touch 4-12 pages
 /// (Table 5), so 12 covers read/write sets and the common fetch, ack, and
@@ -142,6 +160,36 @@ using MessagePtr = std::unique_ptr<Message>;
 inline int PacketsFor(const Message& msg) {
   return msg.data_pages.empty() ? 1 : static_cast<int>(msg.data_pages.size());
 }
+
+/// Duplicate suppression for asynchronous messages (recovery mode): the
+/// sequence numbers seen on one channel, forgetting all but the last
+/// kCapacity. Far more than can be in flight on one client/server pair.
+class SeenSeqWindow {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  /// Notes `seq`; false when it is still in the window (a duplicate).
+  bool Note(std::uint64_t seq) {
+    if (!seen_.insert(seq).second) {
+      return false;
+    }
+    order_.push_back(seq);
+    if (order_.size() > kCapacity) {
+      seen_.erase(order_.front());
+      order_.pop_front();
+    }
+    return true;
+  }
+
+  void Clear() {
+    seen_.clear();
+    order_.clear();
+  }
+
+ private:
+  util::PooledSet<std::uint64_t> seen_;
+  std::deque<std::uint64_t> order_;
+};
 
 }  // namespace ccsim::net
 

@@ -86,16 +86,15 @@ sim::Task<void> TwoPhaseServer::Handle(const net::Message& msg) {
   OnMessage(msg);
   switch (msg.type) {
     case net::MsgType::kReadRequest:
-      if (server::XactState* state = co_await LockOrAbort(
-              msg, lock::LockMode::kShared, net::MsgType::kReadReply)) {
+      if (server::XactState* state =
+              co_await LockOrAbort(msg, lock::LockMode::kShared)) {
         // With the locks held, validate the cached versions; stale copies
         // are re-read and shipped fresh.
         co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
       }
       break;
     case net::MsgType::kUpgradeRequest:
-      if (co_await LockOrAbort(msg, lock::LockMode::kExclusive,
-                               net::MsgType::kUpgradeReply) != nullptr) {
+      if (co_await LockOrAbort(msg, lock::LockMode::kExclusive) != nullptr) {
         auto reply = std::make_unique<net::Message>();
         reply->type = net::MsgType::kUpgradeReply;
         co_await s_.Reply(msg, std::move(reply));
@@ -113,8 +112,7 @@ sim::Task<void> TwoPhaseServer::Handle(const net::Message& msg) {
 }
 
 sim::Task<server::XactState*> TwoPhaseServer::LockOrAbort(
-    const net::Message& request, lock::LockMode mode,
-    net::MsgType reply_type) {
+    const net::Message& request, lock::LockMode mode) {
   server::XactState* state = s_.FindXact(request.xact);
   CCSIM_CHECK(state != nullptr);
   const net::PageList* const lists[] = {&request.pages, &request.fetch_pages};
@@ -127,7 +125,7 @@ sim::Task<server::XactState*> TwoPhaseServer::LockOrAbort(
         if (!state->aborted) {
           co_await s_.AbortPipeline(*state);
         }
-        co_await s_.ReplyAborted(request, reply_type);
+        co_await s_.ReplyAborted(request, net::ReplyTypeFor(request.type));
         co_return nullptr;
       }
     }

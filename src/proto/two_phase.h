@@ -69,10 +69,9 @@ class TwoPhaseServer : public ServerProtocol {
   /// Locks the pages of a read or upgrade `request` in `mode`, in order,
   /// and returns the attempt's state. On a refusal the attempt is aborted
   /// (unless it already was), the request is answered with an aborted
-  /// `reply_type`, and the result is nullptr.
+  /// reply of its reply type, and the result is nullptr.
   sim::Task<server::XactState*> LockOrAbort(const net::Message& request,
-                                            lock::LockMode mode,
-                                            net::MsgType reply_type);
+                                            lock::LockMode mode);
 
   sim::Task<void> HandleCommit(const net::Message& msg);
   sim::Task<void> HandleDirtyEvict(const net::Message& msg);

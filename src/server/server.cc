@@ -242,22 +242,7 @@ void Server::Admit(const net::Message& msg) {
 }
 
 sim::Process Server::ReplyAbortedTo(net::MessagePtr request) {
-  auto reply = std::make_unique<net::Message>();
-  switch (request->type) {
-    case net::MsgType::kReadRequest:
-      reply->type = net::MsgType::kReadReply;
-      break;
-    case net::MsgType::kUpgradeRequest:
-      reply->type = net::MsgType::kUpgradeReply;
-      break;
-    case net::MsgType::kCommitRequest:
-      reply->type = net::MsgType::kCommitReply;
-      break;
-    default:
-      CCSIM_UNREACHABLE();
-  }
-  reply->aborted = true;
-  co_await Reply(*request, std::move(reply));
+  co_await ReplyAborted(*request, net::ReplyTypeFor(request->type));
 }
 
 bool Server::FilterDelivery(const net::Message& msg) {
@@ -298,17 +283,9 @@ bool Server::FilterDelivery(const net::Message& msg) {
     channel.in_progress.insert(msg.request_id);
     return true;
   }
-  if (msg.seq != 0) {
-    constexpr std::size_t kSeenSeqWindow = 4096;
-    if (!channel.seen_seq.insert(msg.seq).second) {
-      metrics_->Count(runner::Counter::duplicates_suppressed);
-      return false;  // duplicated asynchronous message
-    }
-    channel.seen_order.push_back(msg.seq);
-    if (channel.seen_order.size() > kSeenSeqWindow) {
-      channel.seen_seq.erase(channel.seen_order.front());
-      channel.seen_order.pop_front();
-    }
+  if (msg.seq != 0 && !channel.seen_seqs.Note(msg.seq)) {
+    metrics_->Count(runner::Counter::duplicates_suppressed);
+    return false;  // duplicated asynchronous message
   }
   return true;
 }

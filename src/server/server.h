@@ -266,9 +266,8 @@ class Server {
     std::unordered_set<std::uint64_t> in_progress;
     /// Recent replies by request id, resent verbatim on a retransmit.
     std::deque<std::pair<std::uint64_t, net::MessagePtr>> replies;
-    /// Sliding window of asynchronous sequence numbers already accepted.
-    std::unordered_set<std::uint64_t> seen_seq;
-    std::deque<std::uint64_t> seen_order;
+    /// Asynchronous sequence numbers already accepted.
+    net::SeenSeqWindow seen_seqs;
   };
 
   sim::Process Dispatch();

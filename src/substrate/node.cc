@@ -187,18 +187,6 @@ bool Assembly::FinalizeChecker() {
   return true;
 }
 
-config::ExperimentConfig RawSpeedConfig(config::ExperimentConfig config) {
-  config.system.net_delay_ms = 0.0;
-  config.system.msg_cost_instr = 0.0;
-  config.system.seek_low_ms = 0.0;
-  config.system.seek_high_ms = 0.0;
-  config.system.disk_transfer_ms = 0.0;
-  config.system.init_disk_cost_instr = 0.0;
-  config.system.server_proc_page_instr = 0.0;
-  config.system.client_proc_page_instr = 0.0;
-  return config;
-}
-
 Hello MakeHello(const config::ExperimentConfig& config) {
   Hello hello;
   hello.algorithm = static_cast<std::uint8_t>(config.algorithm.algorithm);

@@ -23,13 +23,8 @@
 
 namespace ccsim::substrate {
 
-/// Strips the simulated hardware costs out of a config for real-substrate
-/// runs: the wire is a real socket (no modeled network delay or per-packet
-/// CPU charge), the page store is in-memory (no seeks, no transfer time),
-/// and page processing is the real CPU work of handling the message. Think
-/// times and workload shape are left untouched — they are the experiment,
-/// not the hardware.
-config::ExperimentConfig RawSpeedConfig(config::ExperimentConfig config);
+/// Real-substrate runs strip the simulated hardware costs.
+using config::RawSpeedConfig;
 
 /// Builds the Hello both ends of the wire validate against (client-range
 /// fields zeroed; shards fill in their own).

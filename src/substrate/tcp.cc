@@ -268,7 +268,7 @@ TcpClientTransport::~TcpClientTransport() { Close(); }
 bool TcpClientTransport::Dial() {
   // A fresh Connection brings a fresh FrameSplitter: a mid-frame cut on
   // the old connection cannot corrupt the new stream's framing.
-  conn_ = std::make_unique<Connection>(NewTcpSocket(&error_));
+  conn_ = std::make_shared<Connection>(NewTcpSocket(&error_));
   if (conn_->fd() < 0) {
     conn_->MarkDead();
     return false;
@@ -321,10 +321,25 @@ bool TcpClientTransport::Handshake() {
 void TcpClientTransport::ScheduleDial() {
   backoff_ =
       backoff_ == 0 ? kFirstBackoff : std::min(2 * backoff_, kMaxBackoff);
-  substrate_->sim().ScheduleAfter(backoff_, [this] {
+  sim::Simulator& calendar = substrate_->sim();
+  calendar.ScheduleAfter(backoff_, [this, &calendar] {
     if (!Dial()) {
       ScheduleDial();
+      return;
     }
+    // The redial's handshake deadline. The entry holds the connection
+    // weakly, so a later dial's connection is never touched, and it leaves
+    // a dead one to OnReadable, which reads its end and dials again.
+    const sim::Ticks due =
+        std::max(calendar.Now(), substrate_->WallTicks()) + kHandshakeTicks;
+    calendar.ScheduleAt(due, [this, weak = std::weak_ptr(conn_)] {
+      const std::shared_ptr<Connection> late = weak.lock();
+      if (late != nullptr && !late->has_peer() && !late->dead()) {
+        substrate_->RemoveSource(late->fd());
+        late->MarkDead();
+        ScheduleDial();
+      }
+    });
   });
 }
 

@@ -215,12 +215,14 @@ class TcpClientTransport : public net::Transport {
   /// redial's accepted Hello counts a reconnect. False on a rejection.
   bool Handshake();
   /// Loop thread: dials again after the current backoff, then doubles it.
+  /// A redial whose Hello is not accepted kHandshakeTimeout after its dial
+  /// is given up (stops being watched, marked dead) and dialed again.
   void ScheduleDial();
 
   /// The live connection, or the one handshaking, or (between a loss and
   /// the next dial) the dead one. Loop thread only (and Connect/Close,
   /// while the loop is not running).
-  std::unique_ptr<Connection> conn_;
+  std::shared_ptr<Connection> conn_;
   RealtimeSubstrate* substrate_;
   sockaddr_in server_;
   Hello hello_;

@@ -16,6 +16,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1057,6 +1058,91 @@ TEST(LoopSourceTest, ACutShardRedialsOnItsLoop) {
   EXPECT_GT(commits_at_cut.load(), 0u);
   EXPECT_GT(commits.load(), commits_at_cut.load())
       << "no commits after the redial";
+}
+
+// Accepts one connection on `listener`, waiting at most `wait`; -1 when
+// none came.
+int AcceptWithin(int listener, std::chrono::milliseconds wait) {
+  pollfd ready{listener, POLLIN, 0};
+  if (::poll(&ready, 1, static_cast<int>(wait.count())) != 1) {
+    return -1;
+  }
+  return ::accept(listener, nullptr, nullptr);
+}
+
+// A redial has a handshake deadline of its own: a server that accepts a
+// redial and never answers its Hello is given up on, and the shard dials
+// again instead of waiting out the run. The "server" is a raw listener
+// that answers the shard's first Hello, cuts that connection, then stays
+// silent on the next accept.
+TEST(LoopSourceTest, ASilentRedialIsDialedAgain) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t addr_len = sizeof(addr);
+  const bool listening =
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0 &&
+      ::listen(listener, 4) == 0 &&
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) == 0;
+  if (!listening) {
+    ::close(listener);
+  }
+  ASSERT_TRUE(listening);
+
+  const substrate::Hello hello = OrderingHello(2);
+  std::vector<std::uint8_t> hello_frame;
+  substrate::EncodeHello(hello, &hello_frame);
+  int first = -1;
+  std::thread answer([&] {
+    first = AcceptWithin(listener, std::chrono::seconds(5));
+    if (first >= 0) {
+      ::send(first, hello_frame.data(), hello_frame.size(), 0);
+    }
+  });
+  sim::Simulator client_sim;
+  substrate::RealtimeSubstrate client_sub(&client_sim);
+  substrate::Hello ch = hello;
+  ch.client_lo = 0;
+  ch.client_hi = 2;
+  std::string error;
+  auto client = substrate::TcpClientTransport::Connect(
+      "127.0.0.1", ntohs(addr.sin_port), ch, &client_sub, &error);
+  answer.join();
+  if (client == nullptr) {
+    ::close(listener);
+    if (first >= 0) {
+      ::close(first);
+    }
+  }
+  ASSERT_NE(client, nullptr) << error;
+  client->EnableReconnect();
+  std::thread client_loop([&client_sub] {
+    client_sub.Run(60 * sim::kTicksPerSecond);
+  });
+
+  ::close(first);  // the cut: the shard redials after its backoff
+  const int second = AcceptWithin(listener, std::chrono::seconds(5));
+  const int third =
+      second < 0 ? -1
+                 : AcceptWithin(listener, substrate::kHandshakeTimeout +
+                                              std::chrono::milliseconds(200) +
+                                              std::chrono::seconds(1));
+  client_sub.Stop();
+  client_loop.join();
+  client->Close();
+  for (const int fd : {listener, second, third}) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+  EXPECT_GE(second, 0) << "the shard never redialed after the cut";
+  EXPECT_GE(third, 0)
+      << "the shard waited on a silent redial past its handshake deadline";
+  EXPECT_EQ(client->reconnects(), 0u);
 }
 
 }  // namespace

@@ -7,13 +7,12 @@
 //   $ ccload --port-file=/tmp/port --algorithm=cert --clients=8
 //            --lo=0 --hi=4 --threads=2   # half the population, 2 shards
 //
+// Its flags are rows of the one table in src/config/flags.cc (--help).
 // Exits non-zero if any transaction was lost, the conservation invariant
 // (started == commits + aborts + in-flight, in-flight <= clients) fails,
 // or nothing committed at all.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "config/flags.h"
@@ -23,125 +22,27 @@
 #include "substrate/node.h"
 #include "substrate/tcp.h"
 
-namespace {
-
 using ccsim::config::ExperimentConfig;
-using ccsim::config::ParseValue;
-
-void PrintUsage() {
-  std::printf(
-      "ccload — TCP load generator for ccserve\n\n"
-      "  --host=H              server hostname or IPv4 address\n"
-      "                        (default 127.0.0.1; see README for a\n"
-      "                        two-host run)\n"
-      "  --port=N              server port\n"
-      "  --port-file=PATH      read the port from PATH (ccserve wrote it)\n"
-      "  --algorithm=NAME      must match the server\n"
-      "  --clients=N           total client population (must match server)\n"
-      "  --lo=N --hi=N         global client-id slice this process drives\n"
-      "                        (default the whole population)\n"
-      "  --threads=N           event-loop shards (default: 1 per 8 clients,\n"
-      "                        at least 2)\n"
-      "  --duration=S          measured wall seconds (default 10)\n"
-      "  --warmup=S            warmup before the stats window (default 1)\n"
-      "  --locality=P --prob-write=P   workload shape\n"
-      "  --seed=N              RNG seed (must match the server)\n"
-      "  --drop=P --dup=P      per-frame drop/duplicate probability on this\n"
-      "                        side of the wire\n"
-      "  --spike=P:MS          per-frame delay-spike probability and size\n"
-      "  --partition=NODE:AT:DUR[:DIR][:hard]\n"
-      "                        blackhole client NODE's frames at AT s for\n"
-      "                        DUR s; DIR = both | in | out; 'hard' also\n"
-      "                        kills the owning shard's TCP connection\n"
-      "  --crash=NODE:AT:DOWN  crash client NODE at AT s for DOWN s: it\n"
-      "                        loses its cache and restarts under a new\n"
-      "                        incarnation (repeatable; windows of clients\n"
-      "                        outside --lo/--hi are ignored)\n"
-      "  --recovery            run the client recovery layer (timeouts,\n"
-      "                        retries, leases, reconnects) without\n"
-      "                        injecting faults; --drop, --dup, --crash\n"
-      "                        and --partition imply it (--spike does\n"
-      "                        not).\n"
-      "                        Pass --recovery when ccserve runs with\n"
-      "                        --crash, so both sides agree on recovery.\n"
-      "  --help                this text\n");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  ExperimentConfig cfg = ccsim::config::BaseConfig();
-  cfg.system.num_clients = 10;
-  std::string algorithm_name = "2pl";
-  std::string host = "127.0.0.1";
-  std::string port_file;
-  int port = 0;
-  int lo = 0;
-  int hi = -1;  // default: num_clients
-  int threads = 0;
-  double duration_s = 10.0;
-  double warmup_s = 1.0;
+  ccsim::config::CommandLine flags;
+  if (const int code = ccsim::config::ParseCommandLine(
+          ccsim::config::kCcload, argc, argv, &flags);
+      code >= 0) {
+    return code;
+  }
+  const ExperimentConfig& cfg = flags.config;
+  const std::string& host = flags.host;
+  int port = flags.port;
+  const int lo = flags.lo;
+  const int hi = flags.hi < 0 ? cfg.system.num_clients : flags.hi;
+  const double duration_s = flags.duration_s;
 
-  const ccsim::config::NumberFlag number_flags[] = {
-      {"--port", &port},
-      {"--clients", &cfg.system.num_clients},
-      {"--lo", &lo},
-      {"--hi", &hi},
-      {"--threads", &threads},
-      {"--duration", &duration_s},
-      {"--warmup", &warmup_s},
-      {"--locality", &cfg.transaction.inter_xact_loc},
-      {"--prob-write", &cfg.transaction.prob_write},
-      {"--seed", &cfg.control.seed},
-      {"--drop", &cfg.fault.drop_probability},
-      {"--dup", &cfg.fault.duplicate_probability},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    ccsim::Status status;
-    if (std::strcmp(arg, "--help") == 0) {
-      PrintUsage();
-      return 0;
-    }
-    if (ParseValue(arg, "--host", &value)) {
-      host = value;
-    } else if (ccsim::config::ParseNumberFlag(arg, number_flags)) {
-      continue;
-    } else if (ParseValue(arg, "--port-file", &value)) {
-      port_file = value;
-    } else if (ParseValue(arg, "--algorithm", &value)) {
-      algorithm_name = value;
-    } else if (std::strcmp(arg, "--recovery") == 0) {
-      cfg.fault.recovery_enabled = true;
-    } else if (ccsim::config::ParseFaultFlag(arg, &cfg.fault, &status)) {
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.message().c_str());
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
-      return 2;
-    }
-  }
-
-  if (const ccsim::Status st =
-          ccsim::config::SelectAlgorithm(algorithm_name, &cfg.algorithm);
-      !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.message().c_str());
-    return 2;
-  }
-  cfg.fault.recovery_enabled |= cfg.fault.NeedsRecovery();
-  cfg = ccsim::substrate::RawSpeedConfig(cfg);
-  if (const ccsim::Status status = cfg.Validate(); !status.ok()) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 status.ToString().c_str());
-    return 2;
-  }
-  if (!port_file.empty()) {
-    std::FILE* f = std::fopen(port_file.c_str(), "r");
+  if (!flags.port_file.empty()) {
+    std::FILE* f = std::fopen(flags.port_file.c_str(), "r");
     if (f == nullptr || std::fscanf(f, "%d", &port) != 1) {
-      std::fprintf(stderr, "cannot read port from %s\n", port_file.c_str());
+      std::fprintf(stderr, "cannot read port from %s\n",
+                   flags.port_file.c_str());
       if (f != nullptr) {
         std::fclose(f);
       }
@@ -152,9 +53,6 @@ int main(int argc, char** argv) {
   if (port <= 0) {
     std::fprintf(stderr, "need --port or --port-file\n");
     return 2;
-  }
-  if (hi < 0) {
-    hi = cfg.system.num_clients;
   }
   if (lo < 0 || lo >= hi || hi > cfg.system.num_clients) {
     std::fprintf(stderr, "bad client slice [%d, %d) of %d\n", lo, hi,
@@ -168,17 +66,17 @@ int main(int argc, char** argv) {
 
   ccsim::runner::ShardSet load;
   if (const ccsim::Status st = ccsim::runner::ConnectShards(
-          cfg, host, port, lo, hi, threads, &load);
+          cfg, host, port, lo, hi, flags.shards, &load);
       !st.ok()) {
     std::fprintf(stderr, "connect to %s:%d failed: %s\n", host.c_str(), port,
                  st.message().c_str());
     return 1;
   }
   std::printf("ccload: %s, clients [%d, %d) of %d, %zu shards -> %s:%d\n",
-              algorithm_name.c_str(), lo, hi, cfg.system.num_clients,
+              flags.algorithm.c_str(), lo, hi, cfg.system.num_clients,
               load.shards.size(), host.c_str(), port);
   std::fflush(stdout);
-  ccsim::runner::RunShards(&load, warmup_s, duration_s);
+  ccsim::runner::RunShards(&load, flags.warmup_s.value_or(1.0), duration_s);
 
   // --- report -------------------------------------------------------------
   const ccsim::runner::RunResult r =

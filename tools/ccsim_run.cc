@@ -5,13 +5,12 @@
 //   $ ccsim_run --algorithm=2pl-intra --net-delay-ms=0 --csv
 //   $ ccsim_run --list
 //
-// Every knob of the paper's Tables 1–3 is exposed; unset flags keep the
-// Table 5 base values. `--csv` prints one machine-readable line (with a
-// header) for scripting sweeps.
+// Every knob of the paper's Tables 1–3 is exposed, as rows of the one flag
+// table in src/config/flags.cc (--help); unset flags keep the Table 5 base
+// values. `--csv` prints one machine-readable line (with a header) for
+// scripting sweeps.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,74 +25,7 @@
 namespace {
 
 using ccsim::config::ExperimentConfig;
-using ccsim::config::ParseValue;
 using ccsim::runner::RunResult;
-
-void PrintUsage() {
-  std::printf(
-      "ccsim_run — run one client/server cache-consistency simulation\n\n"
-      "  --algorithm=NAME        2pl | 2pl-intra | cert | cert-intra |\n"
-      "                          callback | no-wait | no-wait-notify\n"
-      "  --clients=N             number of client workstations\n"
-      "  --locality=P            InterXactLoc in [0,1]\n"
-      "  --prob-write=P          ProbWrite in [0,1]\n"
-      "  --xact-size=MIN:MAX     ReadObject operations per transaction\n"
-      "  --object-size=N         atoms per object\n"
-      "  --cluster-factor=P      sequential-placement probability\n"
-      "  --update-delay=S --internal-delay=S --external-delay=S\n"
-      "  --server-mips=M --client-mips=M\n"
-      "  --net-delay-ms=D --msg-cost=INSTR\n"
-      "  --data-disks=N --log-disks=N\n"
-      "  --cache-pages=N --buffer-pages=N --mpl=N\n"
-      "  --seed=N --warmup=S --commits=N --max-seconds=S\n"
-      "  --drop=P                message drop probability\n"
-      "  --dup=P                 message duplication probability\n"
-      "  --spike=P:MS            delay-spike probability and size\n"
-      "  --crash=NODE:AT:DOWN    crash NODE (-1 = server) at AT s for DOWN s\n"
-      "                          (repeatable)\n"
-      "  --partition=NODE:AT:DUR[:DIR][:hard]\n"
-      "                          cut client NODE's link at AT s for DUR s;\n"
-      "                          DIR = both | in | out (default both;\n"
-      "                          in = client->server only). 'hard' also\n"
-      "                          kills the TCP connection at window start\n"
-      "                          (real substrate; no-op on sim).\n"
-      "                          Repeatable\n"
-      "  --torn-write=P          per-log-force torn-write probability\n"
-      "  --bit-flip=P            per-log-force bit-flip probability\n"
-      "  --queue-limit=N         bound the server ready queue (shed beyond)\n"
-      "  --retry-budget=N        per-attempt retransmission budget\n"
-      "  --retry-jitter=P        randomize RPC timeouts by +/- P/2\n"
-      "  --chaos-soak=N          run N seeded compound-fault cocktails\n"
-      "                          (seeds --seed .. --seed+N-1) across all\n"
-      "                          five protocols with the oracle on; exits\n"
-      "                          non-zero and prints the failing seed's\n"
-      "                          plan on any violation. With\n"
-      "                          --substrate=real the cocktails run on the\n"
-      "                          wire (sequentially; use a smaller N)\n"
-      "  --recovery              enable the recovery layer without faults;\n"
-      "                          --drop, --dup, --crash, --partition,\n"
-      "                          --queue-limit, --retry-budget and\n"
-      "                          --retry-jitter imply it\n"
-      "  --check                 enable the consistency oracle (serializa-\n"
-      "                          bility + coherence audits; aborts with a\n"
-      "                          cycle dump on a violation)\n"
-      "  --rpc-timeout-ms=D --lease-ms=D --idle-timeout-ms=D\n"
-      "  --substrate=NAME        sim (default: deterministic discrete-event\n"
-      "                          simulation) | real (threads + TCP loopback,\n"
-      "                          wall-clock paced; every fault plan runs\n"
-      "                          on the wire)\n"
-      "  --duration=S            real-substrate measurement window in wall\n"
-      "                          seconds (default 5)\n"
-      "  --shards=N              real-substrate load-generator threads\n"
-      "                          (default: 1 per 8 clients, at least 2)\n"
-      "  --sweep-clients=LIST    run once per client count (e.g. 2,10,30,50)\n"
-      "                          and print one CSV row per run\n"
-      "  --jobs=N                worker threads for --sweep-clients\n"
-      "                          (default: CCSIM_JOBS, else all cores)\n"
-      "  --csv                   one-line machine-readable output\n"
-      "  --list                  list algorithm names and exit\n"
-      "  --help                  this text\n");
-}
 
 void PrintCsvHeader() {
   std::printf("algorithm,clients,locality,prob_write,%s\n",
@@ -406,190 +338,60 @@ int RunRealChaosSoak(int n, std::uint64_t base_seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ExperimentConfig cfg = ccsim::config::BaseConfig();
-  cfg.system.num_clients = 10;
-  cfg.control.warmup_seconds = 30;
-  cfg.control.target_commits = 3000;
-  cfg.control.max_measure_seconds = 600;
-  bool csv = false;
-  int jobs = 0;  // 0 = DefaultJobs()
-  int chaos_soak = 0;
-  std::vector<int> sweep_clients;
-  std::string algorithm_name = "2pl";
-  std::string substrate_name = "sim";
-  bool warmup_flag = false;
-  ccsim::runner::RealRunOptions real_options;
-
-  const ccsim::config::NumberFlag number_flags[] = {
-      {"--clients", &cfg.system.num_clients},
-      {"--locality", &cfg.transaction.inter_xact_loc},
-      {"--prob-write", &cfg.transaction.prob_write},
-      {"--cluster-factor", &cfg.database.cluster_factor},
-      {"--update-delay", &cfg.transaction.update_delay_s},
-      {"--internal-delay", &cfg.transaction.internal_delay_s},
-      {"--external-delay", &cfg.transaction.external_delay_s},
-      {"--server-mips", &cfg.system.server_mips},
-      {"--client-mips", &cfg.system.client_mips},
-      {"--net-delay-ms", &cfg.system.net_delay_ms},
-      {"--msg-cost", &cfg.system.msg_cost_instr},
-      {"--data-disks", &cfg.system.num_data_disks},
-      {"--log-disks", &cfg.system.num_log_disks},
-      {"--cache-pages", &cfg.system.client_cache_pages},
-      {"--buffer-pages", &cfg.system.server_buffer_pages},
-      {"--mpl", &cfg.system.mpl},
-      {"--seed", &cfg.control.seed},
-      {"--duration", &real_options.duration_seconds},
-      {"--shards", &real_options.shards},
-      {"--commits", &cfg.control.target_commits},
-      {"--max-seconds", &cfg.control.max_measure_seconds},
-      {"--drop", &cfg.fault.drop_probability},
-      {"--dup", &cfg.fault.duplicate_probability},
-      {"--torn-write", &cfg.fault.torn_write_probability},
-      {"--bit-flip", &cfg.fault.bit_flip_probability},
-      {"--queue-limit", &cfg.fault.server_queue_limit},
-      {"--retry-budget", &cfg.fault.retry_budget},
-      {"--retry-jitter", &cfg.fault.retry_jitter},
-      {"--rpc-timeout-ms", &cfg.fault.rpc_timeout_ms},
-      {"--lease-ms", &cfg.fault.lease_ms},
-      {"--idle-timeout-ms", &cfg.fault.xact_idle_timeout_ms},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    ccsim::Status status;
-    if (std::strcmp(arg, "--help") == 0) {
-      PrintUsage();
-      return 0;
-    }
-    if (std::strcmp(arg, "--list") == 0) {
-      for (const ccsim::config::AlgorithmChoice& choice :
-           ccsim::config::kAlgorithmChoices) {
-        std::printf("%s\n", choice.name);
-      }
-      return 0;
-    }
-    if (std::strcmp(arg, "--csv") == 0) {
-      csv = true;
-    } else if (ccsim::config::ParseNumberFlag(arg, number_flags)) {
-      continue;
-    } else if (ParseValue(arg, "--algorithm", &value)) {
-      algorithm_name = value;
-    } else if (ParseValue(arg, "--xact-size", &value)) {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--xact-size wants MIN:MAX\n");
-        return 2;
-      }
-      cfg.transaction.min_xact_size = std::atoi(value.substr(0, colon).c_str());
-      cfg.transaction.max_xact_size =
-          std::atoi(value.substr(colon + 1).c_str());
-    } else if (ParseValue(arg, "--object-size", &value)) {
-      cfg.database.object_size = {std::atoi(value.c_str())};
-    } else if (ParseValue(arg, "--warmup", &value)) {
-      cfg.control.warmup_seconds = std::atof(value.c_str());
-      warmup_flag = true;
-    } else if (ParseValue(arg, "--substrate", &value)) {
-      substrate_name = value;
-      if (substrate_name != "sim" && substrate_name != "real") {
-        std::fprintf(stderr, "--substrate wants sim or real\n");
-        return 2;
-      }
-    } else if (ccsim::config::ParseFaultFlag(arg, &cfg.fault, &status)) {
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.message().c_str());
-        return 2;
-      }
-    } else if (ParseValue(arg, "--chaos-soak", &value)) {
-      chaos_soak = std::atoi(value.c_str());
-      if (chaos_soak < 1) {
-        std::fprintf(stderr, "--chaos-soak wants a positive seed count\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--recovery") == 0) {
-      cfg.fault.recovery_enabled = true;
-    } else if (std::strcmp(arg, "--check") == 0) {
-      cfg.checker.enabled = true;
-    } else if (ParseValue(arg, "--jobs", &value)) {
-      jobs = std::atoi(value.c_str());
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer\n");
-        return 2;
-      }
-    } else if (ParseValue(arg, "--sweep-clients", &value)) {
-      for (std::size_t pos = 0; pos < value.size();) {
-        const std::size_t comma = value.find(',', pos);
-        const std::string item =
-            value.substr(pos, comma == std::string::npos ? std::string::npos
-                                                         : comma - pos);
-        const int clients = std::atoi(item.c_str());
-        if (clients < 1) {
-          std::fprintf(stderr, "--sweep-clients wants e.g. 2,10,30,50\n");
-          return 2;
-        }
-        sweep_clients.push_back(clients);
-        pos = comma == std::string::npos ? value.size() : comma + 1;
-      }
-      if (sweep_clients.empty()) {
-        std::fprintf(stderr, "--sweep-clients wants e.g. 2,10,30,50\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
-      return 2;
-    }
+  ccsim::config::CommandLine flags;
+  if (const int code = ccsim::config::ParseCommandLine(
+          ccsim::config::kCcsimRun, argc, argv, &flags);
+      code >= 0) {
+    return code;
   }
+  ExperimentConfig& cfg = flags.config;
+  // The sim default of 30 warmup seconds is simulated time; at wall-clock
+  // pace it would just be a long wait. Default to 1 s unless asked.
+  const ccsim::runner::RealRunOptions real_options{
+      .warmup_seconds = flags.warmup_s.value_or(1.0),
+      .duration_seconds = flags.duration_s,
+      .shards = flags.shards};
 
-  if (!ccsim::config::SelectAlgorithm(algorithm_name, &cfg.algorithm).ok()) {
-    std::fprintf(stderr, "unknown algorithm '%s' (see --list)\n",
-                 algorithm_name.c_str());
-    return 2;
-  }
-  cfg.fault.recovery_enabled |= cfg.fault.NeedsRecovery();
-
-  const bool real_substrate = substrate_name == "real";
+  const bool real_substrate = flags.substrate == "real";
   if (real_substrate) {
-    if (!sweep_clients.empty()) {
+    if (!flags.sweep_clients.empty()) {
       std::fprintf(stderr,
                    "--substrate=real runs one experiment at a time (no "
                    "--sweep-clients)\n");
       return 2;
     }
-    // The sim default of 30 warmup seconds is simulated time; at wall-clock
-    // pace it would just be a long wait. Default to 1 s unless asked.
-    real_options.warmup_seconds = warmup_flag ? cfg.control.warmup_seconds
-                                              : 1.0;
-    if (chaos_soak > 0) {
-      return RunRealChaosSoak(chaos_soak, cfg.control.seed);
+    if (flags.chaos_soak > 0) {
+      return RunRealChaosSoak(flags.chaos_soak, cfg.control.seed);
     }
   }
 
-  if (chaos_soak > 0) {
-    return RunChaosSoak(chaos_soak, cfg.control.seed, jobs);
+  if (flags.chaos_soak > 0) {
+    return RunChaosSoak(flags.chaos_soak, cfg.control.seed, flags.jobs);
   }
 
-  if (!sweep_clients.empty()) {
+  if (!flags.sweep_clients.empty()) {
     // One run per client count, fanned across worker threads. Rows print
     // in sweep order (results are merged in submission order), so the
     // output is byte-identical regardless of --jobs.
     std::vector<ExperimentConfig> configs;
-    configs.reserve(sweep_clients.size());
-    for (int clients : sweep_clients) {
+    configs.reserve(flags.sweep_clients.size());
+    for (int clients : flags.sweep_clients) {
       cfg.system.num_clients = clients;
       configs.push_back(cfg);
     }
     const auto results = ccsim::runner::RunExperiments(
-        configs, jobs > 0 ? jobs : ccsim::runner::DefaultJobs());
+        configs, flags.jobs > 0 ? flags.jobs : ccsim::runner::DefaultJobs());
     PrintCsvHeader();
     bool any_stalled = false;
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!results[i].ok()) {
         std::fprintf(stderr, "invalid configuration (clients=%d): %s\n",
-                     sweep_clients[i],
+                     flags.sweep_clients[i],
                      results[i].status().ToString().c_str());
         return 1;
       }
       const RunResult& r = results[i].ValueOrDie();
-      PrintCsvRow(algorithm_name, configs[i], r);
+      PrintCsvRow(flags.algorithm, configs[i], r);
       any_stalled = any_stalled || r.stalled;
     }
     return any_stalled ? 3 : 0;
@@ -610,13 +412,13 @@ int main(int argc, char** argv) {
       r.stalled ? 3
                 : (real_substrate && r.transactions_lost > 0 ? 4 : 0);
 
-  if (csv) {
+  if (flags.csv) {
     PrintCsvHeader();
-    PrintCsvRow(algorithm_name, cfg, r);
+    PrintCsvRow(flags.algorithm, cfg, r);
     return exit_code;
   }
 
-  std::printf("algorithm          : %s\n", algorithm_name.c_str());
+  std::printf("algorithm          : %s\n", flags.algorithm.c_str());
   std::printf("substrate          : %s\n",
               real_substrate ? "real (threads + TCP loopback)"
                              : "sim (discrete-event)");

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Single-command CI entry point. Builds the tree under ASan/UBSan and runs,
-# in order:
+# Single-command CI entry point. Builds the tree under ASan/UBSan, checks
+# the tools' flags (each tool's --help lists every row of the flag table in
+# src/config/flags.cc that names it; a malformed number, another tool's
+# flag and a bad value before ccload connects all exit 2), then runs, in
+# order:
 #   1. the full tier-1 suite (every registered test),
 #   2. the chaos suite      (ctest -L chaos  — fault-injection survival),
 #      then the substrate and chaos suites repeated until-fail:20, so a
@@ -86,6 +89,28 @@ cmake -B "$build_dir" -S "$repo_root" -DCCSIM_SANITIZE="$sanitize"
 
 step "build"
 cmake --build "$build_dir" -j"$jobs"
+
+step "tool flags smoke (--help lists the flag table's rows; bad values exit 2)"
+# A row of the table starts `{"--name", <tools>,` on one line.
+for tool in ccsim_run:kCcsimRun ccserve:kCcserve ccload:kCcload; do
+  usage="$("$build_dir/tools/${tool%%:*}" --help)"
+  rows='s/^ *\{"(--[a-z-]+)", .*\b(kAllTools|'"${tool#*:}"')\b.*/\1/p'
+  for flag in $(sed -nE "$rows" "$repo_root/src/config/flags.cc"); do
+    grep -qE -- "^  $flag(=| |\$)" <<<"$usage" ||
+      { echo "FAIL: ${tool%%:*} --help does not list $flag"; exit 1; }
+  done
+done
+for check in "ccsim_run --commits=3k|--commits wants a non-negative integer, got '3k'" \
+    "ccserve --locality=0.5|unknown flag: --locality=0.5 (try --help)" \
+    "ccload --port=1 --clients=8x|--clients wants an integer, got '8x'"; do
+  got=0
+  err="$("$build_dir"/tools/${check%%|*} 2>&1 >/dev/null)" || got=$?
+  if (( got != 2 )) || [[ "$err" != "${check#*|}" ]]; then
+    echo "FAIL: ${check%%|*} exited $got, printed '$err'"
+    exit 1
+  fi
+done
+echo "flags ok"
 
 cd "$build_dir"
 
