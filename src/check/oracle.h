@@ -23,11 +23,11 @@ using PageVersion = std::pair<db::PageId, std::uint64_t>;
 /// installed) at the server's commit point, maintains the direct
 /// serialization graph online, and aborts the run with a cycle dump the
 /// moment a non-serializable history commits. A coherence invariant auditor
-/// rides along: an audit hook (installed by the experiment runner) walks
-/// client caches, the lock table, the callback directory, and the buffer
-/// pool after every commit, and protocol code reports trusted local reads
-/// and unknown commit outcomes so structural invariants are checked where
-/// they are claimed, not where they fail.
+/// rides along: an audit hook (installed by the experiment runner) checks
+/// client caches, the lock table, no-wait-notify's caching directory, and
+/// the buffer pool once per audit epoch, and protocol code reports trusted
+/// local reads and unknown commit outcomes so structural invariants are
+/// checked where they are claimed, not where they fail.
 ///
 /// One oracle is owned per run and touches neither the event calendar nor
 /// any RNG stream, so checker-on runs are deterministic at any sweep

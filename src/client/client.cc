@@ -338,7 +338,8 @@ sim::Process Client::Driver() {
         // Attempt-boundary coherence audit: the protocol must leave the
         // cache structurally clean (a crashed cache is exempt — its wipe
         // is still owed at the top of the next attempt).
-        cache_.AuditEndOfAttempt();
+        cache_.AuditEndOfAttempt(config_.algorithm.algorithm ==
+                                 config::Algorithm::kCallbackLocking);
         metrics_->checker()->NoteClientAudit();
       }
       if (committed) {

@@ -56,11 +56,11 @@ void ClientCache::EndTransaction() {
   touched_.clear();
 }
 
-void ClientCache::AuditEndOfAttempt() const {
+void ClientCache::AuditEndOfAttempt(bool retains_copies) const {
   CCSIM_CHECK_MSG(touched_.empty(),
                   "%zu touched pages left after the attempt ended",
                   touched_.size());
-  lru_.ForEach([&](const Entry& e) {
+  lru_.ForEachInSlotOrder([&](const Entry& e) {
     CCSIM_CHECK_MSG(e.pin_count == 0,
                     "page %d still pinned after the attempt ended", e.key);
     CCSIM_CHECK_MSG(!e.value.dirty,
@@ -77,6 +77,9 @@ void ClientCache::AuditEndOfAttempt() const {
     CCSIM_CHECK_MSG(e.value.retained || !e.value.retained_x,
                     "page %d marked retained-exclusive without being "
                     "retained", e.key);
+    CCSIM_CHECK_MSG(retains_copies || !e.value.retained,
+                    "page %d marked retained under a protocol that retains "
+                    "no copies", e.key);
   });
 }
 

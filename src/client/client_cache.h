@@ -111,10 +111,12 @@ class ClientCache {
 
   /// Consistency-oracle audit at the attempt boundary (after the
   /// protocol's OnAttemptEnd): no page may remain pinned, dirty, locked,
-  /// or flagged for the finished transaction. Fatal on violation. It walks
-  /// the whole cache on purpose: that walk is what proves the per-attempt
-  /// paths, which visit the touched pages only, missed nothing.
-  void AuditEndOfAttempt() const;
+  /// or flagged for the finished transaction, and unless the protocol
+  /// `retains_copies` (callback locking) none may be marked retained.
+  /// Fatal on violation. It walks the whole cache on purpose: that walk is
+  /// what proves the per-attempt paths, which visit the touched pages
+  /// only, missed nothing.
+  void AuditEndOfAttempt(bool retains_copies) const;
 
   /// Visits every cached page (MRU to LRU): fn(PageId, const CachedPage&),
   /// or fn(PageId, CachedPage&) on a mutable cache. The visitor must not

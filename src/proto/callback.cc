@@ -232,7 +232,7 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
         if (outstanding_callbacks_.count({page, client}) != 0) {
           s_.metrics().Count(runner::Counter::lease_expirations);
           const db::PageId one[] = {page};
-          HandleRetainedRelease(client, one, /*drop_directory=*/true);
+          HandleRetainedRelease(client, one);
         }
       });
     }
@@ -241,27 +241,22 @@ sim::Process CallbackServer::RequestCallbacks(int requester_client,
 }
 
 void CallbackServer::HandleRetainedRelease(
-    int client, std::span<const db::PageId> pages, bool drop_directory) {
+    int client, std::span<const db::PageId> pages) {
   for (db::PageId page : pages) {
     s_.locks().Release(lock::RetainedOwner(client), page);
     outstanding_callbacks_.erase({page, client});
-    if (drop_directory) {
-      s_.directory().Drop(client, page);
-    }
   }
 }
 
 void CallbackServer::OnMessage(const net::Message& msg) {
   if (!msg.evicted_pages.empty() && msg.src != net::kServerNode) {
-    HandleRetainedRelease(msg.src, msg.evicted_pages,
-                          /*drop_directory=*/true);
+    HandleRetainedRelease(msg.src, msg.evicted_pages);
   }
-  if (msg.type == net::MsgType::kEvictNotice) {
-    // A clean page with a retained lock left a client cache.
-    HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/true);
-  } else if (msg.type == net::MsgType::kCallbackRelease) {
-    // The client still caches the page; only the lock goes away.
-    HandleRetainedRelease(msg.src, msg.pages, /*drop_directory=*/false);
+  if (msg.type == net::MsgType::kEvictNotice ||
+      msg.type == net::MsgType::kCallbackRelease) {
+    // A clean page with a retained lock left a client cache, or the client
+    // keeps the page and gives up only the lock.
+    HandleRetainedRelease(msg.src, msg.pages);
   }
 }
 

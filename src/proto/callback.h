@@ -85,8 +85,7 @@ class CallbackServer : public TwoPhaseServer {
                     net::Message* reply) override;
 
  private:
-  void HandleRetainedRelease(int client, std::span<const db::PageId> pages,
-                             bool drop_directory);
+  void HandleRetainedRelease(int client, std::span<const db::PageId> pages);
 
   /// Spawned after the requesting transaction has *enqueued* its lock wait:
   /// sends callback requests to every other client retaining the page with

@@ -144,6 +144,43 @@ sim::Task<void> NoWaitClient::OnAttemptEnd(bool committed) {
 
 // --- server ---
 
+NoWaitServer::NoWaitServer(server::Server* server, bool notify,
+                           bool notify_invalidate, bool notify_broadcast)
+    : ServerProtocol(server), notify_(notify),
+      notify_invalidate_(notify_invalidate),
+      notify_broadcast_(notify_broadcast) {
+  if (notify_ && !notify_broadcast_) {
+    const config::ExperimentConfig& config = s_.config();
+    directory_ = std::make_unique<server::Directory>(
+        config.system.client_cache_pages, config.system.num_clients,
+        s_.layout().total_pages(), /*audited=*/config.checker.enabled);
+  }
+}
+
+void NoWaitServer::OnCrash() {
+  if (directory_ != nullptr) {
+    directory_->Clear();
+  }
+}
+
+void NoWaitServer::OnClientReset(int client) {
+  if (directory_ != nullptr) {
+    directory_->DropClient(client);
+  }
+}
+
+void NoWaitServer::OnClientCopy(int client, db::PageId page) {
+  if (directory_ != nullptr) {
+    directory_->Note(client, page);
+  }
+}
+
+void NoWaitServer::AuditStructure() {
+  if (directory_ != nullptr) {
+    directory_->AuditStructure();
+  }
+}
+
 sim::Task<void> NoWaitServer::Handle(const net::Message& msg) {
   switch (msg.type) {
     case net::MsgType::kNoWaitLock:
@@ -334,7 +371,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
         }
       }
     } else {
-      s_.directory().ClientsCaching(page, state.client, &targets);
+      directory_->ClientsCaching(page, state.client, &targets);
     }
     for (int client : targets) {
       net::MessagePtr& msg = per_client[client];
@@ -358,7 +395,7 @@ sim::Task<void> NoWaitServer::PropagateUpdates(
     if (notify_invalidate_) {
       // The client drops these pages; align the directory with that.
       for (db::PageId page : msg->pages) {
-        s_.directory().Drop(client, page);
+        directory_->Drop(client, page);
       }
     } else if (s_.page_processing_cost() > 0) {
       // Each propagated copy is an object sent to a client: ServerProcPage,

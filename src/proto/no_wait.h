@@ -2,9 +2,11 @@
 #define CCSIM_PROTO_NO_WAIT_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "config/params.h"
 #include "proto/protocol.h"
+#include "server/directory.h"
 #include "util/block_pool.h"
 
 namespace ccsim::proto {
@@ -34,18 +36,24 @@ class NoWaitClient : public ClientProtocol {
 };
 
 /// Server half of no-wait locking. With `notify` (paper §2.5), committed
-/// updates are propagated to every client the directory believes caches the
-/// page, reducing stale-read aborts; `notify_invalidate` is the ablation
-/// that sends invalidations instead of new copies.
+/// updates are propagated to every client the caching directory believes
+/// caches the page, reducing stale-read aborts; `notify_invalidate` is the
+/// ablation that sends invalidations instead of new copies, and
+/// `notify_broadcast` the one that sends to every other client and so
+/// keeps no directory.
 class NoWaitServer : public ServerProtocol {
  public:
   NoWaitServer(server::Server* server, bool notify, bool notify_invalidate,
-               bool notify_broadcast)
-      : ServerProtocol(server), notify_(notify),
-        notify_invalidate_(notify_invalidate),
-        notify_broadcast_(notify_broadcast) {}
+               bool notify_broadcast);
 
   sim::Task<void> Handle(const net::Message& msg) override;
+
+  /// The directory is volatile: a server crash loses it, and a client's
+  /// restart empties that client's cache.
+  void OnCrash() override;
+  void OnClientReset(int client) override;
+  void OnClientCopy(int client, db::PageId page) override;
+  void AuditStructure() override;
 
  private:
   sim::Task<void> HandleNoWaitLock(const net::Message& msg);
@@ -66,6 +74,9 @@ class NoWaitServer : public ServerProtocol {
   bool notify_;
   bool notify_invalidate_;
   bool notify_broadcast_;
+  /// Which clients were sent copies of which pages; null unless the
+  /// propagation targets come from it.
+  std::unique_ptr<server::Directory> directory_;
 };
 
 }  // namespace ccsim::proto

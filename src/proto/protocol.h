@@ -105,6 +105,14 @@ class ServerProtocol {
   /// drop algorithm-private state keyed to its previous life.
   virtual void OnClientReset(int /*client*/) {}
 
+  /// The server sent `client` a copy of `page`, or confirmed the one it
+  /// caches, in answer to a read.
+  virtual void OnClientCopy(int /*client*/, db::PageId /*page*/) {}
+
+  /// Consistency-oracle epoch audit of algorithm-private structures. Fatal
+  /// on violation.
+  virtual void AuditStructure() {}
+
  protected:
   server::Server& s_;
 };

@@ -20,8 +20,6 @@ Server::Server(sim::Simulator* simulator,
       cpu_(simulator, "server.cpu", config.system.num_server_cpus),
       locks_(simulator, layout->total_pages()),
       versions_(layout->total_pages()),
-      directory_(config.system.client_cache_pages, config.system.num_clients,
-                 layout->total_pages()),
       inbox_(simulator),
       active_by_client_(static_cast<std::size_t>(config.system.num_clients)),
       last_finished_(static_cast<std::size_t>(config.system.num_clients)) {
@@ -136,7 +134,7 @@ sim::Task<void> Server::AnswerRead(XactState& state,
     if (record_reads) {
       state.read_versions[page] = request.versions[i];
     }
-    directory_.Note(state.client, page);
+    protocol_->OnClientCopy(state.client, page);
   }
   co_await ReadPagesToClient(state, std::move(to_read), reply.get(),
                              record_reads);
@@ -420,7 +418,7 @@ sim::Task<void> Server::ReadPagesToClient(XactState& state,
     if (record_reads) {
       state.read_versions[page] = version;
     }
-    directory_.Note(state.client, page);
+    protocol_->OnClientCopy(state.client, page);
   }
 }
 
@@ -576,7 +574,6 @@ sim::Process Server::GcAbortXact(std::uint64_t uid) {
 
 void Server::GcCrashedClient(int client) {
   metrics_->Count(runner::Counter::gc_xacts);
-  directory_.DropClient(client);
   locks_.ReleaseAll(lock::RetainedOwner(client));
   protocol_->OnClientReset(client);
   const std::uint64_t current = ActiveXactOfClient(client);
@@ -646,7 +643,6 @@ void Server::Crash() {
   inbox_.Clear();
   locks_.Reset();
   redo_pages_at_crash_ = pool_->CrashReset();
-  directory_.Clear();
   log_->OnCrash();
   protocol_->OnCrash();
 }

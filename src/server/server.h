@@ -14,7 +14,6 @@
 #include "lock/lock_manager.h"
 #include "net/network.h"
 #include "runner/metrics.h"
-#include "server/directory.h"
 #include "sim/event.h"
 #include "sim/process.h"
 #include "sim/random.h"
@@ -84,9 +83,11 @@ struct XactState {
 };
 
 /// The database server (paper §3.3.4): CPU(s), data and log disks, buffer
-/// pool, log manager, lock manager, page versions, the caching directory,
-/// MPL admission control, and the algorithm-specific server transaction
-/// manager (a proto::ServerProtocol).
+/// pool, log manager, lock manager, page versions, MPL admission control,
+/// and the algorithm-specific server transaction manager (a
+/// proto::ServerProtocol), which keeps any state only its algorithm needs
+/// (callback locking's outstanding callbacks, notification's caching
+/// directory).
 class Server {
  public:
   Server(sim::Simulator* simulator, const config::ExperimentConfig& config,
@@ -113,8 +114,8 @@ class Server {
   storage::BufferPool& pool() { return *pool_; }
   storage::LogManager& log() { return *log_; }
   db::VersionTable& versions() { return versions_; }
-  Directory& directory() { return directory_; }
   runner::Metrics& metrics() { return *metrics_; }
+  proto::ServerProtocol& protocol() { return *protocol_; }
   sim::Mailbox<net::MessagePtr>& inbox() { return inbox_; }
   std::vector<storage::Disk*> data_disks();
   std::vector<storage::Disk*> log_disks();
@@ -139,18 +140,19 @@ class Server {
   std::uint64_t ActiveXactOfClient(int client) const;
 
   /// Fetches `pages` through the buffer pool, charges ServerProcPage per
-  /// page, appends (page, data, version) to the reply, and notes the copies
-  /// in the directory. With `record_reads`, the versions enter
-  /// state.read_versions for the commit-time serializability oracle
-  /// (lock-based protocols; certification supplies its read set at commit
-  /// instead).
+  /// page, appends (page, data, version) to the reply, and tells the
+  /// protocol of each copy (ServerProtocol::OnClientCopy). With
+  /// `record_reads`, the versions enter state.read_versions for the
+  /// commit-time serializability oracle (lock-based protocols;
+  /// certification supplies its read set at commit instead).
   sim::Task<void> ReadPagesToClient(XactState& state, net::PageList pages,
                                     net::Message* reply, bool record_reads);
 
   /// Answers a read `request` whose locks (if any) are held: cached copies
   /// (`request.pages` at `request.versions`) still current are confirmed,
-  /// stale ones and `request.fetch_pages` are read and shipped. With
-  /// `record_reads` every page read enters the transaction's read set.
+  /// stale ones and `request.fetch_pages` are read and shipped. The protocol
+  /// hears of every confirmed or shipped copy. With `record_reads` every
+  /// page read enters the transaction's read set.
   sim::Task<void> AnswerRead(XactState& state, const net::Message& request,
                              bool record_reads);
 
@@ -194,8 +196,8 @@ class Server {
   /// True while the server is crashed (between Crash and Recover).
   bool down() const { return down_; }
   /// Kills the server: volatile state (active transactions, lock table,
-  /// buffer pool, caching directory, reply caches, queued messages) is
-  /// lost. The version table stands in for the durable database: commits
+  /// buffer pool, the protocol's own state, reply caches, queued messages)
+  /// is lost. The version table stands in for the durable database: commits
   /// are forced to the log, so committed versions survive.
   void Crash();
   /// Restart: replays the log (redoing committed updates lost from the
@@ -313,7 +315,6 @@ class Server {
   std::unique_ptr<storage::LogManager> log_;
   lock::LockManager locks_;
   db::VersionTable versions_;
-  Directory directory_;
   sim::Mailbox<net::MessagePtr> inbox_;
   std::unique_ptr<proto::ServerProtocol> protocol_;
 

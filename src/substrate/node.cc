@@ -73,7 +73,7 @@ client::Client* Assembly::FindClient(int node) const {
 
 void Assembly::Audit() const {
   server::Server* srv = server.get();
-  srv->directory().AuditStructure();
+  srv->protocol().AuditStructure();
   if (config.fault.recovery_enabled) {
     // Crash and GC windows legitimately break the liveness predicate
     // below, so resilient runs audit structure only.
@@ -89,7 +89,11 @@ void Assembly::Audit() const {
   // retained lock (callback locking's core promise; the lease machinery
   // relaxes it under faults). Pages locked by the client's current
   // transaction are in a legitimate transfer window and are skipped. Only
-  // the clients on this calendar can be read here.
+  // the clients on this calendar can be read here. The other protocols
+  // retain no copies; the attempt-end cache audit holds them to that.
+  if (config.algorithm.algorithm != config::Algorithm::kCallbackLocking) {
+    return;
+  }
   for (const auto& c : clients) {
     const int id = c->id();
     c->cache().ForEach([&](db::PageId page, const client::CachedPage& entry) {

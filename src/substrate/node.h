@@ -155,7 +155,7 @@ class RealNode {
 };
 
 /// A real page server: the unchanged server::Server (buffer pool, lock
-/// manager, log, directory, protocol) running on a RealtimeSubstrate, with
+/// manager, log, protocol) running on a RealtimeSubstrate, with
 /// inbound messages injected from the TCP transport. One instance per
 /// ccserve process (or per in-process loopback experiment).
 class ServerNode : public RealNode {

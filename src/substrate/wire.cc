@@ -245,27 +245,18 @@ void FrameBuffer::AppendMessage(const net::Message& msg,
                                 std::uint32_t page_payload_bytes) {
   const std::size_t zero_len =
       std::size_t{page_payload_bytes} * msg.data_pages.size();
+  const std::size_t before = bytes_.size();
   EncodeMessageControl(msg, zero_len, &bytes_);
   segments_.push_back(Segment{bytes_.size(), zero_len});
+  pending_bytes_ += bytes_.size() - before + zero_len;
   ++frames_queued_;
 }
 
 void FrameBuffer::AppendFrame(const std::vector<std::uint8_t>& frame) {
   bytes_.insert(bytes_.end(), frame.begin(), frame.end());
   segments_.push_back(Segment{bytes_.size(), 0});
+  pending_bytes_ += frame.size();
   ++frames_queued_;
-}
-
-std::size_t FrameBuffer::pending_bytes() const {
-  if (!has_pending()) {
-    return 0;
-  }
-  std::size_t total = bytes_.size() - data_cursor_ +
-                      segments_[seg_].zero_len - zero_done_;
-  for (std::size_t s = seg_ + 1; s < segments_.size(); ++s) {
-    total += segments_[s].zero_len;
-  }
-  return total;
 }
 
 void FrameBuffer::Clear() {
@@ -274,10 +265,12 @@ void FrameBuffer::Clear() {
   seg_ = 0;
   data_cursor_ = 0;
   zero_done_ = 0;
+  pending_bytes_ = 0;
   frames_queued_ = 0;
 }
 
 void FrameBuffer::Advance(std::size_t n) {
+  pending_bytes_ -= n;
   while (n > 0) {
     const Segment& seg = segments_[seg_];
     const std::size_t data_rem = seg.data_end - data_cursor_;

@@ -96,7 +96,7 @@ class FrameBuffer {
 
   bool has_pending() const { return seg_ < segments_.size(); }
   /// Bytes not yet handed to the kernel (control + zero payload).
-  std::size_t pending_bytes() const;
+  std::size_t pending_bytes() const { return pending_bytes_; }
   /// Frames appended since the buffer was last fully flushed or cleared.
   std::uint64_t frames_queued() const { return frames_queued_; }
 
@@ -116,9 +116,10 @@ class FrameBuffer {
 
   std::vector<std::uint8_t> bytes_;
   std::vector<Segment> segments_;
-  std::size_t seg_ = 0;          // first segment with unsent bytes
-  std::size_t data_cursor_ = 0;  // absolute offset in bytes_ already sent
-  std::size_t zero_done_ = 0;    // zero bytes of segments_[seg_] sent
+  std::size_t seg_ = 0;            // first segment with unsent bytes
+  std::size_t data_cursor_ = 0;    // absolute offset in bytes_ already sent
+  std::size_t zero_done_ = 0;      // zero bytes of segments_[seg_] sent
+  std::size_t pending_bytes_ = 0;  // appended, not yet sent
   std::uint64_t frames_queued_ = 0;
 };
 

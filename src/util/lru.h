@@ -174,6 +174,23 @@ class LruTable {
     }
   }
 
+  /// Iterates over all entries in slot order, which is not recency order,
+  /// for whole-table checks that need none: slots sit in chunks, so this
+  /// reads memory in sequence where ForEach follows the list.
+  template <typename Fn>
+  void ForEachInSlotOrder(Fn&& fn) const {
+    for (const auto& chunk : chunks_) {
+      for (std::size_t i = 0; i < kChunkSlots; ++i) {
+        const Slot& slot = chunk[i];
+        // Free slots are unlinked with a null prev; of the live ones only
+        // the head has that.
+        if (slot.prev != nullptr || &slot == head_) {
+          fn(slot.entry);
+        }
+      }
+    }
+  }
+
   /// Removes every entry (the slots stay allocated for reuse).
   void Clear() {
     for (Slot* slot = head_; slot != nullptr;) {

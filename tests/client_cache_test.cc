@@ -127,7 +127,7 @@ TEST(ClientCacheTest, ErasingAPinnedPageUntouchesIt) {
       [&](db::PageId page, CachedPage&) { touched.push_back(page); });
   EXPECT_EQ(touched, (std::vector<db::PageId>{1}));
   cache.EndTransaction();
-  cache.AuditEndOfAttempt();
+  cache.AuditEndOfAttempt(/*retains_copies=*/false);
 }
 
 // Property: over random mixes of the cache operations the protocols use,
@@ -189,7 +189,7 @@ TEST(ClientCacheTest, TouchedPathsMatchAWholeCacheWalk) {
             }
           }
           cache.EndTransaction();
-          cache.AuditEndOfAttempt();
+          cache.AuditEndOfAttempt(/*retains_copies=*/false);
           break;
       }
       std::vector<db::PageId> want_dirty, want_touched;

@@ -7,9 +7,10 @@
 //  2. Full simulation runs of all five protocols — fault-free and under
 //     the chaos cocktail — with `checker.enabled`, asserting the history
 //     stays serializable and the counters reconcile.
-//  3. A negative control: a certification server with validation skipped
+//  3. Negative controls: a certification server with validation skipped
 //     (AlgorithmParams::test_skip_validation) must be caught by the oracle
-//     with a cycle dump and a non-zero exit.
+//     with a cycle dump and a non-zero exit, and client caches corrupted
+//     mid-run must be caught by the structural audits.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,9 @@
 #include "runner/experiment.h"
 #include "runner/report.h"
 #include "runner/sweep.h"
+#include "sim/simulator.h"
+#include "sim/time.h"
+#include "substrate/node.h"
 
 namespace ccsim {
 namespace {
@@ -546,6 +550,67 @@ TEST(OracleViolationDeathTest, BrokenProtocolSurvivesWithoutChecker) {
         (void)result;
       },
       "read-currency violated");
+}
+
+// ---------------------------------------------------------------------------
+// Negative controls: the structural audits catch a corrupted cache
+// ---------------------------------------------------------------------------
+
+TEST(OracleViolationDeathTest, RetainedCopyUnderTwoPhaseLockingIsCaught) {
+  // Only callback locking retains copies across transactions. A 2PL cache
+  // left holding a page marked retained dies in the attempt-end audit of
+  // the client's next attempt, not in an epoch audit.
+  const ExperimentConfig cfg = OracleBaseConfig(
+      Algorithm::kTwoPhaseLocking, CachingMode::kInterTransaction);
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        substrate::Assembly nodes(&sim, cfg, cfg.control.seed,
+                                  /*with_server=*/true, 0,
+                                  cfg.system.num_clients, "");
+        nodes.Start();
+        sim.Run(sim::SecondsToTicks(20));
+        nodes.clients[0]->cache().ForEach(
+            [](db::PageId, client::CachedPage& entry) {
+              entry.retained = true;
+            });
+        sim.Run(sim::SecondsToTicks(1000));
+        sim.Shutdown();
+      },
+      "marked retained under a protocol that retains no copies");
+}
+
+TEST(OracleViolationDeathTest, RetainedCopyWithoutItsServerLockIsCaught) {
+  // Callback locking's promise: a copy the client trusts as retained is
+  // backed by a retained lock at the server. Releasing those locks behind
+  // the clients' backs breaks it; with an audit at every commit, the next
+  // commit's epoch audit dies before any rival write could make a trusted
+  // copy stale.
+  ExperimentConfig cfg = OracleBaseConfig(Algorithm::kCallbackLocking,
+                                          CachingMode::kInterTransaction);
+  cfg.checker.audit_epoch_commits = 1;
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        substrate::Assembly nodes(&sim, cfg, cfg.control.seed,
+                                  /*with_server=*/true, 0,
+                                  cfg.system.num_clients, "");
+        nodes.Start();
+        sim.Run(sim::SecondsToTicks(20));
+        for (const auto& c : nodes.clients) {
+          const int id = c->id();
+          c->cache().ForEach(
+              [&](db::PageId page, const client::CachedPage& entry) {
+                if (entry.retained && entry.lock == client::PageLock::kNone) {
+                  nodes.server->locks().Release(lock::RetainedOwner(id),
+                                                page);
+                }
+              });
+        }
+        sim.Run(sim::SecondsToTicks(1000));
+        sim.Shutdown();
+      },
+      "trusts a retained copy");
 }
 
 }  // namespace

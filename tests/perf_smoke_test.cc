@@ -29,6 +29,7 @@
 #include "config/params.h"
 #include "net/message.h"
 #include "runner/experiment.h"
+#include "server/directory.h"
 #include "sim/process.h"
 #include "sim/event.h"
 #include "sim/simulator.h"
@@ -287,7 +288,7 @@ TEST(PerfSmokeTest, ClientCacheAttemptEndIsAllocationFree) {
   EXPECT_EQ(AllocationsNow(), before)
       << "DirtyPages/EndTransaction allocated";
   EXPECT_GT(sink, 0u);
-  cache.AuditEndOfAttempt();
+  cache.AuditEndOfAttempt(/*retains_copies=*/false);
 }
 
 TEST(PerfSmokeTest, AttemptBookkeepingIsIndependentOfCacheSize) {
@@ -325,7 +326,50 @@ TEST(PerfSmokeTest, AttemptBookkeepingIsIndependentOfCacheSize) {
   EXPECT_EQ(sink, 4000u);
   EXPECT_LT(seconds, 0.1) << seconds
                           << " s: per-attempt bookkeeping walks the cache";
-  cache.AuditEndOfAttempt();
+  cache.AuditEndOfAttempt(/*retains_copies=*/false);
+}
+
+TEST(PerfSmokeTest, DirectoryAuditIsIndependentOfFill) {
+  // The caching directory's epoch audit must cost O(changes since the last
+  // audit + a 1/kAuditSlices slice of the pages), not O(entries held): a
+  // whole-directory walk makes long checked runs slow down as the client
+  // caches fill. The same Note/Drop calls between two audits at a fill of
+  // a few pages per client and at 2000 pages per client must visit
+  // entries within one bound, which the fill does not enter. A whole walk
+  // visits all 100,000 entries at the larger fill.
+  constexpr int kClients = 50;
+  constexpr std::int64_t kPages = 4000;
+  constexpr int kCalls = 100;  // Note and Drop calls between the audits
+  auto audit_visits = [&](int fill) {
+    server::Directory dir(static_cast<int>(kPages), kClients, kPages,
+                          /*audited=*/true);
+    for (int client = 0; client < kClients; ++client) {
+      for (int i = 0; i < fill; ++i) {
+        dir.Note(client, static_cast<db::PageId>((client * 37 + i) % kPages));
+      }
+    }
+    dir.AuditStructure();  // takes in the fill
+    for (int i = 0; i < kCalls / 2; ++i) {
+      const int client = i % kClients;
+      const auto page = static_cast<db::PageId>((i * 7919) % kPages);
+      dir.Note(client, page);
+      dir.Drop((client + 1) % kClients, page);
+    }
+    const std::uint64_t before = dir.audit_visits();
+    dir.AuditStructure();
+    return dir.audit_visits() - before;
+  };
+  // Each checked page visits every client view plus its own reverse set
+  // (at most every client); the totals visit each view once.
+  const std::uint64_t slice =
+      (kPages + server::Directory::kAuditSlices - 1) /
+      server::Directory::kAuditSlices;
+  const std::uint64_t bound = (kCalls + slice) * 2 * kClients + kClients;
+  const std::uint64_t sparse = audit_visits(4);
+  const std::uint64_t full = audit_visits(2000);
+  EXPECT_LE(sparse, bound);
+  EXPECT_LE(full, bound) << "the directory audit walks every entry";
+  EXPECT_LT(bound, 2000u * kClients);  // the gate can tell a whole walk
 }
 
 // ---------------------------------------------------------------------------

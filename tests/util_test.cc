@@ -199,8 +199,9 @@ TEST(LruTableTest, ClearEmpties) {
 TEST(LruTableTest, MatchesAReferenceModel) {
   // Random inserts, touches, erases, pins and clears over keys spanning
   // several slot chunks, checked after every step against a list kept in
-  // MRU order: ForEach order, sizes, pins, lookups
-  // and VictimCandidate. Erased keys come back, so slots are reused.
+  // MRU order: ForEach order, the entries ForEachInSlotOrder visits,
+  // sizes, pins, lookups and VictimCandidate. Erased keys come back, so
+  // slots are reused.
   struct ModelEntry {
     int key;
     int value;
@@ -282,6 +283,14 @@ TEST(LruTableTest, MatchesAReferenceModel) {
         }
       }
       ASSERT_EQ(order, expected) << "seed " << seed << " step " << step;
+      std::vector<int> in_slot_order;
+      lru.ForEachInSlotOrder([&](const LruTable<int, int>::Entry& e) {
+        in_slot_order.push_back(e.key);
+      });
+      std::sort(in_slot_order.begin(), in_slot_order.end());
+      std::sort(expected.begin(), expected.end());
+      ASSERT_EQ(in_slot_order, expected)
+          << "seed " << seed << " step " << step;
       const auto* candidate = lru.VictimCandidate();
       ASSERT_EQ(candidate == nullptr, victim == nullptr);
       if (victim != nullptr) {

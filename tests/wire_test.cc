@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -97,6 +98,94 @@ TEST(WireCodecTest, FrameBufferBytesAreUnchanged) {
     done += static_cast<std::size_t>(n);
   }
   EXPECT_EQ(got, want);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(WireCodecTest, FrameBufferCountsPendingBytesThroughPartialFlushes) {
+  // pending_bytes() is a running total. Checked against what a walk of the
+  // queued frames gives: every byte appended (control and zero payload)
+  // minus every byte the kernel took, which is what the peer can read.
+  // A small send buffer makes flushes stop part-way through a frame.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  constexpr std::uint32_t kPagePayloadBytes = 4096;
+  FrameBuffer buffer;
+  std::size_t appended = 0;
+  std::size_t received = 0;
+  std::vector<std::size_t> frame_ends;  // cumulative frame boundaries
+  auto append_message = [&](const net::Message& msg) {
+    std::vector<std::uint8_t> frame;
+    EncodeMessage(msg, kPagePayloadBytes, &frame);
+    buffer.AppendMessage(msg, kPagePayloadBytes);
+    appended += frame.size();
+    frame_ends.push_back(appended);
+  };
+  auto append_frame = [&](const net::Message& msg) {
+    std::vector<std::uint8_t> frame;
+    EncodeMessage(msg, kPagePayloadBytes, &frame);
+    buffer.AppendFrame(frame);
+    appended += frame.size();
+    frame_ends.push_back(appended);
+  };
+  auto drain = [&] {
+    std::uint8_t sink[65536];
+    while (true) {
+      const ssize_t n = ::recv(fds[1], sink, sizeof(sink), MSG_DONTWAIT);
+      if (n <= 0) {
+        break;
+      }
+      received += static_cast<std::size_t>(n);
+    }
+  };
+  net::Message with_pages = FullMessage();
+  with_pages.data_pages = {1, 2, 3, 4};
+  with_pages.data_versions = {1, 2, 3, 4};
+  net::Message without_pages = FullMessage();
+  without_pages.data_pages.clear();
+  without_pages.data_versions.clear();
+
+  EXPECT_EQ(buffer.pending_bytes(), 0u);
+  for (int round = 0; round < 3; ++round) {
+    append_message(with_pages);
+    EXPECT_EQ(buffer.pending_bytes(), appended - received);
+    append_message(without_pages);
+    EXPECT_EQ(buffer.pending_bytes(), appended - received);
+    append_frame(with_pages);
+    EXPECT_EQ(buffer.pending_bytes(), appended - received);
+  }
+  bool stopped_mid_frame = false;
+  FrameBuffer::FlushResult result = FrameBuffer::FlushResult::kAgain;
+  for (int flush = 0; result == FrameBuffer::FlushResult::kAgain; ++flush) {
+    ASSERT_LT(flush, 10000);
+    result = buffer.Flush(fds[0]);
+    ASSERT_NE(result, FrameBuffer::FlushResult::kError);
+    if (result == FrameBuffer::FlushResult::kAgain) {
+      EXPECT_GT(buffer.pending_bytes(), 0u);
+      const std::size_t taken = appended - buffer.pending_bytes();
+      stopped_mid_frame |= std::find(frame_ends.begin(), frame_ends.end(),
+                                     taken) == frame_ends.end();
+    }
+    drain();
+    EXPECT_EQ(buffer.pending_bytes(), appended - received);
+    if (flush == 1) {
+      append_message(without_pages);  // appended while a frame is part-sent
+      EXPECT_EQ(buffer.pending_bytes(), appended - received);
+    }
+  }
+  EXPECT_TRUE(stopped_mid_frame);
+  EXPECT_EQ(buffer.pending_bytes(), 0u);
+  EXPECT_EQ(received, appended);
+
+  append_message(with_pages);
+  append_frame(without_pages);
+  EXPECT_EQ(buffer.pending_bytes(), appended - received);
+  buffer.Clear();
+  EXPECT_EQ(buffer.pending_bytes(), 0u);
   ::close(fds[0]);
   ::close(fds[1]);
 }

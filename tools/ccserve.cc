@@ -1,6 +1,6 @@
 // ccserve — a real page server: the simulator's server::Server (buffer
-// pool, lock manager, log, page directory, and any of the five consistency
-// protocols) hosted on real threads, serving the wire protocol over TCP.
+// pool, lock manager, log, and any of the five consistency protocols)
+// hosted on real threads, serving the wire protocol over TCP.
 //
 //   $ ccserve --algorithm=callback --clients=16 --port=7411
 //   $ ccserve --algorithm=cert --clients=8 --port=0 --port-file=/tmp/port
