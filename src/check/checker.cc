@@ -53,9 +53,10 @@ void Checker::OnCommit(int client, std::uint64_t xact, std::int64_t at,
   MaybeAudit();
 }
 
-void Checker::OnAbortObserved(std::uint64_t xact) {
+void Checker::OnAbortObserved(int client, std::uint64_t xact) {
   Record record;
   record.kind = Record::Kind::kAbortObserved;
+  record.client = client;
   record.xact = xact;
   Submit(record);
 }
@@ -250,7 +251,7 @@ void Checker::Apply(const Record& record) {
           std::span<const PageVersion>(record.writes, record.write_count));
       break;
     case Record::Kind::kAbortObserved:
-      oracle_->OnAbortObserved(record.xact);
+      oracle_->OnAbortObserved(record.client, record.xact);
       break;
     case Record::Kind::kUnknownOutcome:
       oracle_->OnUnknownOutcome(record.xact);

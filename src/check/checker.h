@@ -73,7 +73,7 @@ class Checker {
   void OnCommit(int client, std::uint64_t xact, std::int64_t at,
                 std::span<const PageVersion> reads,
                 std::span<const PageVersion> writes);
-  void OnAbortObserved(std::uint64_t xact);
+  void OnAbortObserved(int client, std::uint64_t xact);
   void NoteStaleCommitRead(int client, std::uint64_t xact, db::PageId page,
                            std::uint64_t read_version,
                            std::uint64_t current_version);

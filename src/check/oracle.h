@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,12 +21,19 @@ using PageVersion = std::pair<db::PageId, std::uint64_t>;
 /// transaction's read set (page, version seen) and write set (page, version
 /// installed) at the server's commit point, maintains the direct
 /// serialization graph online, and aborts the run with a cycle dump the
-/// moment a non-serializable history commits. A coherence invariant auditor
-/// rides along: an audit hook (installed by the experiment runner) checks
-/// client caches, the lock table, no-wait-notify's caching directory, and
-/// the buffer pool once per audit epoch, and protocol code reports trusted
-/// local reads and unknown commit outcomes so structural invariants are
-/// checked where they are claimed, not where they fail.
+/// moment a non-serializable history commits. The graph holds only recent
+/// history: a node more than kHorizon commits old that no retained node has
+/// an edge into is retired (it can no longer lie on a cycle), so a commit
+/// costs O(its read and write sets) and the state held is bounded by the
+/// horizon. A committed read of a version whose overwriter has retired is
+/// reported as a violation of its own (a stale read beyond the horizon).
+///
+/// A coherence invariant auditor rides along: an audit hook (installed by
+/// the experiment runner) checks client caches, the lock table,
+/// no-wait-notify's caching directory, and the buffer pool once per audit
+/// epoch, and protocol code reports trusted local reads and unknown commit
+/// outcomes so structural invariants are checked where they are claimed,
+/// not where they fail.
 ///
 /// One oracle is owned per run and touches neither the event calendar nor
 /// any RNG stream, so checker-on runs are deterministic at any sweep
@@ -42,6 +48,11 @@ using PageVersion = std::pair<db::PageId, std::uint64_t>;
 /// simulation state.
 class Oracle {
  public:
+  /// H: a node is retired once it is more than this many commits old (and
+  /// unpinned). Every protocol here commits only current reads, so on a
+  /// correct run nothing ever points that far back.
+  static constexpr int kHorizon = 1024;
+
   struct Options {
     /// Dump and std::abort() on a violation (the production setting; unit
     /// tests clear it and inspect the violation report instead).
@@ -64,6 +75,9 @@ class Oracle {
   /// A transaction committed: `reads` holds (page, version read) and
   /// `writes` (page, version installed). Feeds the serialization graph;
   /// fatal (with cycle dump) if the history stops being serializable.
+  /// Each client's transactions must commit in rising id order (the server
+  /// refuses an attempt older than one it has finished); a repeat or an
+  /// older id is fatal ("committed twice").
   void OnCommit(int client, std::uint64_t xact, std::int64_t at,
                 std::span<const PageVersion> reads,
                 std::span<const PageVersion> writes);
@@ -76,8 +90,11 @@ class Oracle {
              std::span<const PageVersion>(writes));
   }
 
-  /// A server-side transaction was aborted (abort pipeline, GC, or crash).
-  /// Only consumed by unknown-outcome reconciliation.
+  /// A server-side transaction of `client` was aborted (abort pipeline,
+  /// GC, or crash). Only consumed by unknown-outcome reconciliation.
+  void OnAbortObserved(int client, std::uint64_t xact);
+  /// The same from a feed that does not know the client (hand-built
+  /// histories): it resolves only an outcome already reported unknown.
   void OnAbortObserved(std::uint64_t xact);
 
   /// A commit carried a read of `read_version` while `current_version` was
@@ -140,6 +157,11 @@ class Oracle {
   std::uint64_t edges() const { return graph_.edge_count(); }
   std::uint64_t scc_checks() const { return graph_.reorder_checks(); }
   std::uint64_t max_frontier() const { return graph_.max_frontier(); }
+  /// The state held: retained graph nodes, stored edges, and retained
+  /// per-page write entries. Bounded by the horizon on a clean history.
+  std::size_t retained_nodes() const { return graph_.node_count(); }
+  std::uint64_t stored_edges() const { return graph_.stored_edge_count(); }
+  std::uint64_t retained_writes() const { return writes_.size(); }
   std::uint64_t audits() const { return audits_; }
   std::uint64_t client_audits() const { return client_audits_; }
   std::uint64_t trusted_reads() const { return trusted_reads_; }
@@ -156,53 +178,107 @@ class Oracle {
   const std::string& violation_report() const { return violation_report_; }
 
  private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  /// A retained node's transaction.
   struct XactInfo {
     int client = 0;
     std::uint64_t xact = 0;
     std::int64_t at = 0;
+    /// writes_.end() when it committed: its writes start here.
+    std::uint64_t first_write = 0;
   };
+
+  /// One committed write of a retained node. Its page's earlier writes are
+  /// reached through `prev`, one version down per step.
+  struct WriteEntry {
+    int writer = -1;
+    /// The writer of the version this one replaced (-1: none observed).
+    int prev_writer = -1;
+    std::uint64_t prev = kNone;
+  };
+
+  /// A node that read its page's latest version, listed until the page is
+  /// next written; entries live in one pool with a free list.
+  struct ReaderEntry {
+    int node = -1;
+    std::uint32_t next = 0;
+  };
+  static constexpr std::uint32_t kNoReader = ~std::uint32_t{0};
 
   /// Per-page bookkeeping over the committed version chain. Versions are
   /// dense (each committed write bumps by exactly one), which the oracle
-  /// asserts and then exploits: the writers of a page's versions are a
-  /// vector indexed from the first version it saw written.
+  /// asserts and then exploits: the retained writes of a page are a chain
+  /// of consecutive versions ending at `latest`.
   struct PageState {
     /// Latest committed version seen so far; 0 until first observation
     /// (reads of untouched pages establish the baseline lazily).
     std::uint64_t latest = 0;
-    int latest_writer = -1;
-    std::vector<int> readers_of_latest;
-    /// writers[v - first_written] is the node that installed version v.
+    /// The first version seen written; meaningful once latest_writer >= 0.
     std::uint64_t first_written = 0;
-    std::vector<int> writers;
+    /// writes_ index of the write that installed `latest` (kNone: none).
+    std::uint64_t newest_write = kNone;
+    /// Node that installed `latest`, retained or not; -1 until a write.
+    int latest_writer = -1;
+    std::uint32_t readers_head = kNoReader;
+    std::uint32_t readers_tail = kNoReader;
+  };
 
-    /// The node that installed `version`, or -1 if none was observed.
-    int WriterOf(std::uint64_t version) const {
-      return version >= first_written &&
-                     version - first_written < writers.size()
-                 ? writers[version - first_written]
-                 : -1;
-    }
+  /// What the oracle keeps per client: the newest transaction it committed
+  /// and the newest the server aborted. A client runs its attempts one at
+  /// a time with rising ids, so a transaction whose outcome it reports
+  /// unknown is its newest attempt.
+  struct ClientLog {
+    std::uint64_t last_committed = 0;
+    std::uint64_t last_aborted = 0;
+  };
+
+  struct Outcome {
+    bool committed = false;
+    bool aborted = false;
   };
 
   /// The page's state; grows the table to reach it.
   PageState& StateOf(db::PageId page);
+  ClientLog& LogOf(int client);
 
+  /// writes_ index of the retained write that installed `version` of the
+  /// page, or kNone once it has retired.
+  std::uint64_t RetainedWrite(const PageState& ps,
+                              std::uint64_t version) const;
+  void AddReader(PageState& ps, int node);
+  /// Adds `from → to`, or counts it at the end of the commit if `from` has
+  /// retired.
   void AddEdgeChecked(int from, int to, EdgeKind kind, db::PageId page,
                       std::uint64_t version);
+  /// Retires nodes older than the horizon, with their writes.
+  void Retire();
   /// Formats + records the violation; aborts unless tests disabled that.
   void Violate(const SerializationGraph::Cycle& cycle);
+  /// `node` committed a read of `page` at `version`, and the transaction
+  /// that overwrote it has retired.
+  void ViolateBeyondHorizon(int node, db::PageId page, std::uint64_t version);
+  /// Appends the stale-read evidence, then records / aborts.
+  void Report(std::string report);
   std::string DescribeNode(int node) const;
 
   Options options_;
   SerializationGraph graph_;
-  std::unordered_map<std::uint64_t, int> node_of_;
-  std::vector<XactInfo> info_;
+  /// Retained nodes' transactions; index = node id.
+  FifoRing<XactInfo> info_;
+  /// Retained nodes' writes, in commit order.
+  FifoRing<WriteEntry> writes_;
+  std::vector<ReaderEntry> readers_;
+  std::uint32_t free_readers_ = kNoReader;
   /// Indexed by page id, up to the largest page committed so far.
   std::vector<PageState> pages_;
+  /// Sources of this commit's in-edges that have retired (deduplicated and
+  /// counted at the end of the commit).
+  std::vector<int> retired_sources_;
 
-  std::unordered_set<std::uint64_t> unknown_;
-  std::unordered_set<std::uint64_t> aborted_;
+  /// Indexed by client id.
+  std::vector<ClientLog> clients_;
+  std::unordered_map<std::uint64_t, Outcome> unknown_;
   std::vector<std::string> stale_notes_;
 
   std::function<void()> audit_hook_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/macros.h"
-
 namespace ccsim::check {
 
 const char* EdgeKindName(EdgeKind kind) {
@@ -19,73 +17,123 @@ const char* EdgeKindName(EdgeKind kind) {
 }
 
 int SerializationGraph::AddNode() {
-  const int id = static_cast<int>(out_.size());
-  out_.emplace_back();
-  in_.emplace_back();
-  ord_.push_back(id);
-  mark_.push_back(0);
-  parent_.push_back(-1);
+  const int id = next_++;
+  Node node;
+  node.ord = id;
+  node.first_edge = edges_.end();
+  nodes_.push_back(node);
   return id;
 }
 
 const SerializationGraph::EdgeInfo* SerializationGraph::FindEdge(
     int from, int to) const {
-  auto it = edges_.find(EdgeKey(from, to));
-  return it == edges_.end() ? nullptr : &it->second;
+  if (!Retained(from)) {
+    return nullptr;
+  }
+  for (std::uint64_t e = NodeAt(from).out_head; e != kNoEdge;
+       e = edges_[e].next_out) {
+    if (edges_[e].to == to) {
+      return &edges_[e].info;
+    }
+  }
+  return nullptr;
 }
 
 bool SerializationGraph::AddEdge(int from, int to, const EdgeInfo& info,
                                  Cycle* cycle) {
-  CCSIM_CHECK(from >= 0 && from < static_cast<int>(out_.size()));
-  CCSIM_CHECK(to >= 0 && to < static_cast<int>(out_.size()));
+  CCSIM_CHECK(Retained(from));
+  CCSIM_CHECK(Retained(to));
   if (from == to) {
     cycle->nodes = {from};
     return true;
   }
-  if (!edges_.emplace(EdgeKey(from, to), info).second) {
+  Node& source = NodeAt(from);
+  Node& target = NodeAt(to);
+  // Every edge into (out of) the newest node was added while it was the
+  // newest, and each one stamped its other endpoint.
+  const int newest = next_ - 1;
+  const bool duplicate = to == newest     ? source.in_mark == to
+                         : from == newest ? target.out_mark == from
+                                          : FindEdge(from, to) != nullptr;
+  if (duplicate) {
     // Already present; the graph is unchanged and still acyclic.
     return false;
   }
-  out_[from].push_back(to);
-  in_[to].push_back(from);
+  if (to == newest) {
+    source.in_mark = to;
+  } else if (from == newest) {
+    target.out_mark = from;
+  }
+  Edge edge;
+  edge.from = from;
+  edge.to = to;
+  edge.next_in = target.in_head;
+  edge.info = info;
+  const std::uint64_t index = edges_.push_back(edge);
+  // Out-lists keep insertion order: the forward search walks them, and the
+  // cycle it reports depends on that order.
+  if (source.out_tail == kNoEdge) {
+    source.out_head = index;
+  } else {
+    edges_[source.out_tail].next_out = index;
+  }
+  source.out_tail = index;
+  target.in_head = index;
+  if (from > to) {
+    target.pinned = true;
+  }
   ++edge_count_;
-  if (ord_[from] < ord_[to]) {
+  if (source.ord < target.ord) {
     return false;  // insertion respects the current order; no search needed
   }
   // Affected region: ord slots in [ord[to], ord[from]].
   ++reorder_checks_;
-  std::vector<int> forward;
-  std::vector<int> backward;
+  forward_.clear();
+  backward_.clear();
   ++mark_epoch_;
-  if (ForwardSearch(to, from, ord_[from], &forward, cycle)) {
+  if (ForwardSearch(to, from, source.ord, cycle)) {
     return true;
   }
-  BackwardSearch(from, ord_[to], &backward);
+  BackwardSearch(from, target.ord);
   max_frontier_ = std::max(
       max_frontier_,
-      static_cast<std::uint64_t>(forward.size() + backward.size()));
-  Reorder(&backward, &forward);
+      static_cast<std::uint64_t>(forward_.size() + backward_.size()));
+  Reorder();
   return false;
 }
 
+bool SerializationGraph::RetireOldest() {
+  CCSIM_CHECK(next_ - oldest_ >= 2);
+  if (NodeAt(oldest_).pinned) {
+    return false;
+  }
+  // The edges added while the oldest node was the newest have both
+  // endpoints at or below it, so none of them is on a retained list.
+  edges_.DropFront(NodeAt(oldest_ + 1).first_edge);
+  ++oldest_;
+  nodes_.DropFront(static_cast<std::uint64_t>(oldest_));
+  return true;
+}
+
 bool SerializationGraph::ForwardSearch(int start, int target, int bound,
-                                       std::vector<int>* visited,
                                        Cycle* cycle) {
-  std::vector<int> stack = {start};
-  mark_[static_cast<std::size_t>(start)] = mark_epoch_;
-  parent_[static_cast<std::size_t>(start)] = -1;
-  while (!stack.empty()) {
-    const int node = stack.back();
-    stack.pop_back();
-    visited->push_back(node);
-    for (int next : out_[static_cast<std::size_t>(node)]) {
+  stack_.clear();
+  stack_.push_back(start);
+  NodeAt(start).mark = mark_epoch_;
+  NodeAt(start).parent = -1;
+  while (!stack_.empty()) {
+    const int node = stack_.back();
+    stack_.pop_back();
+    forward_.push_back(node);
+    for (std::uint64_t e = NodeAt(node).out_head; e != kNoEdge;
+         e = edges_[e].next_out) {
+      const int next = edges_[e].to;
       if (next == target) {
-        // Path target→…? No: start..node→target closes the cycle through
-        // the new edge target→start. Reconstruct start..node, then append
-        // target so consecutive pairs (and back to front) are all edges.
+        // start..node→target closes the cycle through the new edge
+        // target→start. Reconstruct start..node, then append target so
+        // consecutive pairs (and back to front) are all edges.
         std::vector<int> path = {node};
-        for (int p = parent_[static_cast<std::size_t>(node)]; p != -1;
-             p = parent_[static_cast<std::size_t>(p)]) {
+        for (int p = NodeAt(node).parent; p != -1; p = NodeAt(p).parent) {
           path.push_back(p);
         }
         std::reverse(path.begin(), path.end());  // start … node
@@ -93,66 +141,68 @@ bool SerializationGraph::ForwardSearch(int start, int target, int bound,
         cycle->nodes = std::move(path);          // edge target → start closes
         return true;
       }
-      if (ord_[static_cast<std::size_t>(next)] > bound) {
+      Node& n = NodeAt(next);
+      if (n.ord > bound) {
         continue;  // outside the affected region; cannot reach `target`
       }
-      if (mark_[static_cast<std::size_t>(next)] == mark_epoch_) {
+      if (n.mark == mark_epoch_) {
         continue;
       }
-      mark_[static_cast<std::size_t>(next)] = mark_epoch_;
-      parent_[static_cast<std::size_t>(next)] = node;
-      stack.push_back(next);
+      n.mark = mark_epoch_;
+      n.parent = node;
+      stack_.push_back(next);
     }
   }
   return false;
 }
 
-void SerializationGraph::BackwardSearch(int start, int bound,
-                                        std::vector<int>* visited) {
-  std::vector<int> stack = {start};
-  mark_[static_cast<std::size_t>(start)] = mark_epoch_;
-  while (!stack.empty()) {
-    const int node = stack.back();
-    stack.pop_back();
-    visited->push_back(node);
-    for (int prev : in_[static_cast<std::size_t>(node)]) {
-      if (ord_[static_cast<std::size_t>(prev)] < bound) {
+void SerializationGraph::BackwardSearch(int start, int bound) {
+  stack_.clear();
+  stack_.push_back(start);
+  NodeAt(start).mark = mark_epoch_;
+  while (!stack_.empty()) {
+    const int node = stack_.back();
+    stack_.pop_back();
+    backward_.push_back(node);
+    for (std::uint64_t e = NodeAt(node).in_head; e != kNoEdge;
+         e = edges_[e].next_in) {
+      const int prev = edges_[e].from;
+      // A retired source precedes every retained node in the order, so it
+      // is below `bound` (and its record is gone).
+      if (prev < oldest_) {
         continue;
       }
-      if (mark_[static_cast<std::size_t>(prev)] == mark_epoch_) {
+      Node& p = NodeAt(prev);
+      if (p.ord < bound || p.mark == mark_epoch_) {
         continue;
       }
-      mark_[static_cast<std::size_t>(prev)] = mark_epoch_;
-      stack.push_back(prev);
+      p.mark = mark_epoch_;
+      stack_.push_back(prev);
     }
   }
 }
 
-void SerializationGraph::Reorder(std::vector<int>* backward,
-                                 std::vector<int>* forward) {
-  auto by_ord = [this](int a, int b) {
-    return ord_[static_cast<std::size_t>(a)] < ord_[static_cast<std::size_t>(b)];
-  };
-  std::sort(backward->begin(), backward->end(), by_ord);
-  std::sort(forward->begin(), forward->end(), by_ord);
+void SerializationGraph::Reorder() {
+  auto by_ord = [this](int a, int b) { return NodeAt(a).ord < NodeAt(b).ord; };
+  std::sort(backward_.begin(), backward_.end(), by_ord);
+  std::sort(forward_.begin(), forward_.end(), by_ord);
   // Pool the ord slots both sets occupy, then hand them back in ascending
   // order: first to the backward set (everything that must precede the new
   // edge's source), then to the forward set.
-  std::vector<int> slots;
-  slots.reserve(backward->size() + forward->size());
-  for (int node : *backward) {
-    slots.push_back(ord_[static_cast<std::size_t>(node)]);
+  slots_.clear();
+  for (int node : backward_) {
+    slots_.push_back(NodeAt(node).ord);
   }
-  for (int node : *forward) {
-    slots.push_back(ord_[static_cast<std::size_t>(node)]);
+  for (int node : forward_) {
+    slots_.push_back(NodeAt(node).ord);
   }
-  std::sort(slots.begin(), slots.end());
+  std::sort(slots_.begin(), slots_.end());
   std::size_t slot = 0;
-  for (int node : *backward) {
-    ord_[static_cast<std::size_t>(node)] = slots[slot++];
+  for (int node : backward_) {
+    NodeAt(node).ord = slots_[slot++];
   }
-  for (int node : *forward) {
-    ord_[static_cast<std::size_t>(node)] = slots[slot++];
+  for (int node : forward_) {
+    NodeAt(node).ord = slots_[slot++];
   }
 }
 

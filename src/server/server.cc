@@ -503,7 +503,7 @@ sim::Task<void> Server::AbortPipeline(XactState& state) {
   CCSIM_CHECK(!state.done);
   state.aborted = true;
   if (check::Checker* checker = metrics_->checker()) {
-    checker->OnAbortObserved(state.uid);
+    checker->OnAbortObserved(state.client, state.uid);
   }
   locks_.CancelOwner(state.uid);
   const std::vector<db::PageId> flushed = pool_->AbortTransaction(state.uid);
@@ -630,7 +630,7 @@ void Server::Crash() {
     if (!state->done && !state->committing) {
       state->aborted = true;
       if (check::Checker* checker = metrics_->checker()) {
-        checker->OnAbortObserved(uid);
+        checker->OnAbortObserved(state->client, uid);
       }
     }
     std::uint64_t& last = last_finished_[ClientSlot(state->client)];

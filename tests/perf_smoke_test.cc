@@ -25,6 +25,7 @@
 #include <new>
 #include <string>
 
+#include "check/oracle.h"
 #include "client/client_cache.h"
 #include "config/params.h"
 #include "net/message.h"
@@ -36,6 +37,7 @@
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
 #include "substrate/wire.h"
+#include "oracle_history.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -370,6 +372,71 @@ TEST(PerfSmokeTest, DirectoryAuditIsIndependentOfFill) {
   EXPECT_LE(sparse, bound);
   EXPECT_LE(full, bound) << "the directory audit walks every entry";
   EXPECT_LT(bound, 2000u * kClients);  // the gate can tell a whole walk
+}
+
+// ---------------------------------------------------------------------------
+// Consistency oracle: flat storage and retirement
+// ---------------------------------------------------------------------------
+
+constexpr int kHistoryClients = 50;
+constexpr int kHistoryPages = 300;
+
+TEST(PerfSmokeTest, OracleCommitIsAllocationFreeAfterWarmup) {
+  // Warmup grows the node, edge and write pools, the reader pool, the page
+  // and client tables and the per-commit scratch to their working size;
+  // from then on a commit reuses what retirement freed.
+  check::Oracle oracle(check::Oracle::Options{}, kHistoryPages);
+  SyntheticHistory history(kHistoryClients, kHistoryPages, /*seed=*/7);
+  for (int i = 0; i < 4 * check::Oracle::kHorizon; ++i) {
+    history.NextBackground();
+    history.FeedTo(oracle);
+  }
+  const std::uint64_t before = AllocationsNow();
+  for (int i = 0; i < 10000; ++i) {
+    history.NextBackground();
+    history.FeedTo(oracle);
+  }
+  EXPECT_EQ(AllocationsNow(), before) << "an oracle commit allocated";
+  EXPECT_TRUE(oracle.violation_report().empty());
+}
+
+TEST(PerfSmokeTest, OracleStateIsBoundedByTheHorizon) {
+  // The state held after 20k and after 100k commits of one clean history:
+  // the last H + 1 nodes, no stored edge older than the edges those
+  // commits added, and exactly their writes. None of it grows with length.
+  constexpr int kH = check::Oracle::kHorizon;
+  check::Oracle oracle(check::Oracle::Options{}, kHistoryPages);
+  SyntheticHistory history(kHistoryClients, kHistoryPages, /*seed=*/11);
+  // edges() after each of the last H + 2 commits, and the write-set sizes
+  // of the last H + 1.
+  std::vector<std::uint64_t> edges_after(kH + 2);
+  std::vector<std::uint64_t> writes_of(kH + 1);
+  for (std::uint64_t n = 1; n <= 100000; ++n) {
+    history.NextBackground();
+    history.FeedTo(oracle);
+    edges_after[n % edges_after.size()] = oracle.edges();
+    writes_of[n % writes_of.size()] = history.writes().size();
+    if (n != 20000 && n != 100000) {
+      continue;
+    }
+    SCOPED_TRACE(n);
+    const std::uint64_t window_edges =
+        oracle.edges() - edges_after[(n - kH - 1) % edges_after.size()];
+    std::uint64_t window_writes = 0;
+    for (std::uint64_t w : writes_of) {
+      window_writes += w;
+    }
+    EXPECT_EQ(oracle.retained_nodes(), static_cast<std::size_t>(kH) + 1);
+    EXPECT_GT(oracle.stored_edges(), 0u);
+    EXPECT_LE(oracle.stored_edges(), window_edges);
+    EXPECT_EQ(oracle.retained_writes(), window_writes);
+    std::printf("after %llu commits: %zu nodes, %llu stored edges, "
+                "%llu writes held\n",
+                static_cast<unsigned long long>(n), oracle.retained_nodes(),
+                static_cast<unsigned long long>(oracle.stored_edges()),
+                static_cast<unsigned long long>(oracle.retained_writes()));
+  }
+  EXPECT_TRUE(oracle.violation_report().empty());
 }
 
 // ---------------------------------------------------------------------------

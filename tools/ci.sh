@@ -10,7 +10,10 @@
 #      test that fails on any one run fails CI,
 #   3. the oracle suite     (ctest -L oracle — serializability oracle +
 #                            invariant auditor, incl. the broken-protocol
-#                            negative control),
+#                            negative control, and OracleRetirementTest:
+#                            synthetic histories checked against a
+#                            from-scratch cycle search, across the
+#                            oracle's retirement horizon),
 #   4. the determinism gate: the determinism tests (byte-identical replay,
 #      serial-vs-parallel sweeps, golden digests) and the calendar model
 #      test (random schedules must fire in (when, push order)),
@@ -38,8 +41,12 @@
 #   8. a perf-smoke gate (ctest -L perf-smoke): the allocation-free
 #      steady-state contracts — the event kernel's Delay/broadcast paths
 #      AND the real-substrate wire path (encode/flush/split/decode) — are
-#      asserted exactly via a counting operator new — and the fault-free
-#      message path's ceiling on allocations over 1 KB per commit,
+#      asserted exactly via a counting operator new — the fault-free
+#      message path's ceiling on allocations over 1 KB per commit, and the
+#      oracle's gates: PerfSmokeTest.OracleCommitIsAllocationFreeAfterWarmup
+#      (10k commits allocate nothing) and
+#      PerfSmokeTest.OracleStateIsBoundedByTheHorizon (retained nodes,
+#      stored edges and writes after 20k and 100k commits, counts only),
 #   9. the benchmark's self-test (python3 ccbench/test_ccbench.py): builds
 #      the gated harness in Release under .bench_build/, smoke-runs every
 #      workload untraced and traced, and checks same-seed digests,
