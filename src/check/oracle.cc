@@ -331,13 +331,6 @@ void Oracle::OnTrustedLocalRead(int client, db::PageId page,
   }
 }
 
-void Oracle::AuditAtCommit() {
-  if (audit_hook_) {
-    ++audits_;
-    audit_hook_();
-  }
-}
-
 void Oracle::AuditPostRecovery(std::size_t active_xacts,
                                std::size_t locks_held,
                                std::size_t uncommitted_frames) {

@@ -2,7 +2,6 @@
 #define CCSIM_CHECK_ORACLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -28,24 +27,22 @@ using PageVersion = std::pair<db::PageId, std::uint64_t>;
 /// horizon. A committed read of a version whose overwriter has retired is
 /// reported as a violation of its own (a stale read beyond the horizon).
 ///
-/// A coherence invariant auditor rides along: an audit hook (installed by
-/// the experiment runner) checks client caches, the lock table,
-/// no-wait-notify's caching directory, and the buffer pool once per audit
-/// epoch, and protocol code reports trusted local reads and unknown commit
-/// outcomes so structural invariants are checked where they are claimed,
-/// not where they fail.
+/// A coherence invariant auditor rides along: the check::Checker's audit
+/// hook (installed by the experiment runner) checks client caches, the lock
+/// table, no-wait-notify's caching directory, and the buffer pool once per
+/// audit epoch, and protocol code reports trusted local reads and unknown
+/// commit outcomes so structural invariants are checked where they are
+/// claimed, not where they fail.
 ///
 /// One oracle is owned per run and touches neither the event calendar nor
 /// any RNG stream, so checker-on runs are deterministic at any sweep
 /// `--jobs` value and checker-off runs are bit-identical to a build without
 /// the checker (every hook is a null-pointer branch).
 ///
-/// The oracle itself is single-threaded and thread-agnostic: it trusts its
-/// caller to serialize the feed. In production the check::Checker front-end
-/// applies every record from one thread (the sim thread in synchronous
-/// mode, the verification thread in pipelined mode); currency lookups are
-/// resolved by the caller at feed time, so nothing here touches live
-/// simulation state.
+/// The oracle is single-threaded: it trusts its caller to serialize the
+/// feed. In production the check::Checker front-end applies every record at
+/// its call site; currency lookups are resolved by the caller at use time,
+/// so nothing here touches live simulation state.
 class Oracle {
  public:
   /// H: a node is retired once it is more than this many commits old (and
@@ -117,27 +114,13 @@ class Oracle {
   /// exists — the cached version is the latest committed one.
   /// `current_version` is the latest committed version of `page` resolved
   /// by the caller *at use time* (0 = not resolved / skip the currency
-  /// check): resolving on the sim thread is what lets the pipelined
-  /// checker apply this record later without touching live server state.
+  /// check), so the oracle never reads live server state.
   void OnTrustedLocalRead(int client, db::PageId page, std::uint64_t version,
                           bool retained_lock, std::int64_t lease_until,
                           std::int64_t now, bool fault_free,
                           std::uint64_t current_version);
 
-  /// A client finished an attempt with a structurally-clean cache (no pins,
-  /// no dirty pages, no per-transaction flags). Counted only; the checks
-  /// themselves live in ClientCache::AuditEndOfAttempt.
-  void NoteClientAudit() { ++client_audits_; }
-
   // --- invariant auditor ---
-
-  /// Installed by the experiment runner; walks server + client structures.
-  void set_audit_hook(std::function<void()> hook) {
-    audit_hook_ = std::move(hook);
-  }
-
-  /// Runs the audit hook (called by the server after every commit).
-  void AuditAtCommit();
 
   /// Post-recovery structural invariants: a freshly-replayed server has no
   /// active transactions, holds no locks, and owns no uncommitted frames.
@@ -162,8 +145,6 @@ class Oracle {
   std::size_t retained_nodes() const { return graph_.node_count(); }
   std::uint64_t stored_edges() const { return graph_.stored_edge_count(); }
   std::uint64_t retained_writes() const { return writes_.size(); }
-  std::uint64_t audits() const { return audits_; }
-  std::uint64_t client_audits() const { return client_audits_; }
   std::uint64_t trusted_reads() const { return trusted_reads_; }
   std::uint64_t stale_commit_reads() const { return stale_commit_reads_; }
   std::uint64_t unknown_resolved_committed() const {
@@ -281,11 +262,7 @@ class Oracle {
   std::unordered_map<std::uint64_t, Outcome> unknown_;
   std::vector<std::string> stale_notes_;
 
-  std::function<void()> audit_hook_;
-
   std::uint64_t commits_observed_ = 0;
-  std::uint64_t audits_ = 0;
-  std::uint64_t client_audits_ = 0;
   std::uint64_t trusted_reads_ = 0;
   std::uint64_t stale_commit_reads_ = 0;
   std::uint64_t unknown_resolved_committed_ = 0;

@@ -156,18 +156,9 @@ struct AlgorithmParams {
 /// and the simulation is bit-identical to a build without the checker.
 struct CheckerParams {
   bool enabled = false;
-  /// Run verification on a dedicated thread fed by a bounded record queue
-  /// (the production setting). False applies every record synchronously at
-  /// the call site; both modes produce identical verdicts and counters
-  /// (the synchronous mode exists as the equivalence baseline in tests).
-  bool pipelined = true;
   /// Structural coherence audit cadence in commits (1 = audit at every
-  /// commit, the original pre-pipeline behavior). Identical in both modes,
-  /// driven by the deterministic commit count.
+  /// commit), driven by the deterministic commit count.
   std::uint64_t audit_epoch_commits = 32;
-  /// Bounded verification queue capacity in records (pipelined mode). The
-  /// commit path stalls — never drops — when the verifier falls behind.
-  std::size_t queue_capacity = 4096;
 };
 
 /// Simulation run control (not a paper table; measurement methodology).

@@ -98,10 +98,8 @@ Result<RunResult> RunExperiment(const config::ExperimentConfig& config) {
           .count();
 
   RunResult result;
-  // Drain barrier + verifier join: every queued record is applied (and any
-  // violation surfaced) before Finalize reconciles or a counter is read,
-  // which is what makes the pipelined counters byte-identical to the
-  // synchronous mode's.
+  // Every record reached the oracle when it was fed; Finalize reconciles
+  // the unknown outcomes before a counter is read.
   result.oracle_enabled = nodes.FinalizeChecker();
   AddNodeCounters(nodes.counter_sources(), &result);
   result.stalled = stalled;

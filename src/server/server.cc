@@ -460,9 +460,8 @@ void Server::BumpVersionsAndRecord(XactState& state, net::Message* reply) {
     }
   }
   if (checker != nullptr) {
-    // Reusable scratch, not per-commit vectors: the checker copies the
-    // sets into its epoch arena (or applies them inline), so nothing here
-    // needs to outlive this call.
+    // Reusable scratch, not per-commit vectors: the checker applies the
+    // sets before OnCommit returns, so nothing here outlives this call.
     commit_reads_scratch_.clear();
     commit_writes_scratch_.clear();
     commit_reads_scratch_.assign(state.read_versions.begin(),

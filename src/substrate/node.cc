@@ -51,9 +51,7 @@ Assembly::Assembly(sim::Simulator* sim, const config::ExperimentConfig& config,
   // perturb results, and leaving it off keeps every hook a null branch.
   if (config.checker.enabled && server != nullptr) {
     check::Checker::Options options;
-    options.pipelined = config.checker.pipelined;
     options.audit_epoch_commits = config.checker.audit_epoch_commits;
-    options.queue_capacity = config.checker.queue_capacity;
     options.oracle.context =
         config::AlgorithmLabel(config.algorithm.algorithm,
                                config.algorithm.caching) +
@@ -186,7 +184,6 @@ bool Assembly::FinalizeChecker() {
   if (checker == nullptr) {
     return false;
   }
-  checker->Finish();
   checker->oracle().Finalize(metrics.unknown_outcomes());
   return true;
 }

@@ -67,8 +67,8 @@ class Assembly {
   /// Spawns the server's dispatcher, then every client's processes.
   void Start();
 
-  /// Joins the checker's verification thread and finalizes the oracle
-  /// (call once, after the calendar has stopped). False if no checker.
+  /// Finalizes the oracle (call once, after the calendar has stopped).
+  /// False if no checker.
   bool FinalizeChecker();
 
   /// Everything this calendar counts, for runner::AddNodeCounters.

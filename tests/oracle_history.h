@@ -1,11 +1,12 @@
-// Synthetic commit histories for feeding check::Oracle directly (oracle
-// retirement tests and the oracle's perf-smoke gates).
+// Synthetic commit histories for feeding check::Oracle directly or through
+// check::Checker (oracle retirement tests and the oracle's perf-smoke gates).
 
 #ifndef CCSIM_TESTS_ORACLE_HISTORY_H_
 #define CCSIM_TESTS_ORACLE_HISTORY_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "check/oracle.h"
@@ -66,9 +67,12 @@ class SyntheticHistory {
     return versions_[static_cast<std::size_t>(page)];
   }
 
-  void FeedTo(check::Oracle& oracle) const {
-    oracle.OnCommit(client(), xact_, static_cast<std::int64_t>(xact_),
-                    reads_, writes_);
+  /// Feeds the transaction to a check::Oracle or a check::Checker.
+  template <typename Feed>
+  void FeedTo(Feed& feed) const {
+    feed.OnCommit(client(), xact_, static_cast<std::int64_t>(xact_),
+                  std::span<const check::PageVersion>(reads_),
+                  std::span<const check::PageVersion>(writes_));
   }
 
   int client() const {

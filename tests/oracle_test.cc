@@ -3,7 +3,7 @@
 //
 //  1. Unit tests of the incremental (Pearce–Kelly) serialization graph and
 //     of the oracle fed with hand-built histories (write skew, unknown
-//     outcomes).
+//     outcomes), directly and through the check::Checker front end.
 //  2. Full simulation runs of all five protocols — fault-free and under
 //     the chaos cocktail — with `checker.enabled`, asserting the history
 //     stays serializable and the counters reconcile.
@@ -19,6 +19,7 @@
 #include <tuple>
 #include <vector>
 
+#include "check/checker.h"
 #include "check/oracle.h"
 #include "check/serialization_graph.h"
 #include "config/params.h"
@@ -185,6 +186,30 @@ TEST(OracleDirectFeedTest, ExpiredLeaseTrustIsFatal) {
                                          /*fault_free=*/false,
                                          /*current_version=*/0),
                "past its lease");
+}
+
+TEST(CheckerTest, VerdictLandsAtTheCallThatFeedsIt) {
+  // Write skew fed through the front end: T1 installs a@1 and b@1; T2
+  // reads b@1 and overwrites a; T3 reads a@1 (already overwritten: RW
+  // T3 -> T2) and overwrites b (read by T2: RW T2 -> T3). The cycle is
+  // reported before the call that committed T3 returns, not at Finish().
+  check::Checker::Options options;
+  options.oracle = NonFatalOptions();
+  check::Checker checker(nullptr, options);
+  const std::vector<check::PageVersion> t1_writes = {{1, 1}, {2, 1}};
+  checker.OnCommit(0, 1, 0, {}, t1_writes);
+  const std::vector<check::PageVersion> t2_reads = {{2, 1}};
+  const std::vector<check::PageVersion> t2_writes = {{1, 2}};
+  checker.OnCommit(1, 2, 1, t2_reads, t2_writes);
+  ASSERT_TRUE(checker.oracle().violation_report().empty());
+  const std::vector<check::PageVersion> t3_reads = {{1, 1}};
+  const std::vector<check::PageVersion> t3_writes = {{2, 2}};
+  checker.OnCommit(2, 3, 2, t3_reads, t3_writes);
+  const std::string& report = checker.oracle().violation_report();
+  ASSERT_FALSE(report.empty());
+  EXPECT_NE(report.find("serializability violation"), std::string::npos);
+  EXPECT_EQ(checker.oracle().commits_observed(), 3u);
+  checker.Finish();
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include <new>
 #include <string>
 
+#include "check/checker.h"
 #include "check/oracle.h"
 #include "client/client_cache.h"
 #include "config/params.h"
@@ -45,14 +46,10 @@ std::atomic<std::uint64_t> g_allocations{0};
 /// serves; each of these takes the slower arena path.
 constexpr std::size_t kLargeAllocationBytes = 1024;
 std::atomic<std::uint64_t> g_large_allocations{0};
-/// Allocations made by the calling thread only (a run's checker verifier
-/// thread allocates too).
-thread_local std::uint64_t t_allocations = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  ++t_allocations;
   if (size > kLargeAllocationBytes) {
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -384,20 +381,31 @@ constexpr int kHistoryPages = 300;
 TEST(PerfSmokeTest, OracleCommitIsAllocationFreeAfterWarmup) {
   // Warmup grows the node, edge and write pools, the reader pool, the page
   // and client tables and the per-commit scratch to their working size;
-  // from then on a commit reuses what retirement freed.
+  // from then on a commit reuses what retirement freed. The same history is
+  // fed straight to an Oracle and through a default Checker, the front end
+  // the simulator calls.
+  const auto expect_allocation_free = [](auto& feed,
+                                         const check::Oracle& oracle) {
+    SyntheticHistory history(kHistoryClients, kHistoryPages, /*seed=*/7);
+    for (int i = 0; i < 4 * check::Oracle::kHorizon; ++i) {
+      history.NextBackground();
+      history.FeedTo(feed);
+    }
+    const std::uint64_t before = AllocationsNow();
+    for (int i = 0; i < 10000; ++i) {
+      history.NextBackground();
+      history.FeedTo(feed);
+    }
+    EXPECT_EQ(AllocationsNow(), before) << "an oracle commit allocated";
+    EXPECT_TRUE(oracle.violation_report().empty());
+  };
   check::Oracle oracle(check::Oracle::Options{}, kHistoryPages);
-  SyntheticHistory history(kHistoryClients, kHistoryPages, /*seed=*/7);
-  for (int i = 0; i < 4 * check::Oracle::kHorizon; ++i) {
-    history.NextBackground();
-    history.FeedTo(oracle);
+  expect_allocation_free(oracle, oracle);
+  check::Checker checker(nullptr, check::Checker::Options{});
+  {
+    SCOPED_TRACE("through check::Checker");
+    expect_allocation_free(checker, checker.oracle());
   }
-  const std::uint64_t before = AllocationsNow();
-  for (int i = 0; i < 10000; ++i) {
-    history.NextBackground();
-    history.FeedTo(oracle);
-  }
-  EXPECT_EQ(AllocationsNow(), before) << "an oracle commit allocated";
-  EXPECT_TRUE(oracle.violation_report().empty());
 }
 
 TEST(PerfSmokeTest, OracleStateIsBoundedByTheHorizon) {
@@ -572,9 +580,9 @@ TEST(PerfSmokeTest, SteadyStateAllocationsPerCommit) {
                                    std::uint64_t* commits) {
       config::ExperimentConfig cfg = HotCellConfig(algorithm, target_commits);
       cfg.control.seed = 3;
-      const std::uint64_t before = t_allocations;
+      const std::uint64_t before = AllocationsNow();
       const auto run = runner::RunExperiment(cfg);
-      const std::uint64_t allocations = t_allocations - before;
+      const std::uint64_t allocations = AllocationsNow() - before;
       EXPECT_TRUE(run.ok()) << run.status().ToString();
       *commits = run.ok() ? run.ValueOrDie().commits : 0;
       return allocations;

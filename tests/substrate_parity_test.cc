@@ -895,12 +895,12 @@ TEST(LoopSourceTest, SilentPeerIsDroppedAtTheHandshakeDeadline) {
 }
 
 // Fault-free, a ServerNode and each ClientShard run on their loop threads
-// alone: the server accepts and handshakes on its loop, so a server with
-// two connected shards adds exactly three threads to the process.
+// alone: the server accepts, handshakes and runs its checker on its loop,
+// so a server with two connected shards adds exactly three threads to the
+// process.
 TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
   ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
                                       CachingMode::kInterTransaction);
-  cfg.checker.enabled = false;  // the checker's pipeline has its own thread
   // A sanitizer runtime may start a helper thread with the process's first
   // thread; start one first so that helper is in the baseline.
   std::thread([] {}).join();
@@ -967,7 +967,6 @@ TEST(LoopSourceTest, FaultFreeNodesRunOnTheirLoopThreads) {
 TEST(LoopSourceTest, ACutShardRedialsOnItsLoop) {
   ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
                                       CachingMode::kInterTransaction);
-  cfg.checker.enabled = false;  // the checker's pipeline has its own thread
   cfg.fault.recovery_enabled = true;
   std::thread([] {}).join();  // see FaultFreeNodesRunOnTheirLoopThreads
   const int baseline = EntryCount("/proc/self/task");

@@ -19,7 +19,8 @@
 #      test (random schedules must fire in (when, push order)),
 #   5. a bounded chaos soak (fixed seeds, 3 compound-fault cocktails across
 #      all five protocols) under the same sanitizer, always with --check so
-#      the pipelined verifier rides every soak run,
+#      the checker, which runs inline on the simulation thread, rides every
+#      soak run,
 #   6. a real-substrate loopback smoke: ccserve is started (oracle on) and
 #      driven by ccload for each of the five protocols; a lost transaction,
 #      a conservation violation, zero commits, an unclean server shutdown,
@@ -44,7 +45,8 @@
 #      asserted exactly via a counting operator new — the fault-free
 #      message path's ceiling on allocations over 1 KB per commit, and the
 #      oracle's gates: PerfSmokeTest.OracleCommitIsAllocationFreeAfterWarmup
-#      (10k commits allocate nothing) and
+#      (10k commits, fed to an Oracle and through a Checker, allocate
+#      nothing) and
 #      PerfSmokeTest.OracleStateIsBoundedByTheHorizon (retained nodes,
 #      stored edges and writes after 20k and 100k commits, counts only),
 #   9. the benchmark's self-test (python3 ccbench/test_ccbench.py): builds
@@ -64,8 +66,9 @@
 #      --trace 1 --seconds 10) re-measure the checker-on overhead; all
 #      three check.overhead_pct values are printed, and their median must
 #      be <= CCSIM_CI_CHECKER_BUDGET (default 12) — the price of the
-#      always-on verifier is a CI-enforced contract, measured on this host,
-#      not read from a tracked file.
+#      checker, which pays the oracle inline on every commit, is a
+#      CI-enforced contract, measured on this host, not read from a
+#      tracked file.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Environment:
