@@ -212,9 +212,9 @@ void Client::WakeSlot(RpcSlot* slot) {
   }
 }
 
-sim::Task<void> Client::SendAsync(net::MessagePtr msg) {
+net::Network::SendOp Client::SendAsync(net::MessagePtr msg) {
   if (crashed_) {
-    co_return;  // a dead workstation sends nothing
+    return {};  // a dead workstation sends nothing
   }
   msg->src = id_;
   msg->dst = net::kServerNode;
@@ -223,7 +223,7 @@ sim::Task<void> Client::SendAsync(net::MessagePtr msg) {
     msg->seq = next_seq_++;
     msg->incarnation = incarnation_;
   }
-  co_await network_->Send(std::move(msg));
+  return network_->Send(std::move(msg));
 }
 
 void Client::Crash() {
@@ -270,41 +270,43 @@ sim::Task<void> Client::FinishCrashRecovery() {
   }
 }
 
-sim::Task<void> Client::ChargePageProcessing(int pages) {
-  if (client_proc_page_ticks_ > 0 && pages > 0) {
-    co_await cpu_.Use(client_proc_page_ticks_ * pages);
-  }
-}
-
 sim::Task<void> Client::InstallPage(db::PageId page, CachedPage info) {
   ClientCache::EvictedList victims = cache_.Insert(page, info);
   cache_.Pin(page);
-  if (!victims.empty()) {
-    co_await protocol_->HandleEvictions(victims);
+  if (victims.empty()) {
+    return sim::Task<void>::Ready();
   }
+  return HandleEvictions(std::move(victims));
 }
 
-sim::Task<void> Client::UpdateDelay() {
-  co_await UserDelay(generator_.SampleUpdateDelay(), /*defer_async=*/true);
-}
-
-sim::Task<void> Client::InternalDelay() {
-  co_await UserDelay(generator_.SampleInternalDelay(), /*defer_async=*/true);
+sim::Task<void> Client::HandleEvictions(ClientCache::EvictedList victims) {
+  co_await protocol_->HandleEvictions(victims);
 }
 
 sim::Task<void> Client::UserDelay(sim::Ticks delay, bool defer_async) {
   if (delay > 0) {
-    // Asynchronous server messages are not processed while the application
-    // thinks inside a transaction (paper §5.5); the dispatcher defers them
-    // until the delay ends.
-    in_user_delay_ = defer_async;
-    co_await simulator_->Delay(delay);
-    in_user_delay_ = false;
+    return DelayThenDrain(delay, defer_async);
   }
-  co_await DrainDeferred();
+  if (!deferred_.empty()) {
+    return DrainDeferred();
+  }
+  return sim::Task<void>::Ready();
+}
+
+sim::Task<void> Client::DelayThenDrain(sim::Ticks delay, bool defer_async) {
+  // Asynchronous server messages are not processed while the application
+  // thinks inside a transaction (paper §5.5); the dispatcher defers them
+  // until the delay ends.
+  in_user_delay_ = defer_async;
+  co_await simulator_->Delay(delay);
+  in_user_delay_ = false;
+  if (!deferred_.empty()) {
+    co_await DrainDeferred();
+  }
 }
 
 sim::Task<void> Client::DrainDeferred() {
+  CCSIM_DCHECK(!deferred_.empty());
   while (!deferred_.empty()) {
     const net::MessagePtr msg = std::move(deferred_.front());
     deferred_.pop_front();
@@ -351,7 +353,7 @@ sim::Process Client::Driver() {
         co_await UserDelay(generator_.SampleRestartDelay(
                                metrics_->RunningMeanResponseTicks()),
                            /*defer_async=*/false);
-      } else {
+      } else if (!deferred_.empty()) {
         co_await DrainDeferred();
       }
     }

@@ -95,20 +95,30 @@ class Client {
   /// synthetic aborted reply is returned and the attempt is marked aborted.
   sim::Task<net::MessagePtr> Rpc(net::MessagePtr msg);
 
-  /// Fire-and-forget send (charges send-side CPU).
-  sim::Task<void> SendAsync(net::MessagePtr msg);
+  /// Fire-and-forget send (charges send-side CPU). Stamps the message
+  /// now; the returned send runs when awaited. A crashed workstation's
+  /// send does nothing.
+  net::Network::SendOp SendAsync(net::MessagePtr msg);
 
-  /// Charges ClientProcPage for `pages` pages on the client CPU.
-  sim::Task<void> ChargePageProcessing(int pages);
+  /// Charges ClientProcPage for `pages` pages on the client CPU; a zero
+  /// charge completes at once.
+  sim::Resource::UseOp ChargePageProcessing(int pages) {
+    return cpu_.Charge(client_proc_page_ticks_ * pages);
+  }
 
   /// Inserts a page into the cache, pinned for the current transaction, and
-  /// runs the protocol's eviction actions for any victims.
+  /// runs the protocol's eviction actions for any victims. With no victims
+  /// it is a Ready task.
   sim::Task<void> InstallPage(db::PageId page, CachedPage info);
 
   /// Think delays (exponential; asynchronous messages are deferred while
-  /// delaying and drained afterwards).
-  sim::Task<void> UpdateDelay();
-  sim::Task<void> InternalDelay();
+  /// delaying and drained afterwards). The delay is drawn now.
+  sim::Task<void> UpdateDelay() {
+    return UserDelay(generator_.SampleUpdateDelay(), /*defer_async=*/true);
+  }
+  sim::Task<void> InternalDelay() {
+    return UserDelay(generator_.SampleInternalDelay(), /*defer_async=*/true);
+  }
 
   /// Ticks per page of client processing.
   sim::Ticks page_processing_cost() const { return client_proc_page_ticks_; }
@@ -194,10 +204,18 @@ class Client {
   /// and per-transaction bookkeeping, then waits for Recover(). Runs at the
   /// driver's attempt boundary so no coroutine is mid-walk over the cache.
   sim::Task<void> FinishCrashRecovery();
+  /// Runs the protocol's eviction actions for `victims`, which this frame
+  /// owns.
+  sim::Task<void> HandleEvictions(ClientCache::EvictedList victims);
   /// Waits `delay`; with `defer_async`, asynchronous server messages are
   /// queued during the wait (the paper's in-transaction think times). Idle
   /// waits (external think, restart delay) process messages immediately.
+  /// Messages deferred before are handled after the wait. A zero delay
+  /// with nothing deferred is a Ready task.
   sim::Task<void> UserDelay(sim::Ticks delay, bool defer_async);
+  /// UserDelay's path for a nonzero delay.
+  sim::Task<void> DelayThenDrain(sim::Ticks delay, bool defer_async);
+  /// Handles the deferred messages; enter only when there are some.
   sim::Task<void> DrainDeferred();
   std::uint64_t NewXactUid();
 

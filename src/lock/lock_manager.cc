@@ -172,52 +172,53 @@ bool LockManager::WouldDeadlock(OwnerId owner, db::PageId page,
 
 sim::Task<LockOutcome> LockManager::Acquire(OwnerId owner, db::PageId page,
                                             LockMode mode) {
+  using Outcome = sim::Task<LockOutcome>;
   Entry& entry = EntryOf(page);
   Holder* mine = FindHolder(entry, owner);
   if (mine != nullptr) {
     if (mode == LockMode::kShared || mine->mode == LockMode::kExclusive) {
-      co_return LockOutcome::kGranted;  // already strong enough
+      return Outcome::Ready(LockOutcome::kGranted);  // already strong enough
     }
     // Upgrade S -> X: immediate when sole holder.
     if (entry.holders.size() == 1) {
       mine->mode = LockMode::kExclusive;
-      co_return LockOutcome::kGranted;
+      return Outcome::Ready(LockOutcome::kGranted);
     }
-    if (WouldDeadlock(owner, page, mode)) {
-      ++deadlocks_detected_;
-      co_return LockOutcome::kDeadlock;
+  } else {
+    // Fresh request: grant only if compatible with holders and nobody
+    // queued (strict FCFS — no jumping ahead of waiters).
+    const bool holders_ok = std::all_of(
+        entry.holders.begin(), entry.holders.end(),
+        [&](const Holder& h) { return Compatible(h.mode, mode); });
+    if (holders_ok && entry.waiters.empty()) {
+      entry.holders.push_back(Holder{owner, mode});
+      held_by_[owner].insert(page);
+      ++held_count_;
+      return Outcome::Ready(LockOutcome::kGranted);
     }
-    // Upgrades queue ahead of plain waiters, behind earlier upgrades.
-    auto pos = entry.waiters.begin();
-    while (pos != entry.waiters.end() && pos->is_upgrade) {
-      ++pos;
-    }
-    sim::OneShot<LockOutcome> slot(simulator_);
-    entry.waiters.insert(pos,
-                         Waiter{owner, mode, /*is_upgrade=*/true, &slot});
-    ++waiter_count_;
-    waiting_on_[owner].insert(page);
-    const LockOutcome outcome = co_await slot.Wait();
-    co_return outcome;
-  }
-
-  // Fresh request: grant only if compatible with holders and nobody queued
-  // (strict FCFS — no jumping ahead of waiters).
-  const bool holders_ok = std::all_of(
-      entry.holders.begin(), entry.holders.end(),
-      [&](const Holder& h) { return Compatible(h.mode, mode); });
-  if (holders_ok && entry.waiters.empty()) {
-    entry.holders.push_back(Holder{owner, mode});
-    held_by_[owner].insert(page);
-    ++held_count_;
-    co_return LockOutcome::kGranted;
   }
   if (WouldDeadlock(owner, page, mode)) {
     ++deadlocks_detected_;
-    co_return LockOutcome::kDeadlock;
+    return Outcome::Ready(LockOutcome::kDeadlock);
+  }
+  return WaitForGrant(owner, page, mode, /*is_upgrade=*/mine != nullptr);
+}
+
+sim::Task<LockOutcome> LockManager::WaitForGrant(OwnerId owner,
+                                                 db::PageId page,
+                                                 LockMode mode,
+                                                 bool is_upgrade) {
+  Entry& entry = EntryOf(page);
+  // Upgrades queue ahead of plain waiters, behind earlier upgrades.
+  auto pos = entry.waiters.end();
+  if (is_upgrade) {
+    pos = entry.waiters.begin();
+    while (pos != entry.waiters.end() && pos->is_upgrade) {
+      ++pos;
+    }
   }
   sim::OneShot<LockOutcome> slot(simulator_);
-  entry.waiters.push_back(Waiter{owner, mode, /*is_upgrade=*/false, &slot});
+  entry.waiters.insert(pos, Waiter{owner, mode, is_upgrade, &slot});
   ++waiter_count_;
   waiting_on_[owner].insert(page);
   const LockOutcome outcome = co_await slot.Wait();

@@ -69,7 +69,8 @@ class LockManager {
   /// locks are held. Re-entrant: holding S and asking for X upgrades (sole
   /// holders upgrade immediately; otherwise the upgrade waits at the front
   /// of the queue). Deadlock resolution aborts the *requester* (returns
-  /// kDeadlock without enqueuing).
+  /// kDeadlock without enqueuing). A grant or deadlock decided at once is
+  /// a Ready task.
   sim::Task<LockOutcome> Acquire(OwnerId owner, db::PageId page,
                                  LockMode mode);
 
@@ -178,6 +179,9 @@ class LockManager {
     return a == LockMode::kShared && b == LockMode::kShared;
   }
 
+  /// Queues `owner`'s request and waits for its outcome.
+  sim::Task<LockOutcome> WaitForGrant(OwnerId owner, db::PageId page,
+                                      LockMode mode, bool is_upgrade);
   void EraseWait(OwnerId owner, db::PageId page, const Entry& entry);
   /// The page's entry, locked or not; grows the table to reach it.
   Entry& EntryOf(db::PageId page);

@@ -6,14 +6,17 @@
 
 namespace ccsim::net {
 
-sim::Task<void> Network::Send(MessagePtr msg) {
+bool Network::BeginSend(SendOp& op) {
+  MessagePtr& msg = op.msg_;
   const int packets = PacketsFor(*msg);
+  op.packets_ = packets;
   if (transport_ != nullptr && injector_ == nullptr) {
     // The fault-free wire: one direct hand-off.
     ++messages_sent_;
     packets_sent_ += static_cast<std::uint64_t>(packets);
     transport_->Deliver(*msg);
-    co_return;
+    msg.reset();
+    return true;
   }
   // The wire charges no modeled CPU: its sender endpoint stays empty.
   Endpoint src;
@@ -28,20 +31,26 @@ sim::Task<void> Network::Send(MessagePtr msg) {
     // A crashed node sends nothing: the sender coroutine is a zombie whose
     // output dies with the process.
     injector_->RecordDownDrop();
-    co_return;
+    msg.reset();
+    return true;
   }
   if (src.msg_cost > 0) {
-    co_await src.cpu->Use(src.msg_cost * packets);
+    op.cpu_charge_ = src.cpu->Use(src.msg_cost * packets);
+    return false;
   }
+  return true;
+}
+
+void Network::EndSend(MessagePtr msg, int packets) {
   if (injector_ != nullptr && injector_->LinkCut(msg->src, msg->dst)) {
     // The sender paid to transmit, but the packets die at the severed link.
     injector_->RecordPartitionDrop();
-    co_return;
+    return;
   }
   if (injector_ != nullptr) {
     switch (injector_->DrawSendOutcome(msg->src, msg->dst)) {
       case fault::FaultInjector::SendOutcome::kDrop:
-        co_return;
+        return;
       case fault::FaultInjector::SendOutcome::kDuplicate:
         Transfer(std::make_unique<Message>(*msg), packets);
         break;

@@ -1,7 +1,9 @@
 #ifndef CCSIM_NET_NETWORK_H_
 #define CCSIM_NET_NETWORK_H_
 
+#include <coroutine>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -10,7 +12,6 @@
 #include "sim/random.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
 
 namespace ccsim::net {
 
@@ -86,10 +87,43 @@ class Network {
     injector_ = injector;
   }
 
+  /// The awaitable a Send returns; awaiting it sends the message. The
+  /// checks that cost no CPU (the fault-free transport's hand-off, a down
+  /// sender's drop) run in await_ready; the sender's CPU charge is its one
+  /// suspension; the link-cut check, the send-outcome draw and the
+  /// transfer run in await_resume. A default-constructed SendOp sends
+  /// nothing.
+  class [[nodiscard]] SendOp {
+   public:
+    SendOp() = default;
+    bool await_ready() {
+      return msg_ == nullptr || network_->BeginSend(*this);
+    }
+    void await_suspend(std::coroutine_handle<> handle) {
+      cpu_charge_.await_suspend(handle);
+    }
+    void await_resume() {
+      if (msg_ != nullptr) {
+        network_->EndSend(std::move(msg_), packets_);
+      }
+    }
+
+   private:
+    friend class Network;
+    SendOp(Network* network, MessagePtr msg)
+        : network_(network), msg_(std::move(msg)) {}
+
+    Network* network_ = nullptr;
+    MessagePtr msg_;
+    int packets_ = 0;
+    sim::Resource::UseOp cpu_charge_{nullptr, 0};
+  };
+
   /// Sends a message: the caller pays the send-side CPU cost, then transfer
   /// and delivery proceed asynchronously. The handle travels on into the
   /// destination inbox; only a duplicating fault copies the message.
-  sim::Task<void> Send(MessagePtr msg);
+  /// Nothing happens until the result is awaited.
+  SendOp Send(MessagePtr msg) { return SendOp(this, std::move(msg)); }
 
   /// Hands an arrived message to its destination's inbox, unless the
   /// in-flight rule kills it (Arrives). The medium path ends here; on the
@@ -111,6 +145,13 @@ class Network {
   }
 
  private:
+  /// A send's work before the sender's CPU charge. False when the charge
+  /// is due (it is set in `op`); true when the send needs no wait, having
+  /// finished unless `op` still holds the message for EndSend.
+  bool BeginSend(SendOp& op);
+  /// A send's work after the sender's CPU charge: the link-cut check,
+  /// the send-outcome draw and the transfer of each surviving copy.
+  void EndSend(MessagePtr msg, int packets);
   /// Carries one copy that survived the send-side draws: over the
   /// medium, or to the transport after its spike draw.
   void Transfer(MessagePtr msg, int packets);

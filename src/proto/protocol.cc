@@ -117,7 +117,7 @@ sim::Task<void> ClientProtocol::OnAttemptEnd(bool committed) {
     c_.cache().Erase(page);
   }
   c_.cache().EndTransaction();
-  co_return;
+  return sim::Task<void>::Ready();
 }
 
 sim::Task<void> ClientProtocol::HandleAsync(net::Message& msg) {
@@ -172,7 +172,7 @@ sim::Task<void> ClientProtocol::HandleAsync(net::Message& msg) {
     default:
       break;  // algorithm-specific messages handled in overrides
   }
-  co_return;
+  return sim::Task<void>::Ready();
 }
 
 sim::Task<void> ClientProtocol::HandleEvictions(

@@ -36,14 +36,16 @@ class ClientProtocol {
   /// Post-attempt cleanup. The default drops locally updated (dirty) pages
   /// on abort (their uncommitted contents are invalid under in-place
   /// update), drops pages the server reported stale, and clears
-  /// per-transaction cache state.
+  /// per-transaction cache state. The default never waits: it returns a
+  /// Ready task.
   virtual sim::Task<void> OnAttemptEnd(bool committed);
 
   /// Handles an asynchronous (non-reply) server message. The default
   /// understands kAbortNotice and kUpdatePropagation; algorithm-specific
   /// messages are handled in overrides.
   /// Both handlers take references: every call site owns the argument and
-  /// co_awaits the handler to completion.
+  /// co_awaits the handler to completion. The default never waits: it
+  /// returns a Ready task.
   virtual sim::Task<void> HandleAsync(net::Message& msg);
 
   /// Eviction side effects for pages pushed out of the client cache: dirty

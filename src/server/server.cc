@@ -99,19 +99,19 @@ void Server::Start() {
   }
 }
 
-sim::Task<void> Server::Send(net::MessagePtr msg) {
+net::Network::SendOp Server::Send(net::MessagePtr msg) {
   msg->src = net::kServerNode;
   if (resilient_ && msg->request_id == 0) {
     // Asynchronous server messages carry a sequence number so a duplicated
     // callback/propagation/abort-notice is processed once at the client.
     msg->seq = next_seq_++;
   }
-  co_await network_->Send(std::move(msg));
+  return network_->Send(std::move(msg));
 }
 
-sim::Task<void> Server::ReplyAborted(const net::Message& request,
-                                     net::MsgType type,
-                                     std::vector<db::PageId> pages) {
+net::Network::SendOp Server::ReplyAborted(const net::Message& request,
+                                          net::MsgType type,
+                                          std::vector<db::PageId> pages) {
   auto reply = std::make_unique<net::Message>();
   reply->type = type;
   reply->aborted = true;
@@ -163,8 +163,8 @@ sim::Task<void> Server::RejectCommit(XactState& state,
                         std::move(stale));
 }
 
-sim::Task<void> Server::Reply(const net::Message& request,
-                              net::MessagePtr reply) {
+net::Network::SendOp Server::Reply(const net::Message& request,
+                                   net::MessagePtr reply) {
   reply->src = net::kServerNode;
   reply->dst = request.src;
   reply->xact = request.xact;
@@ -183,7 +183,7 @@ sim::Task<void> Server::Reply(const net::Message& request,
       channel.replies.pop_front();
     }
   }
-  co_await network_->Send(std::move(reply));
+  return network_->Send(std::move(reply));
 }
 
 sim::Process Server::ResendReply(net::MessagePtr reply) {

@@ -121,16 +121,19 @@ class Server {
   std::vector<storage::Disk*> log_disks();
 
   /// Sends a message from the server (charges server CPU for the send).
-  sim::Task<void> Send(net::MessagePtr msg);
+  /// Stamps the message now; the returned send runs when awaited.
+  net::Network::SendOp Send(net::MessagePtr msg);
 
-  /// Builds and sends the reply to a synchronous request.
-  sim::Task<void> Reply(const net::Message& request, net::MessagePtr reply);
+  /// Builds the reply to a synchronous request and does its at-most-once
+  /// bookkeeping now; the returned send runs when awaited.
+  net::Network::SendOp Reply(const net::Message& request,
+                             net::MessagePtr reply);
 
   /// Answers `request` with an aborted reply of `type` listing `pages`,
   /// the stale pages the client must drop.
-  sim::Task<void> ReplyAborted(const net::Message& request,
-                               net::MsgType type,
-                               std::vector<db::PageId> pages = {});
+  net::Network::SendOp ReplyAborted(const net::Message& request,
+                                    net::MsgType type,
+                                    std::vector<db::PageId> pages = {});
 
   /// Looks up a transaction's state (nullptr if unknown).
   XactState* FindXact(std::uint64_t uid);

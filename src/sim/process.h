@@ -4,6 +4,7 @@
 #include <coroutine>
 #include <cstddef>
 
+#include "sim/task.h"
 #include "util/block_pool.h"
 
 namespace ccsim::sim {
@@ -41,6 +42,7 @@ class Process {
     promise_type* next = nullptr;
 
     static void* operator new(std::size_t bytes) {
+      ++frame_counts.processes;
       return util::BlockPool::Allocate(bytes);
     }
     static void operator delete(void* ptr, std::size_t bytes) noexcept {

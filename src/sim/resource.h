@@ -40,21 +40,31 @@ class Resource {
   int busy_servers() const { return busy_; }
   std::size_t queue_length() const { return queue_.size(); }
 
+  /// The awaitable of Use and Charge. A null resource completes at once.
+  struct [[nodiscard]] UseOp {
+    Resource* resource;
+    Ticks service_time;
+    bool await_ready() const noexcept { return resource == nullptr; }
+    void await_suspend(std::coroutine_handle<> handle) {
+      resource->Enqueue(Job{handle, service_time, /*manual_hold=*/false,
+                            resource->simulator_->Now()});
+    }
+    void await_resume() const noexcept {}
+  };
+
   /// Awaitable: FCFS-queue for a server, hold it for `service_time`, then
-  /// resume the caller with the server released.
-  auto Use(Ticks service_time) {
-    struct Awaiter {
-      Resource* resource;
-      Ticks service_time;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> handle) {
-        resource->Enqueue(Job{handle, service_time, /*manual_hold=*/false,
-                              resource->simulator_->Now()});
-      }
-      void await_resume() const noexcept {}
-    };
+  /// resume the caller with the server released. A zero `service_time`
+  /// still queues and takes a calendar step.
+  UseOp Use(Ticks service_time) {
     CCSIM_DCHECK(service_time >= 0);
-    return Awaiter{this, service_time};
+    return UseOp{this, service_time};
+  }
+
+  /// Use(service_time), except that a zero charge completes at once,
+  /// without queueing: for costs that a configuration may set to zero.
+  UseOp Charge(Ticks service_time) {
+    CCSIM_DCHECK(service_time >= 0);
+    return UseOp{service_time > 0 ? this : nullptr, service_time};
   }
 
   /// Awaitable: FCFS-queue for a server and resume holding it. The caller

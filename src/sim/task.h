@@ -3,12 +3,21 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "util/block_pool.h"
 #include "util/macros.h"
 
 namespace ccsim::sim {
+
+/// Coroutine frames created on this thread, by kind. The promises'
+/// `operator new` bump them; tests read them to gate frames per commit.
+struct FrameCounts {
+  std::uint64_t tasks = 0;
+  std::uint64_t processes = 0;
+};
+inline constinit thread_local FrameCounts frame_counts{};
 
 /// A lazy, value-returning coroutine awaited by simulation processes.
 ///
@@ -21,7 +30,16 @@ namespace ccsim::sim {
 /// Task goes out of scope in the parent frame. Because the parent frame
 /// transitively owns children, destroying a root Process at
 /// `Simulator::Shutdown()` reclaims the whole await chain. Frames come
-/// from the per-thread block pool (one is created per awaited call).
+/// from the per-thread block pool.
+///
+/// The frame rule: a call gets a frame only if it can suspend more than
+/// once or must outlive its caller. A call that does some work and then
+/// waits at most once returns the awaitable it would have awaited
+/// (`Resource::Use`, `Network::SendOp`, another call's Task), and a call
+/// whose fast path finishes without waiting returns `Task::Ready`, a Task
+/// with no frame that completes without suspending. Either way the call's
+/// synchronous part runs when it is called rather than when it is
+/// awaited, so such calls are awaited where they are made.
 template <typename T>
 class [[nodiscard]] Task {
  public:
@@ -48,6 +66,7 @@ class [[nodiscard]] Task {
     void unhandled_exception() noexcept { CCSIM_UNREACHABLE(); }
 
     static void* operator new(std::size_t bytes) {
+      ++frame_counts.tasks;
       return util::BlockPool::Allocate(bytes);
     }
     static void operator delete(void* ptr, std::size_t bytes) noexcept {
@@ -55,7 +74,15 @@ class [[nodiscard]] Task {
     }
   };
 
-  Task(Task&& other) noexcept : handle_(other.handle_) {
+  /// A finished Task holding `value`: no frame, no suspension.
+  static Task Ready(T value) {
+    Task task(nullptr);
+    task.ready_value_ = std::move(value);
+    return task;
+  }
+
+  Task(Task&& other) noexcept
+      : handle_(other.handle_), ready_value_(std::move(other.ready_value_)) {
     other.handle_ = nullptr;
   }
   Task(const Task&) = delete;
@@ -69,12 +96,15 @@ class [[nodiscard]] Task {
 
   /// Awaitable interface: starts the child and resumes the awaiter with the
   /// child's return value when it completes.
-  bool await_ready() const noexcept { return false; }
+  bool await_ready() const noexcept { return !handle_; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
     handle_.promise().continuation = awaiter;
     return handle_;  // symmetric transfer: start the child now
   }
   T await_resume() {
+    if (!handle_) {
+      return std::move(ready_value_);
+    }
     CCSIM_DCHECK(handle_.done());
     return std::move(handle_.promise().value);
   }
@@ -82,6 +112,8 @@ class [[nodiscard]] Task {
  private:
   explicit Task(Handle handle) : handle_(handle) {}
   Handle handle_;
+  /// The value of a Ready task.
+  T ready_value_{};
 };
 
 /// Task specialization for void-returning asynchronous operations.
@@ -110,12 +142,16 @@ class [[nodiscard]] Task<void> {
     void unhandled_exception() noexcept { CCSIM_UNREACHABLE(); }
 
     static void* operator new(std::size_t bytes) {
+      ++frame_counts.tasks;
       return util::BlockPool::Allocate(bytes);
     }
     static void operator delete(void* ptr, std::size_t bytes) noexcept {
       util::BlockPool::Free(ptr, bytes);
     }
   };
+
+  /// A finished Task: no frame, no suspension.
+  static Task Ready() { return Task(nullptr); }
 
   Task(Task&& other) noexcept : handle_(other.handle_) {
     other.handle_ = nullptr;
@@ -129,12 +165,14 @@ class [[nodiscard]] Task<void> {
     }
   }
 
-  bool await_ready() const noexcept { return false; }
+  bool await_ready() const noexcept { return !handle_; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
     handle_.promise().continuation = awaiter;
     return handle_;
   }
-  void await_resume() const noexcept { CCSIM_DCHECK(handle_.done()); }
+  void await_resume() const noexcept {
+    CCSIM_DCHECK(!handle_ || handle_.done());
+  }
 
  private:
   explicit Task(Handle handle) : handle_(handle) {}

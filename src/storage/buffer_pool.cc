@@ -23,7 +23,14 @@ sim::Task<void> BufferPool::MakeRoom() {
   // incoming page's I/O, so a tiny pool (the ACL experiment uses
   // BufferSize=1) limits only residency — it does not serialize disk reads
   // behind a single frame.
-  while (static_cast<int>(frames_.size()) >= params_.capacity_pages) {
+  if (HasFreeFrame()) {
+    return sim::Task<void>::Ready();
+  }
+  return Evict();
+}
+
+sim::Task<void> BufferPool::Evict() {
+  while (!HasFreeFrame()) {
     const auto* victim = frames_.VictimCandidate();
     if (victim == nullptr) {
       // Pool drained by concurrent miss paths; wait for an insert.
@@ -54,8 +61,12 @@ sim::Task<void> BufferPool::MakeRoom() {
 sim::Task<void> BufferPool::FetchPage(db::PageId page, bool sequential) {
   if (frames_.Touch(page) != nullptr) {
     ++hits_;
-    co_return;
+    return sim::Task<void>::Ready();
   }
+  return FetchMissing(page, sequential);
+}
+
+sim::Task<void> BufferPool::FetchMissing(db::PageId page, bool sequential) {
   std::unique_ptr<sim::Event>& loading =
       loading_[static_cast<std::size_t>(page)];
   if (loading != nullptr) {
@@ -95,6 +106,22 @@ sim::Task<void> BufferPool::FetchPage(db::PageId page, bool sequential) {
 }
 
 sim::Task<void> BufferPool::InstallPage(db::PageId page, std::uint64_t xact) {
+  if (loading_[static_cast<std::size_t>(page)] == nullptr) {
+    Frame* frame = frames_.Touch(page);
+    if (frame == nullptr && HasFreeFrame()) {
+      frame = frames_.Insert(page, Frame{});
+      pool_changed_.Signal();
+    }
+    if (frame != nullptr) {
+      ClaimFrame(page, *frame, xact);
+      return sim::Task<void>::Ready();
+    }
+  }
+  return InstallWaiting(page, xact);
+}
+
+sim::Task<void> BufferPool::InstallWaiting(db::PageId page,
+                                           std::uint64_t xact) {
   // If a read of this page is in flight, let it land first so we do not
   // insert a duplicate frame.
   const std::unique_ptr<sim::Event>& loading =
@@ -111,19 +138,24 @@ sim::Task<void> BufferPool::InstallPage(db::PageId page, std::uint64_t xact) {
       pool_changed_.Signal();
     }
   }
-  if (frame->uncommitted_owner != kCommitted &&
-      frame->uncommitted_owner != xact) {
+  ClaimFrame(page, *frame, xact);
+}
+
+void BufferPool::ClaimFrame(db::PageId page, Frame& frame,
+                            std::uint64_t xact) {
+  if (frame.uncommitted_owner != kCommitted &&
+      frame.uncommitted_owner != xact) {
     CCSIM_CHECK_MSG(params_.allow_owner_usurp,
                     "page %d has another uncommitted owner", page);
     // The previous owner died with a server crash; its image is garbage
     // and the frame passes to the installer.
-    auto it = dirty_by_xact_.find(frame->uncommitted_owner);
+    auto it = dirty_by_xact_.find(frame.uncommitted_owner);
     if (it != dirty_by_xact_.end()) {
       it->second.erase(page);
     }
   }
-  frame->dirty = true;
-  frame->uncommitted_owner = xact;
+  frame.dirty = true;
+  frame.uncommitted_owner = xact;
   if (xact != kCommitted) {
     dirty_by_xact_[xact].insert(page);
   }

@@ -56,13 +56,15 @@ class BufferPool {
   /// Ensures `page` is resident, performing victim write-back and a disk
   /// read on a miss. `sequential` marks the read physically sequential with
   /// the immediately preceding access of the same object (the caller
-  /// applies the ClusterFactor draw).
+  /// applies the ClusterFactor draw). A hit is a Ready task.
   sim::Task<void> FetchPage(db::PageId page, bool sequential);
 
   /// Installs a full-page image updated by transaction `xact` (received
   /// from a client or produced by an update application). No read I/O: the
   /// whole page is overwritten; a miss still needs room (victim
   /// write-back). `xact == kCommitted` installs a committed dirty page.
+  /// Ready when no read of the page is in flight and the page is resident
+  /// or a frame is free.
   sim::Task<void> InstallPage(db::PageId page, std::uint64_t xact);
 
   /// Commit: the transaction's dirty pages become committed-dirty (they
@@ -114,8 +116,20 @@ class BufferPool {
     return data_disks_[static_cast<std::size_t>(layout_->DiskOfPage(page))];
   }
 
+  bool HasFreeFrame() const {
+    return static_cast<int>(frames_.size()) < params_.capacity_pages;
+  }
   /// Evicts until an incoming page fits; write-back of dirty victims.
+  /// Ready when a frame is free.
   sim::Task<void> MakeRoom();
+  sim::Task<void> Evict();
+  /// FetchPage past a hit: shares an in-flight read or reads the page.
+  sim::Task<void> FetchMissing(db::PageId page, bool sequential);
+  /// InstallPage when it must wait: for an in-flight read of the page, or
+  /// for room in a full pool.
+  sim::Task<void> InstallWaiting(db::PageId page, std::uint64_t xact);
+  /// Makes `frame` hold `page` as updated by `xact`.
+  void ClaimFrame(db::PageId page, Frame& frame, std::uint64_t xact);
 
   sim::Simulator* simulator_;
   Params params_;

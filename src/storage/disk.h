@@ -7,7 +7,6 @@
 #include "sim/random.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "sim/time.h"
 
 namespace ccsim::storage {
@@ -33,20 +32,20 @@ class Disk {
 
   /// Performs one page access. `sequential` elides the seek (the caller
   /// decides using the database ClusterFactor).
-  sim::Task<void> Access(bool sequential) {
+  sim::Resource::UseOp Access(bool sequential) {
     sim::Ticks service = timing_.transfer;
     if (!sequential) {
       service += rng_.UniformTicks(timing_.seek_low, timing_.seek_high);
     }
     ++(sequential ? sequential_accesses_ : random_accesses_);
-    co_await resource_.Use(service);
+    return resource_.Use(service);
   }
 
   /// Appends `blocks` log blocks: sequential, transfer-only (dedicated log
   /// disks never seek between appends).
-  sim::Task<void> Append(int blocks) {
+  sim::Resource::UseOp Append(int blocks) {
     sequential_accesses_ += static_cast<std::uint64_t>(blocks);
-    co_await resource_.Use(timing_.transfer * blocks);
+    return resource_.Use(timing_.transfer * blocks);
   }
 
   sim::Resource& resource() { return resource_; }

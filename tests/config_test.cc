@@ -452,7 +452,10 @@ std::string Describe(const ExperimentConfig& c) {
 std::string DescribeOptions(Tool tool, const CommandLine& f) {
   std::string sweep;
   for (int clients : f.sweep_clients) {
-    sweep += (sweep.empty() ? "" : ",") + std::to_string(clients);
+    if (!sweep.empty()) {
+      sweep += ',';
+    }
+    sweep += std::to_string(clients);
   }
   const std::string alg = "alg=" + f.algorithm;
   switch (tool) {

@@ -2,20 +2,28 @@
 // charges at both endpoints, FCFS medium occupancy, ordering, the
 // zero-delay (infinitely fast network) mode, and the fault injector on
 // both of its inputs: the simulated medium and a real substrate's
-// transport, whose inbound side is Network::Receive.
+// transport, whose inbound side is Network::Receive. A send is an awaiter,
+// not a coroutine: the frame-free cases below pin what it does before,
+// during and after the sender's CPU charge, and that it creates no Task
+// frame.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "client/client.h"
+#include "config/params.h"
+#include "db/database.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "runner/metrics.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
+#include "sim/task.h"
 
 namespace ccsim::net {
 namespace {
@@ -513,6 +521,159 @@ TEST_F(WireNetworkTest, SpikedMessageDroppedByWindowOpenedMidFlight) {
   sim_.Run(sim_.Now() + sim::MillisToTicks(5.0));
   EXPECT_TRUE(wire_.delivered.empty());
   EXPECT_EQ(injector_->partition_drops(), 1u);
+}
+
+// --- The frame-free send ---------------------------------------------------
+
+// A fault-free send on the simulated medium suspends its sender once, for
+// one CPU job covering all its packets, and then hands the message to the
+// medium.
+TEST_F(NetworkTest, FaultFreeSendChargesSenderCpuOnceThenTransfers) {
+  Message msg = ClientToServer(5);
+  msg.type = MsgType::kCommitRequest;
+  msg.data_pages = {1, 2, 3};
+  std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
+  sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 1));
+  sim::Ticks sent_at = 0;
+  const std::uint64_t tasks_before = sim::frame_counts.tasks;
+  sim_.Spawn(SendOne(sim_, net_, std::move(msg), sent_at));
+  sim_.Run(3 * 5000);
+  EXPECT_EQ(sent_at, 3 * 5000);
+  EXPECT_EQ(client_cpu_.completions(), 1u);
+  EXPECT_EQ(net_.medium().completions(), 0u);  // the transfer starts now
+  sim_.Run(sim::SecondsToTicks(1));
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0].first, 5u);
+  EXPECT_EQ(net_.medium().completions(), 3u);
+  EXPECT_EQ(client_cpu_.completions(), 1u);
+  EXPECT_EQ(net_.messages_sent(), 1u);
+  EXPECT_EQ(net_.packets_sent(), 3u);
+  EXPECT_EQ(sim::frame_counts.tasks, tasks_before);
+}
+
+sim::Process SendTwo(Network& net, bool& done) {
+  co_await net.Send(std::make_unique<Message>(Sequenced(1)));
+  co_await net.Send(std::make_unique<Message>(Sequenced(2)));
+  done = true;
+}
+
+// A fault-free transport takes the message inside the await: the sender
+// never suspends, so both sends finish in the process's first step.
+TEST_F(NetworkTest, TransportPathDeliversWithoutSuspending) {
+  RecordingTransport wire;
+  net_.set_transport(&wire);
+  bool done = false;
+  const std::uint64_t events_before = sim_.events_processed();
+  const std::uint64_t tasks_before = sim::frame_counts.tasks;
+  sim_.Spawn(SendTwo(net_, done));
+  sim_.Run(sim_.Now());
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sim_.events_processed() - events_before, 1u);  // the spawn
+  EXPECT_EQ(wire.delivered, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(net_.messages_sent(), 2u);
+  EXPECT_EQ(client_cpu_.completions(), 0u);
+  EXPECT_EQ(sim::frame_counts.tasks, tasks_before);
+}
+
+// A down sender's send is counted as sent and as a down drop, charges no
+// CPU and returns at once.
+TEST_F(NetworkTest, DownSenderSendIsDroppedAndCounted) {
+  fault::FaultInjector injector(fault::FaultPlan{}, sim::Pcg32(1, 2));
+  net_.set_fault_injector(&injector);
+  injector.SetDown(0, true);
+  std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
+  sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 1));
+  sim::Ticks sent_at = -1;
+  const std::uint64_t tasks_before = sim::frame_counts.tasks;
+  sim_.Spawn(SendOne(sim_, net_, ClientToServer(1), sent_at));
+  sim_.Run(sim::SecondsToTicks(1));
+  EXPECT_EQ(sent_at, 0);
+  EXPECT_TRUE(arrivals.empty());
+  EXPECT_EQ(injector.down_drops(), 1u);
+  EXPECT_EQ(net_.messages_sent(), 1u);
+  EXPECT_EQ(client_cpu_.completions(), 0u);
+  EXPECT_EQ(sim::frame_counts.tasks, tasks_before);
+}
+
+// The link is checked after the sender's CPU charge: a cut that opens
+// while the sender pays is a partition drop, and the sender still paid.
+TEST_F(NetworkTest, LinkCutDuringCpuChargeIsPartitionDrop) {
+  fault::FaultInjector injector(fault::FaultPlan{}, sim::Pcg32(1, 2));
+  net_.set_fault_injector(&injector);
+  std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
+  sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 1));
+  sim::Ticks sent_at = 0;
+  const std::uint64_t tasks_before = sim::frame_counts.tasks;
+  sim_.Spawn(SendOne(sim_, net_, ClientToServer(1), sent_at));
+  sim_.Run(2500);  // mid-charge
+  EXPECT_EQ(client_cpu_.busy_servers(), 1);
+  injector.SetPartitioned(0, fault::PartitionWindow::Direction::kToServer,
+                          true);
+  sim_.Run(sim::SecondsToTicks(1));
+  EXPECT_EQ(sent_at, 5000);
+  EXPECT_TRUE(arrivals.empty());
+  EXPECT_EQ(injector.partition_drops(), 1u);
+  EXPECT_EQ(net_.medium().completions(), 0u);
+  EXPECT_EQ(sim::frame_counts.tasks, tasks_before);
+}
+
+// A duplicate outcome sends two copies for one sender charge; each copy
+// crosses the medium and is charged at the receiver.
+TEST_F(NetworkTest, DuplicateOutcomeDeliversTwoCopies) {
+  fault::FaultPlan plan;
+  plan.link.duplicate = 1.0;
+  fault::FaultInjector injector(std::move(plan), sim::Pcg32(1, 2));
+  net_.set_fault_injector(&injector);
+  std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
+  sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 2));
+  sim::Ticks sent_at = 0;
+  const std::uint64_t tasks_before = sim::frame_counts.tasks;
+  sim_.Spawn(SendOne(sim_, net_, ClientToServer(9), sent_at));
+  sim_.Run(sim::SecondsToTicks(1));
+  EXPECT_EQ(sent_at, 5000);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0].first, 9u);
+  EXPECT_EQ(arrivals[1].first, 9u);
+  EXPECT_EQ(client_cpu_.completions(), 1u);
+  EXPECT_EQ(server_cpu_.completions(), 2u);
+  EXPECT_EQ(net_.medium().completions(), 2u);
+  EXPECT_EQ(injector.messages_duplicated(), 1u);
+  EXPECT_EQ(net_.messages_sent(), 1u);
+  EXPECT_EQ(sim::frame_counts.tasks, tasks_before);
+}
+
+sim::Process SendAsyncOne(client::Client& client, MessagePtr msg,
+                          bool& done) {
+  co_await client.SendAsync(std::move(msg));
+  done = true;
+}
+
+// A crashed workstation's SendAsync is a no-op: it stamps nothing, sends
+// nothing, charges nothing and counts nothing, and returns at once.
+TEST_F(NetworkTest, CrashedClientSendAsyncSendsAndCountsNothing) {
+  const config::ExperimentConfig config = config::BaseConfig();
+  const db::DatabaseLayout layout(config.database,
+                                  config.system.num_data_disks);
+  runner::Metrics metrics(&sim_);
+  client::Client client(&sim_, /*id=*/1, config, &layout, &net_, &metrics,
+                        sim::Pcg32(1, 1), sim::Pcg32(2, 2),
+                        sim::Pcg32(3, 3));
+  client.Crash();
+  std::vector<std::pair<std::uint64_t, sim::Ticks>> arrivals;
+  sim_.Spawn(ReceiveOne(sim_, server_inbox_, arrivals, 1));
+  bool done = false;
+  const std::uint64_t tasks_before = sim::frame_counts.tasks;
+  auto msg = std::make_unique<Message>();
+  msg->type = MsgType::kDirtyEvict;
+  sim_.Spawn(SendAsyncOne(client, std::move(msg), done));
+  sim_.Run(sim_.Now());
+  EXPECT_TRUE(done);
+  sim_.Run(sim::SecondsToTicks(1));
+  EXPECT_TRUE(arrivals.empty());
+  EXPECT_EQ(net_.messages_sent(), 0u);
+  EXPECT_EQ(net_.packets_sent(), 0u);
+  EXPECT_EQ(client.cpu().completions(), 0u);
+  EXPECT_EQ(sim::frame_counts.tasks, tasks_before);
 }
 
 // A frame for a node with no endpoint here came from outside the program:

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Single-command CI entry point. Builds the tree under ASan/UBSan, checks
-# the tools' flags (each tool's --help lists every row of the flag table in
+# Single-command CI entry point. Builds the tree under ASan/UBSan,
+# compiles the whole tree, tests included, as Release with -Werror (compile
+# only: warnings GCC raises only at -O3 fail here), checks the tools' flags (each tool's --help lists every row of the flag table in
 # src/config/flags.cc that names it; a malformed number, another tool's
 # flag and a bad value before ccload connects all exit 2), then runs, in
 # order:
@@ -99,6 +100,12 @@ cmake -B "$build_dir" -S "$repo_root" -DCCSIM_SANITIZE="$sanitize"
 
 step "build"
 cmake --build "$build_dir" -j"$jobs"
+
+step "Release compile (whole tree, tests included, -Werror; compile only)"
+release_dir="$build_dir-release"
+cmake -B "$release_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+    -DCCSIM_SANITIZE=OFF -DCCSIM_WERROR=ON
+cmake --build "$release_dir" -j"$jobs"
 
 step "tool flags smoke (--help lists the flag table's rows; bad values exit 2)"
 # A row of the table starts `{"--name", <tools>,` on one line.
