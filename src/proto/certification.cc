@@ -90,11 +90,9 @@ sim::Task<void> CertificationClient::OnAttemptEnd(bool committed) {
 sim::Task<void> CertificationServer::Handle(const net::Message& msg) {
   switch (msg.type) {
     case net::MsgType::kReadRequest:
-      co_await HandleRead(msg);
-      break;
+      return HandleRead(msg);
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(msg);
-      break;
+      return HandleCommit(msg);
     case net::MsgType::kDirtyEvict: {
       // An updated page left the client cache early: stage it in the
       // transaction's private buffer at the server until certification.
@@ -109,13 +107,14 @@ sim::Task<void> CertificationServer::Handle(const net::Message& msg) {
     default:
       break;
   }
+  return sim::Task<void>::Ready();
 }
 
 sim::Task<void> CertificationServer::HandleRead(const net::Message& msg) {
   server::XactState* state = s_.FindXact(msg.xact);
   CCSIM_CHECK(state != nullptr);
   // Certification records its read set at commit time, not here.
-  co_await s_.AnswerRead(*state, msg, /*record_reads=*/false);
+  return s_.AnswerRead(*state, msg, /*record_reads=*/false);
 }
 
 sim::Task<void> CertificationServer::HandleCommit(const net::Message& msg) {

@@ -184,19 +184,15 @@ void NoWaitServer::AuditStructure() {
 sim::Task<void> NoWaitServer::Handle(const net::Message& msg) {
   switch (msg.type) {
     case net::MsgType::kNoWaitLock:
-      co_await HandleNoWaitLock(msg);
-      break;
+      return HandleNoWaitLock(msg);
     case net::MsgType::kReadRequest:
-      co_await HandleRead(msg);
-      break;
+      return HandleRead(msg);
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(msg);
-      break;
+      return HandleCommit(msg);
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(msg);
-      break;
+      return HandleDirtyEvict(msg);
     default:
-      break;
+      return sim::Task<void>::Ready();
   }
 }
 

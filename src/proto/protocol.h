@@ -97,6 +97,8 @@ class ServerProtocol {
   /// of its own, so handlers for different messages interleave (and block
   /// independently on locks, disks, and the CPU); that process owns `msg`
   /// and keeps its transaction's state alive until the handler returns.
+  /// A Handle that only dispatches is a plain function returning its
+  /// sub-handler's Task (the frame rule, sim/task.h).
   virtual sim::Task<void> Handle(const net::Message& msg) = 0;
 
   /// Recovery mode: the server crashed; algorithm-private volatile state

@@ -86,28 +86,32 @@ sim::Task<void> TwoPhaseServer::Handle(const net::Message& msg) {
   OnMessage(msg);
   switch (msg.type) {
     case net::MsgType::kReadRequest:
-      if (server::XactState* state =
-              co_await LockOrAbort(msg, lock::LockMode::kShared)) {
-        // With the locks held, validate the cached versions; stale copies
-        // are re-read and shipped fresh.
-        co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
-      }
-      break;
+      return HandleRead(msg);
     case net::MsgType::kUpgradeRequest:
-      if (co_await LockOrAbort(msg, lock::LockMode::kExclusive) != nullptr) {
-        auto reply = std::make_unique<net::Message>();
-        reply->type = net::MsgType::kUpgradeReply;
-        co_await s_.Reply(msg, std::move(reply));
-      }
-      break;
+      return HandleUpgrade(msg);
     case net::MsgType::kCommitRequest:
-      co_await HandleCommit(msg);
-      break;
+      return HandleCommit(msg);
     case net::MsgType::kDirtyEvict:
-      co_await HandleDirtyEvict(msg);
-      break;
+      return HandleDirtyEvict(msg);
     default:
-      break;  // other message types are OnMessage's
+      return sim::Task<void>::Ready();  // other message types are OnMessage's
+  }
+}
+
+sim::Task<void> TwoPhaseServer::HandleRead(const net::Message& msg) {
+  if (server::XactState* state =
+          co_await LockOrAbort(msg, lock::LockMode::kShared)) {
+    // With the locks held, validate the cached versions; stale copies are
+    // re-read and shipped fresh.
+    co_await s_.AnswerRead(*state, msg, /*record_reads=*/true);
+  }
+}
+
+sim::Task<void> TwoPhaseServer::HandleUpgrade(const net::Message& msg) {
+  if (co_await LockOrAbort(msg, lock::LockMode::kExclusive) != nullptr) {
+    auto reply = std::make_unique<net::Message>();
+    reply->type = net::MsgType::kUpgradeReply;
+    co_await s_.Reply(msg, std::move(reply));
   }
 }
 

@@ -50,6 +50,7 @@ class TwoPhaseServer : public ServerProtocol {
  public:
   explicit TwoPhaseServer(server::Server* server) : ServerProtocol(server) {}
 
+  /// Runs OnMessage, then returns the message type's handler.
   sim::Task<void> Handle(const net::Message& msg) override;
 
  protected:
@@ -73,6 +74,8 @@ class TwoPhaseServer : public ServerProtocol {
   sim::Task<server::XactState*> LockOrAbort(const net::Message& request,
                                             lock::LockMode mode);
 
+  sim::Task<void> HandleRead(const net::Message& msg);
+  sim::Task<void> HandleUpgrade(const net::Message& msg);
   sim::Task<void> HandleCommit(const net::Message& msg);
   sim::Task<void> HandleDirtyEvict(const net::Message& msg);
 };

@@ -9,10 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/checker.h"
-#include "client/client.h"
-#include "runner/metrics.h"
-#include "server/server.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "substrate/node.h"
@@ -48,6 +44,9 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
   }
   server_node.AttachTransport(server_transport.get());
   server_node.Start();
+  // The server's loop epoch leads the shards' by a connection-setup
+  // interval, so its window starts within that interval of theirs.
+  server_node.StartWindowAt(sim::SecondsToTicks(options.warmup_seconds));
   std::uint64_t server_events = 0;
   std::thread server_thread([&server_node, &server_events] {
     server_events = server_node.RunLoop(kForever);
@@ -81,10 +80,13 @@ Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_begin)
           .count();
-  server_node.FinalizeChecker();
 
-  RunResult result = HarvestRealRun(&server_node, load,
-                                    options.duration_seconds);
+  Harvest harvest;
+  harvest.Add(server_node.assembly());
+  for (const auto& shard : load.shards) {
+    harvest.Add(shard->assembly());
+  }
+  RunResult result = harvest.Finish(options.duration_seconds);
   result.wall_seconds = wall_seconds;
   result.events_processed = server_events + shard_events;
   result.events_per_second =
@@ -148,63 +150,6 @@ std::uint64_t RunShards(ShardSet* set, double warmup_seconds,
     total += e;
   }
   return total;
-}
-
-RunResult HarvestRealRun(substrate::ServerNode* server, const ShardSet& load,
-                         double duration_seconds) {
-  RunResult result;
-  LatencyHistogram histogram;
-  double response_weighted = 0.0;
-  double attempts_weighted = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::vector<std::pair<double, std::uint64_t>> per_type;
-  for (const auto& shard : load.shards) {
-    AddNodeCounters(shard->counter_sources(), &result);
-    const Metrics& m = shard->metrics();
-    histogram.Merge(m.response_histogram());
-    response_weighted +=
-        m.response_s().mean() * static_cast<double>(m.response_s().count());
-    attempts_weighted += m.attempts_per_commit().mean() *
-                         static_cast<double>(m.attempts_per_commit().count());
-    const auto& types = m.per_type_response_s();
-    if (types.size() > per_type.size()) {
-      per_type.resize(types.size());
-    }
-    for (std::size_t i = 0; i < types.size(); ++i) {
-      per_type[i].first += types[i].mean() *
-                           static_cast<double>(types[i].count());
-      per_type[i].second += types[i].count();
-    }
-    for (const auto& c : shard->clients()) {
-      cache_hits += c->cache().hits();
-      cache_misses += c->cache().misses();
-    }
-  }
-  if (server != nullptr) {
-    // Every event is recorded on exactly one node, so summing the server's
-    // counters with the shards' double-counts nothing.
-    AddNodeCounters(server->counter_sources(), &result);
-    result.oracle_enabled = server->checker() != nullptr;
-    result.server_buffer_hit_ratio = server->server().pool().HitRatio();
-  }
-  result.measured_seconds = duration_seconds;
-  if (result.commits > 0) {
-    result.mean_response_s =
-        response_weighted / static_cast<double>(result.commits);
-    result.mean_attempts_per_commit =
-        attempts_weighted / static_cast<double>(result.commits);
-  }
-  for (auto& [weighted_mean, count] : per_type) {
-    result.per_type_response.emplace_back(
-        count > 0 ? weighted_mean / static_cast<double>(count) : 0.0, count);
-  }
-  result.response_p50_s = histogram.Quantile(0.50);
-  result.response_p90_s = histogram.Quantile(0.90);
-  result.response_p99_s = histogram.Quantile(0.99);
-  result.client_hit_ratio = HitRatio(cache_hits, cache_misses);
-  FinishCounters(&result);
-  return result;
 }
 
 }  // namespace ccsim::runner

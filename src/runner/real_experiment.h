@@ -35,9 +35,9 @@ struct RealRunOptions {
 
 /// Runs `config` on the real substrate, in-process: a ServerNode plus N
 /// ClientShards connected over TCP loopback, every node on its own
-/// thread. Returns the same RunResult the DES runner produces, with
-/// wall-clock fields filled from real elapsed time and latency
-/// percentiles aggregated across shards.
+/// thread, each starting its measurement window after `warmup_seconds`.
+/// Returns the same RunResult the DES runner produces, harvested node by
+/// node (Harvest), with wall-clock fields filled from real elapsed time.
 Result<RunResult> RunRealExperiment(config::ExperimentConfig config,
                                     const RealRunOptions& options);
 
@@ -56,20 +56,12 @@ Status ConnectShards(const config::ExperimentConfig& config,
                      const std::string& host, int port, int lo, int hi,
                      int count, ShardSet* out);
 
-/// Runs every shard's loop on its own thread — `warmup_seconds`, a stats
-/// window reset, then `duration_seconds` — and closes the transports once
-/// all loops are done. Returns the calendar events the loops processed.
+/// Runs every shard's loop on its own thread — `warmup_seconds`, the start
+/// of its measurement window, then `duration_seconds` — and closes the
+/// transports once all loops are done. Returns the calendar events the
+/// loops processed.
 std::uint64_t RunShards(ShardSet* set, double warmup_seconds,
                         double duration_seconds);
-
-/// The real substrate's harvest, shared by RunRealExperiment and ccload:
-/// folds the counters of the server node (null when it runs in another
-/// process) and of every client shard into one result, and derives the
-/// response, attempt and hit-ratio figures from the shards' statistics
-/// over a `duration_seconds` window. Wall-clock and event fields are left
-/// to the caller; call after every loop has stopped.
-RunResult HarvestRealRun(substrate::ServerNode* server, const ShardSet& load,
-                         double duration_seconds);
 
 }  // namespace ccsim::runner
 

@@ -136,8 +136,22 @@ sim::Task<void> Server::AnswerRead(XactState& state,
     }
     protocol_->OnClientCopy(state.client, page);
   }
-  co_await ReadPagesToClient(state, std::move(to_read), reply.get(),
-                             record_reads);
+  for (std::size_t i = 0; i < to_read.size(); ++i) {
+    const db::PageId page = to_read[i];
+    const bool sequential =
+        i > 0 && to_read[i] == to_read[i - 1] + 1 && DrawClustered();
+    co_await pool_->FetchPage(page, sequential);
+    if (server_proc_page_ticks_ > 0) {
+      co_await cpu_.Use(server_proc_page_ticks_);
+    }
+    const std::uint64_t version = versions_.Get(page);
+    reply->data_pages.push_back(page);
+    reply->data_versions.push_back(version);
+    if (record_reads) {
+      state.read_versions[page] = version;
+    }
+    protocol_->OnClientCopy(state.client, page);
+  }
   co_await Reply(request, std::move(reply));
 }
 
@@ -398,28 +412,6 @@ void Server::PumpReady() {
     keep.push_back(std::move(msg));
   }
   ready_.swap(keep);
-}
-
-sim::Task<void> Server::ReadPagesToClient(XactState& state,
-                                          net::PageList pages,
-                                          net::Message* reply,
-                                          bool record_reads) {
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    const db::PageId page = pages[i];
-    const bool sequential =
-        i > 0 && pages[i] == pages[i - 1] + 1 && DrawClustered();
-    co_await pool_->FetchPage(page, sequential);
-    if (server_proc_page_ticks_ > 0) {
-      co_await cpu_.Use(server_proc_page_ticks_);
-    }
-    const std::uint64_t version = versions_.Get(page);
-    reply->data_pages.push_back(page);
-    reply->data_versions.push_back(version);
-    if (record_reads) {
-      state.read_versions[page] = version;
-    }
-    protocol_->OnClientCopy(state.client, page);
-  }
 }
 
 sim::Task<void> Server::InstallClientUpdates(

@@ -142,20 +142,15 @@ class Server {
   /// none). Used as the waits-for proxy for retained locks.
   std::uint64_t ActiveXactOfClient(int client) const;
 
-  /// Fetches `pages` through the buffer pool, charges ServerProcPage per
-  /// page, appends (page, data, version) to the reply, and tells the
-  /// protocol of each copy (ServerProtocol::OnClientCopy). With
-  /// `record_reads`, the versions enter state.read_versions for the
-  /// commit-time serializability oracle (lock-based protocols;
-  /// certification supplies its read set at commit instead).
-  sim::Task<void> ReadPagesToClient(XactState& state, net::PageList pages,
-                                    net::Message* reply, bool record_reads);
-
   /// Answers a read `request` whose locks (if any) are held: cached copies
   /// (`request.pages` at `request.versions`) still current are confirmed,
-  /// stale ones and `request.fetch_pages` are read and shipped. The protocol
-  /// hears of every confirmed or shipped copy. With `record_reads` every
-  /// page read enters the transaction's read set.
+  /// stale ones and `request.fetch_pages` are fetched through the buffer
+  /// pool, charged ServerProcPage each, and shipped with their versions.
+  /// The protocol hears of every confirmed or shipped copy
+  /// (ServerProtocol::OnClientCopy). With `record_reads` every page read
+  /// enters state.read_versions for the commit-time serializability oracle
+  /// (lock-based protocols; certification supplies its read set at commit
+  /// instead).
   sim::Task<void> AnswerRead(XactState& state, const net::Message& request,
                              bool record_reads);
 

@@ -37,6 +37,27 @@ class Tally {
   /// Clears all accumulated samples (end-of-warmup reset).
   void Reset() { *this = Tally(); }
 
+  /// Adds `other`'s samples (Chan et al.'s pairwise update). Merged into
+  /// an empty tally, `other` is copied, so every statistic keeps its bits.
+  void Merge(const Tally& other) {
+    if (other.count_ == 0) {
+      return;
+    }
+    if (count_ == 0) {
+      *this = other;
+      return;
+    }
+    const double n_a = static_cast<double>(count_);
+    const double n_b = static_cast<double>(other.count_);
+    const double delta = other.mean_ - mean_;
+    count_ += other.count_;
+    const double n = static_cast<double>(count_);
+    mean_ += delta * n_b / n;
+    m2_ += other.m2_ + delta * delta * n_a * n_b / n;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
@@ -155,6 +176,14 @@ class BatchMeans {
     batch_means_.clear();
     batch_sum_ = 0.0;
     batch_count_ = 0;
+  }
+
+  /// Appends `other`'s complete batches (its partial batch is left out).
+  /// Merged into an empty one, the batches and so every estimate are
+  /// `other`'s own.
+  void Merge(const BatchMeans& other) {
+    batch_means_.insert(batch_means_.end(), other.batch_means_.begin(),
+                        other.batch_means_.end());
   }
 
  private:

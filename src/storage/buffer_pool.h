@@ -100,10 +100,6 @@ class BufferPool {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t writebacks() const { return writebacks_; }
-  double HitRatio() const {
-    const std::uint64_t total = hits_ + misses_;
-    return total == 0 ? 0.0 : static_cast<double>(hits_) / total;
-  }
   void ResetStats() { hits_ = misses_ = writebacks_ = 0; }
 
  private:

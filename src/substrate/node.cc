@@ -9,6 +9,7 @@
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/time.h"
+#include "storage/disk.h"
 #include "util/macros.h"
 
 namespace ccsim::substrate {
@@ -180,6 +181,27 @@ void Assembly::Start() {
   }
 }
 
+void Assembly::StartWindow() {
+  const sim::Ticks now = sim_->Now();
+  metrics.ResetWindow();
+  network.ResetStats(now);
+  if (server != nullptr) {
+    server->cpu().ResetStats(now);
+    for (storage::Disk* disk : server->data_disks()) {
+      disk->resource().ResetStats(now);
+    }
+    for (storage::Disk* disk : server->log_disks()) {
+      disk->resource().ResetStats(now);
+    }
+    server->pool().ResetStats();
+    server->log().ResetStats();
+  }
+  for (auto& c : clients) {
+    c->cpu().ResetStats(now);
+    c->cache().ResetStats();
+  }
+}
+
 bool Assembly::FinalizeChecker() {
   if (checker == nullptr) {
     return false;
@@ -217,6 +239,12 @@ void RealNode::InstallInboundFilter(
           network->Receive(std::move(msg));
         }
       });
+}
+
+void RealNode::StartWindowAt(sim::Ticks at) {
+  if (at > 0) {
+    sim_.ScheduleAt(at, [nodes = &nodes_] { nodes->StartWindow(); });
+  }
 }
 
 void RealNode::Route(net::Transport* transport, std::uint64_t fault_seed,
@@ -265,10 +293,7 @@ void ClientShard::AttachTransport(TcpClientTransport* transport,
 }
 
 std::uint64_t ClientShard::RunLoop(sim::Ticks warmup, sim::Ticks duration) {
-  if (warmup > 0) {
-    runner::Metrics* metrics = &nodes_.metrics;
-    sim_.ScheduleAt(warmup, [metrics] { metrics->ResetWindow(); });
-  }
+  StartWindowAt(warmup);
   return substrate_.Run(warmup + duration);
 }
 

@@ -45,7 +45,8 @@ struct FaultHooks {
 /// then the clients [lo, hi), then, when config.checker is on and the
 /// server is here, the checker with its audit hook. The DES builds one
 /// with every node, a ServerNode one with the server, a ClientShard one
-/// with its clients. Each harness wires and harvests the members itself.
+/// with its clients. Both substrates start its measurement window with
+/// StartWindow and harvest it with runner::Harvest::Add.
 class Assembly {
  public:
   /// `where` follows the algorithm name in the checker's reports.
@@ -67,9 +68,17 @@ class Assembly {
   /// Spawns the server's dispatcher, then every client's processes.
   void Start();
 
+  /// Starts the measurement window now: resets every Window-scoped
+  /// statistic on this calendar — the Metrics window, the network and its
+  /// injector, the server's CPU, disks, buffer pool and log, and each
+  /// client's CPU and cache. Life-scoped counters are left alone.
+  void StartWindow();
+
   /// Finalizes the oracle (call once, after the calendar has stopped).
   /// False if no checker.
   bool FinalizeChecker();
+
+  sim::Simulator& simulator() const { return *sim_; }
 
   /// Everything this calendar counts, for runner::AddNodeCounters.
   runner::NodeSources counter_sources() {
@@ -129,11 +138,16 @@ class RealNode {
   /// thread.
   void InstallInboundFilter(std::function<bool(const net::Message&)> filter);
 
+  /// Starts the node's measurement window (Assembly::StartWindow) when its
+  /// loop reaches `at`; a window from 0 is the node's whole life, and
+  /// nothing is scheduled. Call before the loop starts.
+  void StartWindowAt(sim::Ticks at);
+
   RealtimeSubstrate& substrate() { return substrate_; }
   net::Network& network() { return nodes_.network; }
   runner::Metrics& metrics() { return nodes_.metrics; }
-  /// Everything this node counts, for runner::AddNodeCounters.
-  runner::NodeSources counter_sources() { return nodes_.counter_sources(); }
+  /// The node's model, for runner::Harvest::Add once its loop has stopped.
+  Assembly& assembly() { return nodes_; }
 
  protected:
   RealNode(const config::ExperimentConfig& config, std::uint64_t seed,
@@ -172,11 +186,7 @@ class ServerNode : public RealNode {
   /// Runs the event loop on the calling thread until Stop()/horizon.
   std::uint64_t RunLoop(sim::Ticks horizon) { return substrate_.Run(horizon); }
 
-  /// See Assembly::FinalizeChecker.
-  bool FinalizeChecker() { return nodes_.FinalizeChecker(); }
-
   server::Server& server() { return *nodes_.server; }
-  check::Checker* checker() { return nodes_.checker.get(); }
 };
 
 /// A slice of the client population — global ids [client_lo, client_hi) —
@@ -199,15 +209,11 @@ class ClientShard : public RealNode {
   void AttachTransport(TcpClientTransport* transport, int index);
 
   /// Runs the event loop on the calling thread for `duration` wall ticks,
-  /// resetting the stats window after `warmup` ticks.
+  /// starting the measurement window after `warmup` ticks.
   std::uint64_t RunLoop(sim::Ticks warmup, sim::Ticks duration);
 
   int client_lo() const { return client_lo_; }
   int client_hi() const { return client_hi_; }
-  /// The shard's clients (harvest only — do not touch while the loop runs).
-  const std::vector<std::unique_ptr<client::Client>>& clients() const {
-    return nodes_.clients;
-  }
 
  private:
   int client_lo_;

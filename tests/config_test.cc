@@ -498,8 +498,9 @@ std::string Unlike(const std::string& full, const std::string& base) {
   return out;
 }
 
-// Command lines from tools/ci.sh, tools/chaos_soak.sh, README.md, the
-// tools' header comments and the verify notes, plus one that sets every
+// Command lines from tools/ci.sh, the chaos soaks README.md and DESIGN.md
+// give (the DES one with --jobs=4), README.md, the tools' header comments
+// and the verify notes, plus one that sets every
 // ccsim_run knob, with what the tools made of them before their flags
 // moved into the one table: the tool's own values that differ from its
 // defaults, then the config fields that differ from BaseConfig(). A

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 
 #include "sim/random.h"
 #include "sim/stats.h"
@@ -38,6 +40,31 @@ TEST(TallyTest, ResetClears) {
   EXPECT_EQ(tally.mean(), 0.0);
 }
 
+// Merging tallies is how a run's nodes are harvested: the merge of two
+// halves matches one tally of every sample, and a tally merged into an
+// empty one keeps its bits (the simulator's outputs depend on that).
+TEST(TallyTest, MergeMatchesOneTallyOfAllSamples) {
+  Tally whole;
+  Tally first;
+  Tally second;
+  const double samples[] = {0.3, 1.7, 2.2, 9.1, 4.4, 0.05, 3.3};
+  for (std::size_t i = 0; i < std::size(samples); ++i) {
+    whole.Add(samples[i]);
+    (i < 3 ? first : second).Add(samples[i]);
+  }
+  Tally merged;
+  merged.Merge(first);
+  EXPECT_EQ(merged.mean(), first.mean());
+  EXPECT_EQ(merged.variance(), first.variance());
+  merged.Merge(second);
+  merged.Merge(Tally());
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_NEAR(merged.mean(), whole.mean(), 1e-12);
+  EXPECT_NEAR(merged.variance(), whole.variance(), 1e-12);
+  EXPECT_EQ(merged.min(), 0.05);
+  EXPECT_EQ(merged.max(), 9.1);
+}
+
 TEST(TimeWeightedTest, StepFunctionAverage) {
   TimeWeighted tw(0.0);
   tw.Set(2.0, 10);   // value 0 over [0,10), 2 over [10,30), 4 over [30,40]
@@ -69,6 +96,23 @@ TEST(BatchMeansTest, MeanMatchesSamples) {
   EXPECT_EQ(bm.num_batches(), 2u);
   EXPECT_DOUBLE_EQ(bm.Mean(), 4.0);
   EXPECT_GT(bm.HalfWidth90(), 0.0);
+}
+
+TEST(BatchMeansTest, MergeAppendsCompleteBatches) {
+  BatchMeans a(/*batch_size=*/2);
+  BatchMeans b(/*batch_size=*/2);
+  for (double x : {1.0, 3.0, 5.0}) {
+    a.Add(x);  // one batch (2.0) and a partial one
+  }
+  for (double x : {7.0, 9.0}) {
+    b.Add(x);  // one batch (8.0)
+  }
+  BatchMeans merged;
+  merged.Merge(a);
+  EXPECT_EQ(merged.HalfWidth90(), a.HalfWidth90());
+  merged.Merge(b);
+  EXPECT_EQ(merged.num_batches(), 2u);
+  EXPECT_DOUBLE_EQ(merged.Mean(), 5.0);
 }
 
 TEST(BatchMeansTest, FewBatchesNoInterval) {

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -28,6 +29,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -37,7 +39,9 @@
 #include "net/message.h"
 #include "runner/experiment.h"
 #include "runner/real_experiment.h"
+#include "runner/counters.h"
 #include "sim/simulator.h"
+#include "sim/time.h"
 #include "substrate/node.h"
 #include "substrate/realtime.h"
 #include "substrate/tcp.h"
@@ -69,19 +73,112 @@ ExperimentConfig ParityConfig(Algorithm algorithm, CachingMode caching) {
 
 void CheckInvariants(const RunResult& r, int num_clients, const char* which) {
   SCOPED_TRACE(which);
-  EXPECT_GT(r.commits, 0u);
-  EXPECT_EQ(r.transactions_lost, 0u);
-  EXPECT_FALSE(r.stalled);
-  // Conservation over the measurement window:
-  //   started + in_flight(window start) == finished + in_flight(window end)
-  // and each client drives one attempt at a time, so both in-flight terms
-  // are bounded by the population: |started - finished| <= num_clients.
-  const std::uint64_t finished = r.commits + r.aborts;
-  const std::uint64_t slack = static_cast<std::uint64_t>(num_clients);
-  EXPECT_LE(r.attempts_started, finished + slack);
-  EXPECT_LE(finished, r.attempts_started + slack);
+  // Commits, nothing lost or stuck, no stall, and conservation over the
+  // measurement window: started + in_flight(window start) == finished +
+  // in_flight(window end), each in-flight term at most the population.
+  const unsigned verdict = runner::Judge(r, num_clients);
+  EXPECT_EQ(verdict, 0u) << runner::DescribeVerdict(verdict);
   EXPECT_TRUE(r.oracle_enabled);
   EXPECT_GE(r.oracle_commits, r.commits);
+}
+
+// Folds one counter-table row into a StartWindow check: a Window row must
+// read 0 after the window starts, a Life row what it read before.
+void CheckWindowRow(const char* name, std::string_view scope, double before,
+                    double after, int* window_rows_counted) {
+  if (scope == "Window") {
+    EXPECT_EQ(after, 0.0) << name << " read " << before << " at warmup";
+    *window_rows_counted += before != 0.0 ? 1 : 0;
+  } else {
+    EXPECT_EQ(after, before) << name;
+  }
+}
+
+// The measurement window has one definition on both substrates:
+// Assembly::StartWindow resets every Window-scoped row a node reads and
+// leaves every Life row alone. The rows come from the counter table, so a
+// new row is checked as soon as it is added.
+TEST(WindowTest, StartWindowResetsEveryWindowRowAndNoLifeRow) {
+  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                      CachingMode::kInterTransaction);
+  cfg.fault.recovery_enabled = true;
+  cfg.fault.drop_probability = 0.05;
+  cfg.fault.duplicate_probability = 0.03;
+  cfg.fault.delay_spike_probability = 0.05;
+  cfg.fault.delay_spike_ms = 20.0;
+  cfg.fault.torn_write_probability = 0.2;
+  config::FaultParams::PartitionEvent part;
+  part.node = 1;
+  part.at_s = 5.0;
+  part.duration_s = 2.0;
+  cfg.fault.partitions.push_back(part);
+  config::FaultParams::CrashEvent crash;
+  crash.node = 2;
+  crash.at_s = 8.0;
+  crash.downtime_s = 30.0;  // still down when the window starts
+  cfg.fault.crashes.push_back(crash);
+
+  sim::Simulator sim;
+  substrate::Assembly nodes(&sim, cfg, cfg.control.seed, /*with_server=*/true,
+                            0, cfg.system.num_clients, "");
+  nodes.InjectFaults(cfg.control.seed, {});
+  nodes.Start();
+  sim.Run(sim::SecondsToTicks(20.0));
+  RunResult before;
+  runner::AddNodeCounters(nodes.counter_sources(), &before);
+  nodes.StartWindow();
+  RunResult after;
+  runner::AddNodeCounters(nodes.counter_sources(), &after);
+
+  int window_rows_counted = 0;
+#define CCSIM_FIELD(name, type, csv, format, scope, merge, source, read) \
+  CCSIM_IF_SOURCED(source, CheckWindowRow(#name, #scope,                \
+                                          static_cast<double>(before.name), \
+                                          static_cast<double>(after.name), \
+                                          &window_rows_counted);)
+#include "runner/counters.def"
+  // The warmup reached every kind of Window row: metrics, network,
+  // injector and server.
+  EXPECT_GT(before.commits, 0u);
+  EXPECT_GT(before.messages, 0u);
+  EXPECT_GT(before.messages_dropped, 0u);
+  EXPECT_GT(before.log_forced_commits, 0u);
+  EXPECT_GT(before.client_crashes, 0u);
+  std::printf("%d Window rows read nonzero at warmup\n",
+              window_rows_counted);
+  sim.Shutdown();
+}
+
+// A real run's counters cover its window, not its warmup: every node
+// starts its window at the warmup tick, so a longer warmup leaves the
+// window's messages per finished attempt where they were. (When only the
+// shards' Metrics were reset, the 2 s warmup read 105 messages per
+// finished attempt against the 0.2 s warmup's 28.)
+TEST(WindowTest, RealWarmupTrafficStaysOutOfTheWindow) {
+  ExperimentConfig cfg = ParityConfig(Algorithm::kTwoPhaseLocking,
+                                      CachingMode::kInterTransaction);
+  cfg.system.num_clients = 8;
+  cfg.checker.enabled = false;
+  cfg.transaction.external_delay_s = 0.0;
+  double per_attempt[2] = {0.0, 0.0};
+  const double warmups[2] = {0.2, 2.0};
+  for (int i = 0; i < 2; ++i) {
+    runner::RealRunOptions options;
+    options.warmup_seconds = warmups[i];
+    options.duration_seconds = 0.5;
+    const Result<RunResult> run = runner::RunRealExperiment(cfg, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const RunResult& r = run.ValueOrDie();
+    const std::uint64_t finished = r.commits + r.aborts;
+    ASSERT_GT(finished, 0u);
+    per_attempt[i] =
+        static_cast<double>(r.messages) / static_cast<double>(finished);
+    std::printf("warmup %.1f s: %llu messages, %llu finished attempts, "
+                "%.2f per attempt\n",
+                warmups[i], static_cast<unsigned long long>(r.messages),
+                static_cast<unsigned long long>(finished), per_attempt[i]);
+  }
+  EXPECT_LE(per_attempt[1], 1.2 * per_attempt[0]);
 }
 
 class SubstrateParityTest

@@ -8,15 +8,16 @@
 //            --lo=0 --hi=4 --threads=2   # half the population, 2 shards
 //
 // Its flags are rows of the one table in src/config/flags.cc (--help).
-// Exits non-zero if any transaction was lost, the conservation invariant
-// (started == commits + aborts + in-flight, in-flight <= clients) fails,
-// or nothing committed at all.
+// Exits 1 when runner::Judge finds the run unsound: a transaction lost, a
+// stuck client, nothing committed, or the conservation invariant (started
+// == commits + aborts + in-flight, in-flight <= clients) broken.
 
 #include <cstdio>
 #include <string>
 
 #include "config/flags.h"
 #include "config/params.h"
+#include "runner/experiment.h"
 #include "runner/real_experiment.h"
 #include "runner/report.h"
 #include "substrate/node.h"
@@ -79,8 +80,11 @@ int main(int argc, char** argv) {
   ccsim::runner::RunShards(&load, flags.warmup_s.value_or(1.0), duration_s);
 
   // --- report -------------------------------------------------------------
-  const ccsim::runner::RunResult r =
-      ccsim::runner::HarvestRealRun(nullptr, load, duration_s);
+  ccsim::runner::Harvest harvest;
+  for (const auto& shard : load.shards) {
+    harvest.Add(shard->assembly());
+  }
+  const ccsim::runner::RunResult r = harvest.Finish(duration_s);
   std::uint64_t reconnects = 0, disconnected_drops = 0;
   for (auto& transport : load.transports) {
     reconnects += transport->reconnects();
@@ -105,30 +109,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(disconnected_drops));
   std::printf("%s", ccsim::runner::CounterSummary(r).c_str());
 
-  bool ok = true;
-  if (r.commits == 0) {
-    std::printf("FAIL: no transactions committed\n");
-    ok = false;
-  }
-  if (r.transactions_lost != 0) {
-    std::printf("FAIL: %llu transactions lost\n",
-                static_cast<unsigned long long>(r.transactions_lost));
-    ok = false;
-  }
-  // Window conservation: started + in_flight(start) == finished +
-  // in_flight(end), both in-flight terms bounded by the driven population
-  // (the warmup reset can leave the window's start imbalance non-zero).
-  // This bound holds under wire faults too: each client drives exactly one
-  // transaction at a time, and every faulted attempt resolves to a commit,
-  // an abort, or a still-in-flight retry — never a silent disappearance
-  // (that would be transactions_lost, checked above).
-  const std::uint64_t slack = static_cast<std::uint64_t>(hi - lo);
-  if (started > finished + slack || finished > started + slack) {
-    std::printf("FAIL: conservation violated (started %llu, finished %llu, "
-                "clients %d)\n",
+  if (const unsigned verdict = ccsim::runner::Judge(r, hi - lo)) {
+    std::printf("FAIL: %s (commits %llu, lost %llu, started %llu, "
+                "finished %llu, clients %d)\n",
+                ccsim::runner::DescribeVerdict(verdict).c_str(),
+                static_cast<unsigned long long>(r.commits),
+                static_cast<unsigned long long>(r.transactions_lost),
                 static_cast<unsigned long long>(started),
                 static_cast<unsigned long long>(finished), hi - lo);
-    ok = false;
+    return 1;
   }
-  return ok ? 0 : 1;
+  return 0;
 }

@@ -21,7 +21,6 @@
 #include "config/params.h"
 #include "runner/experiment.h"
 #include "runner/report.h"
-#include "server/server.h"
 #include "sim/time.h"
 #include "substrate/node.h"
 #include "substrate/tcp.h"
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
                 "connections (peers see RST, not a torn frame)\n");
   }
   transport->Close();
-  node.FinalizeChecker();
 
   std::printf(
       "ccserve: clean shutdown — %llu events, %llu frames in, "
@@ -100,9 +98,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(transport->frames_received()),
       static_cast<unsigned long long>(transport->connections_accepted()),
       static_cast<unsigned long long>(transport->unroutable_drops()));
-  ccsim::runner::RunResult counters;
-  ccsim::runner::AddNodeCounters(node.counter_sources(), &counters);
-  std::printf("ccserve: buffer hit %.2f\n", node.server().pool().HitRatio());
+  // No warmup: the window is the server's whole life.
+  ccsim::runner::Harvest harvest;
+  harvest.Add(node.assembly());
+  const ccsim::runner::RunResult counters = harvest.Finish(
+      ccsim::sim::TicksToSeconds(node.substrate().sim().Now()));
+  std::printf("ccserve: buffer hit %.2f\n", counters.server_buffer_hit_ratio);
   std::printf("%s", ccsim::runner::CounterSummary(counters, "ccserve: ")
                         .c_str());
   return 0;

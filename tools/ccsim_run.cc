@@ -143,88 +143,6 @@ ExperimentConfig MakeChaosConfig(std::uint64_t seed) {
   return cfg;
 }
 
-/// Runs `n` seeded chaos cocktails (seeds base..base+n-1) across all five
-/// protocols with the consistency oracle on. Plans are printed before the
-/// runs start so a fatal oracle abort is attributable to its seed; any
-/// surviving failure prints the seed and a one-flag reproduction command.
-int RunChaosSoak(int n, std::uint64_t base_seed, int jobs) {
-  std::vector<std::string> plans(static_cast<std::size_t>(n));
-  std::vector<ExperimentConfig> configs;
-  configs.reserve(static_cast<std::size_t>(n) * kSoakAlgorithmCount);
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    ExperimentConfig cfg = MakeChaosConfig(seed);
-    plans[static_cast<std::size_t>(i)] = DescribeChaos(cfg.fault);
-    std::printf("chaos seed %llu: %s\n",
-                static_cast<unsigned long long>(seed),
-                plans[static_cast<std::size_t>(i)].c_str());
-    for (const char* name : kSoakAlgorithms) {
-      (void)ccsim::config::SelectAlgorithm(name, &cfg.algorithm);
-      configs.push_back(cfg);
-    }
-  }
-  std::fflush(stdout);
-  const auto results = ccsim::runner::RunExperiments(
-      configs, jobs > 0 ? jobs : ccsim::runner::DefaultJobs());
-  int failures = 0;
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    std::uint64_t commits = 0, lost = 0, unknown = 0, part_drops = 0;
-    std::uint64_t shed = 0, truncated = 0;
-    std::string verdict;
-    for (int a = 0; a < kSoakAlgorithmCount; ++a) {
-      const std::size_t idx =
-          static_cast<std::size_t>(i) * kSoakAlgorithmCount +
-          static_cast<std::size_t>(a);
-      if (!results[idx].ok()) {
-        verdict += std::string(" ") + kSoakAlgorithms[a] + ": " +
-                   results[idx].status().ToString();
-        continue;
-      }
-      const RunResult& r = results[idx].ValueOrDie();
-      commits += r.commits;
-      lost += r.transactions_lost;
-      unknown += r.unknown_outcomes;
-      part_drops += r.partition_drops;
-      shed += r.shed_requests;
-      truncated += r.log_records_truncated;
-      if (r.stalled) {
-        verdict += std::string(" ") + kSoakAlgorithms[a] + ": STALLED";
-      }
-      if (r.transactions_lost > 0) {
-        verdict += std::string(" ") + kSoakAlgorithms[a] + ": LOST";
-      }
-      if (r.stuck_clients > 0) {
-        verdict += std::string(" ") + kSoakAlgorithms[a] + ": STUCK";
-      }
-    }
-    if (verdict.empty()) {
-      std::printf("chaos seed %llu: ok (commits %llu, unknown %llu, "
-                  "part-drops %llu, shed %llu, log-truncated %llu)\n",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(commits),
-                  static_cast<unsigned long long>(unknown),
-                  static_cast<unsigned long long>(part_drops),
-                  static_cast<unsigned long long>(shed),
-                  static_cast<unsigned long long>(truncated));
-    } else {
-      ++failures;
-      std::printf("chaos seed %llu: FAILED —%s\n",
-                  static_cast<unsigned long long>(seed), verdict.c_str());
-      std::printf("  plan : %s\n", plans[static_cast<std::size_t>(i)].c_str());
-      std::printf("  repro: ccsim_run --chaos-soak=1 --seed=%llu\n",
-                  static_cast<unsigned long long>(seed));
-    }
-  }
-  if (failures == 0) {
-    std::printf("chaos soak: %d seeds x %d protocols, all clean\n", n,
-                kSoakAlgorithmCount);
-  } else {
-    std::printf("chaos soak: %d of %d seeds FAILED\n", failures, n);
-  }
-  return failures == 0 ? 0 : 1;
-}
-
 /// Derives a wire-level fault cocktail that fits a short wall-clock run:
 /// lossy links, usually one server crash+restart, usually one partition
 /// window (sometimes hard), sometimes one client crash+restart. Windows
@@ -274,63 +192,97 @@ ExperimentConfig MakeRealChaosConfig(std::uint64_t seed) {
   return cfg;
 }
 
-/// Real-substrate chaos soak: `n` seeded wire cocktails across all five
-/// protocols, each on the threads+TCP substrate with the oracle on. Runs
-/// are sequential — one real run already spreads across every core via
-/// its shard threads — so wall clock is ~(4s + teardown) x 5 x n; use a
-/// smaller seed count than the DES soak.
-int RunRealChaosSoak(int n, std::uint64_t base_seed) {
+/// Runs `n` seeded chaos cocktails (seeds base..base+n-1) across all five
+/// protocols with the consistency oracle on: on the DES (cocktails from
+/// MakeChaosConfig, runs fanned across `jobs` threads) or, with `real`, on
+/// threads + TCP loopback (MakeRealChaosConfig, 1 s warmup and 3 s
+/// measured; runs one at a time, since one real run already spreads across
+/// the cores via its shard threads, so wall clock is ~(4 s + teardown) x 5
+/// x n). Plans are printed before the runs start so a fatal oracle abort
+/// is attributable to its seed; a seed with a failing run (Judge) prints
+/// its plan and a one-flag reproduction command.
+int RunChaosSoak(bool real, int n, std::uint64_t base_seed, int jobs) {
+  const char* const label = real ? "real chaos" : "chaos";
+  std::vector<std::string> plans(static_cast<std::size_t>(n));
+  std::vector<ExperimentConfig> configs;
+  configs.reserve(static_cast<std::size_t>(n) * kSoakAlgorithmCount);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    ExperimentConfig cfg =
+        real ? MakeRealChaosConfig(seed) : MakeChaosConfig(seed);
+    plans[static_cast<std::size_t>(i)] = DescribeChaos(cfg.fault);
+    std::printf("%s seed %llu: %s\n", label,
+                static_cast<unsigned long long>(seed),
+                plans[static_cast<std::size_t>(i)].c_str());
+    for (const char* name : kSoakAlgorithms) {
+      (void)ccsim::config::SelectAlgorithm(name, &cfg.algorithm);
+      configs.push_back(cfg);
+    }
+  }
+  std::fflush(stdout);
+  std::vector<ccsim::Result<RunResult>> results;
+  if (real) {
+    const ccsim::runner::RealRunOptions options{.warmup_seconds = 1.0,
+                                                .duration_seconds = 3.0};
+    for (const ExperimentConfig& cfg : configs) {
+      results.push_back(ccsim::runner::RunRealExperiment(cfg, options));
+    }
+  } else {
+    results = ccsim::runner::RunExperiments(
+        configs, jobs > 0 ? jobs : ccsim::runner::DefaultJobs());
+  }
   int failures = 0;
   for (int i = 0; i < n; ++i) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    ExperimentConfig cfg = MakeRealChaosConfig(seed);
-    const std::string plan = DescribeChaos(cfg.fault);
-    std::printf("real chaos seed %llu: %s\n",
-                static_cast<unsigned long long>(seed), plan.c_str());
-    std::fflush(stdout);
-    for (const char* name : kSoakAlgorithms) {
-      (void)ccsim::config::SelectAlgorithm(name, &cfg.algorithm);
-      ccsim::runner::RealRunOptions opts;
-      opts.warmup_seconds = 1.0;
-      opts.duration_seconds = 3.0;
-      const ccsim::Result<RunResult> result =
-          ccsim::runner::RunRealExperiment(cfg, opts);
-      std::string verdict;
-      if (!result.ok()) {
-        verdict = result.status().ToString();
-      } else {
-        const RunResult& r = result.ValueOrDie();
-        if (r.commits == 0) {
-          verdict = "ZERO COMMITS";
-        } else if (r.transactions_lost > 0) {
-          verdict = "LOST TRANSACTIONS";
-        } else {
-          std::printf(
-              "  %s: ok (commits %llu, dropped %llu, part-drops %llu, "
-              "crashes %llu+%llu, retries %llu)\n",
-              name, static_cast<unsigned long long>(r.commits),
-              static_cast<unsigned long long>(r.messages_dropped),
-              static_cast<unsigned long long>(r.partition_drops),
-              static_cast<unsigned long long>(r.server_crashes),
-              static_cast<unsigned long long>(r.client_crashes),
-              static_cast<unsigned long long>(r.rpc_retries));
-        }
+    std::uint64_t commits = 0, lost = 0, unknown = 0, part_drops = 0;
+    std::uint64_t shed = 0, truncated = 0;
+    std::string verdict;
+    for (int a = 0; a < kSoakAlgorithmCount; ++a) {
+      const std::size_t idx =
+          static_cast<std::size_t>(i) * kSoakAlgorithmCount +
+          static_cast<std::size_t>(a);
+      if (!results[idx].ok()) {
+        verdict += std::string(" ") + kSoakAlgorithms[a] + ": " +
+                   results[idx].status().ToString();
+        continue;
       }
-      if (!verdict.empty()) {
-        ++failures;
-        std::printf("  %s: FAILED — %s\n", name, verdict.c_str());
-        std::printf("  repro: ccsim_run --substrate=real --chaos-soak=1 "
-                    "--seed=%llu\n",
-                    static_cast<unsigned long long>(seed));
+      const RunResult& r = results[idx].ValueOrDie();
+      commits += r.commits;
+      lost += r.transactions_lost;
+      unknown += r.unknown_outcomes;
+      part_drops += r.partition_drops;
+      shed += r.shed_requests;
+      truncated += r.log_records_truncated;
+      if (const unsigned failed =
+              ccsim::runner::Judge(r, configs[idx].system.num_clients)) {
+        verdict += std::string(" ") + kSoakAlgorithms[a] + ": " +
+                   ccsim::runner::DescribeVerdict(failed);
       }
-      std::fflush(stdout);
+    }
+    if (verdict.empty()) {
+      std::printf("%s seed %llu: ok (commits %llu, unknown %llu, "
+                  "part-drops %llu, shed %llu, log-truncated %llu)\n",
+                  label, static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(commits),
+                  static_cast<unsigned long long>(unknown),
+                  static_cast<unsigned long long>(part_drops),
+                  static_cast<unsigned long long>(shed),
+                  static_cast<unsigned long long>(truncated));
+    } else {
+      ++failures;
+      std::printf("%s seed %llu: FAILED —%s\n", label,
+                  static_cast<unsigned long long>(seed), verdict.c_str());
+      std::printf("  plan : %s\n", plans[static_cast<std::size_t>(i)].c_str());
+      std::printf("  repro: ccsim_run%s --chaos-soak=1 --seed=%llu\n",
+                  real ? " --substrate=real" : "",
+                  static_cast<unsigned long long>(seed));
     }
   }
   if (failures == 0) {
-    std::printf("real chaos soak: %d seeds x %d protocols, all clean\n", n,
+    std::printf("%s soak: %d seeds x %d protocols, all clean\n", label, n,
                 kSoakAlgorithmCount);
   } else {
-    std::printf("real chaos soak: %d runs FAILED\n", failures);
+    std::printf("%s soak: %d of %d seeds FAILED\n", label, failures, n);
   }
   return failures == 0 ? 0 : 1;
 }
@@ -353,20 +305,16 @@ int main(int argc, char** argv) {
       .shards = flags.shards};
 
   const bool real_substrate = flags.substrate == "real";
-  if (real_substrate) {
-    if (!flags.sweep_clients.empty()) {
-      std::fprintf(stderr,
-                   "--substrate=real runs one experiment at a time (no "
-                   "--sweep-clients)\n");
-      return 2;
-    }
-    if (flags.chaos_soak > 0) {
-      return RunRealChaosSoak(flags.chaos_soak, cfg.control.seed);
-    }
+  if (real_substrate && !flags.sweep_clients.empty()) {
+    std::fprintf(stderr,
+                 "--substrate=real runs one experiment at a time (no "
+                 "--sweep-clients)\n");
+    return 2;
   }
 
   if (flags.chaos_soak > 0) {
-    return RunChaosSoak(flags.chaos_soak, cfg.control.seed, flags.jobs);
+    return RunChaosSoak(real_substrate, flags.chaos_soak, cfg.control.seed,
+                        flags.jobs);
   }
 
   if (!flags.sweep_clients.empty()) {
@@ -392,7 +340,9 @@ int main(int argc, char** argv) {
       }
       const RunResult& r = results[i].ValueOrDie();
       PrintCsvRow(flags.algorithm, configs[i], r);
-      any_stalled = any_stalled || r.stalled;
+      any_stalled = any_stalled ||
+                    (ccsim::runner::Judge(r, configs[i].system.num_clients) &
+                     ccsim::runner::kStalled) != 0;
     }
     return any_stalled ? 3 : 0;
   }
@@ -408,9 +358,12 @@ int main(int argc, char** argv) {
   const RunResult& r = result.ValueOrDie();
   // Exit contract: stalls are 3; a real-substrate run that lost a driven
   // transaction (conservation break) is 4 even when it otherwise finished.
+  const unsigned verdict =
+      ccsim::runner::Judge(r, cfg.system.num_clients);
   const int exit_code =
-      r.stalled ? 3
-                : (real_substrate && r.transactions_lost > 0 ? 4 : 0);
+      (verdict & ccsim::runner::kStalled) != 0 ? 3
+      : real_substrate && (verdict & ccsim::runner::kLost) != 0 ? 4
+                                                                : 0;
 
   if (flags.csv) {
     PrintCsvHeader();
